@@ -42,6 +42,7 @@ from .sampling import (
     tangent_frames,
 )
 from .projections import (
+    ChordScan,
     DistortionSummary,
     PairPolicy,
     PrincipalAngles,

@@ -17,9 +17,9 @@ import numpy as np
 
 from .errors import RankDeficient, Unachievable
 from .manifold import ManifoldSpec
-from .projections import DistortionSummary, PairPolicy, sample_projector
+from .projections import ChordScan, DistortionSummary, PairPolicy, sample_projector
 from .sampling import sample_manifold, tangent_frames
-from .seeding import derive_seed
+from .seeding import derive_seed, pooled_map
 from . import bounds
 
 __all__ = [
@@ -99,77 +99,6 @@ class MStarResult:
     seed: int
 
 
-class _ChordScan:
-    """Ambient chord geometry of a fixed point set, reused across projectors.
-
-    Squared chord lengths depend only on the points, so for a projector
-    ensemble they are computed once per block of pairs; each projector then
-    only pays for its own projected Gram blocks.  Blocks follow the same
-    layout as :func:`mfldproj.projections.pointset_distortion`, so for
-    point sets that fit one block the per-projector maxima agree bit for
-    bit with the general scan.
-    """
-
-    def __init__(self, points: np.ndarray, policy: PairPolicy, block: int = 1024):
-        self.X = np.asarray(points, dtype=float)
-        self.policy = policy
-        P = self.X.shape[0]
-        xsq = np.einsum("ij,ij->i", self.X, self.X)
-        # for the all-pairs policy, blocks hold the upper-triangle indices
-        # relative to the block so projected distances per projector come
-        # out of one block Gram product; the subsampled policy gathers
-        # explicit pair lists instead
-        self.gram_blocks = []  # (i0, i1, j0, j1, iu, ju, da[iu, ju])
-        self.pair_blocks = []  # (i_idx, j_idx, da)
-        if policy.kind == "all":
-            for i0 in range(0, P, block):
-                i1 = min(i0 + block, P)
-                for j0 in range(i0, P, block):
-                    j1 = min(j0 + block, P)
-                    da = xsq[i0:i1, None] + xsq[None, j0:j1] - 2.0 * (self.X[i0:i1] @ self.X[j0:j1].T)
-                    if i0 == j0:
-                        iu, ju = np.triu_indices(i1 - i0, k=1, m=j1 - j0)
-                    else:
-                        iu, ju = np.indices((i1 - i0, j1 - j0))
-                        iu, ju = iu.ravel(), ju.ravel()
-                    da = da[iu, ju]
-                    ok = da > 0.0
-                    if not np.all(ok):
-                        iu, ju, da = iu[ok], ju[ok], da[ok]
-                    self.gram_blocks.append((i0, i1, j0, j1, iu, ju, da))
-        else:
-            rng = np.random.default_rng(policy.seed)
-            remaining = policy.n_pairs
-            while remaining > 0:
-                m = min(remaining, block * block)
-                ii = rng.integers(0, P, size=m)
-                jj = rng.integers(0, P - 1, size=m)
-                jj = np.where(jj >= ii, jj + 1, jj)
-                da = xsq[ii] + xsq[jj] - 2.0 * np.einsum("ij,ij->i", self.X[ii], self.X[jj])
-                ok = da > 0.0
-                self.pair_blocks.append((ii[ok], jj[ok], da[ok]))
-                remaining -= m
-
-    def max_distortion(self, A) -> float:
-        scale = A.N / A.M
-        Y = self.X @ A.rows.T
-        ysq = np.einsum("ij,ij->i", Y, Y)
-        best = -1.0
-        for i0, i1, j0, j1, iu, ju, da in self.gram_blocks:
-            dp = ysq[i0:i1, None] + ysq[None, j0:j1] - 2.0 * (Y[i0:i1] @ Y[j0:j1].T)
-            ratio = np.maximum(dp[iu, ju], 0.0) / da
-            d = np.abs(np.sqrt(scale * ratio) - 1.0)
-            if d.size:
-                best = max(best, float(d.max()))
-        for ii, jj, da in self.pair_blocks:
-            dp = ysq[ii] + ysq[jj] - 2.0 * np.einsum("ij,ij->i", Y[ii], Y[jj])
-            ratio = np.maximum(dp, 0.0) / da
-            d = np.abs(np.sqrt(scale * ratio) - 1.0)
-            if d.size:
-                best = max(best, float(d.max()))
-        return best
-
-
 def distortion_distribution(
     spec: ManifoldSpec,
     M: int,
@@ -191,13 +120,13 @@ def distortion_distribution(
     sample = sample_manifold(spec, derive_seed(seed, ["manifold"]))
     if pair_policy is None:
         pair_policy = resolve_pair_policy(spec.n_points, derive_seed(seed, ["pairs"]))
-    scan = _ChordScan(sample.points, pair_policy)
+    scan = ChordScan(sample.points, pair_policy)
     frames = tangent_frames(sample) if include_frames else None
     scale = math.sqrt(spec.N / M)
     out = np.empty(n_proj)
     for i in range(n_proj):
         A = sample_projector(spec.N, M, derive_seed(seed, ["proj", i]))
-        worst = scan.max_distortion(A)
+        worst = scan.summary(A).max
         if frames is not None:
             au = np.einsum("mn,pnk->pmk", A.rows, frames.bases, optimize=True)
             s = np.linalg.svd(au, compute_uv=False)
@@ -312,19 +241,16 @@ def m_star_empirical(
     with identical results for any thread count.
     """
     M_grid = tuple(int(m) for m in M_grid)
+    outside = [m for m in M_grid if not 1 <= m <= spec.N]
+    if outside:
+        raise ValueError(f"M_grid entries must satisfy 1 <= M <= N = {spec.N}, got {outside}")
 
     def point_at(M: int) -> ExperimentPoint:
         return measure_point(
             spec, M, n_proj, delta, derive_seed(seed, ["M", M]), pair_policy=pair_policy
         )
 
-    if threads > 1 and len(M_grid) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = list(pool.map(point_at, M_grid))
-    else:
-        points = [point_at(M) for M in M_grid]
+    points = pooled_map(point_at, M_grid, threads)
     quantiles = np.array([p.eps_quantile for p in points])
     m_star, iso, adjusted = invert_quantile_curve(M_grid, quantiles, eps_target)
     return MStarResult(
@@ -411,6 +337,9 @@ def _merge_params(kind: str, params: dict | None) -> dict:
         if key not in merged:
             raise ValueError(f"unknown parameter {key!r} for {kind}; allowed: {sorted(merged)}")
         merged[key] = val
+    if isinstance(merged.get("grid_per_axis"), dict):
+        # JSON object keys arrive as strings; K is looked up as an int
+        merged["grid_per_axis"] = {int(K): n for K, n in merged["grid_per_axis"].items()}
     return merged
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__, bounds, cones, experiments, sampling
 from .manifold import ManifoldSpec
-from .seeding import derive_seed
+from .seeding import derive_seed, pooled_map
 
 __all__ = ["RunConfig", "run", "derive_seed", "main"]
 
@@ -111,21 +111,6 @@ class RunConfig:
         }
 
 
-def _pooled_map(fn, items, threads: int) -> list:
-    """Map over independent jobs, optionally on a thread pool.
-
-    Each job derives its own seed stream, so results are identical for any
-    thread count; output order is canonical (input order) either way.
-    """
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _fmt(value) -> str:
     if isinstance(value, float):
         return format(value, ".17g")
@@ -134,17 +119,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _echo_lines(cfg: RunConfig) -> list[str]:
-    """Comment preamble embedding the config echo and master seed in every
-    textual artifact, ahead of the CSV header row.
+def _echo(cfg: RunConfig) -> dict:
+    """Config echo embedded in every textual artifact.
 
     Only inputs that determine the numbers are echoed; out_dir and thread
     count are environment details and would break byte-identical replays
     into a different directory.
     """
-    echo = {"command": cfg.command, "params": cfg.params, "format": cfg.format}
+    return {"command": cfg.command, "params": cfg.params, "format": cfg.format}
+
+
+def _echo_lines(cfg: RunConfig) -> list[str]:
+    """Comment preamble with the config echo and master seed, ahead of the
+    CSV header row."""
     return [
-        "# config: " + json.dumps(echo, sort_keys=True),
+        "# config: " + json.dumps(_echo(cfg), sort_keys=True),
         f"# master_seed: {cfg.master_seed}",
     ]
 
@@ -166,7 +155,7 @@ def _write_table(path: Path, columns: dict, cfg: RunConfig) -> None:
         _write_csv(path, names, rows, echo=_echo_lines(cfg))
     else:
         payload = {n: np.asarray(columns[n]).tolist() for n in names}
-        payload["config"] = cfg.to_dict()
+        payload["config"] = _echo(cfg)
         payload["master_seed"] = cfg.master_seed
         path.write_text(json.dumps(payload, sort_keys=True, indent=1))
 
@@ -232,7 +221,7 @@ def _run_verify_cones(cfg: RunConfig, out: Path) -> list[str]:
                 derive_seed(cfg.master_seed, ["tangential", f"{s}"]),
             ),
         ))
-    reports = _pooled_map(lambda job: job[2](), jobs, cfg.threads)
+    reports = pooled_map(lambda job: job[2](), jobs, cfg.threads)
 
     artifacts = []
     summary_rows = []
@@ -408,19 +397,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    raw = {"command": args.command}
-    if args.config:
-        with open(args.config) as fh:
-            raw = json.load(fh)
-        if raw.get("command", args.command) != args.command:
-            raw["command"] = args.command
+def _config_from_args(args) -> RunConfig:
+    raw = RunConfig.from_file(args.config).to_dict() if args.config else {}
+    raw["command"] = args.command
     params = dict(raw.get("params", {}))
     for item in args.param:
-        key, _, value = item.partition("=")
-        if not _:
-            raise SystemExit(f"--param expects KEY=JSON, got {item!r}")
+        key, sep, value = item.partition("=")
+        if not sep:
+            raise ValueError(f"--param expects KEY=JSON, got {item!r}")
         try:
             params[key] = json.loads(value)
         except json.JSONDecodeError:
@@ -431,9 +415,14 @@ def main(argv=None) -> int:
         val = getattr(args, flag)
         if val is not None:
             raw[key] = val
+    return RunConfig.from_dict(raw)
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
     try:
-        config = RunConfig.from_dict(raw)
-    except (ValueError, KeyError) as exc:
+        config = _config_from_args(args)
+    except (OSError, ValueError, KeyError) as exc:
         print(json.dumps({"code": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 2
     return run(config)

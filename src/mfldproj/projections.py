@@ -22,6 +22,7 @@ __all__ = [
     "PrincipalAngles",
     "DistortionSummary",
     "PairPolicy",
+    "ChordScan",
     "WeylGapResult",
     "sample_projector",
     "random_subspace",
@@ -194,12 +195,148 @@ def vector_distortion(A: Projector, u: np.ndarray) -> float:
     return abs(math.sqrt(A.N / A.M) * np.linalg.norm(A.rows @ u) / nu - 1.0)
 
 
-def _pair_blocks_all(P: int, block: int):
-    for i0 in range(0, P, block):
-        i1 = min(i0 + block, P)
-        for j0 in range(i0, P, block):
-            j1 = min(j0 + block, P)
-            yield i0, i1, j0, j1
+# Bytes per gathered operand for the chords of explicit pairs: a subsampled
+# chunk of block^2 pairs never holds block^2 rows of the points, and each
+# piece is still in cache when its row dot products are taken.
+_GATHER_BYTES = 1 << 19
+
+
+def _block_sq_dists(Zi: np.ndarray, Zj: np.ndarray, zsq_i: np.ndarray, zsq_j: np.ndarray) -> np.ndarray:
+    """Squared distances between two blocks of rows, from one Gram product."""
+    out = np.add.outer(zsq_i, zsq_j)
+    gram = Zi @ Zj.T
+    gram *= 2.0
+    out -= gram
+    return out
+
+
+def _pair_sq_dists(Z: np.ndarray, zsq: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+    """Squared distances of the pairs (ii[k], jj[k]), gathering at most
+    ``_GATHER_BYTES`` of each operand at a time."""
+    out = zsq[ii] + zsq[jj]
+    step = max(1, _GATHER_BYTES // (8 * Z.shape[1]))
+    for s in range(0, len(ii), step):
+        t = slice(s, s + step)
+        out[t] -= 2.0 * np.einsum("ij,ij->i", Z[ii[t]], Z[jj[t]])
+    return out
+
+
+def _chord_blocks(X: np.ndarray, policy: PairPolicy, block: int):
+    """Ambient squared chord lengths of the pairs a policy visits, by block.
+
+    All pairs: ``(i0, j0, da, drop)`` for each block pair with j0 >= i0,
+    where ``da`` is the full block and ``drop`` marks its entries that are
+    not scanned (the diagonal and lower triangle of a diagonal block, and
+    zero-length chords), or is None if there are none.  Dropped entries of
+    ``da`` are set to 1 so that dividing by the block is safe.
+
+    Subsample: ``(ii, jj, da)`` per chunk of at most block^2 drawn pairs,
+    with zero-length chords removed.
+    """
+    P = X.shape[0]
+    xsq = np.einsum("ij,ij->i", X, X)
+    if policy.kind == "all":
+        for i0 in range(0, P, block):
+            rows = slice(i0, min(i0 + block, P))
+            for j0 in range(i0, P, block):
+                cols = slice(j0, min(j0 + block, P))
+                da = _block_sq_dists(X[rows], X[cols], xsq[rows], xsq[cols])
+                drop = ~(da > 0.0)
+                if i0 == j0:
+                    drop |= np.tri(*da.shape, dtype=bool)
+                if not drop.all():
+                    da[drop] = 1.0
+                    yield i0, j0, da, (drop if drop.any() else None)
+    elif policy.kind == "subsample":
+        rng = np.random.default_rng(policy.seed)
+        remaining = policy.n_pairs
+        while remaining > 0:
+            m = min(remaining, block * block)
+            ii = rng.integers(0, P, size=m)
+            jj = rng.integers(0, P - 1, size=m)
+            jj = np.where(jj >= ii, jj + 1, jj)  # uniform over ordered pairs with i != j
+            da = _pair_sq_dists(X, xsq, ii, jj)
+            ok = da > 0.0
+            if ok.any():
+                yield ii[ok], jj[ok], da[ok]
+            remaining -= m
+    else:
+        raise ValueError(f"unknown pair policy kind {policy.kind!r}")
+
+
+def _as_points(points) -> np.ndarray:
+    X = np.asarray(points, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"points must be a (P, N) array, got shape {X.shape}")
+    if X.shape[0] < 2:
+        raise ValueError("need at least 2 points")
+    return X
+
+
+def _scan(X: np.ndarray, A: Projector, policy: PairPolicy, blocks) -> DistortionSummary:
+    """Worst chord distortion under A over the blocks of ``_chord_blocks``.
+
+    Per block only the smallest and largest ratio r of projected to ambient
+    squared length are found.  Rounded products, square roots and
+    differences are monotone, so max(|sqrt(s lo) - 1|, |sqrt(s hi) - 1|)
+    equals the largest |sqrt(s r) - 1| over the block bit for bit.
+    """
+    if X.shape[1] != A.N:
+        raise ValueError(f"points must be (P, {A.N}), got {X.shape}")
+    scale = A.N / A.M
+    Y = X @ A.rows.T
+    ysq = np.einsum("ij,ij->i", Y, Y)
+    best, best_pair, n_eval = -1.0, (-1, -1), 0
+    for item in blocks:
+        if policy.kind == "all":
+            i0, j0, da, drop = item
+            rows, cols = slice(i0, i0 + da.shape[0]), slice(j0, j0 + da.shape[1])
+            ratio = _block_sq_dists(Y[rows], Y[cols], ysq[rows], ysq[cols])
+        else:
+            ii, jj, da = item
+            drop = None
+            ratio = _pair_sq_dists(Y, ysq, ii, jj)
+        np.maximum(ratio, 0.0, out=ratio)
+        ratio /= da
+        if drop is None:
+            n_eval += ratio.size
+            lo, hi = int(ratio.argmin()), int(ratio.argmax())
+        else:  # dropped entries can be neither extreme
+            n_eval += ratio.size - int(np.count_nonzero(drop))
+            np.copyto(ratio, np.inf, where=drop)
+            lo = int(ratio.argmin())
+            np.copyto(ratio, -np.inf, where=drop)
+            hi = int(ratio.argmax())
+        for k in (hi, lo):
+            d = abs(math.sqrt(scale * float(ratio.flat[k])) - 1.0)
+            if d > best:
+                best = d
+                if policy.kind == "all":
+                    best_pair = (i0 + k // da.shape[1], j0 + k % da.shape[1])
+                else:
+                    best_pair = (int(ii[k]), int(jj[k]))
+    return DistortionSummary(max=best, argmax=best_pair, n_evaluated=n_eval, policy=policy)
+
+
+class ChordScan:
+    """Chord scan of a fixed point set, reused across projectors.
+
+    Squared chord lengths in the ambient space depend only on the points,
+    so they are computed once here: 8 bytes per pair, plus a one-byte mask
+    on the diagonal blocks (all pairs), or 24 bytes per drawn pair
+    (subsample).  Each :meth:`summary` then pays only for its projector's
+    Gram blocks, and agrees bit for bit with :func:`pointset_distortion`
+    on the same policy and block size.
+    """
+
+    def __init__(self, points: np.ndarray, pair_policy: PairPolicy | None = None, block: int = 1024):
+        self.points = _as_points(points)
+        self.policy = pair_policy or PairPolicy.all()
+        self._blocks = list(_chord_blocks(self.points, self.policy, block))
+
+    def summary(self, A: Projector) -> DistortionSummary:
+        """Worst chord distortion under A, with the pair it came from."""
+        return _scan(self.points, A, self.policy, self._blocks)
 
 
 def pointset_distortion(
@@ -207,85 +344,17 @@ def pointset_distortion(
     points: np.ndarray,
     pair_policy: PairPolicy | None = None,
     block: int = 1024,
-    keep_samples: bool = False,
 ) -> DistortionSummary:
     """Worst distortion over chords (displacement vectors) of a point set.
 
-    Streams over blocks of pairs with a running max, never materializing a
-    P x P matrix of chords: per block pair, squared chord lengths in the
-    ambient and projected spaces come from block Gram products, so the cost
-    is O(P^2 (N + M)) time and O(block^2 + block (N + M)) memory.
-
-    Zero-length chords (coincident points) carry no distortion and are
-    skipped.  With ``keep_samples`` the per-pair distortions are retained,
-    which is only sensible for small scans.
+    The one-projector form of :class:`ChordScan`: the same blocks, streamed
+    instead of cached.  Squared chord lengths come from block Gram products,
+    so the cost is O(P^2 (N + M)) time and O(block^2 + block (N + M))
+    memory.  Zero-length chords (coincident points) are skipped.
     """
-    X = np.asarray(points, dtype=float)
-    if X.ndim != 2 or X.shape[1] != A.N:
-        raise ValueError(f"points must be (P, {A.N}), got {X.shape}")
-    P = X.shape[0]
-    if P < 2:
-        raise ValueError("need at least 2 points")
-    if pair_policy is None:
-        pair_policy = PairPolicy.all()
-    scale = A.N / A.M
-
-    Y = X @ A.rows.T
-    xsq = np.einsum("ij,ij->i", X, X)
-    ysq = np.einsum("ij,ij->i", Y, Y)
-
-    best = -1.0
-    best_pair = (-1, -1)
-    n_eval = 0
-    collected = [] if keep_samples else None
-
-    def consume(ratio: np.ndarray, rows: np.ndarray, cols: np.ndarray):
-        nonlocal best, best_pair, n_eval
-        dist = np.abs(np.sqrt(scale * ratio) - 1.0)
-        n_eval += dist.size
-        if collected is not None:
-            collected.append(dist)
-        k = int(np.argmax(dist))
-        if dist[k] > best:
-            best = float(dist[k])
-            best_pair = (int(rows[k]), int(cols[k]))
-
-    if pair_policy.kind == "all":
-        for i0, i1, j0, j1 in _pair_blocks_all(P, block):
-            da = xsq[i0:i1, None] + xsq[None, j0:j1] - 2.0 * (X[i0:i1] @ X[j0:j1].T)
-            dp = ysq[i0:i1, None] + ysq[None, j0:j1] - 2.0 * (Y[i0:i1] @ Y[j0:j1].T)
-            if i0 == j0:
-                iu, ju = np.triu_indices(i1 - i0, k=1, m=j1 - j0)
-            else:
-                iu, ju = np.indices((i1 - i0, j1 - j0))
-                iu, ju = iu.ravel(), ju.ravel()
-            num, den = dp[iu, ju], da[iu, ju]
-            ok = den > 0.0
-            if not np.all(ok):
-                num, den, iu, ju = num[ok], den[ok], iu[ok], ju[ok]
-            if den.size:
-                consume(np.maximum(num, 0.0) / den, iu + i0, ju + j0)
-    elif pair_policy.kind == "subsample":
-        rng = np.random.default_rng(pair_policy.seed)
-        remaining = pair_policy.n_pairs
-        while remaining > 0:
-            m = min(remaining, block * block)
-            ii = rng.integers(0, P, size=m)
-            jj = rng.integers(0, P - 1, size=m)
-            jj = np.where(jj >= ii, jj + 1, jj)  # uniform over ordered pairs with i != j
-            da = xsq[ii] + xsq[jj] - 2.0 * np.einsum("ij,ij->i", X[ii], X[jj])
-            dp = ysq[ii] + ysq[jj] - 2.0 * np.einsum("ij,ij->i", Y[ii], Y[jj])
-            ok = da > 0.0
-            if np.any(ok):
-                consume(np.maximum(dp[ok], 0.0) / da[ok], ii[ok], jj[ok])
-            remaining -= m
-    else:
-        raise ValueError(f"unknown pair policy kind {pair_policy.kind!r}")
-
-    samples = np.concatenate(collected) if collected else None
-    return DistortionSummary(
-        max=best, argmax=best_pair, n_evaluated=n_eval, samples=samples, policy=pair_policy
-    )
+    X = _as_points(points)
+    policy = pair_policy or PairPolicy.all()
+    return _scan(X, A, policy, _chord_blocks(X, policy, block))
 
 
 def subspace_distortion(A: Projector, U: SubspaceBasis) -> float:

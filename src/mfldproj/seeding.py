@@ -3,14 +3,15 @@
 Every stochastic routine in the package takes an explicit integer seed.
 Nested computations (per-trial, per-projector, ...) derive child seeds from
 a master seed and a path of labels, so that results do not depend on
-execution order and adding work never perturbs existing streams.
+execution order and adding work never perturbs existing streams.  That is
+also what lets :func:`pooled_map` run such jobs on threads.
 """
 
 from __future__ import annotations
 
 import hashlib
 
-__all__ = ["derive_seed"]
+__all__ = ["derive_seed", "pooled_map"]
 
 _MASK = (1 << 64) - 1
 
@@ -34,3 +35,18 @@ def derive_seed(master: int, path: list | tuple = ()) -> int:
         h = hashlib.blake2b(seed.to_bytes(8, "little") + token, digest_size=8)
         seed = int.from_bytes(h.digest(), "little")
     return seed
+
+
+def pooled_map(fn, items, threads: int) -> list:
+    """Map over independent jobs, optionally on a thread pool.
+
+    Each job derives its own seed stream, so results are identical for any
+    thread count; output order is canonical (input order) either way.
+    """
+    items = list(items)
+    if threads <= 1 or len(items) <= 1:
+        return [fn(it) for it in items]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))

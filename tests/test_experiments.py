@@ -73,6 +73,19 @@ class TestDistortionDistribution:
         assert got.samples[0] == direct.max
         assert got.max == direct.max
 
+    @pytest.mark.parametrize(
+        "policy", [None, mp.PairPolicy.subsample(3000, seed=8)], ids=["all", "subsample"]
+    )
+    def test_samples_equal_pointset_per_projector(self, policy):
+        # 1100 points span two 1024-point blocks, so the cached scan reuses
+        # both diagonal blocks and one off-diagonal block per projector
+        spec = spec_for_volume(1, 60, 2.0, 1100)
+        got = distortion_distribution(spec, 9, 4, seed=6, pair_policy=policy)
+        X = mp.sample_manifold(spec, derive_seed(6, ["manifold"])).points
+        for i in range(4):
+            A = mp.sample_projector(60, 9, derive_seed(6, ["proj", i]))
+            assert got.samples[i] == mp.pointset_distortion(A, X, pair_policy=policy).max
+
     def test_stream_extension_preserves_prefix(self):
         spec = spec_for_volume(1, 100, 1.0, 32)
         a = distortion_distribution(spec, 10, 6, seed=9)
@@ -234,6 +247,16 @@ class TestMStarEmpirical:
         c = m_star_empirical(spec, **kwargs, threads=3)
         assert a.m_star_emp == b.m_star_emp == c.m_star_emp
         assert np.array_equal(a.eps_quantiles, c.eps_quantiles)
+
+    def test_M_grid_checked_before_sampling(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the M grid was checked")
+
+        monkeypatch.setattr(mp.experiments, "sample_manifold", no_sampling)
+        spec = spec_for_volume(1, 100, 1.0, 32)
+        for grid in ([4, 6, 2000], [0, 4, 6]):
+            with pytest.raises(ValueError, match="M_grid"):
+                m_star_empirical(spec, 0.45, 0.1, grid, 20, seed=1)
 
     def test_quantiles_trend_down(self):
         spec = spec_for_volume(1, 120, 1.0, 48)

@@ -233,6 +233,25 @@ class TestReplay:
         header, rows = read_csv(rep_dir / "replay_diff.csv")
         assert all(r[1] == "1" for r in rows)
 
+    def test_replay_matches_json_format(self, tmp_path):
+        src = tmp_path / "orig"
+        cfg = RunConfig(
+            command="figure",
+            params={"kind": "fig4", "params": {"N": 40, "n_grid": 16}},
+            master_seed=2,
+            out_dir=str(src),
+            format="json",
+        )
+        assert run(cfg) == 0
+        payload = json.loads((src / "fig4.json").read_text())
+        assert payload["config"] == {"command": "figure", "params": cfg.params, "format": "json"}
+        rep = RunConfig(
+            command="replay",
+            params={"manifest": str(src / "run_manifest.json")},
+            out_dir=str(tmp_path / "check"),
+        )
+        assert run(rep) == 0
+
     def test_replay_detects_tampering(self, tmp_path):
         src = tmp_path / "orig"
         cfg = RunConfig(command="bounds", params={}, master_seed=9, out_dir=str(src))
@@ -293,3 +312,33 @@ class TestCLI:
         assert rc == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["code"] == "ValueError"
+
+    def test_missing_config_file_exit_code(self, tmp_path, capsys):
+        rc = main(["bounds", "--config", str(tmp_path / "absent.json"), "--out-dir", str(tmp_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == "FileNotFoundError"
+
+    def test_param_without_value_exit_code(self, tmp_path, capsys):
+        rc = main(["bounds", "--out-dir", str(tmp_path), "--param", "foo"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == "ValueError"
+        assert "KEY=JSON" in err["message"]
+
+    def test_fig6_grid_per_axis_with_string_keys(self, tmp_path):
+        # JSON object keys are strings, as in the full-scale fig6a command
+        params = {
+            "N": 40,
+            "K_values": [1],
+            "lnV_over_K": [1.0],
+            "M_grid": [10, 40],
+            "n_proj": 20,
+            "grid_per_axis": {"1": 16, "2": 4},
+        }
+        rc = main(["figure", "--out-dir", str(tmp_path), "--param", "kind=fig6a",
+                   "--param", "params=" + json.dumps(params)])
+        assert rc == 0
+        header, rows = read_csv(tmp_path / "fig6a.csv")
+        assert len(rows) == 1
+        assert float(rows[0][header.index("m_star_emp")]) <= 40

@@ -1,12 +1,18 @@
 """Projectors, distortions and principal angles."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
 
+import mfldproj as mp
 from mfldproj import (
+    ChordScan,
     DistortionSummary,
     NumericalBreakdown,
     PairPolicy,
@@ -154,14 +160,6 @@ class TestPointsetDistortion:
         b = pointset_distortion(A, X, block=1024).max
         assert a == pytest.approx(b, rel=1e-12)
 
-    def test_keep_samples(self):
-        rng = np.random.default_rng(8)
-        X = rng.standard_normal((20, 25))
-        A = sample_projector(25, 5, 5)
-        got = pointset_distortion(A, X, keep_samples=True)
-        assert len(got.samples) == 20 * 19 // 2
-        assert got.samples.max() == got.max
-
     def test_subsample_policy(self):
         rng = np.random.default_rng(9)
         X = rng.standard_normal((200, 30))
@@ -189,6 +187,89 @@ class TestPointsetDistortion:
     def test_summary_invariant(self):
         with pytest.raises(ValueError):
             DistortionSummary(max=0.5, argmax=(0, 1), n_evaluated=2, samples=np.array([0.1, 0.2]))
+
+
+def elementwise_worst(A, X, block):
+    """Largest |sqrt(s r) - 1| over every scanned pair, one pair at a time,
+    on the scan's block layout."""
+    scale = A.N / A.M
+    Y = X @ A.rows.T
+    xsq, ysq = (np.einsum("ij,ij->i", Z, Z) for Z in (X, Y))
+    best = -1.0
+    for i0 in range(0, len(X), block):
+        for j0 in range(i0, len(X), block):
+            r, c = slice(i0, i0 + block), slice(j0, j0 + block)
+            da = xsq[r, None] + xsq[None, c] - 2.0 * (X[r] @ X[c].T)
+            dp = ysq[r, None] + ysq[None, c] - 2.0 * (Y[r] @ Y[c].T)
+            keep = da > 0.0
+            if i0 == j0:
+                keep &= np.triu(np.ones_like(keep), k=1)
+            if keep.any():
+                d = np.abs(np.sqrt(scale * (np.maximum(dp[keep], 0.0) / da[keep])) - 1.0)
+                best = max(best, float(d.max()))
+    return best
+
+
+MEMORY_CHILD = """
+import resource
+import numpy as np
+import mfldproj as mp
+X = np.random.default_rng(0).standard_normal((4100, 1000))
+A = mp.sample_projector(1000, 10, 1)
+cap = 3 * 2**30
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+print(mp.pointset_distortion(A, X, mp.PairPolicy.subsample(2**20, 3)).n_evaluated)
+"""
+
+
+class TestChordScan:
+    def test_extremes_equal_elementwise_max(self):
+        # min/max of the ratio per block gives the per-pair maximum bit for bit
+        rng = np.random.default_rng(12)
+        X = np.cumsum(rng.standard_normal((150, 40)), axis=0)
+        X[[5, 6, 20]] = 0.0  # exactly zero chords in a diagonal and an off-diagonal block
+        scan = ChordScan(X, block=16)
+        for seed in range(6):
+            A = sample_projector(40, 4 + seed, seed)
+            got = scan.summary(A)
+            assert got.max == elementwise_worst(A, X, 16)
+            assert got.n_evaluated == 150 * 149 // 2 - 3
+            i, j = got.argmax
+            assert i < j
+            assert vector_distortion(A, X[i] - X[j]) == pytest.approx(got.max, rel=1e-9)
+
+    def test_reuse_matches_pointset_distortion(self):
+        rng = np.random.default_rng(13)
+        X = rng.standard_normal((90, 30))
+        for policy in (PairPolicy.all(), PairPolicy.subsample(700, seed=4)):
+            scan = ChordScan(X, policy, block=8)
+            for seed in range(4):
+                A = sample_projector(30, 5, seed)
+                assert scan.summary(A) == pointset_distortion(A, X, policy, block=8)
+
+    def test_checks_points(self):
+        with pytest.raises(ValueError):
+            ChordScan(np.zeros((1, 10)))
+        with pytest.raises(ValueError):
+            ChordScan(np.zeros(10))
+        with pytest.raises(ValueError):
+            ChordScan(np.ones((3, 10)), PairPolicy(kind="nearby"))
+        with pytest.raises(ValueError):
+            ChordScan(np.eye(3)).summary(sample_projector(10, 2, 1))
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="address-space cap needs Linux")
+    def test_subsample_fits_address_space_cap(self):
+        # 2^20 drawn pairs of 1000-dimensional points: gathering all their
+        # rows at once would take 7.8 GiB, above the child's 3 GiB cap
+        src = str(Path(mp.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", MEMORY_CHILD],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert out.returncode == 0, out.stderr[-2000:]
+        assert int(out.stdout) == 2**20
 
 
 class TestSubspaceDistortion:
