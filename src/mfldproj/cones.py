@@ -47,6 +47,7 @@ __all__ = [
     "invert_g_tangential",
     "sample_chordal_boundary",
     "sample_tangential_boundary",
+    "check_cone_inputs",
     "verify_chordal_guarantee",
     "verify_tangential_guarantee",
 ]
@@ -335,6 +336,20 @@ def _chordal_boundary_distortions_reduced(
     return np.abs(np.sqrt((N / M) * np.maximum(ay_sq, 0.0)) - 1.0)
 
 
+def check_cone_inputs(N: int, M: int, K: int | None, sin_theta: float, n_boundary: int, n_trials: int):
+    """Raise ValueError unless the chordal (``K=None``) or tangential
+    verifier accepts these inputs, so that a queue of verifications can be
+    checked before the first one runs."""
+    if not (1 <= M <= N):
+        raise ValueError(f"need 1 <= M <= N, got M={M}, N={N}")
+    if K is not None and not (1 <= K <= M and 2 * K <= N):
+        raise ValueError(f"need K <= M <= N and 2K <= N, got K={K}, M={M}, N={N}")
+    if n_boundary < 1 or n_trials < 1:
+        raise ValueError("n_boundary and n_trials must be >= 1")
+    if not (0.0 <= sin_theta < 1.0):
+        raise ValueError(f"sin_theta must be in [0, 1), got {sin_theta}")
+
+
 def verify_chordal_guarantee(
     N: int,
     M: int,
@@ -357,10 +372,7 @@ def verify_chordal_guarantee(
     pushforward distribution (fast); ``sampler="ambient"`` materializes
     boundary vectors and projects them (slow, used for cross-validation).
     """
-    if n_boundary < 1 or n_trials < 1:
-        raise ValueError("n_boundary and n_trials must be >= 1")
-    if not (0.0 <= sin_theta_c < 1.0):
-        raise ValueError(f"sin_theta_c must be in [0, 1), got {sin_theta_c}")
+    check_cone_inputs(N, M, None, sin_theta_c, n_boundary, n_trials)
     if sampler not in ("reduced", "ambient"):
         raise ValueError(f"sampler must be 'reduced' or 'ambient', got {sampler!r}")
 
@@ -473,12 +485,7 @@ def verify_tangential_guarantee(
     frames in R^N (slow, used for cross-validation).  The reduced law
     needs N - K - M >= K and falls back to ambient otherwise.
     """
-    if not (1 <= K <= M <= N):
-        raise ValueError(f"need K <= M <= N, got K={K}, M={M}, N={N}")
-    if 2 * K > N:
-        raise ValueError(f"need 2K <= N, got K={K}, N={N}")
-    if not (0.0 <= sin_theta_t < 1.0):
-        raise ValueError(f"sin_theta_t must be in [0, 1), got {sin_theta_t}")
+    check_cone_inputs(N, M, K, sin_theta_t, n_boundary, n_trials)
     if sampler not in ("reduced", "ambient"):
         raise ValueError(f"sampler must be 'reduced' or 'ambient', got {sampler!r}")
     if sampler == "reduced" and N - K - M < K:

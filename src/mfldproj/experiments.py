@@ -244,6 +244,11 @@ def m_star_empirical(
     outside = [m for m in M_grid if not 1 <= m <= spec.N]
     if outside:
         raise ValueError(f"M_grid entries must satisfy 1 <= M <= N = {spec.N}, got {outside}")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    need = max(20, math.ceil(1.0 / delta))
+    if n_proj < need:
+        raise ValueError(f"n_proj must be >= max(20, ceil(1/delta)) = {need}, got {n_proj}")
 
     def point_at(M: int) -> ExperimentPoint:
         return measure_point(
@@ -389,7 +394,6 @@ def _fig4(p: dict, seed: int) -> FigureTable:
             "chord_sq_theory": np.array([expected_chord_sq(r, spec.ell) for r in rho[keep]]),
             "tangent_cos_emp": cos_emp[keep],
             "tangent_cos_theory": np.array([expected_tangent_cosine(r) for r in rho[keep]]),
-            "boundary": frames.boundary[keep].astype(float),
         },
         params={**p, "seed": seed},
     )
@@ -425,7 +429,6 @@ def _fig5(p: dict, seed: int) -> FigureTable:
             "cos2_emp": cos_emp[keep, 1],
             "cos1_theory": theory[keep, 0],
             "cos2_theory": theory[keep, 1],
-            "boundary": frames.boundary[keep].astype(float),
         },
         params={**p, "seed": seed},
     )

@@ -201,26 +201,19 @@ def _run_verify_cones(cfg: RunConfig, out: Path) -> list[str]:
     p = cfg.params
     N, M, K = int(p.get("N", 1000)), int(p.get("M", 100)), int(p.get("K", 5))
     n_trials = int(p.get("n_trials", 50))
+    n_chordal = int(p.get("chordal_boundary", 20000))
+    n_tangential = int(p.get("tangential_boundary", 5000))
 
+    # every job's inputs are checked before the first job runs
     jobs = []
-    for s in p.get("chordal_sin_theta", [0.001, 0.005, 0.01]):
-        jobs.append((
-            "chordal",
-            float(s),
-            lambda s=float(s): cones.verify_chordal_guarantee(
-                N, M, s, int(p.get("chordal_boundary", 20000)), n_trials,
-                derive_seed(cfg.master_seed, ["chordal", f"{s}"]),
-            ),
-        ))
-    for s in p.get("tangential_sin_theta", [0.0005, 0.002]):
-        jobs.append((
-            "tangential",
-            float(s),
-            lambda s=float(s): cones.verify_tangential_guarantee(
-                N, M, K, s, int(p.get("tangential_boundary", 5000)), n_trials,
-                derive_seed(cfg.master_seed, ["tangential", f"{s}"]),
-            ),
-        ))
+    for s in map(float, p.get("chordal_sin_theta", [0.001, 0.005, 0.01])):
+        cones.check_cone_inputs(N, M, None, s, n_chordal, n_trials)
+        jobs.append(("chordal", s, lambda s=s: cones.verify_chordal_guarantee(
+            N, M, s, n_chordal, n_trials, derive_seed(cfg.master_seed, ["chordal", f"{s}"]))))
+    for s in map(float, p.get("tangential_sin_theta", [0.0005, 0.002])):
+        cones.check_cone_inputs(N, M, K, s, n_tangential, n_trials)
+        jobs.append(("tangential", s, lambda s=s: cones.verify_tangential_guarantee(
+            N, M, K, s, n_tangential, n_trials, derive_seed(cfg.master_seed, ["tangential", f"{s}"]))))
     reports = pooled_map(lambda job: job[2](), jobs, cfg.threads)
 
     artifacts = []

@@ -221,20 +221,33 @@ def _pair_sq_dists(Z: np.ndarray, zsq: np.ndarray, ii: np.ndarray, jj: np.ndarra
     return out
 
 
+def _duplicate_groups(X: np.ndarray) -> np.ndarray | None:
+    """Per-point ids, equal exactly for identical points, or None if all
+    points differ.  Only ties in the first coordinate trigger the row
+    comparison."""
+    first = np.sort(X[:, 0])
+    if not np.any(first[1:] == first[:-1]):
+        return None
+    distinct, group = np.unique(X, axis=0, return_inverse=True)
+    return group.ravel() if len(distinct) < len(X) else None
+
+
 def _chord_blocks(X: np.ndarray, policy: PairPolicy, block: int):
     """Ambient squared chord lengths of the pairs a policy visits, by block.
 
     All pairs: ``(i0, j0, da, drop)`` for each block pair with j0 >= i0,
     where ``da`` is the full block and ``drop`` marks its entries that are
-    not scanned (the diagonal and lower triangle of a diagonal block, and
-    zero-length chords), or is None if there are none.  Dropped entries of
-    ``da`` are set to 1 so that dividing by the block is safe.
+    not scanned (the diagonal and lower triangle of a diagonal block,
+    pairs of identical points, and chords whose computed length is not
+    positive), or is None if there are none.  Dropped entries of ``da``
+    are set to 1 so that dividing by the block is safe.
 
     Subsample: ``(ii, jj, da)`` per chunk of at most block^2 drawn pairs,
-    with zero-length chords removed.
+    with the same chords removed.
     """
     P = X.shape[0]
     xsq = np.einsum("ij,ij->i", X, X)
+    group = _duplicate_groups(X)
     if policy.kind == "all":
         for i0 in range(0, P, block):
             rows = slice(i0, min(i0 + block, P))
@@ -242,6 +255,8 @@ def _chord_blocks(X: np.ndarray, policy: PairPolicy, block: int):
                 cols = slice(j0, min(j0 + block, P))
                 da = _block_sq_dists(X[rows], X[cols], xsq[rows], xsq[cols])
                 drop = ~(da > 0.0)
+                if group is not None:
+                    drop |= group[rows, None] == group[None, cols]
                 if i0 == j0:
                     drop |= np.tri(*da.shape, dtype=bool)
                 if not drop.all():
@@ -257,6 +272,8 @@ def _chord_blocks(X: np.ndarray, policy: PairPolicy, block: int):
             jj = np.where(jj >= ii, jj + 1, jj)  # uniform over ordered pairs with i != j
             da = _pair_sq_dists(X, xsq, ii, jj)
             ok = da > 0.0
+            if group is not None:
+                ok &= group[ii] != group[jj]
             if ok.any():
                 yield ii[ok], jj[ok], da[ok]
             remaining -= m

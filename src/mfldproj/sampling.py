@@ -14,8 +14,11 @@ n_a, so each factor costs O(n_a r_a) time and memory; applying them is one
 matrix product per axis, never O(P^3).
 
 Also provided: concentration audits of the squared point norms, empirical
-chord lengths, finite-difference tangent frames orthonormalized under the
-empirical induced metric, and principal angles between those frames.
+chord lengths, tangent frames orthonormalized under the empirical induced
+metric, and principal angles between those frames.  The derivatives
+behind the frames are exact: the same latent normals are mapped through
+the derivative of the factor along one axis (see :func:`_realize`), so no
+grid point is special and no finite-difference error enters.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ __all__ = [
     "load_sample",
 ]
 
-_JITTERS = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 _WRAP_CELLS = 9.0
 _MODE_FLOOR = 1e-17
 _MAGIC = b"MFLD"
@@ -91,35 +93,20 @@ def grid_axes(spec: ManifoldSpec) -> tuple[np.ndarray, ...]:
     return tuple(np.arange(n) * (L / n) for n, L in zip(spec.grid, spec.L))
 
 
-def _chol_with_jitter(corr: np.ndarray, jitters=_JITTERS) -> np.ndarray:
-    """Cholesky factor of a unit-diagonal correlation matrix, with jitter.
-
-    Squared-exponential correlation matrices on fine grids are numerically
-    rank-deficient, so a relative diagonal jitter is always added, starting
-    at the smallest value and escalating tenfold on failure.  The sampler
-    does not use it: it is the reference factorization that the spectral
-    factor is tested against.
-    """
-    for j in jitters:
-        try:
-            return np.linalg.cholesky(corr + j * np.eye(corr.shape[0]))
-        except np.linalg.LinAlgError:
-            continue
-    raise NumericalBreakdown(
-        f"covariance factorization failed even at jitter {jitters[-1]:g}"
-    )
-
-
-def _spectral_factor(ax: np.ndarray, lam: float, L: float) -> np.ndarray:
-    """Per-axis factor F with ``F F^T = exp(-(d/lam)^2 / 2)`` on the grid ``ax``.
+def _spectral_factor(ax: np.ndarray, lam: float, L: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis factor F with ``F F^T = exp(-(d/lam)^2 / 2)`` on the grid ``ax``,
+    and its exact derivative ``dF = dF/dsigma``.
 
     The kernel periodized on a circle of length ``T = L + 9 lam`` equals
     the kernel at every grid separation up to the wrap term
     ``exp(-81/2) ~ 2.6e-18``.  By Poisson summation its Fourier weights
-    are ``s_k = s0 exp(-(2 pi k lam / T)^2 / 2)`` with
-    ``s0 = sqrt(2 pi) lam / T``, all positive, so the features
-    ``sqrt(s0)`` and ``sqrt(2 s_k) {cos, sin}(2 pi k sigma / T)`` factor it
-    exactly.  Modes with ``s_k < 1e-17 s0`` are dropped.
+    are ``s_k = s0 exp(-(omega_k lam)^2 / 2)`` with ``omega_k = 2 pi k / T``
+    and ``s0 = sqrt(2 pi) lam / T``, all positive, so the features
+    ``sqrt(s0)`` and ``amp_k {cos, sin}(omega_k sigma)``, with
+    ``amp_k = sqrt(2 s_k)``, factor it exactly.  Modes with
+    ``s_k < 1e-17 s0`` are dropped.  Their derivatives are ``0`` and
+    ``amp_k omega_k {-sin, cos}(omega_k sigma)``, so ``dF dF^T`` and
+    ``F dF^T`` are the kernel's mixed and first derivatives.
     """
     T = L + _WRAP_CELLS * lam
     s0 = math.sqrt(2.0 * math.pi) * lam / T
@@ -129,9 +116,10 @@ def _spectral_factor(ax: np.ndarray, lam: float, L: float) -> np.ndarray:
     keep = weight >= _MODE_FLOOR
     omega, amp = omega[keep], np.sqrt(2.0 * s0 * weight[keep])
     theta = np.outer(ax, omega)
-    return np.hstack(
-        [np.full((ax.size, 1), math.sqrt(s0)), amp * np.cos(theta), amp * np.sin(theta)]
-    )
+    cos, sin = np.cos(theta), np.sin(theta)
+    F = np.hstack([np.full((ax.size, 1), math.sqrt(s0)), amp * cos, amp * sin])
+    dF = np.hstack([np.zeros((ax.size, 1)), -(amp * omega) * sin, (amp * omega) * cos])
+    return F, dF
 
 
 def _apply_along_axis(mat: np.ndarray, z: np.ndarray, axis: int) -> np.ndarray:
@@ -141,6 +129,23 @@ def _apply_along_axis(mat: np.ndarray, z: np.ndarray, axis: int) -> np.ndarray:
     out = mat @ z.reshape(head, -1)
     out = out.reshape((mat.shape[0],) + z.shape[1:])
     return np.moveaxis(out, 0, axis)
+
+
+def _realize(spec: ManifoldSpec, seed: int, deriv_axis: int | None = None) -> np.ndarray:
+    """The P x N realization of ``(spec, seed)``, or its derivative along
+    one intrinsic axis.
+
+    Draws the standard normal array of shape ``(r_1, ..., r_K, N)`` from
+    ``seed`` and maps it through the spectral factor F of every axis, or
+    through dF along ``deriv_axis``: the embedding is linear in the
+    factors, so that is its exact derivative along that axis.
+    """
+    factors = [_spectral_factor(ax, lam, L) for ax, lam, L in zip(grid_axes(spec), spec.lam, spec.L)]
+    rng = np.random.default_rng(int(seed))
+    z = rng.standard_normal(tuple(F.shape[1] for F, _ in factors) + (spec.N,))
+    for a, (F, dF) in enumerate(factors):
+        z = _apply_along_axis(dF if a == deriv_axis else F, z, a)
+    return np.ascontiguousarray((spec.ell / math.sqrt(spec.N)) * z.reshape(spec.n_points, spec.N))
 
 
 def sample_manifold(spec: ManifoldSpec, seed: int) -> ManifoldSample:
@@ -155,16 +160,7 @@ def sample_manifold(spec: ManifoldSpec, seed: int) -> ManifoldSample:
     rounding, and the draws do not depend on the BLAS/LAPACK build beyond
     rounding of the matrix products.
     """
-    axes = grid_axes(spec)
-    factors = [_spectral_factor(ax, lam, L) for ax, lam, L in zip(axes, spec.lam, spec.L)]
-    rng = np.random.default_rng(int(seed))
-    z = rng.standard_normal(tuple(f.shape[1] for f in factors) + (spec.N,))
-    for a, f in enumerate(factors):
-        z = _apply_along_axis(f, z, a)
-    pts = (spec.ell / math.sqrt(spec.N)) * z.reshape(spec.n_points, spec.N)
-    return ManifoldSample(
-        spec=spec, sigma_axes=axes, points=np.ascontiguousarray(pts), seed=int(seed)
-    )
+    return ManifoldSample(spec=spec, sigma_axes=grid_axes(spec), points=_realize(spec, seed), seed=int(seed))
 
 
 @dataclass(frozen=True)
@@ -235,74 +231,45 @@ def empirical_chord_sq(sample: ManifoldSample, i: int, j: int) -> float:
 
 @dataclass(frozen=True)
 class TangentFrames:
-    """Finite-difference tangent data at every grid point.
+    """Exact tangent data at every grid point.
 
-    ``derivs[p, a, :]`` is the raw derivative of the embedding along
-    intrinsic axis a; ``metric[p]`` the empirical induced metric
-    ``derivs derivs^T``; ``bases[p]`` an N x K column-orthonormal basis of
-    the tangent plane obtained by applying the inverse metric square root
-    (the empirical vielbein) to the derivatives.  ``boundary[p]`` flags
-    points within one stencil of a grid edge, where the derivative is
-    one-sided and should be excluded from statistical checks.
+    ``derivs[p, a, :]`` is the derivative of the embedding along intrinsic
+    axis a, exact to rounding (it comes from the derivatives of the
+    spectral modes, not from differences of the points); ``metric[p]`` the
+    empirical induced metric ``derivs derivs^T``; ``bases[p]`` an N x K
+    column-orthonormal basis of the tangent plane obtained by applying the
+    inverse metric square root (the empirical vielbein) to the derivatives.
     """
 
     spec: ManifoldSpec
     derivs: np.ndarray = field(repr=False)
     bases: np.ndarray = field(repr=False)
     metric: np.ndarray = field(repr=False)
-    boundary: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for arr in (self.derivs, self.bases, self.metric, self.boundary):
+        for arr in (self.derivs, self.bases, self.metric):
             arr.flags.writeable = False
 
 
-def _gradient_order4(values: np.ndarray, spacing: float, axis: int) -> np.ndarray:
-    """Fourth-order central differences, falling back to np.gradient near edges."""
-    out = np.gradient(values, spacing, axis=axis)
-    n = values.shape[axis]
-    if n >= 5:
-        sl = [slice(None)] * values.ndim
+def tangent_frames(sample: ManifoldSample) -> TangentFrames:
+    """Tangent frames of a realization from the derivatives of its modes.
 
-        def shifted(k):
-            sl2 = list(sl)
-            sl2[axis] = slice(2 + k, n - 2 + k)
-            return values[tuple(sl2)]
-
-        interior = (-shifted(2) + 8.0 * shifted(1) - 8.0 * shifted(-1) + shifted(-2)) / (12.0 * spacing)
-        sl_out = list(sl)
-        sl_out[axis] = slice(2, n - 2)
-        out[tuple(sl_out)] = interior
-    return out
-
-
-def tangent_frames(sample: ManifoldSample, scheme: int = 2) -> TangentFrames:
-    """Tangent frames by finite differences of the gridded embedding.
-
-    ``scheme`` is the central-difference order (2 or 4).  Interior points
-    use the centered stencil; edge points fall back to one-sided
-    differences and are flagged as boundary.
+    The derivatives are regenerated from ``(sample.spec, sample.seed)``,
+    so ``sample.points`` must be that realization.
 
     Raises
     ------
+    ValueError
+        If ``sample.points`` differ from the realization of its spec and
+        seed by more than 1e-12 ell (rounding of another BLAS build stays
+        far below that).
     NumericalBreakdown
         If the empirical metric is singular at some point.
     """
     spec = sample.spec
-    if scheme not in (2, 4):
-        raise ValueError(f"scheme must be 2 or 4, got {scheme}")
-    pad = scheme // 2
-    if any(n < 2 * pad + 1 for n in spec.grid):
-        raise ValueError(f"need at least {2 * pad + 1} points per axis for scheme {scheme}")
-    values = sample.points.reshape(spec.grid + (spec.N,))
-    derivs = np.empty((spec.K,) + spec.grid + (spec.N,))
-    for a in range(spec.K):
-        spacing = spec.L[a] / spec.grid[a]
-        if scheme == 2:
-            derivs[a] = np.gradient(values, spacing, axis=a)
-        else:
-            derivs[a] = _gradient_order4(values, spacing, axis=a)
-    derivs = np.moveaxis(derivs.reshape((spec.K, spec.n_points, spec.N)), 0, 1)
+    if np.abs(sample.points - _realize(spec, sample.seed)).max() > 1e-12 * spec.ell:
+        raise ValueError("sample points are not the realization of its spec and seed")
+    derivs = np.stack([_realize(spec, sample.seed, deriv_axis=a) for a in range(spec.K)], axis=1)
 
     metric = np.einsum("pan,pbn->pab", derivs, derivs)
     w, Q = np.linalg.eigh(metric)
@@ -310,18 +277,11 @@ def tangent_frames(sample: ManifoldSample, scheme: int = 2) -> TangentFrames:
         raise NumericalBreakdown("singular empirical metric in tangent frames")
     inv_sqrt = np.einsum("pab,pb,pcb->pac", Q, 1.0 / np.sqrt(w), Q)
     bases = np.einsum("pab,pbn->pna", inv_sqrt, derivs)
-
-    boundary = np.zeros(spec.grid, dtype=bool)
-    for a, n in enumerate(spec.grid):
-        sl = [slice(None)] * spec.K
-        sl[a] = np.r_[0:pad, n - pad : n]
-        boundary[tuple(sl)] = True
     return TangentFrames(
         spec=spec,
-        derivs=np.ascontiguousarray(derivs),
+        derivs=derivs,
         bases=np.ascontiguousarray(bases),
         metric=np.ascontiguousarray(metric),
-        boundary=boundary.reshape(spec.n_points),
     )
 
 

@@ -74,7 +74,7 @@ def test_criterion_2_expected_geometry_full_scale(curve_full_scale):
     nrm = np.linalg.norm(tc, axis=1)
     cos = tc @ tc[center] / (nrm * nrm[center])
     rho_c = (sig - sig[center]) ** 2
-    psel = (rho_c > 0) & (rho_c <= 4.0) & ~frames.boundary
+    psel = (rho_c > 0) & (rho_c <= 4.0)
     theo = np.array([mp.expected_tangent_cosine(v) for v in rho_c[psel]])
     frac_cos = float(np.mean(np.abs(cos[psel] - theo) <= 0.1))
     elapsed = time.time() - t0
@@ -92,8 +92,7 @@ def test_criterion_3_surface_principal_angles():
     t0 = time.time()
     table = mp.figure_data("fig5", seed=2024)  # K=2, N=200, 64x64 grid
     rho = table.columns["rho"]
-    interior = table.columns["boundary"] == 0
-    sel = (rho <= 4.0) & (rho > 0) & interior
+    sel = (rho <= 4.0) & (rho > 0)
     bins = np.digitize(rho[sel], np.linspace(0.0, 4.0, 9))
     worst = 0.0
     n_bins = 0

@@ -257,6 +257,10 @@ class TestMStarEmpirical:
         for grid in ([4, 6, 2000], [0, 4, 6]):
             with pytest.raises(ValueError, match="M_grid"):
                 m_star_empirical(spec, 0.45, 0.1, grid, 20, seed=1)
+        for delta, n_proj, match in ((0.1, 10, "n_proj"), (1.5, 20, "delta"), (0.0, 20, "delta"),
+                                     (0.01, 40, "n_proj")):
+            with pytest.raises(ValueError, match=match):
+                m_star_empirical(spec, 0.45, delta, [4, 6], n_proj, seed=1)
 
     def test_quantiles_trend_down(self):
         spec = spec_for_volume(1, 120, 1.0, 48)

@@ -218,6 +218,21 @@ class TestRunVerifyCones:
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
+    def test_inputs_checked_before_any_job(self, tmp_path, capsys, monkeypatch):
+        # K = 200 > M = 100 fails the tangential jobs; the chordal jobs
+        # queued before them must not run first
+        def no_job(*args, **kwargs):
+            raise AssertionError("a verification ran before all inputs were checked")
+
+        monkeypatch.setattr(mp.cones, "verify_chordal_guarantee", no_job)
+        rc = main(["verify-cones", "--out-dir", str(tmp_path), "--param", "K=200"])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == "ValueError"
+        assert "K <= M <= N" in err["message"]
+        assert not (tmp_path / "run_manifest.json").exists()
+
+
 class TestReplay:
     def test_replay_matches(self, tmp_path):
         src = tmp_path / "orig"

@@ -179,6 +179,28 @@ class TestPointsetDistortion:
         got = pointset_distortion(A, X)
         assert got.n_evaluated == 2  # the (0,1) zero chord is skipped
 
+    def test_identical_points_skipped(self):
+        # the Gram-expanded length of a chord between identical points is
+        # rounding noise, often positive; such pairs must not be scanned
+        rng = np.random.default_rng(0)
+        X = np.cumsum(rng.standard_normal((512, 200)), axis=0)
+        X[3] = X[2]
+        dedup = np.delete(X, 3, axis=0)
+        scan = ChordScan(X)
+        for seed in range(40):
+            A = sample_projector(200, 5 if seed % 2 else 40, seed)
+            expected = pointset_distortion(A, dedup).max
+            for got in (pointset_distortion(A, X), scan.summary(A)):
+                assert got.argmax not in ((2, 3), (3, 2))
+                assert got.n_evaluated == 512 * 511 // 2 - 1
+                assert got.max == pytest.approx(expected, rel=1e-12)
+        policy = PairPolicy.subsample(2000, seed=5)
+        for seed in range(5):
+            A = sample_projector(200, 5, seed)
+            for got in (pointset_distortion(A, X[:8], policy), ChordScan(X[:8], policy).summary(A)):
+                assert got.argmax not in ((2, 3), (3, 2))
+                assert got.n_evaluated < 2000
+
     def test_needs_two_points(self):
         A = sample_projector(10, 2, 1)
         with pytest.raises(ValueError):
