@@ -299,40 +299,36 @@ class VerificationReport:
 def _chordal_boundary_distortions_reduced(
     a_xhat: np.ndarray, N: int, M: int, sin_t: float, n_samples: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Distortions of uniform boundary samples, without ambient vectors.
+    """Distortions of uniform boundary samples, from four scalars per draw.
 
-    A boundary draw is y = ||x|| (cos(t) xhat + sin(t) w) with w the
-    normalized part of g ~ N(0, I_N) orthogonal to xhat.  Decompose g into
-    independent pieces: a = A g ~ N(0, I_M), the component s0 along the
-    out-of-span direction of xhat, and the chi^2_(N-M-1) remainder q.
-    Everything dist(y) needs is a function of (a, s0, q):
+    A boundary draw is y = ||x|| (cos(t) xhat + sin(t) w) with w =
+    g_perp / ||g_perp||, g_perp the part of g ~ N(0, I_N) orthogonal to
+    xhat.  With v = A xhat and a = A g, dist(y) depends on g only through
+    four independent pieces: alpha = a.v / ||v|| ~ N(0, 1), the squared
+    norm r ~ chi^2_(M-1) of the rest of a, s0 ~ N(0, 1) along the unit
+    out-of-span part of xhat (of length w_perp = (1 - ||v||^2)^{1/2}), and
+    the chi^2_(N-M-1) remainder q:
 
-        t       = g.xhat = a.v + w_perp s0,   v = A xhat
-        A g_perp = a - t v
-        ||g_perp||^2 = ||a - t v||^2 + (s0 - t w_perp)^2 + q
+        t = g.xhat = alpha ||v|| + w_perp s0,   beta = alpha - t ||v||
+        (A g_perp).v = beta ||v||,   ||A g_perp||^2 = beta^2 + r
+        ||g_perp||^2 = beta^2 + r + (s0 - t w_perp)^2 + q
 
-    so the distribution of dist(y) is reproduced exactly at O(M) cost per
-    draw instead of O(N M).
+    This is the exact law of dist(y), at O(1) cost per draw instead of O(N M).
     """
-    v = a_xhat
-    c0_sq = float(v @ v)
+    c0_sq = float(a_xhat @ a_xhat)
+    v_norm = math.sqrt(c0_sq)
     w_perp = math.sqrt(max(0.0, 1.0 - c0_sq))
     cos_t = math.sqrt(1.0 - sin_t * sin_t)
-
-    a = rng.standard_normal((n_samples, M))
+    alpha = rng.standard_normal(n_samples)
+    r = rng.chisquare(M - 1, size=n_samples) if M > 1 else np.zeros(n_samples)
     s0 = rng.standard_normal(n_samples)
-    dof = N - M - 1
-    q = rng.chisquare(dof, size=n_samples) if dof > 0 else np.zeros(n_samples)
-    t = a @ v + w_perp * s0
-    az = a - np.outer(t, v)
-    proj_sq = np.einsum("ij,ij->i", az, az)
-    norm_sq = proj_sq + (s0 - t * w_perp) ** 2 + q
-    inv_norm = 1.0 / np.sqrt(norm_sq)
-    ay_sq = (
-        cos_t * cos_t * c0_sq
-        + 2.0 * cos_t * sin_t * (az @ v) * inv_norm
-        + sin_t * sin_t * proj_sq * inv_norm**2
-    )
+    q = rng.chisquare(N - M - 1, size=n_samples) if N - M - 1 > 0 else np.zeros(n_samples)
+    t = alpha * v_norm + w_perp * s0
+    beta = alpha - t * v_norm
+    proj_sq = beta * beta + r
+    inv_norm = 1.0 / np.sqrt(proj_sq + (s0 - t * w_perp) ** 2 + q)
+    ay_sq = cos_t * cos_t * c0_sq + 2.0 * cos_t * sin_t * beta * v_norm * inv_norm
+    ay_sq += sin_t * sin_t * proj_sq * inv_norm**2
     return np.abs(np.sqrt((N / M) * np.maximum(ay_sq, 0.0)) - 1.0)
 
 
@@ -369,8 +365,8 @@ def verify_chordal_guarantee(
     ``g_C(eps_x, theta_C) = dist(x)``.
 
     ``sampler="reduced"`` draws the boundary distortions from their exact
-    pushforward distribution (fast); ``sampler="ambient"`` materializes
-    boundary vectors and projects them (slow, used for cross-validation).
+    law in four scalars per draw, O(1); ``sampler="ambient"`` materializes
+    boundary vectors and projects them, O(N M) per draw, as the test oracle.
     """
     check_cone_inputs(N, M, None, sin_theta_c, n_boundary, n_trials)
     if sampler not in ("reduced", "ambient"):
@@ -385,9 +381,7 @@ def verify_chordal_guarantee(
         dist_x[t] = vector_distortion(A, x)
         xhat = x / np.linalg.norm(x)
         if sampler == "reduced":
-            d = _chordal_boundary_distortions_reduced(
-                A.rows @ xhat, N, M, sin_theta_c, n_boundary, rng
-            )
+            d = _chordal_boundary_distortions_reduced(A.rows @ xhat, N, M, sin_theta_c, n_boundary, rng)
             worst[t] = float(d.max())
         else:
             w = -np.inf
@@ -426,39 +420,47 @@ def verify_chordal_guarantee(
     )
 
 
-def _tangential_boundary_proj_reduced(
-    au: np.ndarray, N: int, M: int, K: int, size: int, rng: np.random.Generator
-) -> np.ndarray:
-    """(size, M, K) stack of A V for random complement frames V, without
-    touching the ambient space.
-
-    For Gaussian G (N x K), the frame is V = G_perp R^{-1} with
-    G_perp = (I - U U^T) G and R the positive-diagonal triangular factor of
-    G_perp^T G_perp.  Writing B = A - (A U) U^T, the projected frame is
-    A V = (B G) R^{-1}, and
-
-        B G           ~  C H,  C = chol(I - (A U)(A U)^T),  H iid M x K
-        G_perp^T G_perp = H^T H + W,  W ~ Wishart_K(N - K - M) independent
-
-    (the Wishart term is the part of the complement invisible to A,
-    sampled by Bartlett factorization).  This is the exact joint law, at
-    O(M^2 K) per draw instead of O(N M K).
-    """
-    sigma = np.eye(M) - au @ au.T
-    c = np.linalg.cholesky(sigma)
-    nu = N - K - M
-    h = rng.standard_normal((size, M, K))
+def _wishart(dof: int, K: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """(size, K, K) draws from Wishart_K(dof): Bartlett factors when
+    dof >= K, the Gram of a dof x K Gaussian otherwise (singular then)."""
+    if dof < K:
+        g = rng.standard_normal((size, dof, K))
+        return g.transpose(0, 2, 1) @ g
     bart = np.zeros((size, K, K))
     rows, cols = np.tril_indices(K, -1)
-    if rows.size:
-        bart[:, rows, cols] = rng.standard_normal((size, rows.size))
+    bart[:, rows, cols] = rng.standard_normal((size, rows.size))
     for i in range(K):
-        bart[:, i, i] = np.sqrt(rng.chisquare(nu - i, size=size))
-    gram = h.transpose(0, 2, 1) @ h + bart @ bart.transpose(0, 2, 1)
-    ch = c @ h
-    ltri = np.linalg.cholesky(gram)
-    # A V = (C H) R^{-1} with R = ltri^T
-    return np.linalg.solve(ltri, ch.transpose(0, 2, 1)).transpose(0, 2, 1)
+        bart[:, i, i] = np.sqrt(rng.chisquare(dof - i, size=size))
+    return bart @ bart.transpose(0, 2, 1)
+
+
+def _tangential_boundary_singular_values(
+    au: np.ndarray, N: int, M: int, K: int, sin_t: float, size: int, rng: np.random.Generator
+) -> np.ndarray:
+    """(size, K) ascending singular values of A U' = cos(t) A U + sin(t) A V
+    for random complement frames V, from K x K pieces only.
+
+    V = G_perp R^{-1} with G_perp = (I - U U^T) G for Gaussian G (N x K) and
+    R^T R = G_perp^T G_perp.  In law A G_perp = S H and G_perp^T G_perp =
+    H^T H + W_inv, with H iid M x K, S = (I - A U (A U)^T)^{1/2} and W_inv ~
+    Wishart_K(N - K - M) (the part invisible to A).  Let A U = P D Q^T and
+    E = (I - D^2)^{1/2}, so S = I - P (I - E) P^T.  V Q has the law of V, and
+    in the basis Q, H enters only through Z = P^T H (iid K x K) and W_vis =
+    H^T (I - P P^T) H ~ Wishart_K(M - K).  With L L^T = Z^T Z + W_vis + W_inv,
+
+        (A U')^T A U' = B^T B + s^2 L^{-1} W_vis L^{-T},   B = c D + s E Z L^{-T}
+
+    (c = cos t, s = sin t): the exact law at O(K^3) per draw, not O(N M K).
+    """
+    d = np.linalg.svd(au, compute_uv=False)
+    e = np.sqrt(np.maximum(1.0 - d * d, 0.0))
+    z = rng.standard_normal((size, K, K))
+    w_vis = _wishart(M - K, K, size, rng)
+    gram_g = z.transpose(0, 2, 1) @ z + w_vis + _wishart(N - K - M, K, size, rng)
+    linv_t = np.linalg.inv(np.linalg.cholesky(gram_g)).transpose(0, 2, 1)
+    b = np.diag(math.sqrt(1.0 - sin_t * sin_t) * d) + sin_t * (e[:, None] * z) @ linv_t
+    gram = b.transpose(0, 2, 1) @ b + sin_t * sin_t * linv_t.transpose(0, 2, 1) @ w_vis @ linv_t
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram), 0.0))
 
 
 def verify_tangential_guarantee(
@@ -480,10 +482,10 @@ def verify_tangential_guarantee(
     angle, and checks ``dist(U) >= g_T(worst dist(U'), theta_T)`` via the
     inverted form ``worst <= eps_x``.
 
-    ``sampler="reduced"`` draws the projected boundary frames from their
-    exact pushforward law (fast); ``sampler="ambient"`` materializes the
-    frames in R^N (slow, used for cross-validation).  The reduced law
-    needs N - K - M >= K and falls back to ambient otherwise.
+    ``sampler="reduced"`` draws the boundary planes' projected singular
+    values from their exact K x K law, O(K^3) per draw; ``sampler="ambient"``
+    materializes the frames in R^N, O(N M K) per draw, as the test oracle.
+    The reduced law needs N - K - M >= K and falls back to ambient otherwise.
     """
     check_cone_inputs(N, M, K, sin_theta_t, n_boundary, n_trials)
     if sampler not in ("reduced", "ambient"):
@@ -506,13 +508,11 @@ def verify_tangential_guarantee(
         while done < n_boundary:
             m = min(chunk, n_boundary - done)
             if sampler == "reduced":
-                av = _tangential_boundary_proj_reduced(au, N, M, K, m, rng)
+                s = _tangential_boundary_singular_values(au, N, M, K, sin_theta_t, m, rng)
             else:
-                frames = _complement_frames(U.cols, rng, m)
-                av = np.einsum("mn,snk->smk", A.rows, frames, optimize=True)
-            au_prime = cos_t * au[None, :, :] + sin_theta_t * av
-            s = np.linalg.svd(au_prime, compute_uv=False)
-            d = np.maximum(scale * s[:, 0] - 1.0, 1.0 - scale * s[:, -1])
+                av = np.einsum("mn,snk->smk", A.rows, _complement_frames(U.cols, rng, m), optimize=True)
+                s = np.linalg.svd(cos_t * au[None, :, :] + sin_theta_t * av, compute_uv=False)
+            d = np.maximum(scale * s.max(axis=1) - 1.0, 1.0 - scale * s.min(axis=1))
             w = max(w, float(d.max()))
             done += m
         worst[t] = w

@@ -244,6 +244,8 @@ def m_star_empirical(
     outside = [m for m in M_grid if not 1 <= m <= spec.N]
     if outside:
         raise ValueError(f"M_grid entries must satisfy 1 <= M <= N = {spec.N}, got {outside}")
+    if not (math.isfinite(eps_target) and eps_target > 0.0):
+        raise ValueError(f"eps_target must be finite and > 0, got {eps_target}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     need = max(20, math.ceil(1.0 / delta))

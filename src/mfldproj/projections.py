@@ -223,13 +223,28 @@ def _pair_sq_dists(Z: np.ndarray, zsq: np.ndarray, ii: np.ndarray, jj: np.ndarra
 
 def _duplicate_groups(X: np.ndarray) -> np.ndarray | None:
     """Per-point ids, equal exactly for identical points, or None if all
-    points differ.  Only ties in the first coordinate trigger the row
-    comparison."""
+    points differ.
+
+    Only ties in the first coordinate trigger a row comparison.  Rows are
+    then hashed exactly: the uint64 bits of ``X + 0.0`` (which folds -0.0
+    into 0.0) times fixed odd multipliers, summed mod 2^64, so identical
+    rows get one hash in any summation order.  ``np.unique`` compares only
+    the rows whose hashes tie.
+    """
     first = np.sort(X[:, 0])
     if not np.any(first[1:] == first[:-1]):
         return None
-    distinct, group = np.unique(X, axis=0, return_inverse=True)
-    return group.ravel() if len(distinct) < len(X) else None
+    mult = np.random.default_rng(0).integers(0, 2**64, X.shape[1], dtype=np.uint64) | np.uint64(1)
+    _, inverse, counts = np.unique((X + 0.0).view(np.uint64) @ mult, return_inverse=True, return_counts=True)
+    tied = np.flatnonzero(counts[inverse] > 1)
+    if tied.size == 0:
+        return None
+    distinct, group = np.unique(X[tied], axis=0, return_inverse=True)
+    if len(distinct) == tied.size:
+        return None
+    ids = np.arange(len(X))
+    ids[tied] = len(X) + group.ravel()
+    return ids
 
 
 def _chord_blocks(X: np.ndarray, policy: PairPolicy, block: int):

@@ -131,21 +131,27 @@ def _apply_along_axis(mat: np.ndarray, z: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def _realize(spec: ManifoldSpec, seed: int, deriv_axis: int | None = None) -> np.ndarray:
-    """The P x N realization of ``(spec, seed)``, or its derivative along
-    one intrinsic axis.
+def _realize(spec: ManifoldSpec, seed: int, with_derivs: bool = False):
+    """The P x N realization of ``(spec, seed)`` and, if asked, its
+    P x K x N derivatives along the intrinsic axes (else None).
 
     Draws the standard normal array of shape ``(r_1, ..., r_K, N)`` from
-    ``seed`` and maps it through the spectral factor F of every axis, or
-    through dF along ``deriv_axis``: the embedding is linear in the
-    factors, so that is its exact derivative along that axis.
+    ``seed`` once and maps it through the spectral factor F of every axis.
+    The embedding is linear in the factors, so its derivative along axis a
+    takes dF in place of F at axis a; it shares the product over the axes
+    before a with the points and is carried through the axes after it.
     """
     factors = [_spectral_factor(ax, lam, L) for ax, lam, L in zip(grid_axes(spec), spec.lam, spec.L)]
     rng = np.random.default_rng(int(seed))
     z = rng.standard_normal(tuple(F.shape[1] for F, _ in factors) + (spec.N,))
+    partial = []
     for a, (F, dF) in enumerate(factors):
-        z = _apply_along_axis(dF if a == deriv_axis else F, z, a)
-    return np.ascontiguousarray((spec.ell / math.sqrt(spec.N)) * z.reshape(spec.n_points, spec.N))
+        if with_derivs:
+            partial = [_apply_along_axis(F, t, a) for t in partial] + [_apply_along_axis(dF, z, a)]
+        z = _apply_along_axis(F, z, a)
+    scale = spec.ell / math.sqrt(spec.N)
+    points, *derivs = (np.ascontiguousarray(scale * t.reshape(spec.n_points, spec.N)) for t in [z, *partial])
+    return points, (np.stack(derivs, axis=1) if with_derivs else None)
 
 
 def sample_manifold(spec: ManifoldSpec, seed: int) -> ManifoldSample:
@@ -160,7 +166,7 @@ def sample_manifold(spec: ManifoldSpec, seed: int) -> ManifoldSample:
     rounding, and the draws do not depend on the BLAS/LAPACK build beyond
     rounding of the matrix products.
     """
-    return ManifoldSample(spec=spec, sigma_axes=grid_axes(spec), points=_realize(spec, seed), seed=int(seed))
+    return ManifoldSample(spec=spec, sigma_axes=grid_axes(spec), points=_realize(spec, seed)[0], seed=int(seed))
 
 
 @dataclass(frozen=True)
@@ -267,9 +273,9 @@ def tangent_frames(sample: ManifoldSample) -> TangentFrames:
         If the empirical metric is singular at some point.
     """
     spec = sample.spec
-    if np.abs(sample.points - _realize(spec, sample.seed)).max() > 1e-12 * spec.ell:
+    points, derivs = _realize(spec, sample.seed, with_derivs=True)
+    if np.abs(sample.points - points).max() > 1e-12 * spec.ell:
         raise ValueError("sample points are not the realization of its spec and seed")
-    derivs = np.stack([_realize(spec, sample.seed, deriv_axis=a) for a in range(spec.K)], axis=1)
 
     metric = np.einsum("pan,pbn->pab", derivs, derivs)
     w, Q = np.linalg.eigh(metric)

@@ -22,12 +22,14 @@ from mfldproj import (
     verify_chordal_guarantee,
     verify_tangential_guarantee,
 )
+from mfldproj import cones
 from mfldproj.cones import (
     ChordalCone,
     TangentialCone,
     _chordal_boundary_distortions_reduced,
     _complement_frames,
-    _tangential_boundary_proj_reduced,
+    _tangential_boundary_singular_values,
+    _wishart,
 )
 
 mp.mp.dps = 40
@@ -191,23 +193,108 @@ class TestReducedSamplers:
         assert scipy.stats.ks_2samp(d_amb, d_red).pvalue > 0.01
 
     def test_tangential_reduced_matches_ambient_law(self):
-        N, M, K, sin_t, S = 300, 30, 4, 0.01, 15000
-        U = random_subspace(N, K, 2)
-        A = sample_projector(N, M, 3)
-        au = A.rows @ U.cols
-        cos_t = math.sqrt(1 - sin_t**2)
-        scale = math.sqrt(N / M)
+        assert tangential_ks_pvalue(300, 30, 4) > 0.01
 
-        av1 = _tangential_boundary_proj_reduced(au, N, M, K, S, np.random.default_rng(10))
-        s1 = np.linalg.svd(cos_t * au[None] + sin_t * av1, compute_uv=False)
-        d1 = np.maximum(scale * s1[:, 0] - 1, 1 - scale * s1[:, -1])
+    def test_tangential_reduced_matches_ambient_law_below_2k(self):
+        # M < 2K: W_vis ~ Wishart_K(M - K) is drawn as an explicit Gram
+        assert tangential_ks_pvalue(100, 6, 4) > 0.01
 
-        frames = _complement_frames(U.cols, np.random.default_rng(20), S)
-        av2 = np.einsum("mn,snk->smk", A.rows, frames, optimize=True)
-        s2 = np.linalg.svd(cos_t * au[None] + sin_t * av2, compute_uv=False)
-        d2 = np.maximum(scale * s2[:, 0] - 1, 1 - scale * s2[:, -1])
+    @pytest.mark.parametrize("N, M", [(300, 30), (40, 1), (31, 30)])  # r = 0 at M = 1, q = 0 at N = M + 1
+    def test_chordal_four_scalars_match_vector_formula(self, N, M):
+        rng = np.random.default_rng(4)
+        S = 20000
+        x = rng.standard_normal(N)
+        v = sample_projector(N, M, 6).rows @ (x / np.linalg.norm(x))
+        a = rng.standard_normal((S, M))
+        s0 = rng.standard_normal(S)
+        q = rng.chisquare(N - M - 1, S) if N - M - 1 > 0 else np.zeros(S)
+        vhat = v / np.linalg.norm(v)
+        alpha = a @ vhat
+        rest = a - np.outer(alpha, vhat)
+        draws = [alpha] + ([(M - 1, np.einsum("ij,ij->i", rest, rest))] if M > 1 else []) + [s0]
+        draws += [(N - M - 1, q)] if N - M - 1 > 0 else []
+        c0_sq = float(v @ v)
+        w_perp = math.sqrt(1 - c0_sq)
+        for sin_t in (0.0, 1e-3, 0.3, 0.999):
+            replay = Replay(*draws)
+            got = _chordal_boundary_distortions_reduced(v, N, M, sin_t, S, replay)
+            assert not replay.draws
+            # the M-vector formula: g = a, s0, q with A g_perp = a - t v
+            cos_t = math.sqrt(1 - sin_t**2)
+            t = a @ v + w_perp * s0
+            az = a - np.outer(t, v)
+            proj_sq = np.einsum("ij,ij->i", az, az)
+            inv_norm = 1 / np.sqrt(proj_sq + (s0 - t * w_perp) ** 2 + q)
+            ay_sq = (cos_t**2 * c0_sq + 2 * cos_t * sin_t * (az @ v) * inv_norm
+                     + sin_t**2 * proj_sq * inv_norm**2)
+            want = np.abs(np.sqrt((N / M) * ay_sq) - 1)
+            assert np.abs(got - want).max() < 1e-13
 
-        assert scipy.stats.ks_2samp(d1, d2).pvalue > 0.01
+    @pytest.mark.parametrize("N, M, K", [(300, 30, 4), (100, 6, 4)])
+    def test_tangential_singular_values_match_frame_formula(self, N, M, K, monkeypatch):
+        rng = np.random.default_rng(5)
+        S = 200
+        au = sample_projector(N, M, 3).rows @ random_subspace(N, K, 2).cols
+        P, d, Qt = np.linalg.svd(au, full_matrices=False)
+        root = np.eye(M) - P @ np.diag(1 - np.sqrt(1 - d**2)) @ P.T  # (I - AU AU^T)^{1/2}
+        H = rng.standard_normal((S, M, K))
+        w_inv = _wishart(N - K - M, K, S, rng)
+        z = P.T @ H
+        w_vis = H.transpose(0, 2, 1) @ (H - P @ z)
+        wisharts = {}
+        monkeypatch.setattr(cones, "_wishart", lambda dof, K_, size, rng_: wisharts.pop(dof))
+        for sin_t in (0.0, 1e-3, 0.3, 0.999):
+            wisharts.update({M - K: w_vis, N - K - M: w_inv})
+            replay = Replay(z)
+            got = _tangential_boundary_singular_values(au, N, M, K, sin_t, S, replay)
+            assert not wisharts and not replay.draws
+            # A V = S H L^{-T} for the frame of (H, W_inv), in the basis Q of A U
+            L = np.linalg.cholesky(H.transpose(0, 2, 1) @ H + w_inv)
+            av = root @ H @ np.linalg.inv(L).transpose(0, 2, 1) @ Qt
+            want = np.linalg.svd(math.sqrt(1 - sin_t**2) * au + sin_t * av, compute_uv=False)
+            assert np.abs(got - want[:, ::-1]).max() < 1e-13
+
+    @pytest.mark.parametrize("dof", [0, 2, 4, 9])
+    def test_wishart_mean(self, dof):
+        w = _wishart(dof, 4, 20000, np.random.default_rng(dof))
+        assert np.allclose(w, w.transpose(0, 2, 1))
+        assert np.all(np.linalg.matrix_rank(w) == min(dof, 4))
+        assert np.abs(w.mean(axis=0) - dof * np.eye(4)).max() < 0.15
+
+
+def tangential_ks_pvalue(N, M, K, sin_t=0.01, S=15000):
+    """KS p-value between the reduced and ambient worst-direction distortions."""
+    U = random_subspace(N, K, 2)
+    A = sample_projector(N, M, 3)
+    au = A.rows @ U.cols
+    scale = math.sqrt(N / M)
+
+    s1 = _tangential_boundary_singular_values(au, N, M, K, sin_t, S, np.random.default_rng(10))
+    d1 = np.maximum(scale * s1[:, -1] - 1, 1 - scale * s1[:, 0])
+
+    frames = _complement_frames(U.cols, np.random.default_rng(20), S)
+    av2 = np.einsum("mn,snk->smk", A.rows, frames, optimize=True)
+    s2 = np.linalg.svd(math.sqrt(1 - sin_t**2) * au[None] + sin_t * av2, compute_uv=False)
+    d2 = np.maximum(scale * s2[:, 0] - 1, 1 - scale * s2[:, -1])
+    return scipy.stats.ks_2samp(d1, d2).pvalue
+
+
+class Replay:
+    """Generator stand-in that hands out prescribed draws in call order:
+    arrays for ``standard_normal``, ``(df, array)`` for ``chisquare``."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def standard_normal(self, shape):
+        out = self.draws.pop(0)
+        assert out.shape == np.empty(shape).shape
+        return out
+
+    def chisquare(self, df, size):
+        want_df, out = self.draws.pop(0)
+        assert df == want_df and out.shape == (size,)
+        return out
 
 
 class TestVerifiers:

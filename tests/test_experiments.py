@@ -261,6 +261,9 @@ class TestMStarEmpirical:
                                      (0.01, 40, "n_proj")):
             with pytest.raises(ValueError, match=match):
                 m_star_empirical(spec, 0.45, delta, [4, 6], n_proj, seed=1)
+        for eps_target in (-0.1, 0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="eps_target"):
+                m_star_empirical(spec, eps_target, 0.1, [4, 6], 20, seed=1)
 
     def test_quantiles_trend_down(self):
         spec = spec_for_volume(1, 120, 1.0, 48)

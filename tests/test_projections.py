@@ -200,6 +200,19 @@ class TestPointsetDistortion:
             for got in (pointset_distortion(A, X[:8], policy), ChordScan(X[:8], policy).summary(A)):
                 assert got.argmax not in ((2, 3), (3, 2))
                 assert got.n_evaluated < 2000
+        # a constant first coordinate ties every point there, so rows are
+        # compared in full; -0.0 and 0.0 are the same coordinate
+        X[:, 0] = 0.0
+        X[3, 0] = -0.0
+        dedup = np.delete(X, 3, axis=0)
+        scan = ChordScan(X)
+        for seed in range(5):
+            A = sample_projector(200, 5, seed)
+            expected = pointset_distortion(A, dedup).max
+            for got in (pointset_distortion(A, X), scan.summary(A)):
+                assert got.argmax not in ((2, 3), (3, 2))
+                assert got.n_evaluated == 512 * 511 // 2 - 1
+                assert got.max == pytest.approx(expected, rel=1e-12)
 
     def test_needs_two_points(self):
         A = sample_projector(10, 2, 1)
