@@ -89,7 +89,6 @@ from .bounds import (
     theory_constants,
 )
 from .experiments import (
-    ExperimentPoint,
     FigureTable,
     MStarResult,
     distortion_distribution,

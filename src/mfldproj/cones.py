@@ -30,6 +30,7 @@ import numpy as np
 from .errors import GuaranteeVacuous
 from .projections import (
     SubspaceBasis,
+    _wishart,
     random_subspace,
     sample_projector,
     subspace_distortion,
@@ -418,20 +419,6 @@ def verify_chordal_guarantee(
         violated=violated,
         vacuous=vacuous,
     )
-
-
-def _wishart(dof: int, K: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """(size, K, K) draws from Wishart_K(dof): Bartlett factors when
-    dof >= K, the Gram of a dof x K Gaussian otherwise (singular then)."""
-    if dof < K:
-        g = rng.standard_normal((size, dof, K))
-        return g.transpose(0, 2, 1) @ g
-    bart = np.zeros((size, K, K))
-    rows, cols = np.tril_indices(K, -1)
-    bart[:, rows, cols] = rng.standard_normal((size, rows.size))
-    for i in range(K):
-        bart[:, i, i] = np.sqrt(rng.chisquare(dof - i, size=size))
-    return bart @ bart.transpose(0, 2, 1)
 
 
 def _tangential_boundary_singular_values(

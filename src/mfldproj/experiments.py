@@ -6,6 +6,14 @@ extract the distortion achieved with probability 1 - delta, locate the
 smallest M whose quantile meets a target (after isotonic smoothing of the
 quantile-vs-M curve), and fit the resulting counts against intrinsic
 dimension and log volume ratio.
+
+The M* curve draws each projection once, at the largest M, and measures
+every smaller M on its leading rows, all on one manifold: the points of
+the curve share their random numbers and are correlated, not independent
+draws per M.  Chords are scanned in r-dimensional isometric coordinates of
+the manifold, and only the first rows of a Haar frame in those coordinates
+are drawn (see :func:`m_star_empirical`).  :func:`distortion_distribution`
+keeps the ambient path, one N x M projector per sample, as the reference.
 """
 
 from __future__ import annotations
@@ -17,19 +25,17 @@ import numpy as np
 
 from .errors import RankDeficient, Unachievable
 from .manifold import ManifoldSpec
-from .projections import ChordScan, DistortionSummary, PairPolicy, sample_projector
-from .sampling import sample_manifold, tangent_frames
+from .projections import ChordScan, DistortionSummary, PairPolicy, _haar_frame_rows, sample_projector
+from .sampling import isometric_coordinates, sample_manifold, tangent_frames
 from .seeding import derive_seed, pooled_map
 from . import bounds
 
 __all__ = [
-    "ExperimentPoint",
     "MStarResult",
     "FigureTable",
     "spec_for_volume",
     "resolve_pair_policy",
     "distortion_distribution",
-    "measure_point",
     "epsilon_at_delta",
     "isotonic_nonincreasing",
     "invert_quantile_curve",
@@ -64,23 +70,6 @@ def resolve_pair_policy(n_points: int, seed: int) -> PairPolicy:
 
 
 @dataclass(frozen=True)
-class ExperimentPoint:
-    """Empirical distortion quantile at one (manifold, M) point."""
-
-    spec: ManifoldSpec
-    M: int
-    n_proj: int
-    eps_quantile: float
-    seed: int
-
-    def __post_init__(self):
-        if self.eps_quantile < 0:
-            raise ValueError("eps_quantile must be nonnegative")
-        if self.n_proj < 20:
-            raise ValueError("need at least 20 projections for a stable quantile")
-
-
-@dataclass(frozen=True)
 class MStarResult:
     """Smallest projection count meeting a distortion target empirically.
 
@@ -105,15 +94,14 @@ def distortion_distribution(
     n_proj: int,
     seed: int,
     pair_policy: PairPolicy | None = None,
-    include_frames: bool = False,
 ) -> DistortionSummary:
     """Worst-chord distortion of one manifold under n_proj random projections.
 
     One manifold realization per call (seeded from ``seed``); projector i
     uses a child seed independent of ``n_proj``, so growing the ensemble
-    extends the sample list without perturbing it.  With
-    ``include_frames``, the worst tangent-plane distortion is folded into
-    each sample (off by default: the headline experiments measure chords).
+    extends the sample list without perturbing it.  Each sample projects
+    the ambient points with its own N x M projector: the reference for the
+    latent path of :func:`m_star_empirical`.
     """
     if M > spec.N:
         raise ValueError(f"need M <= N, got M={M}, N={spec.N}")
@@ -121,36 +109,12 @@ def distortion_distribution(
     if pair_policy is None:
         pair_policy = resolve_pair_policy(spec.n_points, derive_seed(seed, ["pairs"]))
     scan = ChordScan(sample.points, pair_policy)
-    frames = tangent_frames(sample) if include_frames else None
-    scale = math.sqrt(spec.N / M)
     out = np.empty(n_proj)
     for i in range(n_proj):
-        A = sample_projector(spec.N, M, derive_seed(seed, ["proj", i]))
-        worst = scan.summary(A).max
-        if frames is not None:
-            au = np.einsum("mn,pnk->pmk", A.rows, frames.bases, optimize=True)
-            s = np.linalg.svd(au, compute_uv=False)
-            worst = max(worst, float(np.max(np.maximum(scale * s[:, 0] - 1.0, 1.0 - scale * s[:, -1]))))
-        out[i] = worst
+        out[i] = scan.summary(sample_projector(spec.N, M, derive_seed(seed, ["proj", i]))).max
     k = int(np.argmax(out))
     return DistortionSummary(
         max=float(out[k]), argmax=("projector", k), n_evaluated=n_proj, samples=out, policy=pair_policy
-    )
-
-
-def measure_point(
-    spec: ManifoldSpec,
-    M: int,
-    n_proj: int,
-    delta: float,
-    seed: int,
-    pair_policy: PairPolicy | None = None,
-) -> ExperimentPoint:
-    """One grid point of the empirical pipeline: distortion distribution
-    plus its 1 - delta quantile."""
-    summary = distortion_distribution(spec, M, n_proj, seed, pair_policy=pair_policy)
-    return ExperimentPoint(
-        spec=spec, M=M, n_proj=n_proj, eps_quantile=epsilon_at_delta(summary, delta), seed=seed
     )
 
 
@@ -162,13 +126,18 @@ def epsilon_at_delta(summary: DistortionSummary, delta: float) -> float:
     """
     if summary.samples is None:
         raise ValueError("summary does not retain samples")
+    return float(_quantile_at_delta(summary.samples, delta))
+
+
+def _quantile_at_delta(samples: np.ndarray, delta: float) -> np.ndarray:
+    """:func:`epsilon_at_delta` of every column of ``samples`` (n x ...)."""
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    n = len(summary.samples)
+    n = len(samples)
     if n < math.ceil(1.0 / delta):
         raise ValueError(f"need at least ceil(1/delta) = {math.ceil(1.0 / delta)} samples, got {n}")
     k = math.ceil((1.0 - delta) * n)
-    return float(np.sort(summary.samples)[k - 1])
+    return np.sort(samples, axis=0)[k - 1]
 
 
 def isotonic_nonincreasing(y: np.ndarray) -> np.ndarray:
@@ -222,6 +191,55 @@ def invert_quantile_curve(M_grid, eps_q, eps_target: float) -> tuple[float, np.n
     return float(math.exp(lm0 + frac * (lm1 - lm0))), iso, adjusted
 
 
+def _check_m_star_inputs(N: int, eps_target: float, delta: float, M_grid, n_proj: int) -> tuple[int, ...]:
+    """The M grid of :func:`m_star_empirical` as a tuple, after checking
+    every input that does not need a sample."""
+    M_grid = tuple(int(m) for m in M_grid)
+    outside = [m for m in M_grid if not 1 <= m <= N]
+    if outside:
+        raise ValueError(f"M_grid entries must satisfy 1 <= M <= N = {N}, got {outside}")
+    if len(M_grid) < 2 or any(b <= a for a, b in zip(M_grid, M_grid[1:])):
+        raise ValueError(f"M_grid must be strictly ascending with at least 2 entries, got {M_grid}")
+    if not (math.isfinite(eps_target) and eps_target > 0.0):
+        raise ValueError(f"eps_target must be finite and > 0, got {eps_target}")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    need = max(20, math.ceil(1.0 / delta))
+    if n_proj < need:
+        raise ValueError(f"n_proj must be >= max(20, ceil(1/delta)) = {need}, got {n_proj}")
+    return M_grid
+
+
+def _nested_worst(
+    spec: ManifoldSpec,
+    M_grid: tuple[int, ...],
+    n_proj: int,
+    seed: int,
+    pair_policy: PairPolicy | None,
+    threads: int,
+) -> np.ndarray:
+    """(n_proj, len(M_grid)) worst chord distortions of one manifold: row i
+    under the first M rows of projector i, for every M of the grid.
+
+    The chords are scanned in the k-dimensional isometric coordinates C of
+    the manifold, X = C V^T with V a column-orthonormal N x k frame.  For a
+    Haar projector A, A V has the law of the first M rows of a Haar N x k
+    frame W, independent of V, so X A^T = C (A V)^T has the law of C W_M^T:
+    exact, and O(M k) per point instead of O(M N).
+    """
+    coords = isometric_coordinates(spec, derive_seed(seed, ["manifold"]))
+    if pair_policy is None:
+        pair_policy = resolve_pair_policy(spec.n_points, derive_seed(seed, ["pairs"]))
+    scan = ChordScan(coords, pair_policy)
+
+    def worst(i: int) -> list[float]:
+        rng = np.random.default_rng(derive_seed(seed, ["proj", i]))
+        rows = _haar_frame_rows(spec.N, coords.shape[1], M_grid[-1], rng)
+        return [s.max for s in scan.nested(coords @ rows.T, spec.N, M_grid)]
+
+    return np.array(pooled_map(worst, range(n_proj), threads))
+
+
 def m_star_empirical(
     spec: ManifoldSpec,
     eps_target: float,
@@ -234,31 +252,20 @@ def m_star_empirical(
 ) -> MStarResult:
     """Empirical minimum projection count for a distortion target.
 
-    Computes the 1 - delta distortion quantile at every M in the grid
-    (fresh projector ensembles per M, all derived from ``seed``), smooths
-    the curve isotonically, and interpolates in (log M, eps).  Grid points
-    are independent jobs; with ``threads > 1`` they run on a thread pool,
-    with identical results for any thread count.
+    Computes the 1 - delta distortion quantile at every M in the strictly
+    ascending grid, smooths the curve isotonically, and interpolates in
+    (log M, eps).  One manifold is drawn per call, and projector i is drawn
+    once at the largest M from a child seed of ``seed``; each smaller M
+    uses its leading rows.  The quantiles at different M therefore share
+    their random numbers (common random numbers) and are correlated.  The
+    law at each M is that of :func:`distortion_distribution`, but the
+    chords are scanned in r-dimensional isometric coordinates, with no
+    N x M projector drawn (see :func:`_nested_worst`).  Projectors are
+    independent jobs; with ``threads > 1`` they run on a thread pool, with
+    identical results for any thread count.
     """
-    M_grid = tuple(int(m) for m in M_grid)
-    outside = [m for m in M_grid if not 1 <= m <= spec.N]
-    if outside:
-        raise ValueError(f"M_grid entries must satisfy 1 <= M <= N = {spec.N}, got {outside}")
-    if not (math.isfinite(eps_target) and eps_target > 0.0):
-        raise ValueError(f"eps_target must be finite and > 0, got {eps_target}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
-    need = max(20, math.ceil(1.0 / delta))
-    if n_proj < need:
-        raise ValueError(f"n_proj must be >= max(20, ceil(1/delta)) = {need}, got {n_proj}")
-
-    def point_at(M: int) -> ExperimentPoint:
-        return measure_point(
-            spec, M, n_proj, delta, derive_seed(seed, ["M", M]), pair_policy=pair_policy
-        )
-
-    points = pooled_map(point_at, M_grid, threads)
-    quantiles = np.array([p.eps_quantile for p in points])
+    M_grid = _check_m_star_inputs(spec.N, eps_target, delta, M_grid, n_proj)
+    quantiles = _quantile_at_delta(_nested_worst(spec, M_grid, n_proj, seed, pair_policy, threads), delta)
     m_star, iso, adjusted = invert_quantile_curve(M_grid, quantiles, eps_target)
     return MStarResult(
         eps_target=eps_target,
@@ -437,6 +444,7 @@ def _fig5(p: dict, seed: int) -> FigureTable:
 
 
 def _fig6(p: dict, seed: int, vary: str) -> FigureTable:
+    kind = "fig6a" if vary == "lnV" else "fig6b"
     eps, delta = float(p["eps_target"]), float(p["delta"])
     rows = {
         k: []
@@ -454,16 +462,18 @@ def _fig6(p: dict, seed: int, vary: str) -> FigureTable:
             for K in p["K_values"]
             for N in p["N_values"]
         ]
+    jobs = []
     for K, lnV, N in points:
         grid = p["grid_per_axis"][K] if isinstance(p["grid_per_axis"], dict) else p["grid_per_axis"]
         spec = spec_for_volume(K, N, lnV, grid)
+        try:
+            M_grid = _check_m_star_inputs(N, eps, delta, [m for m in p["M_grid"] if m <= N], int(p["n_proj"]))
+        except ValueError as exc:
+            raise ValueError(f"{kind} point K={K}, N={N}: {exc}") from None
+        jobs.append((K, lnV, N, spec, M_grid))
+    for K, lnV, N, spec, M_grid in jobs:
         res = m_star_empirical(
-            spec,
-            eps,
-            delta,
-            [m for m in p["M_grid"] if m <= N],
-            int(p["n_proj"]),
-            derive_seed(seed, ["fig6", K, f"{lnV:.6f}", N]),
+            spec, eps, delta, M_grid, int(p["n_proj"]), derive_seed(seed, ["fig6", K, f"{lnV:.6f}", N])
         )
         rows["K"].append(K)
         rows["lnV"].append(lnV)
@@ -475,7 +485,7 @@ def _fig6(p: dict, seed: int, vary: str) -> FigureTable:
         rows["m_star_bw"].append(bounds.bw_underestimate(eps, delta, K, N, lnV))
         rows["m_star_nv"].append(bounds.nv_underestimate(eps, delta, K, lnV))
     return FigureTable(
-        kind="fig6a" if vary == "lnV" else "fig6b",
+        kind=kind,
         columns={k: np.asarray(v, dtype=float) for k, v in rows.items()},
         params={**p, "seed": seed},
     )

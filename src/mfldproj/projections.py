@@ -50,6 +50,38 @@ def _haar_columns(N: int, K: int, rng: np.random.Generator) -> np.ndarray:
     return q * sign
 
 
+def _wishart(dof: int, K: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """(size, K, K) draws from Wishart_K(dof): Bartlett factors when
+    dof >= K, the Gram of a dof x K Gaussian otherwise (singular then)."""
+    if dof < K:
+        g = rng.standard_normal((size, dof, K))
+        return g.transpose(0, 2, 1) @ g
+    bart = np.zeros((size, K, K))
+    rows, cols = np.tril_indices(K, -1)
+    bart[:, rows, cols] = rng.standard_normal((size, rows.size))
+    for i in range(K):
+        bart[:, i, i] = np.sqrt(rng.chisquare(dof - i, size=size))
+    return bart @ bart.transpose(0, 2, 1)
+
+
+def _haar_frame_rows(N: int, k: int, M: int, rng: np.random.Generator) -> np.ndarray:
+    """The first M rows (M x k) of a Haar-distributed N x k column-orthonormal
+    frame, without forming the frame when k < N.
+
+    The frame is W = H L^{-T} for an N x k Gaussian H with H^T H = L L^T
+    (the Q factor of H with a positive triangular diagonal, which is Haar).
+    Its first M rows are G L^{-T} with G the first M rows of H, and
+    H^T H = G^T G + Wishart_k(N - M) for the rows below them: O(M k^2 + k^3).
+    With k = N the frame is square and its first M rows are the transposed
+    columns of :func:`_haar_columns`.
+    """
+    if k == N:
+        return _haar_columns(N, M, rng).T
+    g = rng.standard_normal((M, k))
+    chol = np.linalg.cholesky(g.T @ g + _wishart(N - M, k, 1, rng)[0])
+    return np.linalg.solve(chol, g.T).T
+
+
 @dataclass(frozen=True)
 class Projector:
     """Row-orthonormal M x N random projection."""
@@ -196,9 +228,19 @@ def vector_distortion(A: Projector, u: np.ndarray) -> float:
 
 
 # Bytes per gathered operand for the chords of explicit pairs: a subsampled
-# chunk of block^2 pairs never holds block^2 rows of the points, and each
-# piece is still in cache when its row dot products are taken.
+# chunk of pairs never holds one row of the points per pair, and each piece
+# is still in cache when its row dot products are taken.
 _GATHER_BYTES = 1 << 19
+
+# Rows per side of a scanned block: one block of squared lengths (128 KiB)
+# and its ratios stay in cache while every nested projection is scanned.
+_BLOCK = 128
+
+# Pairs drawn per chunk of a subsample, independent of the block size, so a
+# seeded policy visits the same pairs at any block size.  Much smaller
+# chunks make the gathers several times slower (4100 x 1000 points, 2^20
+# pairs: 11 s in chunks of 2^14 pairs against 2 s in chunks of 2^20).
+_PAIR_CHUNK = 1 << 20
 
 
 def _block_sq_dists(Zi: np.ndarray, Zj: np.ndarray, zsq_i: np.ndarray, zsq_j: np.ndarray) -> np.ndarray:
@@ -257,7 +299,7 @@ def _chord_blocks(X: np.ndarray, policy: PairPolicy, block: int):
     positive), or is None if there are none.  Dropped entries of ``da``
     are set to 1 so that dividing by the block is safe.
 
-    Subsample: ``(ii, jj, da)`` per chunk of at most block^2 drawn pairs,
+    Subsample: ``(ii, jj, da)`` per chunk of at most ``_PAIR_CHUNK`` drawn pairs,
     with the same chords removed.
     """
     P = X.shape[0]
@@ -281,7 +323,7 @@ def _chord_blocks(X: np.ndarray, policy: PairPolicy, block: int):
         rng = np.random.default_rng(policy.seed)
         remaining = policy.n_pairs
         while remaining > 0:
-            m = min(remaining, block * block)
+            m = min(remaining, _PAIR_CHUNK)
             ii = rng.integers(0, P, size=m)
             jj = rng.integers(0, P - 1, size=m)
             jj = np.where(jj >= ii, jj + 1, jj)  # uniform over ordered pairs with i != j
@@ -305,49 +347,68 @@ def _as_points(points) -> np.ndarray:
     return X
 
 
-def _scan(X: np.ndarray, A: Projector, policy: PairPolicy, blocks) -> DistortionSummary:
-    """Worst chord distortion under A over the blocks of ``_chord_blocks``.
-
-    Per block only the smallest and largest ratio r of projected to ambient
-    squared length are found.  Rounded products, square roots and
-    differences are monotone, so max(|sqrt(s lo) - 1|, |sqrt(s hi) - 1|)
-    equals the largest |sqrt(s r) - 1| over the block bit for bit.
-    """
+def _images(X: np.ndarray, A: Projector) -> np.ndarray:
     if X.shape[1] != A.N:
         raise ValueError(f"points must be (P, {A.N}), got {X.shape}")
-    scale = A.N / A.M
-    Y = X @ A.rows.T
-    ysq = np.einsum("ij,ij->i", Y, Y)
-    best, best_pair, n_eval = -1.0, (-1, -1), 0
+    return X @ A.rows.T
+
+
+def _scan(Y: np.ndarray, N: int, M_grid, policy: PairPolicy, blocks) -> list[DistortionSummary]:
+    """Worst chord distortion under each nested projection over the blocks
+    of ``_chord_blocks``: ``Y[:, :M]`` are the images of the points under
+    the first M rows of one row-orthonormal projection of R^N, for every M
+    of the ascending ``M_grid``.
+
+    Per block the projected squared lengths are added up segment by segment
+    over the columns [M_{k-1}, M_k), and at each M only the smallest and
+    largest ratio r of projected to ambient squared length are found, while
+    the block is still in cache.  Rounded products, square roots and
+    differences are monotone, so max(|sqrt(s lo) - 1|, |sqrt(s hi) - 1|)
+    equals the largest |sqrt(s r) - 1| over the block bit for bit.  With
+    one segment this is the plain scan of one projector.
+    """
+    edges = (0, *M_grid)
+    segs = [np.ascontiguousarray(Y[:, m0:m1]) for m0, m1 in zip(edges, edges[1:])]
+    sqs = [np.einsum("ij,ij->i", seg, seg) for seg in segs]
+    best, best_pair, n_eval = [-1.0] * len(segs), [(-1, -1)] * len(segs), 0
     for item in blocks:
         if policy.kind == "all":
             i0, j0, da, drop = item
             rows, cols = slice(i0, i0 + da.shape[0]), slice(j0, j0 + da.shape[1])
-            ratio = _block_sq_dists(Y[rows], Y[cols], ysq[rows], ysq[cols])
+            parts = (_block_sq_dists(seg[rows], seg[cols], sq[rows], sq[cols]) for seg, sq in zip(segs, sqs))
         else:
             ii, jj, da = item
             drop = None
-            ratio = _pair_sq_dists(Y, ysq, ii, jj)
-        np.maximum(ratio, 0.0, out=ratio)
-        ratio /= da
-        if drop is None:
-            n_eval += ratio.size
-            lo, hi = int(ratio.argmin()), int(ratio.argmax())
-        else:  # dropped entries can be neither extreme
-            n_eval += ratio.size - int(np.count_nonzero(drop))
-            np.copyto(ratio, np.inf, where=drop)
-            lo = int(ratio.argmin())
-            np.copyto(ratio, -np.inf, where=drop)
-            hi = int(ratio.argmax())
-        for k in (hi, lo):
-            d = abs(math.sqrt(scale * float(ratio.flat[k])) - 1.0)
-            if d > best:
-                best = d
-                if policy.kind == "all":
-                    best_pair = (i0 + k // da.shape[1], j0 + k % da.shape[1])
-                else:
-                    best_pair = (int(ii[k]), int(jj[k]))
-    return DistortionSummary(max=best, argmax=best_pair, n_evaluated=n_eval, policy=policy)
+            parts = (_pair_sq_dists(seg, sq, ii, jj) for seg, sq in zip(segs, sqs))
+        n_eval += da.size - (0 if drop is None else int(np.count_nonzero(drop)))
+        proj = None
+        for m, part in enumerate(parts):
+            if proj is None:
+                proj = part
+            else:
+                proj += part
+            ratio = np.maximum(proj, 0.0)
+            ratio /= da
+            if drop is None:
+                lo, hi = int(ratio.argmin()), int(ratio.argmax())
+            else:  # dropped entries can be neither extreme
+                np.copyto(ratio, np.inf, where=drop)
+                lo = int(ratio.argmin())
+                np.copyto(ratio, -np.inf, where=drop)
+                hi = int(ratio.argmax())
+            scale = N / M_grid[m]
+            for k in (hi, lo):
+                d = abs(math.sqrt(scale * float(ratio.flat[k])) - 1.0)
+                if d > best[m]:
+                    best[m] = d
+                    if policy.kind == "all":
+                        best_pair[m] = (i0 + k // da.shape[1], j0 + k % da.shape[1])
+                    else:
+                        best_pair[m] = (int(ii[k]), int(jj[k]))
+    return [
+        DistortionSummary(max=d, argmax=pair, n_evaluated=n_eval, policy=policy)
+        for d, pair in zip(best, best_pair)
+    ]
 
 
 class ChordScan:
@@ -358,24 +419,46 @@ class ChordScan:
     on the diagonal blocks (all pairs), or 24 bytes per drawn pair
     (subsample).  Each :meth:`summary` then pays only for its projector's
     Gram blocks, and agrees bit for bit with :func:`pointset_distortion`
-    on the same policy and block size.
+    on the same policy and block size; :meth:`nested` scans every leading
+    block of rows of one projector in the same pass.
     """
 
-    def __init__(self, points: np.ndarray, pair_policy: PairPolicy | None = None, block: int = 1024):
+    def __init__(self, points: np.ndarray, pair_policy: PairPolicy | None = None, block: int = _BLOCK):
         self.points = _as_points(points)
         self.policy = pair_policy or PairPolicy.all()
         self._blocks = list(_chord_blocks(self.points, self.policy, block))
 
     def summary(self, A: Projector) -> DistortionSummary:
         """Worst chord distortion under A, with the pair it came from."""
-        return _scan(self.points, A, self.policy, self._blocks)
+        return _scan(_images(self.points, A), A.N, (A.M,), self.policy, self._blocks)[0]
+
+    def nested(self, images: np.ndarray, N: int, M_grid) -> list[DistortionSummary]:
+        """Worst chord distortion under the first M rows of one projection,
+        for every M of the strictly ascending ``M_grid``.
+
+        ``images`` (P x M_max, at least) holds the points under the rows of
+        a row-orthonormal projection of R^N, so column m is the m-th
+        coordinate of every image: ``points @ A.rows.T`` for a
+        :class:`Projector` A, or any map with the same inner products.
+        Entry k of the result equals :meth:`summary` of ``A.rows[:M_k]``
+        up to rounding of the per-segment sums.
+        """
+        M_grid = tuple(int(m) for m in M_grid)
+        if images.ndim != 2 or images.shape[0] != len(self.points):
+            raise ValueError(f"images must have {len(self.points)} rows, got shape {images.shape}")
+        if not M_grid or M_grid[0] < 1 or any(b <= a for a, b in zip(M_grid, M_grid[1:])):
+            raise ValueError(f"M_grid must be strictly ascending and positive, got {M_grid}")
+        limit = min(N, images.shape[1])
+        if M_grid[-1] > limit:
+            raise ValueError(f"need M <= min(N, images columns) = {limit}, got {M_grid[-1]}")
+        return _scan(images, N, M_grid, self.policy, self._blocks)
 
 
 def pointset_distortion(
     A: Projector,
     points: np.ndarray,
     pair_policy: PairPolicy | None = None,
-    block: int = 1024,
+    block: int = _BLOCK,
 ) -> DistortionSummary:
     """Worst distortion over chords (displacement vectors) of a point set.
 
@@ -386,7 +469,7 @@ def pointset_distortion(
     """
     X = _as_points(points)
     policy = pair_policy or PairPolicy.all()
-    return _scan(X, A, policy, _chord_blocks(X, policy, block))
+    return _scan(_images(X, A), A.N, (A.M,), policy, _chord_blocks(X, policy, block))[0]
 
 
 def subspace_distortion(A: Projector, U: SubspaceBasis) -> float:

@@ -38,6 +38,7 @@ __all__ = [
     "TangentFrames",
     "SelfAveragingAudit",
     "sample_manifold",
+    "isometric_coordinates",
     "grid_axes",
     "self_averaging_audit",
     "empirical_chord_sq",
@@ -131,19 +132,25 @@ def _apply_along_axis(mat: np.ndarray, z: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
+def _latent(spec: ManifoldSpec, seed: int):
+    """The spectral factors (F, dF) of every axis of ``spec`` and the
+    standard normal array of shape ``(r_1, ..., r_K, N)`` drawn from ``seed``."""
+    factors = [_spectral_factor(ax, lam, L) for ax, lam, L in zip(grid_axes(spec), spec.lam, spec.L)]
+    rng = np.random.default_rng(int(seed))
+    return factors, rng.standard_normal(tuple(F.shape[1] for F, _ in factors) + (spec.N,))
+
+
 def _realize(spec: ManifoldSpec, seed: int, with_derivs: bool = False):
     """The P x N realization of ``(spec, seed)`` and, if asked, its
     P x K x N derivatives along the intrinsic axes (else None).
 
-    Draws the standard normal array of shape ``(r_1, ..., r_K, N)`` from
-    ``seed`` once and maps it through the spectral factor F of every axis.
-    The embedding is linear in the factors, so its derivative along axis a
-    takes dF in place of F at axis a; it shares the product over the axes
-    before a with the points and is carried through the axes after it.
+    Draws the latent normals of ``seed`` once and maps them through the
+    spectral factor F of every axis.  The embedding is linear in the
+    factors, so its derivative along axis a takes dF in place of F at axis
+    a; it shares the product over the axes before a with the points and is
+    carried through the axes after it.
     """
-    factors = [_spectral_factor(ax, lam, L) for ax, lam, L in zip(grid_axes(spec), spec.lam, spec.L)]
-    rng = np.random.default_rng(int(seed))
-    z = rng.standard_normal(tuple(F.shape[1] for F, _ in factors) + (spec.N,))
+    factors, z = _latent(spec, seed)
     partial = []
     for a, (F, dF) in enumerate(factors):
         if with_derivs:
@@ -152,6 +159,29 @@ def _realize(spec: ManifoldSpec, seed: int, with_derivs: bool = False):
     scale = spec.ell / math.sqrt(spec.N)
     points, *derivs = (np.ascontiguousarray(scale * t.reshape(spec.n_points, spec.N)) for t in [z, *partial])
     return points, (np.stack(derivs, axis=1) if with_derivs else None)
+
+
+def isometric_coordinates(spec: ManifoldSpec, seed: int) -> np.ndarray:
+    """P x k coordinates C of the realization X of ``(spec, seed)`` with
+    ``C C^T = X X^T``, so every chord has the same length in both.
+
+    X = F Z, with F the P x r Kronecker product of the scaled axis factors
+    and Z the r x N latent normals (the ones :func:`sample_manifold` draws).
+    When r < N, the Cholesky factor of Z Z^T = L L^T gives X = (F L) V^T
+    with V = Z^T L^{-T} column-orthonormal (the Q factor of Z^T), so
+    C = F L and k = r: O(N r^2) for the Gram matrix and O(P r) per axis
+    product, never O(P N).  The Gram matrix, unlike a Householder QR of
+    Z^T, does not round differently with the number of BLAS threads.
+    When r >= N there is nothing to gain and C is X itself (k = N).
+    """
+    factors, z = _latent(spec, seed)
+    r = z.size // spec.N
+    if r < spec.N:
+        flat = z.reshape(r, spec.N)
+        z = np.linalg.cholesky(flat @ flat.T).reshape(z.shape[:-1] + (r,))
+    for a, (F, _) in enumerate(factors):
+        z = _apply_along_axis(F, z, a)
+    return np.ascontiguousarray(spec.ell / math.sqrt(spec.N) * z.reshape(spec.n_points, -1))
 
 
 def sample_manifold(spec: ManifoldSpec, seed: int) -> ManifoldSample:

@@ -25,9 +25,9 @@ from mfldproj import (
     scaling_fit,
     spec_for_volume,
 )
-from mfldproj.experiments import measure_point
 from mfldproj.experiments import (
     LNV_PER_K_DEFAULT,
+    _nested_worst,
     invert_quantile_curve,
     isotonic_nonincreasing,
     resolve_pair_policy,
@@ -77,8 +77,8 @@ class TestDistortionDistribution:
         "policy", [None, mp.PairPolicy.subsample(3000, seed=8)], ids=["all", "subsample"]
     )
     def test_samples_equal_pointset_per_projector(self, policy):
-        # 1100 points span two 1024-point blocks, so the cached scan reuses
-        # both diagonal blocks and one off-diagonal block per projector
+        # 1100 points span nine blocks, so the cached scan reuses diagonal
+        # and off-diagonal blocks, and a ragged last block, per projector
         spec = spec_for_volume(1, 60, 2.0, 1100)
         got = distortion_distribution(spec, 9, 4, seed=6, pair_policy=policy)
         X = mp.sample_manifold(spec, derive_seed(6, ["manifold"])).points
@@ -126,12 +126,6 @@ class TestDistortionDistribution:
     def test_requires_M_le_N(self):
         with pytest.raises(ValueError):
             distortion_distribution(spec_for_volume(1, 50, 1.0, 16), 51, 5, seed=0)
-
-    def test_include_frames_dominates(self):
-        spec = spec_for_volume(1, 80, 1.0, 32)
-        plain = distortion_distribution(spec, 8, 4, seed=3)
-        frames = distortion_distribution(spec, 8, 4, seed=3, include_frames=True)
-        assert np.all(frames.samples >= plain.samples - 1e-15)
 
     def test_resolve_pair_policy(self):
         assert resolve_pair_policy(4096, 0).kind == "all"
@@ -253,10 +247,14 @@ class TestMStarEmpirical:
             raise AssertionError("sampled before the M grid was checked")
 
         monkeypatch.setattr(mp.experiments, "sample_manifold", no_sampling)
+        monkeypatch.setattr(mp.experiments, "isometric_coordinates", no_sampling)
         spec = spec_for_volume(1, 100, 1.0, 32)
-        for grid in ([4, 6, 2000], [0, 4, 6]):
+        for grid in ([4, 6, 2000], [0, 4, 6], [6, 4], [4, 4, 6], [6]):
             with pytest.raises(ValueError, match="M_grid"):
                 m_star_empirical(spec, 0.45, 0.1, grid, 20, seed=1)
+        # every fig6 point is checked before the first is computed
+        with pytest.raises(ValueError, match="N=3:.*M_grid"):
+            figure_data("fig6b", {"N_values": [1000, 3], "n_proj": 20})
         for delta, n_proj, match in ((0.1, 10, "n_proj"), (1.5, 20, "delta"), (0.0, 20, "delta"),
                                      (0.01, 40, "n_proj")):
             with pytest.raises(ValueError, match=match):
@@ -274,14 +272,46 @@ class TestMStarEmpirical:
         rho = scipy.stats.spearmanr(res.M_grid, res.eps_quantiles).statistic
         assert rho < 0
 
-    def test_measure_point_wraps_pipeline(self):
-        spec = spec_for_volume(1, 120, 1.0, 48)
-        pt = measure_point(spec, 12, 20, 0.1, seed=derive_seed(31, ["M", 12]))
-        res = m_star_empirical(spec, 0.45, 0.1, [6, 12, 24, 48], 20, seed=31)
-        assert pt.eps_quantile == res.eps_quantiles[1]
-        assert pt.M == 12 and pt.n_proj == 20
-        with pytest.raises(ValueError):
-            measure_point(spec, 12, 19, 0.1, seed=0)  # needs >= 20 projections
+    def test_nested_latent_path_equals_ambient_projection(self, monkeypatch):
+        # pathwise oracle: with the Wishart tail replaced by the Gram of an
+        # explicit Gaussian tail, the latent images C W_M^T are X A_M^T for
+        # A_M the first M rows of the orthogonal O with O V = W, where
+        # z^T = V R is the QR factorization of the latent normals (signs
+        # fixed so that R^T is the Cholesky factor of z z^T) and W the Haar
+        # frame the projector's normals and the tail define
+        N, M_grid, seed = 60, (4, 9, 20, 45), 3
+        spec = spec_for_volume(1, N, LNV1, 48)
+        _, z = mp.sampling._latent(spec, derive_seed(seed, ["manifold"]))
+        r = z.size // N
+        assert r < N  # the latent path, not the ambient fallback
+        tail = np.random.default_rng(99).standard_normal((N - M_grid[-1], r))
+        monkeypatch.setattr(mp.projections, "_wishart", lambda dof, K, size, rng: (tail.T @ tail)[None])
+        got = _nested_worst(spec, M_grid, 3, seed, None, 1)
+        X = mp.sample_manifold(spec, derive_seed(seed, ["manifold"])).points
+        V, R = np.linalg.qr(z.reshape(r, N).T)
+        V *= np.sign(np.diag(R))
+        V_perp = np.linalg.qr(V, mode="complete")[0][:, r:]
+        for i in range(3):
+            G = np.random.default_rng(derive_seed(seed, ["proj", i])).standard_normal((M_grid[-1], r))
+            Wf, Rf = np.linalg.qr(np.vstack([G, tail]), mode="complete")
+            W = Wf[:, :r] * np.sign(np.diag(Rf))
+            O = W @ V.T + Wf[:, r:] @ V_perp.T
+            for m, M in enumerate(M_grid):
+                A = mp.Projector(rows=np.ascontiguousarray(O[:M]), M=M, N=N, seed=0)
+                assert got[i, m] == pytest.approx(mp.pointset_distortion(A, X).max, rel=0, abs=1e-10)
+
+    @pytest.mark.parametrize("N,M", [(300, 20), (1000, 60), (30, 8)], ids=["N300", "N1000", "r>=N"])
+    def test_latent_law_matches_ambient(self, N, M):
+        # KS against the ambient path, 30 manifolds x 10 projectors a side;
+        # at N = 30 the rank r = 39 exceeds N and the points are scanned as is
+        spec = spec_for_volume(1, N, LNV1, 128)
+        latent = np.concatenate([
+            _nested_worst(spec, (M // 2, M), 10, derive_seed(N, ["latent", j]), None, 1)[:, 1] for j in range(30)
+        ])
+        ambient = np.concatenate(
+            [distortion_distribution(spec, M, 10, derive_seed(N, ["ambient", j])).samples for j in range(30)]
+        )
+        assert scipy.stats.ks_2samp(latent, ambient).pvalue > 0.01
 
 
 class TestScalingFit:

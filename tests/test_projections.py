@@ -27,6 +27,7 @@ from mfldproj import (
     vector_distortion,
     weyl_gap,
 )
+from mfldproj.projections import _haar_frame_rows
 
 
 class TestSampleProjector:
@@ -62,6 +63,21 @@ class TestSampleProjector:
         var_beta = a * b / ((a + b) ** 2 * (a + b + 1))
         se = (N / M) * math.sqrt(var_beta / draws)
         assert abs(vals.mean() - 1.0) < 3 * se
+
+
+class TestHaarFrameRows:
+    def test_first_row_norm_law(self):
+        # the first row of a Haar N x k frame is the projection of a fixed
+        # unit vector onto a uniform k-dimensional subspace: its squared
+        # norm is Beta(k/2, (N - k)/2)
+        N, k = 50, 7
+        rng = np.random.default_rng(21)
+        sq = [float(np.sum(_haar_frame_rows(N, k, 3, rng)[0] ** 2)) for _ in range(2000)]
+        assert scipy.stats.kstest(sq, scipy.stats.beta(k / 2, (N - k) / 2).cdf).pvalue > 0.01
+
+    def test_square_frame_rows_are_a_projector(self):
+        rows = _haar_frame_rows(40, 40, 9, np.random.default_rng(5))
+        assert np.array_equal(rows, sample_projector(40, 9, 5).rows)
 
 
 class TestVectorDistortion:
@@ -282,6 +298,24 @@ class TestChordScan:
                 A = sample_projector(30, 5, seed)
                 assert scan.summary(A) == pointset_distortion(A, X, policy, block=8)
 
+    def test_nested_equals_prefix_scans(self):
+        # at every M the nested pass equals a one-segment scan of the first
+        # M image columns; the first M is that scan bit for bit
+        rng = np.random.default_rng(14)
+        X = np.cumsum(rng.standard_normal((150, 40)), axis=0)
+        X[[5, 6]] = X[4]
+        M_grid = (3, 7, 8, 19, 30)
+        for policy in (PairPolicy.all(), PairPolicy.subsample(3000, seed=2)):
+            scan = ChordScan(X, policy, block=16)
+            for seed in range(3):
+                Y = X @ sample_projector(40, 30, seed).rows.T
+                got = scan.nested(Y, 40, M_grid)
+                for M, g in zip(M_grid, got):
+                    ref = scan.nested(Y[:, :M], 40, (M,))[0]
+                    assert g.max == pytest.approx(ref.max, rel=0, abs=1e-12)
+                    assert g.n_evaluated == ref.n_evaluated
+                assert got[0] == scan.nested(Y[:, :3], 40, (3,))[0]
+
     def test_checks_points(self):
         with pytest.raises(ValueError):
             ChordScan(np.zeros((1, 10)))
@@ -291,6 +325,11 @@ class TestChordScan:
             ChordScan(np.ones((3, 10)), PairPolicy(kind="nearby"))
         with pytest.raises(ValueError):
             ChordScan(np.eye(3)).summary(sample_projector(10, 2, 1))
+        scan = ChordScan(np.eye(3))
+        for images, M_grid in ((np.ones((3, 4)), (2, 2)), (np.ones((3, 4)), (0, 2)),
+                               (np.ones((3, 4)), (2, 5)), (np.ones((2, 4)), (1, 2))):
+            with pytest.raises(ValueError):
+                scan.nested(images, 10, M_grid)
 
     @pytest.mark.skipif(sys.platform != "linux", reason="address-space cap needs Linux")
     def test_subsample_fits_address_space_cap(self):

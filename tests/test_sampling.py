@@ -22,7 +22,7 @@ from mfldproj import (
     spec_for_volume,
     tangent_frames,
 )
-from mfldproj.sampling import _spectral_factor, grid_axes
+from mfldproj.sampling import _spectral_factor, grid_axes, isometric_coordinates
 
 
 def spec1d(N=200, n=48, L=6.0, lam=1.0, ell=1.0):
@@ -152,6 +152,20 @@ class TestSpectralFactor:
         assert F.shape == dF.shape == (256, 39)
         for n in (1024, 4096):
             assert _spectral_factor(np.arange(n) * (10.0 / n), 1.0, 10.0)[0].shape == (n, 53)
+
+
+class TestIsometricCoordinates:
+    @pytest.mark.parametrize("K,N,grid,lnV,rank", [
+        (1, 1000, 256, 1.55, 39), (2, 1000, 10, 0.0, 841), (1, 30, 64, 1.55, 30),
+    ], ids=["curve", "surface", "r>=N"])
+    def test_gram_equals_points(self, K, N, grid, lnV, rank):
+        spec = spec_for_volume(K, N, lnV, grid, ell=1.7)
+        X = sample_manifold(spec, 8).points
+        C = isometric_coordinates(spec, 8)
+        assert C.shape == (spec.n_points, rank)
+        assert np.abs(C @ C.T - X @ X.T).max() <= 1e-14 * spec.ell**2
+        if rank == N:  # no latent rank to gain: the points themselves
+            assert np.array_equal(C, X)
 
 
 class TestSelfAveragingAudit:
