@@ -136,7 +136,9 @@ def _quantile_at_delta(samples: np.ndarray, delta: float) -> np.ndarray:
     n = len(samples)
     if n < math.ceil(1.0 / delta):
         raise ValueError(f"need at least ceil(1/delta) = {math.ceil(1.0 / delta)} samples, got {n}")
-    k = math.ceil((1.0 - delta) * n)
+    # the smallest k with k / n >= 1 - delta; ceil((1 - delta) n) rounds
+    # below it at some deltas (48 samples, delta = 1/3 gives 32, not 33)
+    k = int(np.count_nonzero(np.arange(1, n + 1) / n < 1.0 - delta)) + 1
     return np.sort(samples, axis=0)[k - 1]
 
 

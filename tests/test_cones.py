@@ -2,6 +2,10 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -10,6 +14,8 @@ import scipy.stats
 
 from mfldproj import (
     GuaranteeVacuous,
+    Projector,
+    SubspaceBasis,
     g_chordal,
     g_tangential,
     invert_g_chordal,
@@ -19,20 +25,36 @@ from mfldproj import (
     sample_chordal_boundary,
     sample_projector,
     sample_tangential_boundary,
+    subspace_distortion,
     verify_chordal_guarantee,
     verify_tangential_guarantee,
+    vector_distortion,
 )
-from mfldproj import cones
+from mfldproj import cones, projections
 from mfldproj.cones import (
     ChordalCone,
     TangentialCone,
     _chordal_boundary_distortions_reduced,
+    _chordal_center_image,
     _complement_frames,
+    _lower_inverse,
     _tangential_boundary_singular_values,
     _wishart,
 )
+from mfldproj.projections import _haar_frame_rows
 
 mp.mp.dps = 40
+
+# both reduced verifiers at N = 2000; prints one hash of every report array
+REDUCED_CHILD = """
+import hashlib, numpy as np, mfldproj as mp
+h = hashlib.sha256()
+for rep in (mp.verify_chordal_guarantee(2000, 200, 0.005, 500, 10, seed=31),
+            mp.verify_tangential_guarantee(2000, 200, 5, 0.002, 200, 10, seed=31)):
+    assert rep.params["sampler"] == "reduced"
+    h.update(np.concatenate([rep.dist_x, rep.worst_dist_y]).tobytes())
+print(h.hexdigest())
+"""
 
 
 class TestGChordal:
@@ -199,6 +221,12 @@ class TestReducedSamplers:
         # M < 2K: W_vis ~ Wishart_K(M - K) is drawn as an explicit Gram
         assert tangential_ks_pvalue(100, 6, 4) > 0.01
 
+    @pytest.mark.parametrize("N", [19, 18, 16])
+    def test_tangential_reduced_matches_ambient_law_small_invisible_dof(self, N):
+        # N - K - M = 3, 2, 0 < K: W_inv is an explicit (or empty) Gram too,
+        # so the verifier keeps the reduced sampler down to N - K - M = 0
+        assert tangential_ks_pvalue(N, 12, 4) > 0.01
+
     @pytest.mark.parametrize("N, M", [(300, 30), (40, 1), (31, 30)])  # r = 0 at M = 1, q = 0 at N = M + 1
     def test_chordal_four_scalars_match_vector_formula(self, N, M):
         rng = np.random.default_rng(4)
@@ -254,6 +282,42 @@ class TestReducedSamplers:
             want = np.linalg.svd(math.sqrt(1 - sin_t**2) * au + sin_t * av, compute_uv=False)
             assert np.abs(got - want[:, ::-1]).max() < 1e-13
 
+    @pytest.mark.parametrize("N, M", [(300, 30), (30, 30)])
+    def test_chordal_center_is_projected_gaussian_chord(self, N, M):
+        # x = g and A the first M coordinate rows: A xhat = g_M / ||g||
+        g = np.random.default_rng(7).standard_normal(N)
+        replay = Replay(g[:M], *([(N - M, float(g[M:] @ g[M:]))] if N > M else []))
+        got = _chordal_center_image(N, M, replay)
+        assert not replay.draws
+        A = Projector(rows=np.eye(M, N), M=M, N=N, seed=0)
+        assert np.abs(got - A.rows @ g / np.linalg.norm(g)).max() < 1e-15
+        assert abs(math.sqrt((N / M) * (got @ got)) - 1) == pytest.approx(vector_distortion(A, g), abs=1e-14)
+
+    @pytest.mark.parametrize("N, M, K", [(300, 30, 4), (16, 12, 4)])
+    def test_tangential_center_is_projected_haar_frame(self, N, M, K, monkeypatch):
+        # U = H L^{-T} with L L^T = H^T H (the Haar frame of the Gaussian H)
+        # and A the first M coordinate rows: A U = H_M L^{-T}
+        H = np.random.default_rng(8).standard_normal((N, K))
+        tail = H[M:]
+        monkeypatch.setattr(projections, "_wishart", lambda dof, K_, size, rng_: (tail.T @ tail)[None])
+        replay = Replay(H[:M])
+        got = _haar_frame_rows(N, K, M, replay)
+        assert not replay.draws
+        U = np.linalg.solve(np.linalg.cholesky(H.T @ H), H.T).T
+        assert np.abs(got - U[:M]).max() < 1e-13
+        A = Projector(rows=np.eye(M, N), M=M, N=N, seed=0)
+        s = np.linalg.svd(got, compute_uv=False)
+        dist = max(math.sqrt(N / M) * s[0] - 1, 1 - math.sqrt(N / M) * s[-1])
+        assert dist == pytest.approx(subspace_distortion(A, SubspaceBasis(cols=U)), abs=1e-13)
+
+    @pytest.mark.parametrize("K", [1, 2, 5])
+    def test_lower_inverse_matches_inv(self, K):
+        z = np.random.default_rng(K).standard_normal((500, K + 2, K))
+        chol = np.linalg.cholesky(z.transpose(0, 2, 1) @ z)
+        want = np.linalg.inv(chol)
+        err = np.abs(_lower_inverse(chol) - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
+        assert err.max() < 1e-14
+
     @pytest.mark.parametrize("dof", [0, 2, 4, 9])
     def test_wishart_mean(self, dof):
         w = _wishart(dof, 4, 20000, np.random.default_rng(dof))
@@ -291,9 +355,9 @@ class Replay:
         assert out.shape == np.empty(shape).shape
         return out
 
-    def chisquare(self, df, size):
+    def chisquare(self, df, size=None):
         want_df, out = self.draws.pop(0)
-        assert df == want_df and out.shape == (size,)
+        assert df == want_df and np.shape(out) == (() if size is None else (size,))
         return out
 
 
@@ -318,9 +382,10 @@ class TestVerifiers:
         fast = verify_chordal_guarantee(**kw, seed=8, sampler="reduced")
         slow = verify_chordal_guarantee(**kw, seed=8, sampler="ambient")
         assert fast.violation_fraction == slow.violation_fraction == 0.0
-        # identical trial geometry (x, A), so central distortions coincide
-        assert np.allclose(fast.dist_x, slow.dist_x, atol=1e-12)
-        assert np.abs(fast.worst_dist_y - slow.worst_dist_y).max() < 0.05
+        # the samplers draw different central chords, so compare each
+        # trial's excess of the worst boundary distortion over the center
+        excess = (fast.worst_dist_y - fast.dist_x) - (slow.worst_dist_y - slow.dist_x)
+        assert np.abs(excess).max() < 0.05
         assert abs(fast.margins.mean() - slow.margins.mean()) < 0.02
 
     def test_chordal_vacuous_trials_flagged(self):
@@ -348,8 +413,51 @@ class TestVerifiers:
         fast = verify_tangential_guarantee(**kw, seed=9, sampler="reduced")
         slow = verify_tangential_guarantee(**kw, seed=9, sampler="ambient")
         assert fast.violation_fraction == slow.violation_fraction == 0.0
-        assert np.allclose(fast.dist_x, slow.dist_x, atol=1e-12)
-        assert np.abs(fast.worst_dist_y - slow.worst_dist_y).max() < 0.05
+        excess = (fast.worst_dist_y - fast.dist_x) - (slow.worst_dist_y - slow.dist_x)
+        assert np.abs(excess).max() < 0.05
+
+    @pytest.mark.parametrize("kind", ["chordal", "tangential"])
+    def test_reduced_trials_match_ambient_law(self, kind):
+        # independent seeds a side; 400 trials of each sampler
+        if kind == "chordal":
+            run = lambda **kw: verify_chordal_guarantee(300, 30, 0.01, 50, 400, **kw)
+        else:
+            run = lambda **kw: verify_tangential_guarantee(300, 30, 4, 0.01, 50, 400, **kw)
+        fast, slow = run(seed=3), run(seed=4, sampler="ambient")
+        assert fast.params["sampler"] == "reduced"
+        assert scipy.stats.ks_2samp(fast.dist_x, slow.dist_x).pvalue > 0.01
+        assert scipy.stats.ks_2samp(fast.worst_dist_y, slow.worst_dist_y).pvalue > 0.01
+
+    def test_reduced_trials_stay_out_of_ambient_space(self, monkeypatch):
+        def ambient(*args, **kwargs):
+            raise AssertionError("a reduced trial drew an object in R^N")
+
+        for module, name in ((cones, "sample_projector"), (cones, "random_subspace"),
+                             (projections, "_haar_columns")):
+            monkeypatch.setattr(module, name, ambient)
+        verify_chordal_guarantee(300, 30, 0.01, 100, 3, seed=1)
+        verify_chordal_guarantee(30, 30, 0.01, 100, 3, seed=1)
+        for N in (300, 16):  # N - K - M = 0 at N = 16
+            rep = verify_tangential_guarantee(N, 12, 4, 0.01, 100, 3, seed=1)
+            assert rep.params["sampler"] == "reduced"
+
+    def test_tangential_falls_back_below_zero_invisible_dof(self):
+        rep = verify_tangential_guarantee(15, 12, 4, 0.01, 100, 3, seed=1)
+        assert rep.params["sampler"] == "ambient"
+
+    def test_reduced_reports_independent_of_blas_threads(self):
+        # each setting acts on a child process only
+        src = str(Path(cones.__file__).resolve().parents[1])
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = subprocess.run(
+                [sys.executable, "-c", REDUCED_CHILD],
+                env=env, capture_output=True, text=True, check=True, timeout=300,
+            )
+            digests.add(out.stdout.strip())
+        assert len(digests) == 1
 
     def test_monotone_guarantee_chain(self):
         # in every non-vacuous trial the two report directions express the

@@ -139,6 +139,11 @@ class TestEpsilonAtDelta:
         np.random.default_rng(0).shuffle(vals)
         assert epsilon_at_delta(summary_of(vals), 0.05) == 95.0
 
+    def test_rounding_boundary(self):
+        # (1 - 1/3) * 48 rounds to 32.0, but 32/48 < 1 - 1/3 in floating point
+        vals = np.r_[np.zeros(32), np.ones(16)]
+        assert epsilon_at_delta(summary_of(vals), 1 / 3) == 1.0
+
     def test_delta_near_one_gives_minimum(self):
         vals = np.array([5.0, 1.0, 3.0])
         assert epsilon_at_delta(summary_of(vals), 0.999) == 1.0
