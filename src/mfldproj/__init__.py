@@ -57,8 +57,6 @@ from .projections import (
     weyl_gap,
 )
 from .cones import (
-    ChordalCone,
-    TangentialCone,
     VerificationReport,
     g_chordal,
     g_tangential,

@@ -20,21 +20,19 @@ exact zero violations.
 
 The verifiers' default ``sampler="reduced"`` never works in R^N.  A
 trial's central object enters only through its image under a Haar
-projection A: A xhat for a uniform unit chord direction xhat, which is the
-first M entries of a uniform unit vector of R^N, and A U for a Haar
-K-plane U, which is the first M rows of a Haar N x K frame (Mezzadri 2007,
-"How to generate random matrices from the classical compact groups").
-Both are drawn from those laws directly, and the boundary draws from
-exact laws in a few scalars or K x K matrices.  ``sampler="ambient"``
+projection A: A xhat for a uniform unit chord direction xhat and A U for a
+Haar K-plane U, which are the first M rows of a Haar N x 1 and N x K frame
+(Mezzadri 2007, "How to generate random matrices from the classical
+compact groups").  Both are drawn from that law directly, and the boundary
+draws from exact laws in a few scalars or K x K matrices.  ``sampler="ambient"``
 draws x, A and U in R^N and projects materialized boundary vectors and
 frames; it is the test oracle.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,6 +40,7 @@ from .errors import GuaranteeVacuous
 from .projections import (
     SubspaceBasis,
     _haar_frame_rows,
+    _transposed,
     _wishart,
     random_subspace,
     sample_projector,
@@ -51,8 +50,6 @@ from .projections import (
 from .seeding import derive_seed
 
 __all__ = [
-    "ChordalCone",
-    "TangentialCone",
     "VerificationReport",
     "g_chordal",
     "invert_g_chordal",
@@ -64,32 +61,6 @@ __all__ = [
     "verify_chordal_guarantee",
     "verify_tangential_guarantee",
 ]
-
-
-@dataclass(frozen=True)
-class ChordalCone:
-    """Cone of chords around a central chord x with half-angle asin(sin_theta)."""
-
-    center: np.ndarray = field(repr=False)
-    sin_theta: float
-
-    def __post_init__(self):
-        if np.linalg.norm(self.center) == 0.0:
-            raise ValueError("cone center must be nonzero")
-        if not (0.0 < self.sin_theta <= 1.0):
-            raise ValueError(f"sin_theta must be in (0, 1], got {self.sin_theta}")
-
-
-@dataclass(frozen=True)
-class TangentialCone:
-    """Subspaces within maximal principal angle asin(sin_theta) of a center."""
-
-    center: SubspaceBasis
-    sin_theta: float
-
-    def __post_init__(self):
-        if not (0.0 < self.sin_theta <= 1.0):
-            raise ValueError(f"sin_theta must be in (0, 1], got {self.sin_theta}")
 
 
 def _check_eps_nm(eps: float, N: int, M: int):
@@ -290,36 +261,6 @@ class VerificationReport:
         """Slack eps_x - worst_dist_y per trial (negative means violated)."""
         return self.eps_x - self.worst_dist_y
 
-    def to_csv(self, path, preamble=()) -> None:
-        with open(path, "w", newline="") as fh:
-            for line in preamble:
-                fh.write(line + "\n")
-            writer = csv.writer(fh)
-            writer.writerow(["trial", "dist_x", "worst_dist_y", "g_value", "eps_x", "violated"])
-            for t in range(self.n_trials):
-                writer.writerow(
-                    [
-                        t,
-                        format(self.dist_x[t], ".17g"),
-                        format(self.worst_dist_y[t], ".17g"),
-                        format(self.g_value[t], ".17g"),
-                        format(self.eps_x[t], ".17g"),
-                        int(self.violated[t]),
-                    ]
-                )
-
-
-def _chordal_center_image(N: int, M: int, rng: np.random.Generator) -> np.ndarray:
-    """A xhat for a uniform unit xhat in R^N and a Haar M x N projection A.
-
-    By rotation invariance A can be the first M coordinate rows, so A xhat
-    is the first M entries of g / ||g|| for g ~ N(0, I_N):
-    g_M / (||g_M||^2 + chi^2_(N-M))^{1/2}, O(M) instead of O(N M).
-    """
-    g = rng.standard_normal(M)
-    tail = rng.chisquare(N - M) if N > M else 0.0
-    return g / math.sqrt(g @ g + tail)
-
 
 def _chordal_boundary_distortions_reduced(
     a_xhat: np.ndarray, N: int, M: int, sin_t: float, n_samples: int, rng: np.random.Generator
@@ -371,6 +312,43 @@ def check_cone_inputs(N: int, M: int, K: int | None, sin_theta: float, n_boundar
         raise ValueError(f"sin_theta must be in [0, 1), got {sin_theta}")
 
 
+# Boundary draws per chunk of a trial: a chordal draw is a few scalars, a
+# tangential draw a stack of K x K matrices (an ambient one an N x K frame).
+_CHORDAL_CHUNK = 8192
+_TANGENTIAL_CHUNK = 1024
+
+
+def _verify(kind: str, params: dict, chunk: int, trial, budget, invert) -> VerificationReport:
+    """Run the trials of one verification and build its report.
+
+    ``trial(t)`` returns trial t's central distortion and a function
+    ``boundary(m, done)`` with the distortions of its boundary draws
+    done, ..., done + m - 1; they are drawn ``chunk`` at a time and only
+    the worst is kept.  ``budget`` maps the worst boundary distortions to
+    their g values and ``invert`` the central distortions to eps_x.
+    """
+    if params["sampler"] not in ("reduced", "ambient"):
+        raise ValueError(f"sampler must be 'reduced' or 'ambient', got {params['sampler']!r}")
+    n_trials, n_boundary = params["n_trials"], params["n_boundary"]
+    dist_x = np.empty(n_trials)
+    worst = np.full(n_trials, -np.inf)
+    for t in range(n_trials):
+        dist_x[t], boundary = trial(t)
+        for done in range(0, n_boundary, chunk):
+            worst[t] = max(worst[t], float(boundary(min(chunk, n_boundary - done), done).max()))
+    g_value, eps_x = budget(worst), invert(dist_x)
+    return VerificationReport(
+        kind=kind,
+        params=params,
+        dist_x=dist_x,
+        worst_dist_y=worst,
+        g_value=g_value,
+        eps_x=eps_x,
+        violated=worst > eps_x + 1e-12,
+        vacuous=g_value <= 0.0,
+    )
+
+
 def verify_chordal_guarantee(
     N: int,
     M: int,
@@ -379,7 +357,6 @@ def verify_chordal_guarantee(
     n_trials: int,
     seed: int,
     sampler: str = "reduced",
-    chunk: int = 8192,
 ) -> VerificationReport:
     """Monte Carlo test of the chordal guarantee.
 
@@ -389,63 +366,37 @@ def verify_chordal_guarantee(
     ``dist(x) >= g_C(worst, theta_C)`` and ``worst <= eps_x`` with
     ``g_C(eps_x, theta_C) = dist(x)``.
 
-    ``sampler="reduced"`` draws A xhat as the first M entries of a uniform
-    unit vector, O(M) per trial, and the boundary distortions from their
-    exact law in four scalars per draw, O(1); ``sampler="ambient"`` draws x
-    and an N x M projector and projects materialized boundary vectors,
-    O(N M) per draw, as the test oracle.
+    ``sampler="reduced"`` draws A xhat as a one-column Haar frame's first
+    M rows, O(M) per trial, and the boundary distortions from their exact
+    law in four scalars per draw, O(1); ``sampler="ambient"`` draws x and
+    an N x M projector and projects materialized boundary vectors, O(N M)
+    per draw, as the test oracle.
     """
     check_cone_inputs(N, M, None, sin_theta_c, n_boundary, n_trials)
-    if sampler not in ("reduced", "ambient"):
-        raise ValueError(f"sampler must be 'reduced' or 'ambient', got {sampler!r}")
+    scale = math.sqrt(N / M)
 
-    dist_x = np.empty(n_trials)
-    worst = np.empty(n_trials)
-    for t in range(n_trials):
+    def trial(t):
         rng = np.random.default_rng(derive_seed(seed, ["chordal", t]))
         if sampler == "reduced":
-            a_xhat = _chordal_center_image(N, M, rng)
-            dist_x[t] = abs(math.sqrt((N / M) * (a_xhat @ a_xhat)) - 1.0)
-            d = _chordal_boundary_distortions_reduced(a_xhat, N, M, sin_theta_c, n_boundary, rng)
-            worst[t] = float(d.max())
-            continue
+            a_xhat = _haar_frame_rows(N, 1, M, rng)[:, 0]
+
+            def reduced(m, done):
+                return _chordal_boundary_distortions_reduced(a_xhat, N, M, sin_theta_c, m, rng)
+
+            return abs(math.sqrt((N / M) * (a_xhat @ a_xhat)) - 1.0), reduced
         x = rng.standard_normal(N)
         A = sample_projector(N, M, derive_seed(seed, ["chordal", t, "proj"]))
-        dist_x[t] = vector_distortion(A, x)
-        w = -np.inf
-        done = 0
-        while done < n_boundary:
-            m = min(chunk, n_boundary - done)
-            y = sample_chordal_boundary(
-                x, sin_theta_c, derive_seed(seed, ["chordal", t, "boundary", done]), size=m
-            )
-            ratios = np.linalg.norm(y @ A.rows.T, axis=1) / np.linalg.norm(y, axis=1)
-            w = max(w, float(np.abs(math.sqrt(N / M) * ratios - 1.0).max()))
-            done += m
-        worst[t] = w
 
-    g_value = worst - math.sqrt(N / M) * sin_theta_c
-    eps_x = dist_x + math.sqrt(N / M) * sin_theta_c
-    violated = worst > eps_x + 1e-12
-    vacuous = g_value <= 0.0
-    return VerificationReport(
-        kind="chordal",
-        params={
-            "N": N,
-            "M": M,
-            "sin_theta_c": sin_theta_c,
-            "n_boundary": n_boundary,
-            "n_trials": n_trials,
-            "seed": seed,
-            "sampler": sampler,
-        },
-        dist_x=dist_x,
-        worst_dist_y=worst,
-        g_value=g_value,
-        eps_x=eps_x,
-        violated=violated,
-        vacuous=vacuous,
-    )
+        def ambient(m, done):
+            y = sample_chordal_boundary(x, sin_theta_c, derive_seed(seed, ["chordal", t, "boundary", done]), size=m)
+            return np.abs(scale * (np.linalg.norm(y @ A.rows.T, axis=1) / np.linalg.norm(y, axis=1)) - 1.0)
+
+        return vector_distortion(A, x), ambient
+
+    slack = scale * sin_theta_c
+    params = dict(N=N, M=M, sin_theta_c=sin_theta_c, n_boundary=n_boundary, n_trials=n_trials,
+                  seed=seed, sampler=sampler)
+    return _verify("chordal", params, _CHORDAL_CHUNK, trial, lambda w: w - slack, lambda d: d + slack)
 
 
 def _lower_inverse(chol: np.ndarray) -> np.ndarray:
@@ -460,13 +411,6 @@ def _lower_inverse(chol: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _transposed(a: np.ndarray) -> np.ndarray:
-    """Row-major copy of a stack's transposes: numpy multiplies stacked
-    matrices through BLAS only when every operand is row-major, and its
-    fallback loop is about 2.5 times slower on 5 x 5 stacks."""
-    return np.ascontiguousarray(a.transpose(0, 2, 1))
-
-
 def _tangential_boundary_singular_values(
     au: np.ndarray, N: int, M: int, K: int, sin_t: float, size: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -474,23 +418,30 @@ def _tangential_boundary_singular_values(
     for random complement frames V, from K x K pieces only.
 
     V = G_perp R^{-1} with G_perp = (I - U U^T) G for Gaussian G (N x K) and
-    R^T R = G_perp^T G_perp.  In law A G_perp = S H and G_perp^T G_perp =
-    H^T H + W_inv, with H iid M x K, S = (I - A U (A U)^T)^{1/2} and W_inv ~
-    Wishart_K(N - K - M) (the part invisible to A).  Let A U = P D Q^T and
-    E = (I - D^2)^{1/2}, so S = I - P (I - E) P^T.  V Q has the law of V, and
-    in the basis Q, H enters only through Z = P^T H (iid K x K) and W_vis =
-    H^T (I - P P^T) H ~ Wishart_K(M - K).  With L L^T = Z^T Z + W_vis + W_inv,
+    R^T R = G_perp^T G_perp.  Let A U = P D Q^T and E = (I - D^2)^{1/2}, so
+    S = (I - A U (A U)^T)^{1/2} = I - P (I - E) P^T.  The row space of A
+    meets U in j = max(0, M + K - N) dimensions: the first j singular values
+    of A U are exactly 1, their entries of E are 0, and S vanishes on their
+    columns P_1 of P.  In law A G_perp = S H and G_perp^T G_perp =
+    H^T (I - P_1 P_1^T) H + W_inv, with H iid M x K and W_inv ~
+    Wishart_K(max(0, N - K - M)) (the part invisible to A).  V Q has the law
+    of V, and in the basis Q, H enters only through Z = P^T H (iid K x K)
+    and W_vis = H^T (I - P P^T) H ~ Wishart_K(M - K).  With Z_2 the rows of
+    Z past the first j and L L^T = Z_2^T Z_2 + W_vis + W_inv,
 
         (A U')^T A U' = B^T B + s^2 L^{-1} W_vis L^{-T},   B = c D + s E Z L^{-T}
 
     (c = cos t, s = sin t): the exact law at O(K^3) per draw, not O(N M K).
     """
+    j = max(0, M + K - N)
     d = np.linalg.svd(au, compute_uv=False)
     e = np.sqrt(np.maximum(1.0 - d * d, 0.0))
+    e[:j] = 0.0
     z = rng.standard_normal((size, K, K))
     zt = _transposed(z)
     w_vis = _wishart(M - K, K, size, rng)
-    linv = _lower_inverse(np.linalg.cholesky(zt @ z + w_vis + _wishart(N - K - M, K, size, rng)))
+    w_inv = _wishart(max(0, N - K - M), K, size, rng)
+    linv = _lower_inverse(np.linalg.cholesky(zt[:, :, j:] @ z[:, j:] + w_vis + w_inv))
     bt = sin_t * linv @ (zt * e)  # B^T = c D + s L^{-1} Z^T E
     bt += np.diag(math.sqrt(1.0 - sin_t * sin_t) * d)
     gram = bt @ _transposed(bt) + sin_t * sin_t * (linv @ w_vis) @ _transposed(linv)
@@ -507,7 +458,6 @@ def verify_tangential_guarantee(
     seed: int,
     mode: str = "approx",
     sampler: str = "reduced",
-    chunk: int = 1024,
 ) -> VerificationReport:
     """Monte Carlo test of the tangential guarantee.
 
@@ -520,69 +470,48 @@ def verify_tangential_guarantee(
     frame, O(M K^2) per trial, and the boundary planes' projected singular
     values from their exact K x K law, O(K^3) per draw; ``sampler="ambient"``
     draws U and an N x M projector and materializes the frames in R^N,
-    O(N M K) per draw, as the test oracle.  The reduced law needs
-    N - K - M >= 0 and falls back to ambient otherwise.
+    O(N M K) per draw, as the test oracle.
     """
     check_cone_inputs(N, M, K, sin_theta_t, n_boundary, n_trials)
-    if sampler not in ("reduced", "ambient"):
-        raise ValueError(f"sampler must be 'reduced' or 'ambient', got {sampler!r}")
-    if sampler == "reduced" and N - K - M < 0:
-        sampler = "ambient"
-
+    if mode not in ("approx", "exact"):
+        raise ValueError(f"mode must be 'exact' or 'approx', got {mode!r}")
     scale = math.sqrt(N / M)
     cos_t = math.sqrt(1.0 - sin_theta_t**2)
-    dist_u = np.empty(n_trials)
-    worst = np.empty(n_trials)
-    for t in range(n_trials):
+
+    def trial(t):
         rng = np.random.default_rng(derive_seed(seed, ["tangential", t, "boundary"]))
         if sampler == "reduced":
             au = _haar_frame_rows(N, K, M, rng)
             s = np.linalg.svd(au, compute_uv=False)
-            dist_u[t] = max(scale * float(s[0]) - 1.0, 1.0 - scale * float(s[-1]))
+            dist_u = max(scale * float(s[0]) - 1.0, 1.0 - scale * float(s[-1]))
+
+            def singular_values(m):
+                return _tangential_boundary_singular_values(au, N, M, K, sin_theta_t, m, rng)
         else:
             U = random_subspace(N, K, derive_seed(seed, ["tangential", t, "subspace"]))
             A = sample_projector(N, M, derive_seed(seed, ["tangential", t, "proj"]))
-            dist_u[t] = subspace_distortion(A, U)
+            dist_u = subspace_distortion(A, U)
             au = A.rows @ U.cols
-        w = -np.inf
-        done = 0
-        while done < n_boundary:
-            m = min(chunk, n_boundary - done)
-            if sampler == "reduced":
-                s = _tangential_boundary_singular_values(au, N, M, K, sin_theta_t, m, rng)
-            else:
+
+            def singular_values(m):
                 av = np.einsum("mn,snk->smk", A.rows, _complement_frames(U.cols, rng, m), optimize=True)
-                s = np.linalg.svd(cos_t * au[None, :, :] + sin_theta_t * av, compute_uv=False)
-            d = np.maximum(scale * s.max(axis=1) - 1.0, 1.0 - scale * s.min(axis=1))
-            w = max(w, float(d.max()))
-            done += m
-        worst[t] = w
+                return np.linalg.svd(cos_t * au[None, :, :] + sin_theta_t * av, compute_uv=False)
+
+        def boundary(m, done):
+            s = singular_values(m)
+            return np.maximum(scale * s.max(axis=1) - 1.0, 1.0 - scale * s.min(axis=1))
+
+        return dist_u, boundary
 
     if mode == "approx":
-        g_value = worst - (N / M) * sin_theta_t
-        eps_x = dist_u + (N / M) * sin_theta_t
+        slack = (N / M) * sin_theta_t
+        budget, invert = (lambda w: w - slack), (lambda d: d + slack)
     else:
-        g_value = np.array([_g_tangential_exact_raw(w_, sin_theta_t, N, M) for w_ in worst])
-        eps_x = np.array([invert_g_tangential(d_, sin_theta_t, N, M, mode="exact") for d_ in dist_u])
-    violated = worst > eps_x + 1e-12
-    vacuous = g_value <= 0.0
-    return VerificationReport(
-        kind="tangential",
-        params={
-            "N": N,
-            "M": M,
-            "K": K,
-            "sin_theta_t": sin_theta_t,
-            "n_boundary": n_boundary,
-            "n_trials": n_trials,
-            "seed": seed,
-            "mode": mode,
-            "sampler": sampler,
-        },
-        dist_x=dist_u,
-        worst_dist_y=worst,
-        g_value=g_value,
-        eps_x=eps_x,
-        violated=violated,
-        vacuous=vacuous,
-    )
+        def budget(worst):
+            return np.array([_g_tangential_exact_raw(w, sin_theta_t, N, M) for w in worst])
+
+        def invert(dist_u):
+            return np.array([invert_g_tangential(d, sin_theta_t, N, M, mode="exact") for d in dist_u])
+    params = dict(N=N, M=M, K=K, sin_theta_t=sin_theta_t, n_boundary=n_boundary, n_trials=n_trials,
+                  seed=seed, mode=mode, sampler=sampler)
+    return _verify("tangential", params, _TANGENTIAL_CHUNK, trial, budget, invert)

@@ -19,7 +19,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +30,6 @@ from .seeding import derive_seed, pooled_map
 
 __all__ = ["RunConfig", "run", "derive_seed", "main"]
 
-
-_COMMON_KEYS = {"command", "master_seed", "out_dir", "threads", "format"}
 
 # Allowed "params" keys per command; validation rejects anything else
 # before any computation runs.
@@ -100,15 +98,8 @@ class RunConfig:
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
 
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "params": self.params,
-            "master_seed": self.master_seed,
-            "out_dir": self.out_dir,
-            "threads": self.threads,
-            "format": self.format,
-        }
+
+_COMMON_KEYS = {f.name for f in fields(RunConfig)} - {"params"}
 
 
 def _fmt(value) -> str:
@@ -138,32 +129,29 @@ def _echo_lines(cfg: RunConfig) -> list[str]:
     ]
 
 
-def _write_csv(path: Path, header: list[str], rows, echo: list[str] = ()) -> None:
-    with open(path, "w", newline="") as fh:
-        for line in echo:
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
-def _write_table(path: Path, columns: dict, cfg: RunConfig) -> None:
-    names = list(columns)
+def _write_table(out: Path, stem: str, columns: dict, cfg: RunConfig) -> str:
+    """Write one table as ``<stem>.csv`` or ``<stem>.json`` after the
+    configured format, with the config echo; return the artifact name."""
+    name = f"{stem}.{cfg.format}"
+    values = {n: np.asarray(column).tolist() for n, column in columns.items()}
     if cfg.format == "csv":
-        rows = zip(*(np.asarray(columns[n]).tolist() for n in names))
-        _write_csv(path, names, rows, echo=_echo_lines(cfg))
+        with open(out / name, "w", newline="") as fh:
+            for line in _echo_lines(cfg):
+                fh.write(line + "\n")
+            writer = csv.writer(fh)
+            writer.writerow(values)
+            for row in zip(*values.values()):
+                writer.writerow([_fmt(v) for v in row])
     else:
-        payload = {n: np.asarray(columns[n]).tolist() for n in names}
-        payload["config"] = _echo(cfg)
-        payload["master_seed"] = cfg.master_seed
-        path.write_text(json.dumps(payload, sort_keys=True, indent=1))
+        payload = dict(values, config=_echo(cfg), master_seed=cfg.master_seed)
+        (out / name).write_text(json.dumps(payload, sort_keys=True, indent=1))
+    return name
 
 
 def _manifest(cfg: RunConfig, artifacts: list[str], started: float) -> dict:
     return {
         "artifacts": sorted(artifacts),
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "master_seed": cfg.master_seed,
         "version": __version__,
         "numpy_version": np.__version__,
@@ -188,13 +176,9 @@ def _run_sample(cfg: RunConfig, out: Path) -> list[str]:
     path = out / "sample.bin"
     sampling.save_sample(sample, path)
     audit = sampling.self_averaging_audit(sample)
-    _write_csv(
-        out / "sample_audit.csv",
-        ["mean_sq_norm", "rel_sd", "expected_mean", "expected_rel_sd"],
-        [[audit.mean, audit.rel_sd, audit.expected_mean, audit.expected_rel_sd]],
-        echo=_echo_lines(cfg),
-    )
-    return ["sample.bin", "sample_audit.csv"]
+    columns = {"mean_sq_norm": [audit.mean], "rel_sd": [audit.rel_sd],
+               "expected_mean": [audit.expected_mean], "expected_rel_sd": [audit.expected_rel_sd]}
+    return ["sample.bin", _write_table(out, "sample_audit", columns, cfg)]
 
 
 def _run_verify_cones(cfg: RunConfig, out: Path) -> list[str]:
@@ -217,15 +201,14 @@ def _run_verify_cones(cfg: RunConfig, out: Path) -> list[str]:
     reports = pooled_map(lambda job: job[2](), jobs, cfg.threads)
 
     artifacts = []
-    summary_rows = []
+    summary = {"kind": [], "sin_theta": [], "violation_fraction": [], "mean_margin": []}
     for (kind, s, _), rep in zip(jobs, reports):
-        name = f"{kind}_{s}.csv"
-        rep.to_csv(out / name, preamble=_echo_lines(cfg))
-        artifacts.append(name)
-        summary_rows.append([kind, s, rep.violation_fraction, float(np.mean(rep.margins))])
-    _write_csv(out / "cone_summary.csv", ["kind", "sin_theta", "violation_fraction", "mean_margin"],
-               summary_rows, echo=_echo_lines(cfg))
-    return artifacts + ["cone_summary.csv"]
+        trials = {"trial": np.arange(rep.n_trials), "dist_x": rep.dist_x, "worst_dist_y": rep.worst_dist_y,
+                  "g_value": rep.g_value, "eps_x": rep.eps_x, "violated": rep.violated}
+        artifacts.append(_write_table(out, f"{kind}_{s}", trials, cfg))
+        for column, value in zip(summary.values(), (kind, s, rep.violation_fraction, float(np.mean(rep.margins)))):
+            column.append(value)
+    return artifacts + [_write_table(out, "cone_summary", summary, cfg)]
 
 
 _BOUNDS_HEADER = [
@@ -263,16 +246,14 @@ def _run_bounds(cfg: RunConfig, out: Path) -> list[str]:
             r.gamma_star_t, r.sin_theta_t_star, r.tangential_ok,
             r.m_bw, r.m_nv, r.crossover_closed, r.rho_star, r.C0,
         ])
-    _write_csv(out / "bounds.csv", _BOUNDS_HEADER, rows, echo=_echo_lines(cfg))
-    return ["bounds.csv"]
+    columns = {name: [row[i] for row in rows] for i, name in enumerate(_BOUNDS_HEADER)}
+    return [_write_table(out, "bounds", columns, cfg)]
 
 
 def _run_figure(cfg: RunConfig, out: Path) -> list[str]:
     kind = cfg.params.get("kind")
     table = experiments.figure_data(kind, cfg.params.get("params"), seed=cfg.master_seed)
-    name = f"{table.kind}.{cfg.format}"
-    _write_table(out / name, table.columns, cfg)
-    return [name]
+    return [_write_table(out, table.kind, table.columns, cfg)]
 
 
 def _run_mstar(cfg: RunConfig, out: Path) -> list[str]:
@@ -290,20 +271,11 @@ def _run_mstar(cfg: RunConfig, out: Path) -> list[str]:
         cfg.master_seed,
         threads=cfg.threads,
     )
-    _write_csv(
-        out / "mstar_curve.csv",
-        ["M", "eps_quantile", "eps_isotonic"],
-        zip(res.M_grid, res.eps_quantiles, res.eps_isotonic),
-        echo=_echo_lines(cfg),
-    )
-    _write_csv(
-        out / "mstar.csv",
-        ["K", "N", "lnV", "eps_target", "delta", "m_star_emp", "isotonic_adjusted", "m_star_new"],
-        [[K, N, lnV, res.eps_target, res.delta, res.m_star_emp, res.isotonic_adjusted,
-          bounds.m_star_bound(res.eps_target, res.delta, K, N, lnV)]],
-        echo=_echo_lines(cfg),
-    )
-    return ["mstar_curve.csv", "mstar.csv"]
+    curve = {"M": res.M_grid, "eps_quantile": res.eps_quantiles, "eps_isotonic": res.eps_isotonic}
+    point = {"K": [K], "N": [N], "lnV": [lnV], "eps_target": [res.eps_target], "delta": [res.delta],
+             "m_star_emp": [res.m_star_emp], "isotonic_adjusted": [res.isotonic_adjusted],
+             "m_star_new": [bounds.m_star_bound(res.eps_target, res.delta, K, N, lnV)]}
+    return [_write_table(out, "mstar_curve", curve, cfg), _write_table(out, "mstar", point, cfg)]
 
 
 def _run_replay(cfg: RunConfig, out: Path) -> list[str]:
@@ -313,27 +285,19 @@ def _run_replay(cfg: RunConfig, out: Path) -> list[str]:
     original = RunConfig.from_dict(manifest["config"])
     replay_dir = out / "replay"
     replay_dir.mkdir(parents=True, exist_ok=True)
-    rerun = RunConfig(
-        command=original.command,
-        params=original.params,
-        master_seed=original.master_seed,
-        out_dir=str(replay_dir),
-        threads=original.threads,
-        format=original.format,
-    )
-    run(rerun)
+    run(replace(original, out_dir=str(replay_dir)))
     src_dir = manifest_path.parent
+    names = manifest["artifacts"]
     mismatches = []
-    for name in manifest["artifacts"]:
+    for name in names:
         a, b = src_dir / name, replay_dir / name
         if not a.exists() or not b.exists() or a.read_bytes() != b.read_bytes():
             mismatches.append(name)
-    _write_csv(out / "replay_diff.csv", ["artifact", "identical"],
-               [[n, int(n not in mismatches)] for n in manifest["artifacts"]],
-               echo=_echo_lines(cfg))
+    diff = {"artifact": names, "identical": [int(n not in mismatches) for n in names]}
+    table = _write_table(out, "replay_diff", diff, cfg)
     if mismatches:
         raise RuntimeError(f"replay differs for artifacts: {mismatches}")
-    return ["replay_diff.csv"]
+    return [table]
 
 
 _RUNNERS = {
@@ -350,7 +314,7 @@ def run(config: RunConfig) -> int:
     """Execute a validated config; write artifacts plus a JSON manifest.
 
     Deterministic given (config, master_seed): identical configs produce
-    byte-identical CSV artifacts.  Returns the exit status (0 on success);
+    byte-identical artifacts.  Returns the exit status (0 on success);
     on error a machine-readable record goes to stderr and the status is
     nonzero, with no partial manifest left behind.
     """
@@ -391,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    raw = RunConfig.from_file(args.config).to_dict() if args.config else {}
+    raw = asdict(RunConfig.from_file(args.config)) if args.config else {}
     raw["command"] = args.command
     params = dict(raw.get("params", {}))
     for item in args.param:

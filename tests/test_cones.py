@@ -28,20 +28,20 @@ from mfldproj import (
     subspace_distortion,
     verify_chordal_guarantee,
     verify_tangential_guarantee,
-    vector_distortion,
 )
 from mfldproj import cones, projections
 from mfldproj.cones import (
-    ChordalCone,
-    TangentialCone,
     _chordal_boundary_distortions_reduced,
-    _chordal_center_image,
     _complement_frames,
+    _g_tangential_exact_raw,
     _lower_inverse,
     _tangential_boundary_singular_values,
     _wishart,
 )
+from mfldproj.harness import RunConfig
+from mfldproj.harness import run as run_config
 from mfldproj.projections import _haar_frame_rows
+from mfldproj.seeding import derive_seed
 
 mp.mp.dps = 40
 
@@ -188,14 +188,6 @@ class TestBoundarySamplers:
         with pytest.raises(ValueError):
             sample_tangential_boundary(U, 0.1, 0)
 
-    def test_cone_types_validate(self):
-        with pytest.raises(ValueError):
-            ChordalCone(center=np.zeros(5), sin_theta=0.1)
-        with pytest.raises(ValueError):
-            ChordalCone(center=np.ones(5), sin_theta=0.0)
-        with pytest.raises(ValueError):
-            TangentialCone(center=random_subspace(10, 2, 0), sin_theta=1.5)
-
 
 class TestReducedSamplers:
     def test_chordal_reduced_matches_ambient_law(self):
@@ -226,6 +218,18 @@ class TestReducedSamplers:
         # N - K - M = 3, 2, 0 < K: W_inv is an explicit (or empty) Gram too,
         # so the verifier keeps the reduced sampler down to N - K - M = 0
         assert tangential_ks_pvalue(N, 12, 4) > 0.01
+
+    @pytest.mark.parametrize("N, M, K", [(15, 12, 4), (16, 14, 4), (20, 17, 4)])
+    def test_tangential_reduced_matches_ambient_law_beyond_zero_invisible_dof(self, N, M, K):
+        # M + K > N: the row space of A meets U' in j = M + K - N dimensions,
+        # so the top j singular values are exactly 1 in both laws; the rest
+        # are compared index by index
+        j = M + K - N
+        reduced, ambient = tangential_singular_values(N, M, K)
+        assert np.abs(reduced[:, K - j:] - 1).max() < 1e-12
+        assert np.abs(ambient[:, K - j:] - 1).max() < 1e-12
+        for i in range(K - j):
+            assert scipy.stats.ks_2samp(reduced[:, i], ambient[:, i]).pvalue > 0.01
 
     @pytest.mark.parametrize("N, M", [(300, 30), (40, 1), (31, 30)])  # r = 0 at M = 1, q = 0 at N = M + 1
     def test_chordal_four_scalars_match_vector_formula(self, N, M):
@@ -282,21 +286,11 @@ class TestReducedSamplers:
             want = np.linalg.svd(math.sqrt(1 - sin_t**2) * au + sin_t * av, compute_uv=False)
             assert np.abs(got - want[:, ::-1]).max() < 1e-13
 
-    @pytest.mark.parametrize("N, M", [(300, 30), (30, 30)])
-    def test_chordal_center_is_projected_gaussian_chord(self, N, M):
-        # x = g and A the first M coordinate rows: A xhat = g_M / ||g||
-        g = np.random.default_rng(7).standard_normal(N)
-        replay = Replay(g[:M], *([(N - M, float(g[M:] @ g[M:]))] if N > M else []))
-        got = _chordal_center_image(N, M, replay)
-        assert not replay.draws
-        A = Projector(rows=np.eye(M, N), M=M, N=N, seed=0)
-        assert np.abs(got - A.rows @ g / np.linalg.norm(g)).max() < 1e-15
-        assert abs(math.sqrt((N / M) * (got @ got)) - 1) == pytest.approx(vector_distortion(A, g), abs=1e-14)
-
-    @pytest.mark.parametrize("N, M, K", [(300, 30, 4), (16, 12, 4)])
+    @pytest.mark.parametrize("N, M, K", [(300, 30, 4), (16, 12, 4), (300, 30, 1), (30, 30, 1)])
     def test_tangential_center_is_projected_haar_frame(self, N, M, K, monkeypatch):
         # U = H L^{-T} with L L^T = H^T H (the Haar frame of the Gaussian H)
-        # and A the first M coordinate rows: A U = H_M L^{-T}
+        # and A the first M coordinate rows: A U = H_M L^{-T}; at K = 1 this
+        # is the chordal center A xhat = g_M / ||g|| of the chord x = g
         H = np.random.default_rng(8).standard_normal((N, K))
         tail = H[M:]
         monkeypatch.setattr(projections, "_wishart", lambda dof, K_, size, rng_: (tail.T @ tail)[None])
@@ -326,20 +320,23 @@ class TestReducedSamplers:
         assert np.abs(w.mean(axis=0) - dof * np.eye(4)).max() < 0.15
 
 
-def tangential_ks_pvalue(N, M, K, sin_t=0.01, S=15000):
-    """KS p-value between the reduced and ambient worst-direction distortions."""
+def tangential_singular_values(N, M, K, sin_t=0.01, S=15000):
+    """(S, K) ascending singular values of A U' for one (A, U): from the
+    reduced law and from ambient complement frames."""
     U = random_subspace(N, K, 2)
     A = sample_projector(N, M, 3)
     au = A.rows @ U.cols
-    scale = math.sqrt(N / M)
-
-    s1 = _tangential_boundary_singular_values(au, N, M, K, sin_t, S, np.random.default_rng(10))
-    d1 = np.maximum(scale * s1[:, -1] - 1, 1 - scale * s1[:, 0])
-
+    reduced = _tangential_boundary_singular_values(au, N, M, K, sin_t, S, np.random.default_rng(10))
     frames = _complement_frames(U.cols, np.random.default_rng(20), S)
-    av2 = np.einsum("mn,snk->smk", A.rows, frames, optimize=True)
-    s2 = np.linalg.svd(math.sqrt(1 - sin_t**2) * au[None] + sin_t * av2, compute_uv=False)
-    d2 = np.maximum(scale * s2[:, 0] - 1, 1 - scale * s2[:, -1])
+    av = np.einsum("mn,snk->smk", A.rows, frames, optimize=True)
+    ambient = np.linalg.svd(math.sqrt(1 - sin_t**2) * au[None] + sin_t * av, compute_uv=False)
+    return reduced, ambient[:, ::-1]
+
+
+def tangential_ks_pvalue(N, M, K):
+    """KS p-value between the reduced and ambient worst-direction distortions."""
+    scale = math.sqrt(N / M)
+    d1, d2 = (np.maximum(scale * s[:, -1] - 1, 1 - scale * s[:, 0]) for s in tangential_singular_values(N, M, K))
     return scipy.stats.ks_2samp(d1, d2).pvalue
 
 
@@ -441,9 +438,40 @@ class TestVerifiers:
             rep = verify_tangential_guarantee(N, 12, 4, 0.01, 100, 3, seed=1)
             assert rep.params["sampler"] == "reduced"
 
-    def test_tangential_falls_back_below_zero_invisible_dof(self):
-        rep = verify_tangential_guarantee(15, 12, 4, 0.01, 100, 3, seed=1)
-        assert rep.params["sampler"] == "ambient"
+    @pytest.mark.parametrize("N, M, K", [(15, 12, 4), (16, 14, 4), (20, 17, 4), (16, 16, 4), (8, 8, 4)])
+    def test_tangential_stays_reduced_below_zero_invisible_dof(self, N, M, K, monkeypatch):
+        def ambient(*args, **kwargs):
+            raise AssertionError("a reduced trial drew an object in R^N")
+
+        for module, name in ((cones, "sample_projector"), (cones, "random_subspace"),
+                             (projections, "_haar_columns"), (cones, "_complement_frames")):
+            monkeypatch.setattr(module, name, ambient)
+        rep = verify_tangential_guarantee(N, M, K, 0.01, 100, 3, seed=1)
+        assert rep.params["sampler"] == "reduced"
+        assert rep.violation_fraction == 0.0
+
+    @pytest.mark.parametrize("N, M, K", [(15, 12, 4), (16, 14, 4), (20, 17, 4)])
+    def test_tangential_reduced_trials_match_ambient_law_beyond_zero_invisible_dof(self, N, M, K):
+        # worst_dist_y has an atom at sqrt(N/M) - 1 (singular values exactly
+        # 1), which rounding noise would split: compare both laws at 1e-9
+        run = lambda **kw: verify_tangential_guarantee(N, M, K, 0.01, 50, 400, **kw)
+        fast, slow = run(seed=3), run(seed=4, sampler="ambient")
+        assert fast.params["sampler"] == "reduced"
+        for name in ("dist_x", "worst_dist_y"):
+            a, b = (np.round(getattr(rep, name), 9) for rep in (fast, slow))
+            assert scipy.stats.ks_2samp(a, b).pvalue > 0.01
+
+    def test_tangential_exact_mode(self):
+        N, M, K = 1000, 100, 5
+        reps = {s: verify_tangential_guarantee(N, M, K, s, 1000, 10, seed=11, mode="exact")
+                for s in (0.0005, 0.002, 0.005)}
+        for s, rep in reps.items():
+            assert rep.violation_fraction == 0.0
+            for t in range(rep.n_trials):
+                assert rep.g_value[t] == _g_tangential_exact_raw(rep.worst_dist_y[t], s, N, M)
+                assert g_tangential(rep.eps_x[t], s, N, M, mode="exact") == pytest.approx(rep.dist_x[t], abs=1e-10)
+        means = [reps[s].margins.mean() for s in (0.0005, 0.002, 0.005)]
+        assert means[0] < means[1] < means[2]
 
     def test_reduced_reports_independent_of_blas_threads(self):
         # each setting acts on a child process only
@@ -474,11 +502,12 @@ class TestVerifiers:
         assert np.array_equal(a.dist_x, b.dist_x)
 
     def test_csv_columns(self, tmp_path):
-        rep = verify_tangential_guarantee(100, 20, 3, 0.01, 100, 4, seed=1)
-        path = tmp_path / "report.csv"
-        rep.to_csv(path)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
+        params = {"N": 100, "M": 20, "K": 3, "chordal_sin_theta": [], "tangential_sin_theta": [0.01],
+                  "n_trials": 4, "tangential_boundary": 100}
+        assert run_config(RunConfig(command="verify-cones", params=params, master_seed=1, out_dir=str(tmp_path))) == 0
+        rep = verify_tangential_guarantee(100, 20, 3, 0.01, 100, 4, seed=derive_seed(1, ["tangential", "0.01"]))
+        with open(tmp_path / "tangential_0.01.csv") as fh:
+            rows = list(csv.reader(line for line in fh if not line.startswith("#")))
         assert rows[0] == ["trial", "dist_x", "worst_dist_y", "g_value", "eps_x", "violated"]
         assert len(rows) == 5
         assert float(rows[1][1]) == rep.dist_x[0]  # 17 significant digits round-trip

@@ -267,6 +267,32 @@ class TestReplay:
         )
         assert run(rep) == 0
 
+    @pytest.mark.parametrize("command, params, tables", [
+        ("verify-cones",
+         {"N": 120, "M": 12, "K": 3, "chordal_sin_theta": [0.01], "tangential_sin_theta": [0.01],
+          "n_trials": 4, "chordal_boundary": 200, "tangential_boundary": 100},
+         ["chordal_0.01", "cone_summary", "tangential_0.01"]),
+        ("mstar",
+         {"K": 1, "N": 150, "lnV": 1.0, "grid_per_axis": 48, "eps_target": 0.45, "delta": 0.1,
+          "M_grid": [6, 12, 24, 48], "n_proj": 20},
+         ["mstar", "mstar_curve"]),
+    ])
+    def test_replay_matches_json_tables(self, tmp_path, command, params, tables):
+        src = tmp_path / "orig"
+        cfg = RunConfig(command=command, params=params, master_seed=4, out_dir=str(src), format="json")
+        assert run(cfg) == 0
+        manifest = json.loads((src / "run_manifest.json").read_text())
+        assert manifest["artifacts"] == [t + ".json" for t in tables]
+        assert not list(src.glob("*.csv"))
+        for name in manifest["artifacts"]:
+            payload = json.loads((src / name).read_text())
+            assert payload["config"] == {"command": command, "params": params, "format": "json"}
+        rep = RunConfig(command="replay", params={"manifest": str(src / "run_manifest.json")},
+                        out_dir=str(tmp_path / "check"), format="json")
+        assert run(rep) == 0
+        diff = json.loads((tmp_path / "check" / "replay_diff.json").read_text())
+        assert diff["artifact"] == manifest["artifacts"] and diff["identical"] == [1] * len(tables)
+
     def test_replay_detects_tampering(self, tmp_path):
         src = tmp_path / "orig"
         cfg = RunConfig(command="bounds", params={}, master_seed=9, out_dir=str(src))
