@@ -155,7 +155,7 @@ def _manifest(cfg: RunConfig, artifacts: list[str], started: float) -> dict:
         "master_seed": cfg.master_seed,
         "version": __version__,
         "numpy_version": np.__version__,
-        "wall_time_s": time.time() - started,
+        "wall_time_s": time.perf_counter() - started,
     }
 
 
@@ -318,7 +318,7 @@ def run(config: RunConfig) -> int:
     on error a machine-readable record goes to stderr and the status is
     nonzero, with no partial manifest left behind.
     """
-    started = time.time()
+    started = time.perf_counter()
     out = Path(config.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)

@@ -250,23 +250,43 @@ _BLOCK = 128
 _PAIR_CHUNK = 1 << 20
 
 
-def _block_sq_dists(Zi: np.ndarray, Zj: np.ndarray, zsq_i: np.ndarray, zsq_j: np.ndarray) -> np.ndarray:
-    """Squared distances between two blocks of rows, from one Gram product."""
-    out = np.add.outer(zsq_i, zsq_j)
-    gram = Zi @ Zj.T
-    gram *= 2.0
+def _sq_operands(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Half squared norms h = |z|^2 / 2 of the rows of Z, as the P x 2 rows
+    [h_i, 1] and the 2 x P columns [1, h_j] (``trail[1]`` is h itself).
+
+    A block of their product is h_i + h_j written by BLAS: each entry is a
+    dot product of two exact terms, so it is rounded once, to fl(h_i + h_j),
+    in any summation order and with or without fused multiply-adds.
+    """
+    h = 0.5 * np.einsum("ij,ij->i", Z, Z)
+    ones = np.ones_like(h)
+    return np.stack((h, ones), axis=1), np.stack((ones, h))
+
+
+def _view(buf: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Contiguous ``shape`` view of the start of a flat buffer."""
+    return buf[: shape[0] * shape[1]].reshape(shape)
+
+
+def _block_half_sq(
+    Z: np.ndarray, lead: np.ndarray, trail: np.ndarray, rows: slice, cols: slice, out: np.ndarray, gram: np.ndarray
+) -> np.ndarray:
+    """Half squared distances (h_i + h_j) - z_i.z_j between the ``rows`` and
+    the ``cols`` of Z, written into ``out``; ``gram`` is a work buffer of its shape."""
+    np.matmul(lead[rows], trail[:, cols], out=out)
+    np.matmul(Z[rows], Z[cols].T, out=gram)
     out -= gram
     return out
 
 
-def _pair_sq_dists(Z: np.ndarray, zsq: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-    """Squared distances of the pairs (ii[k], jj[k]), gathering at most
+def _pair_half_sq(Z: np.ndarray, h: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+    """Half squared distances of the pairs (ii[k], jj[k]), gathering at most
     ``_GATHER_BYTES`` of each operand at a time."""
-    out = zsq[ii] + zsq[jj]
+    out = h[ii] + h[jj]
     step = max(1, _GATHER_BYTES // (8 * Z.shape[1]))
     for s in range(0, len(ii), step):
         t = slice(s, s + step)
-        out[t] -= 2.0 * np.einsum("ij,ij->i", Z[ii[t]], Z[jj[t]])
+        out[t] -= np.einsum("ij,ij->i", Z[ii[t]], Z[jj[t]])
     return out
 
 
@@ -297,7 +317,14 @@ def _duplicate_groups(X: np.ndarray) -> np.ndarray | None:
 
 
 def _chord_blocks(X: np.ndarray, policy: PairPolicy, block: int):
-    """Ambient squared chord lengths of the pairs a policy visits, by block.
+    """Ambient squared chord lengths of the pairs a policy visits, by block,
+    at half scale: d / 2 = (h_i + h_j) - x_i.x_j with h = |x|^2 / 2.
+
+    Halving commutes with rounding (for squared norms that are not
+    subnormal), so each half-scale length is the full-scale
+    |x_i|^2 + |x_j|^2 - 2 x_i.x_j times 1/2 bit for bit, and the ratio of a
+    projected to an ambient length, both at half scale, is the full-scale
+    ratio bit for bit.
 
     All pairs: ``(i0, j0, da, drop)`` for each block pair with j0 >= i0,
     where ``da`` is the full block and ``drop`` marks its entries that are
@@ -310,14 +337,16 @@ def _chord_blocks(X: np.ndarray, policy: PairPolicy, block: int):
     with the same chords removed.
     """
     P = X.shape[0]
-    xsq = np.einsum("ij,ij->i", X, X)
+    lead, trail = _sq_operands(X)
     group = _duplicate_groups(X)
     if policy.kind == "all":
+        gram = np.empty(min(block, P) ** 2)
         for i0 in range(0, P, block):
             rows = slice(i0, min(i0 + block, P))
             for j0 in range(i0, P, block):
                 cols = slice(j0, min(j0 + block, P))
-                da = _block_sq_dists(X[rows], X[cols], xsq[rows], xsq[cols])
+                shape = (rows.stop - i0, cols.stop - j0)
+                da = _block_half_sq(X, lead, trail, rows, cols, np.empty(shape), _view(gram, shape))
                 drop = ~(da > 0.0)
                 if group is not None:
                     drop |= group[rows, None] == group[None, cols]
@@ -334,7 +363,7 @@ def _chord_blocks(X: np.ndarray, policy: PairPolicy, block: int):
             ii = rng.integers(0, P, size=m)
             jj = rng.integers(0, P - 1, size=m)
             jj = np.where(jj >= ii, jj + 1, jj)  # uniform over ordered pairs with i != j
-            da = _pair_sq_dists(X, xsq, ii, jj)
+            da = _pair_half_sq(X, trail[1], ii, jj)
             ok = da > 0.0
             if group is not None:
                 ok &= group[ii] != group[jj]
@@ -351,6 +380,8 @@ def _as_points(points) -> np.ndarray:
         raise ValueError(f"points must be a (P, N) array, got shape {X.shape}")
     if X.shape[0] < 2:
         raise ValueError("need at least 2 points")
+    if not np.isfinite(X).all():
+        raise ValueError("points must be finite")
     return X
 
 
@@ -360,6 +391,9 @@ def _images(X: np.ndarray, A: Projector) -> np.ndarray:
     return X @ A.rows.T
 
 
+_NO_CHORDS = "no chord of positive length to scan"
+
+
 def _scan(Y: np.ndarray, N: int, M_grid, policy: PairPolicy, blocks) -> list[DistortionSummary]:
     """Worst chord distortion under each nested projection over the blocks
     of ``_chord_blocks``: ``Y[:, :M]`` are the images of the points under
@@ -367,35 +401,52 @@ def _scan(Y: np.ndarray, N: int, M_grid, policy: PairPolicy, blocks) -> list[Dis
     of the ascending ``M_grid``.
 
     Per block the projected squared lengths are added up segment by segment
-    over the columns [M_{k-1}, M_k), and at each M only the smallest and
-    largest ratio r of projected to ambient squared length are found, while
-    the block is still in cache.  Rounded products, square roots and
-    differences are monotone, so max(|sqrt(s lo) - 1|, |sqrt(s hi) - 1|)
-    equals the largest |sqrt(s r) - 1| over the block bit for bit.  With
-    one segment this is the plain scan of one projector.
+    over the columns [M_{k-1}, M_k), at half scale like the ambient ones
+    (see ``_chord_blocks``), so each sum and ratio is the full-scale one bit
+    for bit.  At each M only the smallest and largest ratio r of projected
+    to ambient squared length are found, while the block is still in cache.
+    Rounded products, square roots and differences are monotone, so
+    max(|sqrt(s lo) - 1|, |sqrt(s hi) - 1|) equals the largest
+    |sqrt(s r) - 1| over the block bit for bit.  A computed projected
+    length can be negative; clipping r at 0 is monotone too, so it is
+    applied to the two extremes only, which gives the value of clipping
+    every entry (among tied entries clipped to 0 the pair reported may
+    differ).  With one segment this is the plain scan of one projector.
+
+    A block takes three reused buffers of its size (the running sum, the
+    segment's lengths, and the Gram product, then the ratios), so the pass
+    allocates no block-sized array.  The buffers belong to the call: one
+    :class:`ChordScan` serves concurrent scans.
     """
     edges = (0, *M_grid)
     segs = [np.ascontiguousarray(Y[:, m0:m1]) for m0, m1 in zip(edges, edges[1:])]
-    sqs = [np.einsum("ij,ij->i", seg, seg) for seg in segs]
+    ops = [_sq_operands(seg) for seg in segs]
+    bufs = np.empty((3, 0))
     best, best_pair, n_eval = [-1.0] * len(segs), [(-1, -1)] * len(segs), 0
     for item in blocks:
         if policy.kind == "all":
             i0, j0, da, drop = item
             rows, cols = slice(i0, i0 + da.shape[0]), slice(j0, j0 + da.shape[1])
-            parts = (_block_sq_dists(seg[rows], seg[cols], sq[rows], sq[cols]) for seg, sq in zip(segs, sqs))
+            if bufs.shape[1] < da.size:
+                bufs = np.empty((3, da.size))
+            proj, part, ratio = (_view(buf, da.shape) for buf in bufs)
         else:
             ii, jj, da = item
             drop = None
-            parts = (_pair_sq_dists(seg, sq, ii, jj) for seg, sq in zip(segs, sqs))
         n_eval += da.size - (0 if drop is None else int(np.count_nonzero(drop)))
-        proj = None
-        for m, part in enumerate(parts):
-            if proj is None:
-                proj = part
+        for m, (seg, (lead, trail)) in enumerate(zip(segs, ops)):
+            if policy.kind == "all":  # ratio holds the Gram block until the division
+                _block_half_sq(seg, lead, trail, rows, cols, part if m else proj, ratio)
+                if m:
+                    proj += part
+                np.divide(proj, da, out=ratio)
             else:
-                proj += part
-            ratio = np.maximum(proj, 0.0)
-            ratio /= da
+                part = _pair_half_sq(seg, trail[1], ii, jj)
+                if m:
+                    proj += part
+                else:
+                    proj = part
+                ratio = proj / da
             if drop is None:
                 lo, hi = int(ratio.argmin()), int(ratio.argmax())
             else:  # dropped entries can be neither extreme
@@ -405,13 +456,15 @@ def _scan(Y: np.ndarray, N: int, M_grid, policy: PairPolicy, blocks) -> list[Dis
                 hi = int(ratio.argmax())
             scale = N / M_grid[m]
             for k in (hi, lo):
-                d = abs(math.sqrt(scale * float(ratio.flat[k])) - 1.0)
+                d = abs(math.sqrt(scale * max(float(ratio.flat[k]), 0.0)) - 1.0)
                 if d > best[m]:
                     best[m] = d
                     if policy.kind == "all":
                         best_pair[m] = (i0 + k // da.shape[1], j0 + k % da.shape[1])
                     else:
                         best_pair[m] = (int(ii[k]), int(jj[k]))
+    if n_eval == 0:
+        raise ValueError(_NO_CHORDS)
     return [
         DistortionSummary(max=d, argmax=pair, n_evaluated=n_eval, policy=policy)
         for d, pair in zip(best, best_pair)
@@ -427,13 +480,18 @@ class ChordScan:
     (subsample).  Each :meth:`summary` then pays only for its projector's
     Gram blocks, and agrees bit for bit with :func:`pointset_distortion`
     on the same policy and block size; :meth:`nested` scans every leading
-    block of rows of one projector in the same pass.
+    block of rows of one projector in the same pass.  The cached blocks are
+    only read, so one scan serves concurrent calls.
+
+    Raises ValueError if the points have no chord of positive length.
     """
 
     def __init__(self, points: np.ndarray, pair_policy: PairPolicy | None = None, block: int = _BLOCK):
         self.points = _as_points(points)
         self.policy = pair_policy or PairPolicy.all()
         self._blocks = list(_chord_blocks(self.points, self.policy, block))
+        if not self._blocks:
+            raise ValueError(_NO_CHORDS)
 
     def summary(self, A: Projector) -> DistortionSummary:
         """Worst chord distortion under A, with the pair it came from."""
@@ -443,14 +501,15 @@ class ChordScan:
         """Worst chord distortion under the first M rows of one projection,
         for every M of the strictly ascending ``M_grid``.
 
-        ``images`` (P x M_max, at least) holds the points under the rows of
-        a row-orthonormal projection of R^N, so column m is the m-th
+        ``images`` (P x M_max, at least, finite) holds the points under the
+        rows of a row-orthonormal projection of R^N, so column m is the m-th
         coordinate of every image: ``points @ A.rows.T`` for a
         :class:`Projector` A, or any map with the same inner products.
         Entry k of the result equals :meth:`summary` of ``A.rows[:M_k]``
         up to rounding of the per-segment sums.
         """
         M_grid = tuple(int(m) for m in M_grid)
+        images = np.asarray(images, dtype=float)
         if images.ndim != 2 or images.shape[0] != len(self.points):
             raise ValueError(f"images must have {len(self.points)} rows, got shape {images.shape}")
         if not M_grid or M_grid[0] < 1 or any(b <= a for a, b in zip(M_grid, M_grid[1:])):
@@ -458,6 +517,8 @@ class ChordScan:
         limit = min(N, images.shape[1])
         if M_grid[-1] > limit:
             raise ValueError(f"need M <= min(N, images columns) = {limit}, got {M_grid[-1]}")
+        if not np.isfinite(images[:, : M_grid[-1]]).all():
+            raise ValueError("images must be finite")
         return _scan(images, N, M_grid, self.policy, self._blocks)
 
 
@@ -472,7 +533,8 @@ def pointset_distortion(
     The one-projector form of :class:`ChordScan`: the same blocks, streamed
     instead of cached.  Squared chord lengths come from block Gram products,
     so the cost is O(P^2 (N + M)) time and O(block^2 + block (N + M))
-    memory.  Zero-length chords (coincident points) are skipped.
+    memory.  Zero-length chords (coincident points) are skipped; ValueError
+    if no chord of positive length is left.
     """
     X = _as_points(points)
     policy = pair_policy or PairPolicy.all()

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -243,21 +244,33 @@ class TestPointsetDistortion:
 def elementwise_worst(A, X, block):
     """Largest |sqrt(s r) - 1| over every scanned pair, one pair at a time,
     on the scan's block layout."""
-    scale = A.N / A.M
-    Y = X @ A.rows.T
-    xsq, ysq = (np.einsum("ij,ij->i", Z, Z) for Z in (X, Y))
-    best = -1.0
+    return nested_elementwise_worst(X, X @ A.rows.T, A.N, (A.M,), block)[0]
+
+
+def nested_elementwise_worst(X, Y, N, M_grid, block):
+    """Largest |sqrt(s r) - 1| over every scanned pair at each M of the
+    nested grid, one pair at a time, on the scan's block layout: full-scale
+    squared lengths |z_i|^2 + |z_j|^2 - 2 z_i.z_j, the projected ones summed
+    one column segment [M_{k-1}, M_k) of Y at a time, each ratio clipped at
+    0, and pairs of identical points skipped."""
+    edges = (0, *M_grid)
+    segs = [np.ascontiguousarray(Y[:, a:b]) for a, b in zip(edges, edges[1:])]
+    xsq = np.einsum("ij,ij->i", X, X)
+    sqs = [np.einsum("ij,ij->i", seg, seg) for seg in segs]
+    best = [-1.0] * len(M_grid)
     for i0 in range(0, len(X), block):
         for j0 in range(i0, len(X), block):
             r, c = slice(i0, i0 + block), slice(j0, j0 + block)
             da = xsq[r, None] + xsq[None, c] - 2.0 * (X[r] @ X[c].T)
-            dp = ysq[r, None] + ysq[None, c] - 2.0 * (Y[r] @ Y[c].T)
-            keep = da > 0.0
+            keep = (da > 0.0) & ~np.all(X[r, None] == X[None, c], axis=2)
             if i0 == j0:
                 keep &= np.triu(np.ones_like(keep), k=1)
-            if keep.any():
-                d = np.abs(np.sqrt(scale * (np.maximum(dp[keep], 0.0) / da[keep])) - 1.0)
-                best = max(best, float(d.max()))
+            dp = 0.0
+            for m, (seg, sq) in enumerate(zip(segs, sqs)):
+                dp = dp + (sq[r, None] + sq[None, c] - 2.0 * (seg[r] @ seg[c].T))
+                if keep.any():
+                    d = np.abs(np.sqrt(N / M_grid[m] * (np.maximum(dp[keep], 0.0) / da[keep])) - 1.0)
+                    best[m] = max(best[m], float(d.max()))
     return best
 
 
@@ -315,6 +328,96 @@ class TestChordScan:
                     assert g.max == pytest.approx(ref.max, rel=0, abs=1e-12)
                     assert g.n_evaluated == ref.n_evaluated
                 assert got[0] == scan.nested(Y[:, :3], 40, (3,))[0]
+
+    def test_nested_equals_elementwise_max_at_every_M(self):
+        # 150 points in blocks of 16 (the last is ragged), a duplicated
+        # point, exactly zero chords, and width-1 column segments; the
+        # chords among points 59-62 have coinciding images, so their computed
+        # projected lengths are rounding noise of either sign, clipped at 0
+        rng = np.random.default_rng(15)
+        X = np.cumsum(rng.standard_normal((150, 40)), axis=0)
+        X[[5, 6, 20]] = 0.0
+        X[40] = X[30]
+        scan = ChordScan(X, block=16)
+        for M_grid in ((1, 2, 7, 30), (3, 8, 19), (40,)):
+            for seed in range(3):
+                Y = X @ sample_projector(40, M_grid[-1], seed).rows.T
+                Y[[60, 61, 62]] = Y[59]
+                got = scan.nested(Y, 40, M_grid)
+                assert [g.max for g in got] == nested_elementwise_worst(X, Y, 40, M_grid, 16)
+                assert all(g.n_evaluated == 150 * 149 // 2 - 4 for g in got)
+
+    def test_chord_orthogonal_to_rows_has_distortion_one(self):
+        # integer coordinates make every length exact: the chord (0, 1) lies
+        # beyond the first 30 coordinates, so its projected length is 0 at
+        # every M, and no other chord reaches distortion 1 while N / M < 4
+        rng = np.random.default_rng(16)
+        X = rng.integers(-8, 9, size=(60, 40)).astype(float)
+        X[1] = X[0]
+        X[1, 35] += 1.0
+        M_grid = (12, 20, 30)
+        Y = X[:, :30]
+        got = ChordScan(X, block=16).nested(Y, 40, M_grid)
+        assert [g.max for g in got] == [1.0] * 3 == nested_elementwise_worst(X, Y, 40, M_grid, 16)
+        assert all(g.argmax == (0, 1) for g in got)
+
+    def test_concurrent_nested_calls_match_serial(self):
+        # every call scans in buffers of its own, so two threads on one scan
+        # get the serial results
+        rng = np.random.default_rng(17)
+        X = np.cumsum(rng.standard_normal((300, 30)), axis=0)
+        scan = ChordScan(X, block=32)
+        images = [X @ sample_projector(30, 20, seed).rows.T for seed in range(2)]
+        M_grid = (4, 9, 20)
+        serial = [scan.nested(Y, 30, M_grid) for Y in images]
+        results = [None, None]
+        barrier = threading.Barrier(2, timeout=60)
+
+        def work(t):
+            barrier.wait()
+            results[t] = [scan.nested(images[t], 30, M_grid) for _ in range(5)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(2)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for t in range(2):
+            assert results[t] == [serial[t]] * 5
+
+    def test_empty_scan_raises(self):
+        A = sample_projector(10, 2, 1)
+        for policy in (PairPolicy.all(), PairPolicy.subsample(50, seed=1)):
+            with pytest.raises(ValueError, match="no chord"):
+                pointset_distortion(A, np.ones((5, 10)), policy)
+            with pytest.raises(ValueError, match="no chord"):
+                ChordScan(np.ones((5, 10)), policy)
+
+    def test_rejects_non_finite(self):
+        rng = np.random.default_rng(18)
+        X = rng.standard_normal((40, 10))
+        A = sample_projector(10, 3, 1)
+        for bad in (np.nan, np.inf):
+            Xb = X.copy()
+            Xb[7, 2] = bad
+            with pytest.raises(ValueError, match="finite"):
+                pointset_distortion(A, Xb)
+            with pytest.raises(ValueError, match="finite"):
+                ChordScan(Xb)
+        scan = ChordScan(X)
+        Y = X @ A.rows.T
+        Yb = Y.copy()
+        Yb[3, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            scan.nested(Yb, 10, (1, 3))
+        # images need only be array-like
+        assert scan.nested(Y.tolist(), 10, (1, 3)) == scan.nested(Y, 10, (1, 3))
 
     def test_checks_points(self):
         with pytest.raises(ValueError):
