@@ -20,9 +20,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from scipy.optimize import brentq
-from scipy.special import gammaln
-
 __all__ = [
     "BoundQuery",
     "BoundValue",
@@ -199,7 +196,7 @@ def delta_long(eps: float, M: int, K: int, N: int, lnV: float) -> BoundValue:
         + lnV
         + K * math.log(N * M * eps * eps / K)
         + c.C0
-        - float(gammaln(K / 2.0))
+        - math.lgamma(K / 2.0)
     )
     applicable = (mu > 16.0) and (N >= _N_OVER_M_MIN * M)
     return BoundValue(log=log_p, applicable=applicable)
@@ -379,9 +376,10 @@ class CrossoverResult:
 
     ``closed_form`` evaluates the printed expression
     ``3.5e27 K^{3/2} eps^{-11} (V/delta)^{3/K}`` (which drops subleading
-    terms); ``numeric`` locates the root of
-    ``m_star_bound(N) - nv_underestimate`` in N, and ``found`` records
-    whether a root exists in the searched range.
+    terms); ``numeric`` is the exact root in N of
+    ``m_star_bound(N) - nv_underestimate``, a gap affine in ln N with slope
+    16 K / eps^2, and ``found`` records whether ln N lies in [0, 400]
+    (``numeric`` is NaN otherwise).
     """
 
     closed_form: float
@@ -392,14 +390,9 @@ class CrossoverResult:
 def crossover_N(eps: float, delta: float, K: int, lnV: float) -> CrossoverResult:
     closed = 3.5e27 * K**1.5 * eps**-11.0 * math.exp((lnV - math.log(delta)) * 3.0 / K)
     nv = nv_underestimate(eps, delta, K, lnV)
-
-    def gap(ln_n: float) -> float:
-        return m_star_bound(eps, delta, K, math.exp(ln_n), lnV, rounded=False) - nv
-
-    lo, hi = 0.0, 400.0
-    if gap(lo) * gap(hi) > 0:
+    ln_root = (nv - m_star_bound(eps, delta, K, 1, lnV, rounded=False)) * eps * eps / (16.0 * K)
+    if not 0.0 <= ln_root <= 400.0:
         return CrossoverResult(closed_form=closed, numeric=math.nan, found=False)
-    ln_root = brentq(gap, lo, hi, xtol=1e-12, rtol=1e-14)
     return CrossoverResult(closed_form=closed, numeric=math.exp(ln_root), found=True)
 
 

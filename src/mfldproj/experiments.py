@@ -468,15 +468,19 @@ def _fig6(p: dict, seed: int, vary: str) -> FigureTable:
     for K, lnV, N in points:
         grid = p["grid_per_axis"][K] if isinstance(p["grid_per_axis"], dict) else p["grid_per_axis"]
         spec = spec_for_volume(K, N, lnV, grid)
+        where = f"{kind} point K={K}, lnV={lnV:.6g}, N={N}: "
         try:
             M_grid = _check_m_star_inputs(N, eps, delta, [m for m in p["M_grid"] if m <= N], int(p["n_proj"]))
         except ValueError as exc:
-            raise ValueError(f"{kind} point K={K}, N={N}: {exc}") from None
-        jobs.append((K, lnV, N, spec, M_grid))
-    for K, lnV, N, spec, M_grid in jobs:
-        res = m_star_empirical(
-            spec, eps, delta, M_grid, int(p["n_proj"]), derive_seed(seed, ["fig6", K, f"{lnV:.6f}", N])
-        )
+            raise ValueError(where + str(exc)) from None
+        jobs.append((K, lnV, N, spec, M_grid, where))
+    for K, lnV, N, spec, M_grid, where in jobs:
+        try:
+            res = m_star_empirical(
+                spec, eps, delta, M_grid, int(p["n_proj"]), derive_seed(seed, ["fig6", K, f"{lnV:.6f}", N])
+            )
+        except Unachievable as exc:
+            raise Unachievable(where + str(exc)) from None
         rows["K"].append(K)
         rows["lnV"].append(lnV)
         rows["N"].append(N)

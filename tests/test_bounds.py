@@ -174,6 +174,19 @@ class TestDeltaLong:
         logs = [delta_long(0.2, M, 4, 1000, 4.0).log for M in (5000, 10000, 20000)]
         assert np.all(np.diff(logs) < 0)
 
+    @pytest.mark.parametrize("K", [1, 3, 5])
+    def test_log_gamma_at_odd_K(self, K):
+        # ln Gamma(K/2) at half-integers, where it is not a log factorial
+        c = theory_constants()
+        oracle = float(
+            -mp.mpf(2000) * mp.mpf(0.2) ** 2 / 4
+            + 1
+            + K * mp.log(1000 * 2000 * mp.mpf(0.2) ** 2 / K)
+            + mp.mpf(c.C0)
+            - mp.loggamma(mp.mpf(K) / 2)
+        )
+        assert delta_long(0.2, 2000, K, 1000, 1.0).log == pytest.approx(oracle, rel=1e-13)
+
     def test_flags(self):
         assert delta_long(0.2, 10000, 4, 100000, 4.0).applicable  # mu=100, N>>M
         assert not delta_long(0.2, 1000, 4, 100000, 4.0).applicable  # mu=10 <= 16
@@ -347,6 +360,14 @@ def _nv_oracle(eps, delta, K, lnV):
     )
 
 
+def _affine_root_oracle(eps, delta, K, lnV):
+    """ln N where m_star_bound(N) = nv_underestimate, in mpmath at the float inputs."""
+    nv = mp.mpf(_nv_oracle(eps, delta, K, lnV))
+    e, d, lnV = mp.mpf(eps), mp.mpf(delta), mp.mpf(lnV)
+    m_at_1 = 16 * (lnV + mp.log(1 / d) + K * mp.log(9 * mp.sqrt(3) * mp.e / (e * mp.sqrt(K)))) / e**2
+    return (nv - m_at_1) * e**2 / (16 * K)
+
+
 class TestPriorTheoryBounds:
     def test_bw_frozen(self):
         got = bw_underestimate(0.2, 0.05, 1, 1000, LNV_FIG6)
@@ -405,6 +426,26 @@ class TestCrossover:
         assert res.found
         assert res.numeric == pytest.approx(math.exp(ln_n), rel=1e-6)
         assert res.numeric == pytest.approx(2.6365777880715853e40, rel=1e-6)
+
+    @pytest.mark.parametrize("K", [1, 2, 4, 8])
+    def test_numeric_is_exact_affine_root(self, K):
+        eps, delta, lnV = 0.2, 0.05, LNV_FIG6 * K
+        ln_n = _affine_root_oracle(eps, delta, K, lnV)
+        res = crossover_N(eps, delta, K, lnV)
+        assert res.found
+        assert res.numeric == pytest.approx(float(mp.exp(ln_n)), rel=1e-12)
+
+    @pytest.mark.parametrize("edge", [0, 400])
+    def test_found_iff_root_in_search_range(self, edge):
+        # ln N* rises by 3/K per unit of lnV; place it just inside and just
+        # outside each end of [0, 400]
+        eps, delta, K = 0.2, 0.05, 1
+        base = _affine_root_oracle(eps, delta, K, 0.0)
+        for shift, inside in ((-1e-6, edge == 400), (1e-6, edge == 0)):
+            lnV = float((edge + shift - base) * K / 3)
+            res = crossover_N(eps, delta, K, lnV)
+            assert res.found == inside
+            assert math.isnan(res.numeric) != inside
 
     def test_closed_vs_numeric_agreement(self):
         # the printed closed form drops subleading terms; at K=1 it sits a

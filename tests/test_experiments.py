@@ -418,6 +418,12 @@ class TestFigureData:
         )
         assert t.columns["m_star_emp"][0] > 0
 
+    def test_fig6_unachievable_names_point(self):
+        params = {"N_values": (150,), "M_grid": (8, 16), "n_proj": 20, "grid_per_axis": {1: 64},
+                  "eps_target": 1e-3}
+        with pytest.raises(Unachievable, match=r"^fig6b point K=1, lnV=1\.55\d*, N=150: quantile"):
+            figure_data("fig6b", params, seed=2)
+
     def test_fig6b_default_volume_convention(self):
         t = figure_data(
             "fig6b",
