@@ -359,7 +359,7 @@ def _merge_params(kind: str, params: dict | None) -> dict:
     return merged
 
 
-def figure_data(kind: str, params: dict | None = None, seed: int = 0) -> FigureTable:
+def figure_data(kind: str, params: dict | None = None, seed: int = 0, threads: int = 1) -> FigureTable:
     """Empirical-versus-theory tables behind the headline figures.
 
     fig4: random curve (K=1), chord lengths and signed tangent cosines
@@ -369,6 +369,9 @@ def figure_data(kind: str, params: dict | None = None, seed: int = 0) -> FigureT
     fig6a: empirical and analytic projection counts while varying the
     volume ratio at fixed N.
     fig6b: the same while varying N at fixed volume per dimension.
+
+    ``threads`` is passed to :func:`m_star_empirical` for fig6a and fig6b;
+    the tables are identical for any thread count.
     """
     p = _merge_params(kind, params)
     if kind == "fig4":
@@ -376,8 +379,8 @@ def figure_data(kind: str, params: dict | None = None, seed: int = 0) -> FigureT
     if kind == "fig5":
         return _fig5(p, seed)
     if kind == "fig6a":
-        return _fig6(p, seed, vary="lnV")
-    return _fig6(p, seed, vary="N")
+        return _fig6(p, seed, vary="lnV", threads=threads)
+    return _fig6(p, seed, vary="N", threads=threads)
 
 
 def _fig4(p: dict, seed: int) -> FigureTable:
@@ -445,7 +448,7 @@ def _fig5(p: dict, seed: int) -> FigureTable:
     )
 
 
-def _fig6(p: dict, seed: int, vary: str) -> FigureTable:
+def _fig6(p: dict, seed: int, vary: str, threads: int) -> FigureTable:
     kind = "fig6a" if vary == "lnV" else "fig6b"
     eps, delta = float(p["eps_target"]), float(p["delta"])
     rows = {
@@ -477,7 +480,8 @@ def _fig6(p: dict, seed: int, vary: str) -> FigureTable:
     for K, lnV, N, spec, M_grid, where in jobs:
         try:
             res = m_star_empirical(
-                spec, eps, delta, M_grid, int(p["n_proj"]), derive_seed(seed, ["fig6", K, f"{lnV:.6f}", N])
+                spec, eps, delta, M_grid, int(p["n_proj"]), derive_seed(seed, ["fig6", K, f"{lnV:.6f}", N]),
+                threads=threads,
             )
         except Unachievable as exc:
             raise Unachievable(where + str(exc)) from None

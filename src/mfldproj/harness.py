@@ -252,7 +252,7 @@ def _run_bounds(cfg: RunConfig, out: Path) -> list[str]:
 
 def _run_figure(cfg: RunConfig, out: Path) -> list[str]:
     kind = cfg.params.get("kind")
-    table = experiments.figure_data(kind, cfg.params.get("params"), seed=cfg.master_seed)
+    table = experiments.figure_data(kind, cfg.params.get("params"), seed=cfg.master_seed, threads=cfg.threads)
     return [_write_table(out, table.kind, table.columns, cfg)]
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -249,6 +250,24 @@ _BLOCK = 128
 # pairs: 11 s in chunks of 2^14 pairs against 2 s in chunks of 2^20).
 _PAIR_CHUNK = 1 << 20
 
+# Unit roundoff of float32, and the smallest normal float32: no float32
+# operation whose result underflows is off by more than it.
+_U32 = 2.0**-24
+_TINY32 = 2.0**-126
+
+# A block is screened in float32 when float32 rounding of its longest half
+# squared norms is below this fraction of its shortest half squared chord.
+_SCREEN_COND = 1e-4
+
+# Relative margin of the screen's comparisons for float64 rounding of the
+# thresholds, of the widened extremes and of the distortions themselves.
+_F64_MARGIN = 1e-9
+
+# Columns of a screened run per float32 product: two float32 buffers of
+# this many columns by 128 rows take 1 MiB.  512 to 2048 columns scanned
+# `curve-4096` equally fast on a 2-core host with 2 MiB of L2 per core.
+_SCREEN_COLS = 1024
+
 
 def _sq_operands(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Half squared norms h = |z|^2 / 2 of the rows of Z, as the P x 2 rows
@@ -394,7 +413,146 @@ def _images(X: np.ndarray, A: Projector) -> np.ndarray:
 _NO_CHORDS = "no chord of positive length to scan"
 
 
-def _scan(Y: np.ndarray, N: int, M_grid, policy: PairPolicy, blocks) -> list[DistortionSummary]:
+class _Screened(NamedTuple):
+    """Consecutive all-pairs blocks of one block row, kept for the float32
+    screen of :func:`_scan`: the rows from i0 and the columns from j0.
+
+    ``rec`` holds 1 / da transposed, one row per column of the points, in
+    float32 (all normal numbers); block t spans its rows
+    ``bounds[t]:bounds[t + 1]`` and has ``max_rec[t]``, its largest 1 / da
+    in float64.  A block's float64 lengths da are recomputed from the
+    points only when the screen cannot rule the block out.
+    """
+
+    i0: int
+    j0: int
+    rec: np.ndarray
+    bounds: np.ndarray
+    max_rec: np.ndarray
+
+
+def _thresholds(best: list[float], N: int, M_grid) -> tuple[np.ndarray, np.ndarray]:
+    """Per M, the ratios r a float64 distortion above ``best`` needs to
+    exceed, or to fall below, narrowed by a relative ``_F64_MARGIN``."""
+    above, below = [], []
+    for b, M in zip(best, M_grid):
+        scale = N / M
+        above.append((1.0 + b) ** 2 / scale * (1.0 - _F64_MARGIN))
+        below.append((1.0 - b) ** 2 / scale * (1.0 + _F64_MARGIN) if b < 1.0 else -math.inf)
+    return np.array(above), np.array(below)
+
+
+class _Screen:
+    """Float32 pass of one projector's nested images over :class:`_Screened`
+    runs (see :func:`_scan`).  Its operands and buffers belong to one call.
+
+    Segment m of the images, of width w with h = |y|^2 / 2, has the float32
+    operand [y, h, 1] (P x (w + 2)), built when a run first reaches it.
+    Rows j of it times the rows i of [-y, 1, h] of a run's block row are the
+    segment's half squared lengths, laid out like ``rec``.
+    """
+
+    def __init__(self, segs: list[np.ndarray], ops: list[tuple[np.ndarray, np.ndarray]], M_grid):
+        self.segs, self.hs = segs, [trail[1] for _, trail in ops]
+        self.operands = [None] * len(segs)
+        self.H = np.cumsum(self.hs, axis=0)
+        self.kappa = np.array([4.0 * (M + 7 * (m + 1)) for m, M in enumerate(M_grid)])
+        self.bufs = np.empty((2, 0), np.float32)
+
+    def operand(self, m: int) -> np.ndarray:
+        """[y, h, 1] of segment m in float32."""
+        if self.operands[m] is None:
+            seg = self.segs[m]
+            w = seg.shape[1]
+            op = np.empty((len(seg), w + 2), np.float32)
+            with np.errstate(over="ignore"):  # a float32 overflow only keeps blocks in the float64 pass
+                op[:, :w], op[:, w], op[:, w + 1] = seg, self.hs[m], 1.0
+            self.operands[m] = op
+        return self.operands[m]
+
+    def ratios(self, run: _Screened, t0: int, t1: int):
+        """Per M, the float32 ratios of blocks t0..t1-1 of ``run``, laid out
+        like ``run.rec`` in a reused buffer."""
+        c0, c1 = run.bounds[t0], run.bounds[t1]
+        shape = (c1 - c0, run.rec.shape[1])
+        rows, cols = slice(run.i0, run.i0 + shape[1]), slice(run.j0 + c0, run.j0 + c1)
+        if self.bufs.shape[1] < shape[0] * shape[1]:
+            self.bufs = np.empty((2, shape[0] * shape[1]), np.float32)
+        total, ratio = (_view(buf, shape) for buf in self.bufs)
+        for m in range(len(self.operands)):
+            op = self.operand(m)
+            row_op = np.negative(op[rows])
+            row_op[:, -2], row_op[:, -1] = 1.0, op[rows, -2]
+            np.matmul(op[cols], row_op.T, out=ratio if m else total)
+            if m:
+                total += ratio
+            np.multiply(total, run.rec[c0:c1], out=ratio)
+            yield ratio
+
+    def slack(self, run: _Screened, t0: int, t1: int) -> np.ndarray:
+        """M by block, the part of the slack of :func:`_scan` that does not
+        depend on the ratios: kappa_M (u (H_i + H_j) + 2^-126) max 1 / da."""
+        c0, c1 = run.bounds[t0], run.bounds[t1]
+        rows, cols = slice(run.i0, run.i0 + run.rec.shape[1]), slice(run.j0 + c0, run.j0 + c1)
+        H = self.H[:, rows].max(axis=1)[:, None] + np.maximum.reduceat(self.H[:, cols], run.bounds[t0:t1] - c0, axis=1)
+        return self.kappa[:, None] * (_U32 * H + _TINY32) * run.max_rec[t0:t1]
+
+    def widened(self, run: _Screened, t0: int, t1: int, limits) -> tuple[np.ndarray, np.ndarray]:
+        """Upper and lower bounds, M by block, on the float64 ratios of
+        blocks t0..t1-1 of ``run``: the float32 extremes widened by the
+        slack of :func:`_scan`.  NaN after the first M at which ``limits``
+        (from :func:`_thresholds`) rule out none of the blocks, unwidened."""
+        above, below = limits
+        offs = (run.bounds[t0:t1] - run.bounds[t0]) * run.rec.shape[1]
+        hi, lo = np.full((2, len(above), t1 - t0), np.nan, np.float32)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for m, ratio in enumerate(self.ratios(run, t0, t1)):
+                flat = ratio.reshape(-1)
+                np.maximum.reduceat(flat, offs, out=hi[m])
+                np.minimum.reduceat(flat, offs, out=lo[m])
+                if not ((hi[m] <= above[m]) & (lo[m] >= below[m])).any():
+                    break
+            hi, lo = hi.astype(float), lo.astype(float)
+            slack = self.slack(run, t0, t1) + 8.0 * _U32 * np.maximum(np.abs(hi), np.abs(lo)) + _TINY32
+        return hi + slack, lo - slack
+
+    def unresolved(self, run: _Screened, N: int, M_grid, best: list[float], scanned: int):
+        """The blocks of ``run`` that the screen cannot rule out, in order,
+        as ``(i0, j0, shape)``.  ``best`` is read again after each block,
+        once the caller has scanned it; ``scanned`` counts the pairs the
+        scan went over before the run.
+
+        Up to ``_SCREEN_COLS`` columns are screened at a time, and only once
+        the scan has gone over at least as many pairs as they hold: before
+        that, the running worst rests on fewer pairs than they do, and they
+        usually hold a new worst at some M (at the criterion-6 point, with
+        512 points and 10 M, the first far run was ruled out for 2
+        projectors in 40)."""
+        per = max(1, _SCREEN_COLS // int(run.bounds[1] - run.bounds[0]))
+        for t0 in range(0, len(run.max_rec), per):
+            t1 = min(t0 + per, len(run.max_rec))
+            limits = _thresholds(best, N, M_grid)
+            pairs = int(run.bounds[t1] - run.bounds[t0]) * run.rec.shape[1]
+            if pairs > scanned:
+                up = down = np.full((len(M_grid), t1 - t0), np.nan)
+            else:
+                up, down = self.widened(run, t0, t1, limits)
+            scanned += pairs
+            t = t0
+            while t < t1:
+                above, below = limits
+                ruled_out = ((up[:, t - t0 :] <= above[:, None]) & (down[:, t - t0 :] >= below[:, None])).all(axis=0)
+                if ruled_out.all():
+                    break
+                t += int(np.argmin(ruled_out))
+                yield run.i0, run.j0 + int(run.bounds[t]), (run.rec.shape[1], int(run.bounds[t + 1] - run.bounds[t]))
+                limits = _thresholds(best, N, M_grid)
+                t += 1
+
+
+def _scan(
+    Y: np.ndarray, N: int, M_grid, policy: PairPolicy, blocks, ambient: tuple | None = None
+) -> list[DistortionSummary]:
     """Worst chord distortion under each nested projection over the blocks
     of ``_chord_blocks``: ``Y[:, :M]`` are the images of the points under
     the first M rows of one row-orthonormal projection of R^N, for every M
@@ -413,56 +571,124 @@ def _scan(Y: np.ndarray, N: int, M_grid, policy: PairPolicy, blocks) -> list[Dis
     every entry (among tied entries clipped to 0 the pair reported may
     differ).  With one segment this is the plain scan of one projector.
 
+    Runs of blocks that :class:`ChordScan` keeps as :class:`_Screened` go
+    through a float32 screen first.  A block whose float64 distortions are
+    all at most the running worst b at every M leaves the scan as it was
+    (ties do not replace the worst pair), and it needs none of its ratios
+    above (1 + b)^2 / s or, when b < 1, below (1 - b)^2 / s.  The screen
+    skips a block when its float32 extremes, widened by the slack below,
+    stay within both limits at every M.  Otherwise ``ambient`` =
+    (points, *_sq_operands(points)) recomputes the block's float64 lengths
+    with the call that cached them, and the float64 pass below runs on it.
+    Blocks are visited in the unscreened order, so every max and argmax is
+    the unscreened scan's bit for bit.
+
+    The float32 pass forms each segment's half squared lengths with one
+    GEMM of [y, h, 1] by [-y; 1; h] (h = |y|^2 / 2 over the segment), adds
+    them up over segments, multiplies by the float32 1 / da and takes each
+    block's largest and smallest ratio.  With u = 2^-24 and H = |y|^2 / 2
+    over the first M columns, its error against the float64 ratio of a
+    pair (i, j) is at most
+
+        kappa_M (u (H_i + H_j) + 2^-126) / da + 8 u |r| + 2^-126,
+        kappa_M = 4 (M + 7 S) over S segments,
+
+    with r the float32 extreme of larger size in the block.  Derivation,
+    in exact arithmetic on the float64 images: rounding the operands to
+    float32 moves each segment's dot product by at most 3 u (h_i + h_j).
+    A dot product of n terms, summed in any order and with or without
+    fused multiply-adds, is off by at most gamma_n sum |x_k y_k| (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, section
+    3.1), gamma_n = n u / (1 - n u): every term meets at most n roundings
+    whatever the order, and a fused multiply-add only drops one.  Here
+    n = w + 2 for a segment of width w, and sum |x_k y_k| <= 2 (h_i + h_j)
+    because |y_ik y_jk| <= (y_ik^2 + y_jk^2) / 2.  A segment is thus within
+    (2 w + 7) u (h_i + h_j), and adding up S segments costs at most
+    2 (S - 1) u (H_i + H_j) more: in all 2 M + 2 S + 5 <= 2 (M + 7 S) times
+    u (H_i + H_j).  kappa_M doubles that to cover second-order terms and
+    the float64 pass's own rounding (2^-29 times smaller).  Rounding 1 / da
+    and the product by it add a relative 2 u, covered by 8 u |r|.  The
+    2^-126 terms bound underflow: a float32 operation with a subnormal
+    result, or one flushed to zero, is off by at most 2^-126.  Per block,
+    H_i + H_j and 1 / da are replaced by their largest values.  The limits
+    are narrowed by a relative 1e-9 for the float64 rounding of the limits,
+    of the widened extremes and of the distortions themselves, and an
+    extreme that overflows to inf or NaN never skips a block.
+
+    The float32 pass takes up to ``_SCREEN_COLS`` columns of a run at a
+    time, once the scan has gone over at least as many pairs as they hold
+    (see :meth:`_Screen.unresolved`), and stops early when, at some M, it
+    rules out no block of them even unwidened: those blocks then take the
+    float64 pass.
+
     A block takes three reused buffers of its size (the running sum, the
-    segment's lengths, and the Gram product, then the ratios), so the pass
-    allocates no block-sized array.  The buffers belong to the call: one
-    :class:`ChordScan` serves concurrent scans.
+    segment's lengths, and the Gram product, then the ratios), and a fourth
+    for recomputed ambient lengths, so the pass allocates no block-sized
+    array; the screen has two float32 buffers of ``_SCREEN_COLS`` columns.
+    The buffers belong to the call: one :class:`ChordScan` serves
+    concurrent scans.
     """
     edges = (0, *M_grid)
     segs = [np.ascontiguousarray(Y[:, m0:m1]) for m0, m1 in zip(edges, edges[1:])]
     ops = [_sq_operands(seg) for seg in segs]
-    bufs = np.empty((3, 0))
+    bufs, screen = np.empty((4, 0)), None
     best, best_pair, n_eval = [-1.0] * len(segs), [(-1, -1)] * len(segs), 0
     for item in blocks:
-        if policy.kind == "all":
-            i0, j0, da, drop = item
-            rows, cols = slice(i0, i0 + da.shape[0]), slice(j0, j0 + da.shape[1])
-            if bufs.shape[1] < da.size:
-                bufs = np.empty((3, da.size))
-            proj, part, ratio = (_view(buf, da.shape) for buf in bufs)
+        screened = isinstance(item, _Screened)
+        if screened:
+            if screen is None:
+                screen = _Screen(segs, ops, M_grid)
+            todo = screen.unresolved(item, N, M_grid, best, n_eval)
+            n_eval += item.rec.size
         else:
-            ii, jj, da = item
-            drop = None
-        n_eval += da.size - (0 if drop is None else int(np.count_nonzero(drop)))
-        for m, (seg, (lead, trail)) in enumerate(zip(segs, ops)):
-            if policy.kind == "all":  # ratio holds the Gram block until the division
-                _block_half_sq(seg, lead, trail, rows, cols, part if m else proj, ratio)
-                if m:
-                    proj += part
-                np.divide(proj, da, out=ratio)
-            else:
-                part = _pair_half_sq(seg, trail[1], ii, jj)
-                if m:
-                    proj += part
+            todo = (item,)
+            drop = item[3] if policy.kind == "all" else None
+            n_eval += item[2].size - (0 if drop is None else int(np.count_nonzero(drop)))
+        for block in todo:
+            if policy.kind == "all":
+                if screened:
+                    (i0, j0, shape), drop = block, None
                 else:
-                    proj = part
-                ratio = proj / da
-            if drop is None:
-                lo, hi = int(ratio.argmin()), int(ratio.argmax())
-            else:  # dropped entries can be neither extreme
-                np.copyto(ratio, np.inf, where=drop)
-                lo = int(ratio.argmin())
-                np.copyto(ratio, -np.inf, where=drop)
-                hi = int(ratio.argmax())
-            scale = N / M_grid[m]
-            for k in (hi, lo):
-                d = abs(math.sqrt(scale * max(float(ratio.flat[k]), 0.0)) - 1.0)
-                if d > best[m]:
-                    best[m] = d
-                    if policy.kind == "all":
-                        best_pair[m] = (i0 + k // da.shape[1], j0 + k % da.shape[1])
+                    i0, j0, da, drop = block
+                    shape = da.shape
+                rows, cols = slice(i0, i0 + shape[0]), slice(j0, j0 + shape[1])
+                if bufs.shape[1] < shape[0] * shape[1]:
+                    bufs = np.empty((4, shape[0] * shape[1]))
+                proj, part, ratio, lengths = (_view(buf, shape) for buf in bufs)
+                if screened:  # the float64 lengths, by the call that cached them
+                    da = _block_half_sq(*ambient, rows, cols, lengths, ratio)
+            else:
+                ii, jj, da = block
+                drop = None
+            for m, (seg, (lead, trail)) in enumerate(zip(segs, ops)):
+                if policy.kind == "all":  # ratio holds the Gram block until the division
+                    _block_half_sq(seg, lead, trail, rows, cols, part if m else proj, ratio)
+                    if m:
+                        proj += part
+                    np.divide(proj, da, out=ratio)
+                else:
+                    part = _pair_half_sq(seg, trail[1], ii, jj)
+                    if m:
+                        proj += part
                     else:
-                        best_pair[m] = (int(ii[k]), int(jj[k]))
+                        proj = part
+                    ratio = proj / da
+                if drop is None:
+                    lo, hi = int(ratio.argmin()), int(ratio.argmax())
+                else:  # dropped entries can be neither extreme
+                    np.copyto(ratio, np.inf, where=drop)
+                    lo = int(ratio.argmin())
+                    np.copyto(ratio, -np.inf, where=drop)
+                    hi = int(ratio.argmax())
+                scale = N / M_grid[m]
+                for k in (hi, lo):
+                    d = abs(math.sqrt(scale * max(float(ratio.flat[k]), 0.0)) - 1.0)
+                    if d > best[m]:
+                        best[m] = d
+                        if policy.kind == "all":
+                            best_pair[m] = (i0 + k // da.shape[1], j0 + k % da.shape[1])
+                        else:
+                            best_pair[m] = (int(ii[k]), int(jj[k]))
     if n_eval == 0:
         raise ValueError(_NO_CHORDS)
     return [
@@ -471,17 +697,60 @@ def _scan(Y: np.ndarray, N: int, M_grid, policy: PairPolicy, blocks) -> list[Dis
     ]
 
 
+def _screenable(i0: int, j0: int, da: np.ndarray, drop, h: np.ndarray) -> bool:
+    """Whether :class:`ChordScan` keeps an all-pairs block for the float32
+    screen: it has no dropped entry (so it is off the diagonal, with no
+    identical points and no chord of computed length <= 0), it is well
+    conditioned for float32, u (max h_i + max h_j) < 1e-4 min da with
+    u = 2^-24 and h the half squared norms of its rows i and columns j, and
+    every 1 / da is a normal float32 number."""
+    if drop is not None:
+        return False
+    lo, hi = float(da.min()), float(da.max())
+    cond = _U32 * (h[i0 : i0 + da.shape[0]].max() + h[j0 : j0 + da.shape[1]].max())
+    return bool(cond < _SCREEN_COND * lo) and _TINY32 < lo and hi < 1.0 / _TINY32
+
+
+def _cached(blocks, h: np.ndarray):
+    """The all-pairs blocks of ``_chord_blocks`` as :class:`ChordScan`
+    keeps them, in the same order: each run of consecutive screenable
+    blocks in one block row as one :class:`_Screened`, every other block as
+    it is."""
+    run = []  # (i0, j0, rec, max_rec) of the screenable blocks not yet yielded
+
+    def merged():
+        recs = [rec for _, _, rec, _ in run]
+        bounds = np.cumsum([0] + [len(rec) for rec in recs])
+        return _Screened(run[0][0], run[0][1], np.concatenate(recs), bounds, np.array([m for *_, m in run]))
+
+    for i0, j0, da, drop in blocks:
+        screenable = _screenable(i0, j0, da, drop, h)
+        if run and not (screenable and i0 == run[-1][0] and j0 == run[-1][1] + len(run[-1][2])):
+            yield merged()
+            run = []
+        if screenable:
+            run.append((i0, j0, np.ascontiguousarray((1.0 / da).T, dtype=np.float32), 1.0 / float(da.min())))
+        else:
+            yield i0, j0, da, drop
+    if run:
+        yield merged()
+
+
 class ChordScan:
     """Chord scan of a fixed point set, reused across projectors.
 
     Squared chord lengths in the ambient space depend only on the points,
-    so they are computed once here: 8 bytes per pair, plus a one-byte mask
-    on the diagonal blocks (all pairs), or 24 bytes per drawn pair
-    (subsample).  Each :meth:`summary` then pays only for its projector's
-    Gram blocks, and agrees bit for bit with :func:`pointset_distortion`
-    on the same policy and block size; :meth:`nested` scans every leading
-    block of rows of one projector in the same pass.  The cached blocks are
-    only read, so one scan serves concurrent calls.
+    so they are computed once here.  With all pairs, a block that the
+    float32 screen of :func:`_scan` takes (see :func:`_screenable`) keeps
+    only its float32 reciprocal lengths, 4 bytes per pair; the others, in
+    practice the diagonal blocks and their neighbours, keep 8 bytes per
+    pair plus a one-byte mask where entries are dropped.  A subsample
+    keeps 24 bytes per drawn pair.  Each :meth:`summary` then pays only for
+    its projector's Gram blocks, and agrees bit for bit with
+    :func:`pointset_distortion` on the same policy and block size;
+    :meth:`nested` scans every leading block of rows of one projector in
+    the same pass.  The cached blocks are only read, so one scan serves
+    concurrent calls.
 
     Raises ValueError if the points have no chord of positive length.
     """
@@ -489,13 +758,17 @@ class ChordScan:
     def __init__(self, points: np.ndarray, pair_policy: PairPolicy | None = None, block: int = _BLOCK):
         self.points = _as_points(points)
         self.policy = pair_policy or PairPolicy.all()
-        self._blocks = list(_chord_blocks(self.points, self.policy, block))
+        self._ambient = (self.points, *_sq_operands(self.points))
+        blocks = _chord_blocks(self.points, self.policy, block)
+        if self.policy.kind == "all":
+            blocks = _cached(blocks, self._ambient[2][1])
+        self._blocks = list(blocks)
         if not self._blocks:
             raise ValueError(_NO_CHORDS)
 
     def summary(self, A: Projector) -> DistortionSummary:
         """Worst chord distortion under A, with the pair it came from."""
-        return _scan(_images(self.points, A), A.N, (A.M,), self.policy, self._blocks)[0]
+        return _scan(_images(self.points, A), A.N, (A.M,), self.policy, self._blocks, self._ambient)[0]
 
     def nested(self, images: np.ndarray, N: int, M_grid) -> list[DistortionSummary]:
         """Worst chord distortion under the first M rows of one projection,
@@ -519,7 +792,7 @@ class ChordScan:
             raise ValueError(f"need M <= min(N, images columns) = {limit}, got {M_grid[-1]}")
         if not np.isfinite(images[:, : M_grid[-1]]).all():
             raise ValueError("images must be finite")
-        return _scan(images, N, M_grid, self.policy, self._blocks)
+        return _scan(images, N, M_grid, self.policy, self._blocks, self._ambient)
 
 
 def pointset_distortion(

@@ -148,6 +148,29 @@ class TestRunFigure:
         payload = json.loads((tmp_path / "fig4.json").read_text())
         assert "chord_sq_emp" in payload
 
+    def test_fig6b_threads_reach_m_star_and_keep_table(self, tmp_path, monkeypatch):
+        # the run's thread count goes to every M* point, and the table is
+        # byte-identical at 1 and 2 threads
+        seen = []
+        m_star = mp.experiments.m_star_empirical
+
+        def spy(*args, threads=1, **kwargs):
+            seen.append(threads)
+            return m_star(*args, threads=threads, **kwargs)
+
+        monkeypatch.setattr(mp.experiments, "m_star_empirical", spy)
+        params = {"N_values": [150, 250], "M_grid": [8, 16, 32, 64, 128], "n_proj": 20,
+                  "grid_per_axis": {"1": 64}}
+        tables = []
+        for threads in (1, 2):
+            out = tmp_path / f"t{threads}"
+            cfg = RunConfig(command="figure", params={"kind": "fig6b", "params": params},
+                            master_seed=3, out_dir=str(out), threads=threads)
+            assert run(cfg) == 0
+            tables.append((out / "fig6b.csv").read_bytes())
+        assert seen == [1, 1, 2, 2]
+        assert tables[0] == tables[1]
+
     def test_unknown_kind_fails_cleanly(self, tmp_path, capsys):
         cfg = RunConfig(command="figure", params={"kind": "fig9"}, out_dir=str(tmp_path))
         assert run(cfg) == 1

@@ -1,5 +1,6 @@
 """Projectors, distortions and principal angles."""
 
+import functools
 import math
 import os
 import subprocess
@@ -28,7 +29,9 @@ from mfldproj import (
     vector_distortion,
     weyl_gap,
 )
-from mfldproj.projections import _haar_frame_rows
+from mfldproj import projections
+from mfldproj.projections import _haar_frame_rows, _Screened
+from mfldproj.sampling import isometric_coordinates
 
 
 class TestSampleProjector:
@@ -274,6 +277,38 @@ def nested_elementwise_worst(X, Y, N, M_grid, block):
     return best
 
 
+@functools.lru_cache(maxsize=None)
+def gp_curve(P):
+    """Isometric coordinates (P x 139) of one smooth Gaussian-process curve
+    in R^1000 at volume 40: only its diagonal blocks and their neighbours
+    are too short to screen in float32.  Shared between tests: copy before
+    changing it."""
+    X = isometric_coordinates(mp.spec_for_volume(1, 1000, math.log(40.0), P), 5)
+    X.flags.writeable = False
+    return X
+
+
+def frame_rows(N, k, M, seed):
+    """The first M rows of a Haar N x k frame, as the M* experiments draw them."""
+    return _haar_frame_rows(N, k, M, np.random.default_rng(seed))
+
+
+def screened_cases():
+    """Point sets for the screened scan: the smooth curve, the same curve
+    far from the origin, duplicated points and exact-zero chords in
+    off-diagonal blocks, and a last block 104 points wide."""
+    curve = gp_curve(1024)
+    dup = curve.copy()
+    dup[700] = dup[100]  # identical points in block pair (0, 5)
+    dup[[5, 300]] = 0.0  # an exact-zero chord in block pair (0, 2)
+    return {
+        "curve": curve,
+        "shifted": curve + 1e3,
+        "duplicates": dup,
+        "ragged": curve[:1000],
+    }
+
+
 MEMORY_CHILD = """
 import resource
 import numpy as np
@@ -363,33 +398,39 @@ class TestChordScan:
 
     def test_concurrent_nested_calls_match_serial(self):
         # every call scans in buffers of its own, so two threads on one scan
-        # get the serial results
+        # get the serial results; the smooth curve goes through the float32
+        # screen, whose operands and buffers belong to the call as well
         rng = np.random.default_rng(17)
         X = np.cumsum(rng.standard_normal((300, 30)), axis=0)
-        scan = ChordScan(X, block=32)
-        images = [X @ sample_projector(30, 20, seed).rows.T for seed in range(2)]
-        M_grid = (4, 9, 20)
-        serial = [scan.nested(Y, 30, M_grid) for Y in images]
-        results = [None, None]
-        barrier = threading.Barrier(2, timeout=60)
+        curve = gp_curve(1024)
+        inputs = [
+            (ChordScan(X, block=32), 30, (4, 9, 20), [X @ sample_projector(30, 20, seed).rows.T for seed in range(2)]),
+            (ChordScan(curve), 1000, (16, 63, 100), [curve @ frame_rows(1000, curve.shape[1], 100, seed).T
+                                                     for seed in range(2)]),
+        ]
+        assert any(isinstance(b, _Screened) for b in inputs[1][0]._blocks)
+        for scan, N, M_grid, images in inputs:
+            serial = [scan.nested(Y, N, M_grid) for Y in images]
+            results = [None, None]
+            barrier = threading.Barrier(2, timeout=60)
 
-        def work(t):
-            barrier.wait()
-            results[t] = [scan.nested(images[t], 30, M_grid) for _ in range(5)]
+            def work(t):
+                barrier.wait()
+                results[t] = [scan.nested(images[t], N, M_grid) for _ in range(5)]
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(t,)) for t in range(2)]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(th.is_alive() for th in threads)
-        for t in range(2):
-            assert results[t] == [serial[t]] * 5
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=work, args=(t,)) for t in range(2)]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(th.is_alive() for th in threads)
+            for t in range(2):
+                assert results[t] == [serial[t]] * 5
 
     def test_empty_scan_raises(self):
         A = sample_projector(10, 2, 1)
@@ -447,6 +488,150 @@ class TestChordScan:
         )
         assert out.returncode == 0, out.stderr[-2000:]
         assert int(out.stdout) == 2**20
+
+
+def screen_error_ratio(scan, Y, N, M_grid):
+    """Largest |r32 - r64| / slack over every entry of every screened block
+    of ``scan`` at every M of the nested grid: r32 from the float32 pass,
+    r64 the float64 ratio the scan computes for the pair, and the slack the
+    screen widens the block's float32 extremes by."""
+    edges = (0, *M_grid)
+    segs = [np.ascontiguousarray(Y[:, a:b]) for a, b in zip(edges, edges[1:])]
+    ops = [projections._sq_operands(seg) for seg in segs]
+    screen = projections._Screen(segs, ops, M_grid)
+    worst = 0.0
+    for run in (b for b in scan._blocks if isinstance(b, _Screened)):
+        nt, nr = len(run.max_rec), run.rec.shape[1]
+        r32 = [r.copy() for r in screen.ratios(run, 0, nt)]
+        slack = screen.slack(run, 0, nt)
+        for t in range(nt):
+            c0, c1 = run.bounds[t], run.bounds[t + 1]
+            rows, cols = slice(run.i0, run.i0 + nr), slice(run.j0 + c0, run.j0 + c1)
+            shape = (nr, c1 - c0)
+            da = projections._block_half_sq(*scan._ambient, rows, cols, np.empty(shape), np.empty(shape))
+            proj = 0.0
+            for m, (seg, (lead, trail)) in enumerate(zip(segs, ops)):
+                proj = proj + projections._block_half_sq(seg, lead, trail, rows, cols, np.empty(shape), np.empty(shape))
+                r = r32[m][c0:c1].T.astype(float)
+                bound = slack[m, t] + 8 * 2.0**-24 * np.abs(r).max() + 2.0**-126
+                worst = max(worst, float((np.abs(r - proj / da) / bound).max()))
+    return worst
+
+
+def screened_blocks(scan):
+    return sum(len(b.max_rec) for b in scan._blocks if isinstance(b, _Screened))
+
+
+def count_recomputed(monkeypatch, scan):
+    """A list that gains one entry each time ``scan`` recomputes the float64
+    lengths of a screened block."""
+    calls = []
+    block_half_sq = projections._block_half_sq
+
+    def spy(Z, *args):
+        if Z is scan.points:
+            calls.append(1)
+        return block_half_sq(Z, *args)
+
+    monkeypatch.setattr(projections, "_block_half_sq", spy)
+    return calls
+
+
+class TestScreenedScan:
+    @pytest.mark.parametrize("case", ["curve", "shifted", "duplicates", "ragged"])
+    def test_screened_scan_equals_oracles(self, case, monkeypatch):
+        # nested and summary equal the unscreened streaming kernel (max,
+        # argmax and count), the pair-by-pair maximum and pointset_distortion
+        X = screened_cases()[case]
+        N, M_grid, k = 1000, (25, 63, 100), X.shape[1]
+        scan = ChordScan(X)
+        n_blocks = 8 * 9 // 2
+        if case == "shifted":  # |x|^2 / 2 ~ 7e7 against chords of order 1
+            assert screened_blocks(scan) == 0
+        else:
+            assert screened_blocks(scan) >= n_blocks // 2
+        if case == "duplicates":
+            dropped = [(b[0], b[1]) for b in scan._blocks if not isinstance(b, _Screened) and b[3] is not None]
+            assert {(0, 256), (0, 640)} <= set(dropped)
+        if case == "ragged":
+            assert any(b.bounds[-1] - b.bounds[-2] == 104 for b in scan._blocks if isinstance(b, _Screened))
+        policy = PairPolicy.all()
+        order = []
+        for b in scan._blocks:
+            order += [(b.i0, b.j0 + int(c)) for c in b.bounds[:-1]] if isinstance(b, _Screened) else [b[:2]]
+        assert order == [(i0, j0) for i0, j0, _, _ in projections._chord_blocks(X, policy, 128)]
+        recomputed = count_recomputed(monkeypatch, scan)
+        for seed in range(2):
+            Y = X @ frame_rows(N, k, M_grid[-1], seed).T
+            recomputed.clear()
+            got = scan.nested(Y, N, M_grid)
+            if case != "shifted":  # most screened blocks are skipped
+                assert len(recomputed) < screened_blocks(scan) / 2
+            assert got == projections._scan(Y, N, M_grid, policy, projections._chord_blocks(X, policy, 128))
+            assert [g.max for g in got] == nested_elementwise_worst(X, Y, N, M_grid, 128)
+            A = sample_projector(k, 50, seed)
+            assert scan.summary(A) == pointset_distortion(A, X)
+            assert scan.summary(A).max == elementwise_worst(A, X, 128)
+
+    def test_ties_keep_the_unscreened_order(self):
+        # integer coordinates make every length exact: the chords (3, 40)
+        # and (5, 100) lie beyond the first 30 coordinates, so both have
+        # distortion 1 at every M, and no other chord reaches it while
+        # N / M < 4.  The first, in a screened run, comes before the second,
+        # in a block with identical points, so it is the worst pair.
+        rng = np.random.default_rng(19)
+        X = rng.integers(-8, 9, size=(150, 40)).astype(float)
+        X[40], X[100], X[101] = X[3], X[5], X[6]
+        X[40, 35] += 8.0
+        X[100, 36] += 8.0
+        scan = ChordScan(X, block=16)
+        runs = [b for b in scan._blocks if isinstance(b, _Screened)]
+        assert any(b.i0 == 0 and b.j0 <= 32 < b.j0 + b.bounds[-1] for b in runs)
+        assert not any(b.i0 == 0 and b.j0 <= 96 < b.j0 + b.bounds[-1] for b in runs)
+        M_grid, Y = (12, 20, 30), X[:, :30]
+        got = scan.nested(Y, 40, M_grid)
+        policy = PairPolicy.all()
+        assert got == projections._scan(Y, 40, M_grid, policy, projections._chord_blocks(X, policy, 16))
+        assert [(g.max, g.argmax) for g in got] == [(1.0, (3, 40))] * 3
+
+    def test_slack_bounds_float32_error(self):
+        # every float32 ratio is within the screen's slack of the float64
+        # one, at every M: on random points, and on points moved far from
+        # the origin until their blocks are just inside the conditioning limit
+        rng = np.random.default_rng(21)
+        base = rng.standard_normal((512, 30))
+        N, M_grid = 200, (1, 3, 8, 20, 50)
+        shortest = [float(da.min()) for i0, j0, da, _ in projections._chord_blocks(base, PairPolicy.all(), 128)
+                    if i0 != j0]
+        shift = math.sqrt(0.8e-4 * float(np.median(shortest)) / 2.0**-24 / 30)
+        for X in (base, base + shift):
+            scan = ChordScan(X)
+            assert screened_blocks(scan) > 0
+            h = scan._ambient[2][1]
+            cond = max(
+                2.0**-24 * (h[b.i0 : b.i0 + 128].max() + h[b.j0 + b.bounds[t] : b.j0 + b.bounds[t + 1]].max())
+                * b.max_rec[t]
+                for b in scan._blocks if isinstance(b, _Screened) for t in range(len(b.max_rec))
+            )
+            assert cond < 1e-4
+            if X is not base:
+                assert cond > 0.5e-4
+            for seed in range(3):
+                Y = X @ frame_rows(N, 30, M_grid[-1], seed).T
+                assert screen_error_ratio(scan, Y, N, M_grid) <= 1.0
+
+    def test_screen_skips_most_far_blocks(self, monkeypatch):
+        # on a smooth curve the float64 pass runs on fewer than a quarter of
+        # the screened blocks per projector
+        X, N, M_grid = gp_curve(2048), 1000, (63, 100)
+        scan = ChordScan(X)
+        n_screened = screened_blocks(scan)
+        assert n_screened >= 100  # of 136 blocks
+        recomputed = count_recomputed(monkeypatch, scan)
+        for seed in range(4):
+            recomputed.clear()
+            scan.nested(X @ frame_rows(N, X.shape[1], M_grid[-1], seed).T, N, M_grid)
+            assert len(recomputed) < n_screened / 4
 
 
 class TestSubspaceDistortion:
