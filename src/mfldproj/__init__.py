@@ -44,7 +44,6 @@ from .sampling import (
 from .projections import (
     ChordScan,
     DistortionSummary,
-    PairPolicy,
     PrincipalAngles,
     Projector,
     SubspaceBasis,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import RankDeficient, Unachievable
 from .manifold import ManifoldSpec
-from .projections import ChordScan, DistortionSummary, PairPolicy, _haar_frame_rows, sample_projector
+from .projections import ChordScan, DistortionSummary, _check_cache_size, _haar_frame_rows, sample_projector
 from .sampling import isometric_coordinates, sample_manifold, tangent_frames
 from .seeding import derive_seed, pooled_map
 from . import bounds
@@ -34,7 +34,6 @@ __all__ = [
     "MStarResult",
     "FigureTable",
     "spec_for_volume",
-    "resolve_pair_policy",
     "distortion_distribution",
     "epsilon_at_delta",
     "isotonic_nonincreasing",
@@ -43,9 +42,6 @@ __all__ = [
     "scaling_fit",
     "figure_data",
 ]
-
-ALL_PAIRS_MAX_POINTS = 4096
-SUBSAMPLE_PAIRS = 10_000_000
 
 
 def spec_for_volume(K: int, N: int, lnV: float, grid_per_axis: int, ell: float = 1.0) -> ManifoldSpec:
@@ -59,14 +55,6 @@ def spec_for_volume(K: int, N: int, lnV: float, grid_per_axis: int, ell: float =
     return ManifoldSpec(
         K=K, N=N, ell=ell, lam=(1.0,) * K, L=(side,) * K, grid=(int(grid_per_axis),) * K
     )
-
-
-def resolve_pair_policy(n_points: int, seed: int) -> PairPolicy:
-    """Default chord enumeration: all pairs up to 4096 points, then a
-    seeded subsample of 1e7 pairs."""
-    if n_points <= ALL_PAIRS_MAX_POINTS:
-        return PairPolicy.all()
-    return PairPolicy.subsample(SUBSAMPLE_PAIRS, seed)
 
 
 @dataclass(frozen=True)
@@ -93,7 +81,6 @@ def distortion_distribution(
     M: int,
     n_proj: int,
     seed: int,
-    pair_policy: PairPolicy | None = None,
 ) -> DistortionSummary:
     """Worst-chord distortion of one manifold under n_proj random projections.
 
@@ -105,17 +92,13 @@ def distortion_distribution(
     """
     if M > spec.N:
         raise ValueError(f"need M <= N, got M={M}, N={spec.N}")
-    sample = sample_manifold(spec, derive_seed(seed, ["manifold"]))
-    if pair_policy is None:
-        pair_policy = resolve_pair_policy(spec.n_points, derive_seed(seed, ["pairs"]))
-    scan = ChordScan(sample.points, pair_policy)
+    _check_cache_size(spec.n_points)
+    scan = ChordScan(sample_manifold(spec, derive_seed(seed, ["manifold"])).points)
     out = np.empty(n_proj)
     for i in range(n_proj):
         out[i] = scan.summary(sample_projector(spec.N, M, derive_seed(seed, ["proj", i]))).max
     k = int(np.argmax(out))
-    return DistortionSummary(
-        max=float(out[k]), argmax=("projector", k), n_evaluated=n_proj, samples=out, policy=pair_policy
-    )
+    return DistortionSummary(max=float(out[k]), argmax=("projector", k), n_evaluated=n_proj, samples=out)
 
 
 def epsilon_at_delta(summary: DistortionSummary, delta: float) -> float:
@@ -193,9 +176,13 @@ def invert_quantile_curve(M_grid, eps_q, eps_target: float) -> tuple[float, np.n
     return float(math.exp(lm0 + frac * (lm1 - lm0))), iso, adjusted
 
 
-def _check_m_star_inputs(N: int, eps_target: float, delta: float, M_grid, n_proj: int) -> tuple[int, ...]:
+def _check_m_star_inputs(
+    spec: ManifoldSpec, eps_target: float, delta: float, M_grid, n_proj: int
+) -> tuple[int, ...]:
     """The M grid of :func:`m_star_empirical` as a tuple, after checking
-    every input that does not need a sample."""
+    every input that does not need a sample, the size of the chord scan
+    included."""
+    N = spec.N
     M_grid = tuple(int(m) for m in M_grid)
     outside = [m for m in M_grid if not 1 <= m <= N]
     if outside:
@@ -209,6 +196,7 @@ def _check_m_star_inputs(N: int, eps_target: float, delta: float, M_grid, n_proj
     need = max(20, math.ceil(1.0 / delta))
     if n_proj < need:
         raise ValueError(f"n_proj must be >= max(20, ceil(1/delta)) = {need}, got {n_proj}")
+    _check_cache_size(spec.n_points)
     return M_grid
 
 
@@ -217,7 +205,6 @@ def _nested_worst(
     M_grid: tuple[int, ...],
     n_proj: int,
     seed: int,
-    pair_policy: PairPolicy | None,
     threads: int,
 ) -> np.ndarray:
     """(n_proj, len(M_grid)) worst chord distortions of one manifold: row i
@@ -230,9 +217,7 @@ def _nested_worst(
     exact, and O(M k) per point instead of O(M N).
     """
     coords = isometric_coordinates(spec, derive_seed(seed, ["manifold"]))
-    if pair_policy is None:
-        pair_policy = resolve_pair_policy(spec.n_points, derive_seed(seed, ["pairs"]))
-    scan = ChordScan(coords, pair_policy)
+    scan = ChordScan(coords)
 
     def worst(i: int) -> list[float]:
         rng = np.random.default_rng(derive_seed(seed, ["proj", i]))
@@ -249,7 +234,6 @@ def m_star_empirical(
     M_grid,
     n_proj: int,
     seed: int,
-    pair_policy: PairPolicy | None = None,
     threads: int = 1,
 ) -> MStarResult:
     """Empirical minimum projection count for a distortion target.
@@ -266,8 +250,8 @@ def m_star_empirical(
     independent jobs; with ``threads > 1`` they run on a thread pool, with
     identical results for any thread count.
     """
-    M_grid = _check_m_star_inputs(spec.N, eps_target, delta, M_grid, n_proj)
-    quantiles = _quantile_at_delta(_nested_worst(spec, M_grid, n_proj, seed, pair_policy, threads), delta)
+    M_grid = _check_m_star_inputs(spec, eps_target, delta, M_grid, n_proj)
+    quantiles = _quantile_at_delta(_nested_worst(spec, M_grid, n_proj, seed, threads), delta)
     m_star, iso, adjusted = invert_quantile_curve(M_grid, quantiles, eps_target)
     return MStarResult(
         eps_target=eps_target,
@@ -329,7 +313,7 @@ _FIG_DEFAULTS = {
         "delta": 0.05,
         "K_values": (1, 2),
         "lnV_over_K": (1.0, LNV_PER_K_DEFAULT, 2.2),
-        "M_grid": (4, 6, 10, 16, 25, 40, 63, 100, 158, 200),
+        "M_grid": (4, 6, 10, 16, 25, 40, 63, 100, 158, 200, 251, 316),
         "n_proj": 100,
         "grid_per_axis": {1: 512, 2: 32},
     },
@@ -473,7 +457,7 @@ def _fig6(p: dict, seed: int, vary: str, threads: int) -> FigureTable:
         spec = spec_for_volume(K, N, lnV, grid)
         where = f"{kind} point K={K}, lnV={lnV:.6g}, N={N}: "
         try:
-            M_grid = _check_m_star_inputs(N, eps, delta, [m for m in p["M_grid"] if m <= N], int(p["n_proj"]))
+            M_grid = _check_m_star_inputs(spec, eps, delta, [m for m in p["M_grid"] if m <= N], int(p["n_proj"]))
         except ValueError as exc:
             raise ValueError(where + str(exc)) from None
         jobs.append((K, lnV, N, spec, M_grid, where))

@@ -22,7 +22,6 @@ __all__ = [
     "SubspaceBasis",
     "PrincipalAngles",
     "DistortionSummary",
-    "PairPolicy",
     "ChordScan",
     "WeylGapResult",
     "sample_projector",
@@ -159,30 +158,6 @@ class PrincipalAngles:
 
 
 @dataclass(frozen=True)
-class PairPolicy:
-    """Which unordered point pairs a point-set scan visits.
-
-    ``all()`` enumerates every pair; ``subsample(n, seed)`` draws n pairs
-    uniformly (with replacement over unordered pairs) from a seeded stream,
-    recorded here so a summary can be reproduced.
-    """
-
-    kind: str
-    n_pairs: int | None = None
-    seed: int | None = None
-
-    @classmethod
-    def all(cls) -> "PairPolicy":
-        return cls(kind="all")
-
-    @classmethod
-    def subsample(cls, n_pairs: int, seed: int) -> "PairPolicy":
-        if n_pairs < 1:
-            raise ValueError("n_pairs must be >= 1")
-        return cls(kind="subsample", n_pairs=int(n_pairs), seed=int(seed))
-
-
-@dataclass(frozen=True)
 class DistortionSummary:
     """Empirical distortion samples with max and provenance.
 
@@ -195,7 +170,6 @@ class DistortionSummary:
     argmax: tuple
     n_evaluated: int
     samples: np.ndarray | None = field(default=None, repr=False)
-    policy: PairPolicy | None = None
 
     def __post_init__(self):
         if self.samples is not None and len(self.samples) and not math.isclose(
@@ -235,20 +209,13 @@ def vector_distortion(A: Projector, u: np.ndarray) -> float:
     return abs(math.sqrt(A.N / A.M) * np.linalg.norm(A.rows @ u) / nu - 1.0)
 
 
-# Bytes per gathered operand for the chords of explicit pairs: a subsampled
-# chunk of pairs never holds one row of the points per pair, and each piece
-# is still in cache when its row dot products are taken.
-_GATHER_BYTES = 1 << 19
-
 # Rows per side of a scanned block: one block of squared lengths (128 KiB)
 # and its ratios stay in cache while every nested projection is scanned.
 _BLOCK = 128
 
-# Pairs drawn per chunk of a subsample, independent of the block size, so a
-# seeded policy visits the same pairs at any block size.  Much smaller
-# chunks make the gathers several times slower (4100 x 1000 points, 2^20
-# pairs: 11 s in chunks of 2^14 pairs against 2 s in chunks of 2^20).
-_PAIR_CHUNK = 1 << 20
+# Most bytes the cache of a ChordScan may hold (see _check_cache_size):
+# about 21 800 points.  Larger point sets are refused before they are sampled.
+_CACHE_LIMIT = 2 << 30
 
 # Unit roundoff of float32, and the smallest normal float32: no float32
 # operation whose result underflows is off by more than it.
@@ -298,17 +265,6 @@ def _block_half_sq(
     return out
 
 
-def _pair_half_sq(Z: np.ndarray, h: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-    """Half squared distances of the pairs (ii[k], jj[k]), gathering at most
-    ``_GATHER_BYTES`` of each operand at a time."""
-    out = h[ii] + h[jj]
-    step = max(1, _GATHER_BYTES // (8 * Z.shape[1]))
-    for s in range(0, len(ii), step):
-        t = slice(s, s + step)
-        out[t] -= np.einsum("ij,ij->i", Z[ii[t]], Z[jj[t]])
-    return out
-
-
 def _duplicate_groups(X: np.ndarray) -> np.ndarray | None:
     """Per-point ids, equal exactly for identical points, or None if all
     points differ.
@@ -335,9 +291,9 @@ def _duplicate_groups(X: np.ndarray) -> np.ndarray | None:
     return ids
 
 
-def _chord_blocks(X: np.ndarray, policy: PairPolicy, block: int):
-    """Ambient squared chord lengths of the pairs a policy visits, by block,
-    at half scale: d / 2 = (h_i + h_j) - x_i.x_j with h = |x|^2 / 2.
+def _chord_blocks(X: np.ndarray, block: int):
+    """Ambient squared chord lengths of all pairs, by block, at half scale:
+    d / 2 = (h_i + h_j) - x_i.x_j with h = |x|^2 / 2.
 
     Halving commutes with rounding (for squared norms that are not
     subnormal), so each half-scale length is the full-scale
@@ -345,52 +301,31 @@ def _chord_blocks(X: np.ndarray, policy: PairPolicy, block: int):
     projected to an ambient length, both at half scale, is the full-scale
     ratio bit for bit.
 
-    All pairs: ``(i0, j0, da, drop)`` for each block pair with j0 >= i0,
-    where ``da`` is the full block and ``drop`` marks its entries that are
-    not scanned (the diagonal and lower triangle of a diagonal block,
-    pairs of identical points, and chords whose computed length is not
-    positive), or is None if there are none.  Dropped entries of ``da``
-    are set to 1 so that dividing by the block is safe.
-
-    Subsample: ``(ii, jj, da)`` per chunk of at most ``_PAIR_CHUNK`` drawn pairs,
-    with the same chords removed.
+    Yields ``(i0, j0, da, drop)`` for each block pair with j0 >= i0, where
+    ``da`` is the full block and ``drop`` marks its entries that are not
+    scanned (the diagonal and lower triangle of a diagonal block, pairs of
+    identical points, and chords whose computed length is not positive),
+    or is None if there are none.  Dropped entries of ``da`` are set to 1
+    so that dividing by the block is safe.
     """
     P = X.shape[0]
     lead, trail = _sq_operands(X)
     group = _duplicate_groups(X)
-    if policy.kind == "all":
-        gram = np.empty(min(block, P) ** 2)
-        for i0 in range(0, P, block):
-            rows = slice(i0, min(i0 + block, P))
-            for j0 in range(i0, P, block):
-                cols = slice(j0, min(j0 + block, P))
-                shape = (rows.stop - i0, cols.stop - j0)
-                da = _block_half_sq(X, lead, trail, rows, cols, np.empty(shape), _view(gram, shape))
-                drop = ~(da > 0.0)
-                if group is not None:
-                    drop |= group[rows, None] == group[None, cols]
-                if i0 == j0:
-                    drop |= np.tri(*da.shape, dtype=bool)
-                if not drop.all():
-                    da[drop] = 1.0
-                    yield i0, j0, da, (drop if drop.any() else None)
-    elif policy.kind == "subsample":
-        rng = np.random.default_rng(policy.seed)
-        remaining = policy.n_pairs
-        while remaining > 0:
-            m = min(remaining, _PAIR_CHUNK)
-            ii = rng.integers(0, P, size=m)
-            jj = rng.integers(0, P - 1, size=m)
-            jj = np.where(jj >= ii, jj + 1, jj)  # uniform over ordered pairs with i != j
-            da = _pair_half_sq(X, trail[1], ii, jj)
-            ok = da > 0.0
+    gram = np.empty(min(block, P) ** 2)
+    for i0 in range(0, P, block):
+        rows = slice(i0, min(i0 + block, P))
+        for j0 in range(i0, P, block):
+            cols = slice(j0, min(j0 + block, P))
+            shape = (rows.stop - i0, cols.stop - j0)
+            da = _block_half_sq(X, lead, trail, rows, cols, np.empty(shape), _view(gram, shape))
+            drop = ~(da > 0.0)
             if group is not None:
-                ok &= group[ii] != group[jj]
-            if ok.any():
-                yield ii[ok], jj[ok], da[ok]
-            remaining -= m
-    else:
-        raise ValueError(f"unknown pair policy kind {policy.kind!r}")
+                drop |= group[rows, None] == group[None, cols]
+            if i0 == j0:
+                drop |= np.tri(*da.shape, dtype=bool)
+            if not drop.all():
+                da[drop] = 1.0
+                yield i0, j0, da, (drop if drop.any() else None)
 
 
 def _as_points(points) -> np.ndarray:
@@ -550,9 +485,7 @@ class _Screen:
                 t += 1
 
 
-def _scan(
-    Y: np.ndarray, N: int, M_grid, policy: PairPolicy, blocks, ambient: tuple | None = None
-) -> list[DistortionSummary]:
+def _scan(Y: np.ndarray, N: int, M_grid, blocks, ambient: tuple | None = None) -> list[DistortionSummary]:
     """Worst chord distortion under each nested projection over the blocks
     of ``_chord_blocks``: ``Y[:, :M]`` are the images of the points under
     the first M rows of one row-orthonormal projection of R^N, for every M
@@ -642,37 +575,25 @@ def _scan(
             n_eval += item.rec.size
         else:
             todo = (item,)
-            drop = item[3] if policy.kind == "all" else None
-            n_eval += item[2].size - (0 if drop is None else int(np.count_nonzero(drop)))
+            n_eval += item[2].size - (0 if item[3] is None else int(np.count_nonzero(item[3])))
         for block in todo:
-            if policy.kind == "all":
-                if screened:
-                    (i0, j0, shape), drop = block, None
-                else:
-                    i0, j0, da, drop = block
-                    shape = da.shape
-                rows, cols = slice(i0, i0 + shape[0]), slice(j0, j0 + shape[1])
-                if bufs.shape[1] < shape[0] * shape[1]:
-                    bufs = np.empty((4, shape[0] * shape[1]))
-                proj, part, ratio, lengths = (_view(buf, shape) for buf in bufs)
-                if screened:  # the float64 lengths, by the call that cached them
-                    da = _block_half_sq(*ambient, rows, cols, lengths, ratio)
+            if screened:
+                (i0, j0, shape), drop = block, None
             else:
-                ii, jj, da = block
-                drop = None
+                i0, j0, da, drop = block
+                shape = da.shape
+            rows, cols = slice(i0, i0 + shape[0]), slice(j0, j0 + shape[1])
+            if bufs.shape[1] < shape[0] * shape[1]:
+                bufs = np.empty((4, shape[0] * shape[1]))
+            proj, part, ratio, lengths = (_view(buf, shape) for buf in bufs)
+            if screened:  # the float64 lengths, by the call that cached them
+                da = _block_half_sq(*ambient, rows, cols, lengths, ratio)
             for m, (seg, (lead, trail)) in enumerate(zip(segs, ops)):
-                if policy.kind == "all":  # ratio holds the Gram block until the division
-                    _block_half_sq(seg, lead, trail, rows, cols, part if m else proj, ratio)
-                    if m:
-                        proj += part
-                    np.divide(proj, da, out=ratio)
-                else:
-                    part = _pair_half_sq(seg, trail[1], ii, jj)
-                    if m:
-                        proj += part
-                    else:
-                        proj = part
-                    ratio = proj / da
+                # ratio holds the Gram block until the division
+                _block_half_sq(seg, lead, trail, rows, cols, part if m else proj, ratio)
+                if m:
+                    proj += part
+                np.divide(proj, da, out=ratio)
                 if drop is None:
                     lo, hi = int(ratio.argmin()), int(ratio.argmax())
                 else:  # dropped entries can be neither extreme
@@ -685,16 +606,10 @@ def _scan(
                     d = abs(math.sqrt(scale * max(float(ratio.flat[k]), 0.0)) - 1.0)
                     if d > best[m]:
                         best[m] = d
-                        if policy.kind == "all":
-                            best_pair[m] = (i0 + k // da.shape[1], j0 + k % da.shape[1])
-                        else:
-                            best_pair[m] = (int(ii[k]), int(jj[k]))
+                        best_pair[m] = (i0 + k // shape[1], j0 + k % shape[1])
     if n_eval == 0:
         raise ValueError(_NO_CHORDS)
-    return [
-        DistortionSummary(max=d, argmax=pair, n_evaluated=n_eval, policy=policy)
-        for d, pair in zip(best, best_pair)
-    ]
+    return [DistortionSummary(max=d, argmax=pair, n_evaluated=n_eval) for d, pair in zip(best, best_pair)]
 
 
 def _screenable(i0: int, j0: int, da: np.ndarray, drop, h: np.ndarray) -> bool:
@@ -736,39 +651,54 @@ def _cached(blocks, h: np.ndarray):
         yield merged()
 
 
+def _check_cache_size(n_points: int, block: int = _BLOCK) -> None:
+    """Raise ValueError if the cache of a :class:`ChordScan` of ``n_points``
+    points could hold more than ``_CACHE_LIMIT`` bytes.
+
+    Counts the worst case: every block pair with j0 >= i0 kept as float64
+    lengths with a one-byte drop mask, 9 bytes per entry, diagonal blocks
+    whole.  It needs only the point count, so callers check before they
+    sample the points.
+    """
+    full, rest = divmod(n_points, block)
+    need = 9 * ((n_points * n_points + full * block * block + rest * rest) // 2)
+    if need > _CACHE_LIMIT:
+        raise ValueError(
+            f"a chord scan of {n_points} points could cache {need} bytes, "
+            f"above the limit of {_CACHE_LIMIT} bytes ({_CACHE_LIMIT / 2**30:g} GiB)"
+        )
+
+
 class ChordScan:
-    """Chord scan of a fixed point set, reused across projectors.
+    """Chord scan of every pair of a fixed point set, reused across projectors.
 
     Squared chord lengths in the ambient space depend only on the points,
-    so they are computed once here.  With all pairs, a block that the
-    float32 screen of :func:`_scan` takes (see :func:`_screenable`) keeps
-    only its float32 reciprocal lengths, 4 bytes per pair; the others, in
-    practice the diagonal blocks and their neighbours, keep 8 bytes per
-    pair plus a one-byte mask where entries are dropped.  A subsample
-    keeps 24 bytes per drawn pair.  Each :meth:`summary` then pays only for
-    its projector's Gram blocks, and agrees bit for bit with
-    :func:`pointset_distortion` on the same policy and block size;
-    :meth:`nested` scans every leading block of rows of one projector in
-    the same pass.  The cached blocks are only read, so one scan serves
-    concurrent calls.
+    so they are computed once here.  A block that the float32 screen of
+    :func:`_scan` takes (see :func:`_screenable`) keeps only its float32
+    reciprocal lengths, 4 bytes per pair; the others, in practice the
+    diagonal blocks and their neighbours, keep 8 bytes per pair plus a
+    one-byte mask where entries are dropped.  Each :meth:`summary` then
+    pays only for its projector's Gram blocks, and agrees bit for bit with
+    :func:`pointset_distortion` at the same block size; :meth:`nested`
+    scans every leading block of rows of one projector in the same pass.
+    The cached blocks are only read, so one scan serves concurrent calls.
 
-    Raises ValueError if the points have no chord of positive length.
+    Raises ValueError if the cache could exceed 2 GiB (see
+    :func:`_check_cache_size`), or if the points have no chord of positive
+    length.
     """
 
-    def __init__(self, points: np.ndarray, pair_policy: PairPolicy | None = None, block: int = _BLOCK):
+    def __init__(self, points: np.ndarray, block: int = _BLOCK):
         self.points = _as_points(points)
-        self.policy = pair_policy or PairPolicy.all()
+        _check_cache_size(len(self.points), block)
         self._ambient = (self.points, *_sq_operands(self.points))
-        blocks = _chord_blocks(self.points, self.policy, block)
-        if self.policy.kind == "all":
-            blocks = _cached(blocks, self._ambient[2][1])
-        self._blocks = list(blocks)
+        self._blocks = list(_cached(_chord_blocks(self.points, block), self._ambient[2][1]))
         if not self._blocks:
             raise ValueError(_NO_CHORDS)
 
     def summary(self, A: Projector) -> DistortionSummary:
         """Worst chord distortion under A, with the pair it came from."""
-        return _scan(_images(self.points, A), A.N, (A.M,), self.policy, self._blocks, self._ambient)[0]
+        return _scan(_images(self.points, A), A.N, (A.M,), self._blocks, self._ambient)[0]
 
     def nested(self, images: np.ndarray, N: int, M_grid) -> list[DistortionSummary]:
         """Worst chord distortion under the first M rows of one projection,
@@ -792,15 +722,10 @@ class ChordScan:
             raise ValueError(f"need M <= min(N, images columns) = {limit}, got {M_grid[-1]}")
         if not np.isfinite(images[:, : M_grid[-1]]).all():
             raise ValueError("images must be finite")
-        return _scan(images, N, M_grid, self.policy, self._blocks, self._ambient)
+        return _scan(images, N, M_grid, self._blocks, self._ambient)
 
 
-def pointset_distortion(
-    A: Projector,
-    points: np.ndarray,
-    pair_policy: PairPolicy | None = None,
-    block: int = _BLOCK,
-) -> DistortionSummary:
+def pointset_distortion(A: Projector, points: np.ndarray, block: int = _BLOCK) -> DistortionSummary:
     """Worst distortion over chords (displacement vectors) of a point set.
 
     The one-projector form of :class:`ChordScan`: the same blocks, streamed
@@ -810,8 +735,7 @@ def pointset_distortion(
     if no chord of positive length is left.
     """
     X = _as_points(points)
-    policy = pair_policy or PairPolicy.all()
-    return _scan(_images(X, A), A.N, (A.M,), policy, _chord_blocks(X, policy, block))[0]
+    return _scan(_images(X, A), A.N, (A.M,), _chord_blocks(X, block))[0]
 
 
 def subspace_distortion(A: Projector, U: SubspaceBasis) -> float:

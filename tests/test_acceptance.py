@@ -4,9 +4,10 @@ Each test covers one numbered criterion and prints a one-line verdict
 (visible with ``pytest -s``).  Tolerances are fixed here, not tuned at run
 time; seeds are frozen so the suite is deterministic.
 
-The corresponding full-scale runs (ambient dimension 2e4, 32768-point
-manifolds with all pairs) use the same code paths and are described in the
-README as long-running reproduction jobs; they do not gate this suite.
+The corresponding full-scale runs (ambient dimension 2e4, 16384-point
+curves and 128 x 128 surfaces, every chord scanned) use the same code
+paths and are described in the README as reproduction jobs; they do not
+gate this suite.
 """
 
 import math

@@ -30,7 +30,6 @@ from mfldproj.experiments import (
     _nested_worst,
     invert_quantile_curve,
     isotonic_nonincreasing,
-    resolve_pair_policy,
 )
 
 LNV1 = math.log(10 * math.sqrt(2) / 3)
@@ -73,18 +72,17 @@ class TestDistortionDistribution:
         assert got.samples[0] == direct.max
         assert got.max == direct.max
 
-    @pytest.mark.parametrize(
-        "policy", [None, mp.PairPolicy.subsample(3000, seed=8)], ids=["all", "subsample"]
-    )
-    def test_samples_equal_pointset_per_projector(self, policy):
+    @pytest.mark.parametrize("n_points", [1100, 4097], ids=["all", "all-4097"])
+    def test_samples_equal_pointset_per_projector(self, n_points):
         # 1100 points span nine blocks, so the cached scan reuses diagonal
-        # and off-diagonal blocks, and a ragged last block, per projector
-        spec = spec_for_volume(1, 60, 2.0, 1100)
-        got = distortion_distribution(spec, 9, 4, seed=6, pair_policy=policy)
+        # and off-diagonal blocks, and a ragged last block, per projector;
+        # above 4096 points every pair is still scanned
+        spec = spec_for_volume(1, 60, 2.0, n_points)
+        got = distortion_distribution(spec, 9, 4, seed=6)
         X = mp.sample_manifold(spec, derive_seed(6, ["manifold"])).points
         for i in range(4):
             A = mp.sample_projector(60, 9, derive_seed(6, ["proj", i]))
-            assert got.samples[i] == mp.pointset_distortion(A, X, pair_policy=policy).max
+            assert got.samples[i] == mp.pointset_distortion(A, X).max
 
     def test_stream_extension_preserves_prefix(self):
         spec = spec_for_volume(1, 100, 1.0, 32)
@@ -127,10 +125,13 @@ class TestDistortionDistribution:
         with pytest.raises(ValueError):
             distortion_distribution(spec_for_volume(1, 50, 1.0, 16), 51, 5, seed=0)
 
-    def test_resolve_pair_policy(self):
-        assert resolve_pair_policy(4096, 0).kind == "all"
-        pol = resolve_pair_policy(4097, 123)
-        assert pol.kind == "subsample" and pol.n_pairs == 10_000_000
+    def test_oversized_scan_refused_before_sampling(self, monkeypatch):
+        def no_sample(*args, **kwargs):
+            raise AssertionError("a manifold was sampled before the scan size was checked")
+
+        monkeypatch.setattr(mp.experiments, "sample_manifold", no_sample)
+        with pytest.raises(ValueError, match="32768 points"):
+            distortion_distribution(spec_for_volume(1, 100, 1.0, 32768), 10, 20, seed=0)
 
 
 class TestEpsilonAtDelta:
@@ -291,7 +292,7 @@ class TestMStarEmpirical:
         assert r < N  # the latent path, not the ambient fallback
         tail = np.random.default_rng(99).standard_normal((N - M_grid[-1], r))
         monkeypatch.setattr(mp.projections, "_wishart", lambda dof, K, size, rng: (tail.T @ tail)[None])
-        got = _nested_worst(spec, M_grid, 3, seed, None, 1)
+        got = _nested_worst(spec, M_grid, 3, seed, 1)
         X = mp.sample_manifold(spec, derive_seed(seed, ["manifold"])).points
         V, R = np.linalg.qr(z.reshape(r, N).T)
         V *= np.sign(np.diag(R))
@@ -311,7 +312,7 @@ class TestMStarEmpirical:
         # at N = 30 the rank r = 39 exceeds N and the points are scanned as is
         spec = spec_for_volume(1, N, LNV1, 128)
         latent = np.concatenate([
-            _nested_worst(spec, (M // 2, M), 10, derive_seed(N, ["latent", j]), None, 1)[:, 1] for j in range(30)
+            _nested_worst(spec, (M // 2, M), 10, derive_seed(N, ["latent", j]), 1)[:, 1] for j in range(30)
         ])
         ambient = np.concatenate(
             [distortion_distribution(spec, M, 10, derive_seed(N, ["ambient", j])).samples for j in range(30)]
@@ -423,6 +424,23 @@ class TestFigureData:
                   "eps_target": 1e-3}
         with pytest.raises(Unachievable, match=r"^fig6b point K=1, lnV=1\.55\d*, N=150: quantile"):
             figure_data("fig6b", params, seed=2)
+
+    def test_fig6a_default_reaches_target_at_seed_1(self):
+        # the K = 2, lnV = 4.4 point of the default table (with its derived
+        # seed) needs more than 200 projections at seed 1
+        t = figure_data("fig6a", {"K_values": [2], "lnV_over_K": [2.2]}, seed=1)
+        assert len(t) == 1
+        assert 200 < t.columns["m_star_emp"][0] <= 316
+
+    def test_fig6a_oversized_grid_refused_before_any_point(self, monkeypatch):
+        # the K = 1 points come first, but the 181^2 surface is refused
+        # before any of them is sampled
+        def no_sample(*args, **kwargs):
+            raise AssertionError("a point was computed before every scan size was checked")
+
+        monkeypatch.setattr(mp.experiments, "isometric_coordinates", no_sample)
+        with pytest.raises(ValueError, match=r"^fig6a point K=2, .*32761 points"):
+            figure_data("fig6a", {"grid_per_axis": {1: 512, 2: 181}}, seed=1)
 
     def test_fig6b_default_volume_convention(self):
         t = figure_data(

@@ -218,6 +218,18 @@ class TestRunSampleAndMstar:
         )
         assert float(rows[0][header.index("m_star_emp")]) == res.m_star_emp
 
+    def test_oversized_scan_refused_before_sampling(self, tmp_path, capsys, monkeypatch):
+        def no_sample(*args, **kwargs):
+            raise AssertionError("a manifold was sampled before the scan size was checked")
+
+        monkeypatch.setattr(mp.experiments, "isometric_coordinates", no_sample)
+        cfg = RunConfig(command="mstar", params={"grid_per_axis": 32768}, out_dir=str(tmp_path))
+        assert run(cfg) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == "ValueError"
+        assert "32768 points" in err["message"] and "2147483648 bytes" in err["message"]
+        assert not (tmp_path / "run_manifest.json").exists()
+
 
 class TestRunVerifyCones:
     def test_small_run_and_threads_invariance(self, tmp_path):

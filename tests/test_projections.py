@@ -2,11 +2,8 @@
 
 import functools
 import math
-import os
-import subprocess
 import sys
 import threading
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +14,6 @@ from mfldproj import (
     ChordScan,
     DistortionSummary,
     NumericalBreakdown,
-    PairPolicy,
     Projector,
     SubspaceBasis,
     jl_point_bound,
@@ -180,18 +176,6 @@ class TestPointsetDistortion:
         b = pointset_distortion(A, X, block=1024).max
         assert a == pytest.approx(b, rel=1e-12)
 
-    def test_subsample_policy(self):
-        rng = np.random.default_rng(9)
-        X = rng.standard_normal((200, 30))
-        A = sample_projector(30, 6, 6)
-        pol = PairPolicy.subsample(500, seed=77)
-        a = pointset_distortion(A, X, pair_policy=pol)
-        b = pointset_distortion(A, X, pair_policy=pol)
-        assert a.max == b.max
-        assert a.policy == pol
-        assert a.n_evaluated == 500
-        assert a.max <= pointset_distortion(A, X).max + 1e-15
-
     def test_coincident_points_skipped(self):
         X = np.zeros((3, 10))
         X[2, 0] = 1.0
@@ -214,12 +198,6 @@ class TestPointsetDistortion:
                 assert got.argmax not in ((2, 3), (3, 2))
                 assert got.n_evaluated == 512 * 511 // 2 - 1
                 assert got.max == pytest.approx(expected, rel=1e-12)
-        policy = PairPolicy.subsample(2000, seed=5)
-        for seed in range(5):
-            A = sample_projector(200, 5, seed)
-            for got in (pointset_distortion(A, X[:8], policy), ChordScan(X[:8], policy).summary(A)):
-                assert got.argmax not in ((2, 3), (3, 2))
-                assert got.n_evaluated < 2000
         # a constant first coordinate ties every point there, so rows are
         # compared in full; -0.0 and 0.0 are the same coordinate
         X[:, 0] = 0.0
@@ -309,18 +287,6 @@ def screened_cases():
     }
 
 
-MEMORY_CHILD = """
-import resource
-import numpy as np
-import mfldproj as mp
-X = np.random.default_rng(0).standard_normal((4100, 1000))
-A = mp.sample_projector(1000, 10, 1)
-cap = 3 * 2**30
-resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-print(mp.pointset_distortion(A, X, mp.PairPolicy.subsample(2**20, 3)).n_evaluated)
-"""
-
-
 class TestChordScan:
     def test_extremes_equal_elementwise_max(self):
         # min/max of the ratio per block gives the per-pair maximum bit for bit
@@ -340,11 +306,10 @@ class TestChordScan:
     def test_reuse_matches_pointset_distortion(self):
         rng = np.random.default_rng(13)
         X = rng.standard_normal((90, 30))
-        for policy in (PairPolicy.all(), PairPolicy.subsample(700, seed=4)):
-            scan = ChordScan(X, policy, block=8)
-            for seed in range(4):
-                A = sample_projector(30, 5, seed)
-                assert scan.summary(A) == pointset_distortion(A, X, policy, block=8)
+        scan = ChordScan(X, block=8)
+        for seed in range(4):
+            A = sample_projector(30, 5, seed)
+            assert scan.summary(A) == pointset_distortion(A, X, block=8)
 
     def test_nested_equals_prefix_scans(self):
         # at every M the nested pass equals a one-segment scan of the first
@@ -353,16 +318,15 @@ class TestChordScan:
         X = np.cumsum(rng.standard_normal((150, 40)), axis=0)
         X[[5, 6]] = X[4]
         M_grid = (3, 7, 8, 19, 30)
-        for policy in (PairPolicy.all(), PairPolicy.subsample(3000, seed=2)):
-            scan = ChordScan(X, policy, block=16)
-            for seed in range(3):
-                Y = X @ sample_projector(40, 30, seed).rows.T
-                got = scan.nested(Y, 40, M_grid)
-                for M, g in zip(M_grid, got):
-                    ref = scan.nested(Y[:, :M], 40, (M,))[0]
-                    assert g.max == pytest.approx(ref.max, rel=0, abs=1e-12)
-                    assert g.n_evaluated == ref.n_evaluated
-                assert got[0] == scan.nested(Y[:, :3], 40, (3,))[0]
+        scan = ChordScan(X, block=16)
+        for seed in range(3):
+            Y = X @ sample_projector(40, 30, seed).rows.T
+            got = scan.nested(Y, 40, M_grid)
+            for M, g in zip(M_grid, got):
+                ref = scan.nested(Y[:, :M], 40, (M,))[0]
+                assert g.max == pytest.approx(ref.max, rel=0, abs=1e-12)
+                assert g.n_evaluated == ref.n_evaluated
+            assert got[0] == scan.nested(Y[:, :3], 40, (3,))[0]
 
     def test_nested_equals_elementwise_max_at_every_M(self):
         # 150 points in blocks of 16 (the last is ragged), a duplicated
@@ -434,11 +398,26 @@ class TestChordScan:
 
     def test_empty_scan_raises(self):
         A = sample_projector(10, 2, 1)
-        for policy in (PairPolicy.all(), PairPolicy.subsample(50, seed=1)):
-            with pytest.raises(ValueError, match="no chord"):
-                pointset_distortion(A, np.ones((5, 10)), policy)
-            with pytest.raises(ValueError, match="no chord"):
-                ChordScan(np.ones((5, 10)), policy)
+        with pytest.raises(ValueError, match="no chord"):
+            pointset_distortion(A, np.ones((5, 10)))
+        with pytest.raises(ValueError, match="no chord"):
+            ChordScan(np.ones((5, 10)))
+
+    def test_all_pairs_above_4096_points(self):
+        X = gp_curve(4097)
+        A = sample_projector(X.shape[1], 20, 3)
+        got = ChordScan(X).summary(A)
+        assert got.n_evaluated == 4097 * 4096 // 2
+        assert got == pointset_distortion(A, X)
+
+    def test_cache_size_checked_from_the_point_count(self):
+        # 9 bytes per entry of the blocks on and above the diagonal: 16384
+        # points could take 1.2 GB, 21782 points just over 2 GiB
+        projections._check_cache_size(16384)
+        with pytest.raises(ValueError, match=r"21782 points could cache 2147585796 bytes.* 2147483648 bytes"):
+            projections._check_cache_size(21782)
+        with pytest.raises(ValueError, match="32768 points"):
+            ChordScan(np.broadcast_to(np.arange(32768.0)[:, None], (32768, 2)))
 
     def test_rejects_non_finite(self):
         rng = np.random.default_rng(18)
@@ -466,29 +445,12 @@ class TestChordScan:
         with pytest.raises(ValueError):
             ChordScan(np.zeros(10))
         with pytest.raises(ValueError):
-            ChordScan(np.ones((3, 10)), PairPolicy(kind="nearby"))
-        with pytest.raises(ValueError):
             ChordScan(np.eye(3)).summary(sample_projector(10, 2, 1))
         scan = ChordScan(np.eye(3))
         for images, M_grid in ((np.ones((3, 4)), (2, 2)), (np.ones((3, 4)), (0, 2)),
                                (np.ones((3, 4)), (2, 5)), (np.ones((2, 4)), (1, 2))):
             with pytest.raises(ValueError):
                 scan.nested(images, 10, M_grid)
-
-    @pytest.mark.skipif(sys.platform != "linux", reason="address-space cap needs Linux")
-    def test_subsample_fits_address_space_cap(self):
-        # 2^20 drawn pairs of 1000-dimensional points: gathering all their
-        # rows at once would take 7.8 GiB, above the child's 3 GiB cap
-        src = str(Path(mp.__file__).resolve().parents[1])
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        out = subprocess.run(
-            [sys.executable, "-c", MEMORY_CHILD],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
-        assert out.returncode == 0, out.stderr[-2000:]
-        assert int(out.stdout) == 2**20
-
 
 def screen_error_ratio(scan, Y, N, M_grid):
     """Largest |r32 - r64| / slack over every entry of every screened block
@@ -555,11 +517,10 @@ class TestScreenedScan:
             assert {(0, 256), (0, 640)} <= set(dropped)
         if case == "ragged":
             assert any(b.bounds[-1] - b.bounds[-2] == 104 for b in scan._blocks if isinstance(b, _Screened))
-        policy = PairPolicy.all()
         order = []
         for b in scan._blocks:
             order += [(b.i0, b.j0 + int(c)) for c in b.bounds[:-1]] if isinstance(b, _Screened) else [b[:2]]
-        assert order == [(i0, j0) for i0, j0, _, _ in projections._chord_blocks(X, policy, 128)]
+        assert order == [(i0, j0) for i0, j0, _, _ in projections._chord_blocks(X, 128)]
         recomputed = count_recomputed(monkeypatch, scan)
         for seed in range(2):
             Y = X @ frame_rows(N, k, M_grid[-1], seed).T
@@ -567,7 +528,7 @@ class TestScreenedScan:
             got = scan.nested(Y, N, M_grid)
             if case != "shifted":  # most screened blocks are skipped
                 assert len(recomputed) < screened_blocks(scan) / 2
-            assert got == projections._scan(Y, N, M_grid, policy, projections._chord_blocks(X, policy, 128))
+            assert got == projections._scan(Y, N, M_grid, projections._chord_blocks(X, 128))
             assert [g.max for g in got] == nested_elementwise_worst(X, Y, N, M_grid, 128)
             A = sample_projector(k, 50, seed)
             assert scan.summary(A) == pointset_distortion(A, X)
@@ -590,8 +551,7 @@ class TestScreenedScan:
         assert not any(b.i0 == 0 and b.j0 <= 96 < b.j0 + b.bounds[-1] for b in runs)
         M_grid, Y = (12, 20, 30), X[:, :30]
         got = scan.nested(Y, 40, M_grid)
-        policy = PairPolicy.all()
-        assert got == projections._scan(Y, 40, M_grid, policy, projections._chord_blocks(X, policy, 16))
+        assert got == projections._scan(Y, 40, M_grid, projections._chord_blocks(X, 16))
         assert [(g.max, g.argmax) for g in got] == [(1.0, (3, 40))] * 3
 
     def test_slack_bounds_float32_error(self):
@@ -601,7 +561,7 @@ class TestScreenedScan:
         rng = np.random.default_rng(21)
         base = rng.standard_normal((512, 30))
         N, M_grid = 200, (1, 3, 8, 20, 50)
-        shortest = [float(da.min()) for i0, j0, da, _ in projections._chord_blocks(base, PairPolicy.all(), 128)
+        shortest = [float(da.min()) for i0, j0, da, _ in projections._chord_blocks(base, 128)
                     if i0 != j0]
         shift = math.sqrt(0.8e-4 * float(np.median(shortest)) / 2.0**-24 / 30)
         for X in (base, base + shift):
