@@ -346,7 +346,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(_RUNNERS), help="what to run")
     parser.add_argument("--config", type=str, default=None, help="JSON config file")
     parser.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
-    parser.add_argument("--threads", type=int, default=None, help="worker threads (overrides config)")
+    parser.add_argument("--threads", type=int, default=None,
+                        help="worker threads (overrides config); above 1, run with OPENBLAS_NUM_THREADS=1")
     parser.add_argument("--out-dir", type=str, default=None, help="artifact directory (overrides config)")
     parser.add_argument("--format", choices=["csv", "json"], default=None, help="table format (overrides config)")
     parser.add_argument("--param", action="append", default=[], metavar="KEY=JSON",

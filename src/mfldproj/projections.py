@@ -164,6 +164,9 @@ class DistortionSummary:
     ``samples`` may be None for streaming scans that only track the max.
     ``argmax`` records where the worst element came from (a pair of point
     indices for point sets, a projector index for projector ensembles).
+    Among exact ties a chord scan reports the pair that comes first in
+    its block order, the diagonal band before the far blocks (see
+    ``_chord_blocks``).
     """
 
     max: float
@@ -230,9 +233,10 @@ _SCREEN_COND = 1e-4
 # thresholds, of the widened extremes and of the distortions themselves.
 _F64_MARGIN = 1e-9
 
-# Columns of a screened run per float32 product: two float32 buffers of
-# this many columns by 128 rows take 1 MiB.  512 to 2048 columns scanned
-# `curve-4096` equally fast on a 2-core host with 2 MiB of L2 per core.
+# Columns at which a screened run is closed, so each float32 product of
+# the screen takes one run: two float32 buffers of this many columns by
+# 128 rows take 1 MiB.  512 to 2048 columns scanned `curve-4096` equally
+# fast on a 2-core host with 2 MiB of L2 per core.
 _SCREEN_COLS = 1024
 
 
@@ -307,25 +311,30 @@ def _chord_blocks(X: np.ndarray, block: int):
     identical points, and chords whose computed length is not positive),
     or is None if there are none.  Dropped entries of ``da`` are set to 1
     so that dividing by the block is safe.
+
+    This order is the order of every chord scan.  The diagonal band comes
+    first: the pairs with j0 - i0 <= block, the diagonal blocks and their
+    first neighbours, which hold the short chords and so, in practice, the
+    worst ones.  The far blocks follow in row-major order.
     """
     P = X.shape[0]
     lead, trail = _sq_operands(X)
     group = _duplicate_groups(X)
     gram = np.empty(min(block, P) ** 2)
-    for i0 in range(0, P, block):
-        rows = slice(i0, min(i0 + block, P))
-        for j0 in range(i0, P, block):
-            cols = slice(j0, min(j0 + block, P))
-            shape = (rows.stop - i0, cols.stop - j0)
-            da = _block_half_sq(X, lead, trail, rows, cols, np.empty(shape), _view(gram, shape))
-            drop = ~(da > 0.0)
-            if group is not None:
-                drop |= group[rows, None] == group[None, cols]
-            if i0 == j0:
-                drop |= np.tri(*da.shape, dtype=bool)
-            if not drop.all():
-                da[drop] = 1.0
-                yield i0, j0, da, (drop if drop.any() else None)
+    starts = range(0, P, block)
+    pairs = sorted(((i0, j0) for i0 in starts for j0 in starts if j0 >= i0), key=lambda p: (p[1] - p[0] > block, p))
+    for i0, j0 in pairs:
+        rows, cols = slice(i0, min(i0 + block, P)), slice(j0, min(j0 + block, P))
+        shape = (rows.stop - i0, cols.stop - j0)
+        da = _block_half_sq(X, lead, trail, rows, cols, np.empty(shape), _view(gram, shape))
+        drop = ~(da > 0.0)
+        if group is not None:
+            drop |= group[rows, None] == group[None, cols]
+        if i0 == j0:
+            drop |= np.tri(*da.shape, dtype=bool)
+        if not drop.all():
+            da[drop] = 1.0
+            yield i0, j0, da, (drop if drop.any() else None)
 
 
 def _as_points(points) -> np.ndarray:
@@ -350,7 +359,9 @@ _NO_CHORDS = "no chord of positive length to scan"
 
 class _Screened(NamedTuple):
     """Consecutive all-pairs blocks of one block row, kept for the float32
-    screen of :func:`_scan`: the rows from i0 and the columns from j0.
+    screen of :func:`_scan`: the rows from i0 and the columns from j0,
+    closed once they reach ``_SCREEN_COLS`` columns (see :func:`_cached`),
+    so the screen takes a run in one product per segment.
 
     ``rec`` holds 1 / da transposed, one row per column of the points, in
     float32 (all normal numbers); block t spans its rows
@@ -382,107 +393,75 @@ class _Screen:
     runs (see :func:`_scan`).  Its operands and buffers belong to one call.
 
     Segment m of the images, of width w with h = |y|^2 / 2, has the float32
-    operand [y, h, 1] (P x (w + 2)), built when a run first reaches it.
-    Rows j of it times the rows i of [-y, 1, h] of a run's block row are the
-    segment's half squared lengths, laid out like ``rec``.
+    operand [y, h, 1] (P x (w + 2)).  Rows j of it times the rows i of
+    [-y, 1, h] of a run's block row are the segment's half squared
+    lengths, laid out like ``rec``.
     """
 
     def __init__(self, segs: list[np.ndarray], ops: list[tuple[np.ndarray, np.ndarray]], M_grid):
-        self.segs, self.hs = segs, [trail[1] for _, trail in ops]
-        self.operands = [None] * len(segs)
-        self.H = np.cumsum(self.hs, axis=0)
-        self.kappa = np.array([4.0 * (M + 7 * (m + 1)) for m, M in enumerate(M_grid)])
-        self.bufs = np.empty((2, 0), np.float32)
-
-    def operand(self, m: int) -> np.ndarray:
-        """[y, h, 1] of segment m in float32."""
-        if self.operands[m] is None:
-            seg = self.segs[m]
+        self.operands = []
+        for seg, (_, trail) in zip(segs, ops):
             w = seg.shape[1]
             op = np.empty((len(seg), w + 2), np.float32)
             with np.errstate(over="ignore"):  # a float32 overflow only keeps blocks in the float64 pass
-                op[:, :w], op[:, w], op[:, w + 1] = seg, self.hs[m], 1.0
-            self.operands[m] = op
-        return self.operands[m]
+                op[:, :w], op[:, w], op[:, w + 1] = seg, trail[1], 1.0
+            self.operands.append(op)
+        self.H = np.cumsum([trail[1] for _, trail in ops], axis=0)
+        self.kappa = np.array([4.0 * (M + 7 * (m + 1)) for m, M in enumerate(M_grid)])
+        self.bufs = np.empty((2, 0), np.float32)
 
-    def ratios(self, run: _Screened, t0: int, t1: int):
-        """Per M, the float32 ratios of blocks t0..t1-1 of ``run``, laid out
-        like ``run.rec`` in a reused buffer."""
-        c0, c1 = run.bounds[t0], run.bounds[t1]
-        shape = (c1 - c0, run.rec.shape[1])
-        rows, cols = slice(run.i0, run.i0 + shape[1]), slice(run.j0 + c0, run.j0 + c1)
-        if self.bufs.shape[1] < shape[0] * shape[1]:
-            self.bufs = np.empty((2, shape[0] * shape[1]), np.float32)
+    def ratios(self, run: _Screened):
+        """Per M, the float32 ratios of ``run``, laid out like ``run.rec``
+        in a reused buffer."""
+        shape = run.rec.shape
+        rows, cols = slice(run.i0, run.i0 + shape[1]), slice(run.j0, run.j0 + shape[0])
+        if self.bufs.shape[1] < run.rec.size:
+            self.bufs = np.empty((2, run.rec.size), np.float32)
         total, ratio = (_view(buf, shape) for buf in self.bufs)
-        for m in range(len(self.operands)):
-            op = self.operand(m)
+        for m, op in enumerate(self.operands):
             row_op = np.negative(op[rows])
             row_op[:, -2], row_op[:, -1] = 1.0, op[rows, -2]
             np.matmul(op[cols], row_op.T, out=ratio if m else total)
             if m:
                 total += ratio
-            np.multiply(total, run.rec[c0:c1], out=ratio)
+            np.multiply(total, run.rec, out=ratio)
             yield ratio
 
-    def slack(self, run: _Screened, t0: int, t1: int) -> np.ndarray:
+    def slack(self, run: _Screened) -> np.ndarray:
         """M by block, the part of the slack of :func:`_scan` that does not
         depend on the ratios: kappa_M (u (H_i + H_j) + 2^-126) max 1 / da."""
-        c0, c1 = run.bounds[t0], run.bounds[t1]
-        rows, cols = slice(run.i0, run.i0 + run.rec.shape[1]), slice(run.j0 + c0, run.j0 + c1)
-        H = self.H[:, rows].max(axis=1)[:, None] + np.maximum.reduceat(self.H[:, cols], run.bounds[t0:t1] - c0, axis=1)
-        return self.kappa[:, None] * (_U32 * H + _TINY32) * run.max_rec[t0:t1]
+        rows, cols = slice(run.i0, run.i0 + run.rec.shape[1]), slice(run.j0, run.j0 + run.rec.shape[0])
+        H = self.H[:, rows].max(axis=1)[:, None] + np.maximum.reduceat(self.H[:, cols], run.bounds[:-1], axis=1)
+        return self.kappa[:, None] * (_U32 * H + _TINY32) * run.max_rec
 
-    def widened(self, run: _Screened, t0: int, t1: int, limits) -> tuple[np.ndarray, np.ndarray]:
+    def widened(self, run: _Screened) -> tuple[np.ndarray, np.ndarray]:
         """Upper and lower bounds, M by block, on the float64 ratios of
-        blocks t0..t1-1 of ``run``: the float32 extremes widened by the
-        slack of :func:`_scan`.  NaN after the first M at which ``limits``
-        (from :func:`_thresholds`) rule out none of the blocks, unwidened."""
-        above, below = limits
-        offs = (run.bounds[t0:t1] - run.bounds[t0]) * run.rec.shape[1]
-        hi, lo = np.full((2, len(above), t1 - t0), np.nan, np.float32)
+        ``run``: the float32 extremes widened by the slack of :func:`_scan`."""
+        offs = run.bounds[:-1] * run.rec.shape[1]
+        hi, lo = np.empty((2, len(self.operands), len(run.max_rec)), np.float32)
         with np.errstate(over="ignore", invalid="ignore"):
-            for m, ratio in enumerate(self.ratios(run, t0, t1)):
+            for m, ratio in enumerate(self.ratios(run)):
                 flat = ratio.reshape(-1)
                 np.maximum.reduceat(flat, offs, out=hi[m])
                 np.minimum.reduceat(flat, offs, out=lo[m])
-                if not ((hi[m] <= above[m]) & (lo[m] >= below[m])).any():
-                    break
             hi, lo = hi.astype(float), lo.astype(float)
-            slack = self.slack(run, t0, t1) + 8.0 * _U32 * np.maximum(np.abs(hi), np.abs(lo)) + _TINY32
+            slack = self.slack(run) + 8.0 * _U32 * np.maximum(np.abs(hi), np.abs(lo)) + _TINY32
         return hi + slack, lo - slack
 
-    def unresolved(self, run: _Screened, N: int, M_grid, best: list[float], scanned: int):
+    def unresolved(self, run: _Screened, N: int, M_grid, best: list[float]):
         """The blocks of ``run`` that the screen cannot rule out, in order,
         as ``(i0, j0, shape)``.  ``best`` is read again after each block,
-        once the caller has scanned it; ``scanned`` counts the pairs the
-        scan went over before the run.
-
-        Up to ``_SCREEN_COLS`` columns are screened at a time, and only once
-        the scan has gone over at least as many pairs as they hold: before
-        that, the running worst rests on fewer pairs than they do, and they
-        usually hold a new worst at some M (at the criterion-6 point, with
-        512 points and 10 M, the first far run was ruled out for 2
-        projectors in 40)."""
-        per = max(1, _SCREEN_COLS // int(run.bounds[1] - run.bounds[0]))
-        for t0 in range(0, len(run.max_rec), per):
-            t1 = min(t0 + per, len(run.max_rec))
-            limits = _thresholds(best, N, M_grid)
-            pairs = int(run.bounds[t1] - run.bounds[t0]) * run.rec.shape[1]
-            if pairs > scanned:
-                up = down = np.full((len(M_grid), t1 - t0), np.nan)
-            else:
-                up, down = self.widened(run, t0, t1, limits)
-            scanned += pairs
-            t = t0
-            while t < t1:
-                above, below = limits
-                ruled_out = ((up[:, t - t0 :] <= above[:, None]) & (down[:, t - t0 :] >= below[:, None])).all(axis=0)
-                if ruled_out.all():
-                    break
-                t += int(np.argmin(ruled_out))
-                yield run.i0, run.j0 + int(run.bounds[t]), (run.rec.shape[1], int(run.bounds[t + 1] - run.bounds[t]))
-                limits = _thresholds(best, N, M_grid)
-                t += 1
+        once the caller has scanned it."""
+        up, down = self.widened(run)
+        t = 0
+        while t < len(run.max_rec):
+            above, below = _thresholds(best, N, M_grid)
+            ruled_out = ((up[:, t:] <= above[:, None]) & (down[:, t:] >= below[:, None])).all(axis=0)
+            if ruled_out.all():
+                break
+            t += int(np.argmin(ruled_out))
+            yield run.i0, run.j0 + int(run.bounds[t]), (run.rec.shape[1], int(run.bounds[t + 1] - run.bounds[t]))
+            t += 1
 
 
 def _scan(Y: np.ndarray, N: int, M_grid, blocks, ambient: tuple | None = None) -> list[DistortionSummary]:
@@ -504,6 +483,11 @@ def _scan(Y: np.ndarray, N: int, M_grid, blocks, ambient: tuple | None = None) -
     every entry (among tied entries clipped to 0 the pair reported may
     differ).  With one segment this is the plain scan of one projector.
 
+    Blocks are visited in the order of ``_chord_blocks``, the diagonal
+    band first, and only a strictly larger distortion replaces the worst
+    pair: among exact ties in different blocks the pair reported is the
+    one in the first block of that order.
+
     Runs of blocks that :class:`ChordScan` keeps as :class:`_Screened` go
     through a float32 screen first.  A block whose float64 distortions are
     all at most the running worst b at every M leaves the scan as it was
@@ -513,8 +497,11 @@ def _scan(Y: np.ndarray, N: int, M_grid, blocks, ambient: tuple | None = None) -
     stay within both limits at every M.  Otherwise ``ambient`` =
     (points, *_sq_operands(points)) recomputes the block's float64 lengths
     with the call that cached them, and the float64 pass below runs on it.
-    Blocks are visited in the unscreened order, so every max and argmax is
-    the unscreened scan's bit for bit.
+    Blocks keep their order, so every max and argmax is the unscreened
+    scan's bit for bit.  The band blocks are rarely screenable (their
+    shortest chords are too short for float32), but they set the running
+    worst before the screen reaches the far blocks, so a far block is
+    screened against the worst chord of the band and is usually ruled out.
 
     The float32 pass forms each segment's half squared lengths with one
     GEMM of [y, h, 1] by [-y; 1; h] (h = |y|^2 / 2 over the segment), adds
@@ -548,16 +535,11 @@ def _scan(Y: np.ndarray, N: int, M_grid, blocks, ambient: tuple | None = None) -
     of the widened extremes and of the distortions themselves, and an
     extreme that overflows to inf or NaN never skips a block.
 
-    The float32 pass takes up to ``_SCREEN_COLS`` columns of a run at a
-    time, once the scan has gone over at least as many pairs as they hold
-    (see :meth:`_Screen.unresolved`), and stops early when, at some M, it
-    rules out no block of them even unwidened: those blocks then take the
-    float64 pass.
-
     A block takes three reused buffers of its size (the running sum, the
     segment's lengths, and the Gram product, then the ratios), and a fourth
     for recomputed ambient lengths, so the pass allocates no block-sized
-    array; the screen has two float32 buffers of ``_SCREEN_COLS`` columns.
+    array; the screen takes a whole run at every M in two float32 buffers
+    of a run's size.
     The buffers belong to the call: one :class:`ChordScan` serves
     concurrent scans.
     """
@@ -571,7 +553,7 @@ def _scan(Y: np.ndarray, N: int, M_grid, blocks, ambient: tuple | None = None) -
         if screened:
             if screen is None:
                 screen = _Screen(segs, ops, M_grid)
-            todo = screen.unresolved(item, N, M_grid, best, n_eval)
+            todo = screen.unresolved(item, N, M_grid, best)
             n_eval += item.rec.size
         else:
             todo = (item,)
@@ -629,8 +611,8 @@ def _screenable(i0: int, j0: int, da: np.ndarray, drop, h: np.ndarray) -> bool:
 def _cached(blocks, h: np.ndarray):
     """The all-pairs blocks of ``_chord_blocks`` as :class:`ChordScan`
     keeps them, in the same order: each run of consecutive screenable
-    blocks in one block row as one :class:`_Screened`, every other block as
-    it is."""
+    blocks in one block row as one :class:`_Screened`, closed once it
+    reaches ``_SCREEN_COLS`` columns, and every other block as it is."""
     run = []  # (i0, j0, rec, max_rec) of the screenable blocks not yet yielded
 
     def merged():
@@ -645,6 +627,9 @@ def _cached(blocks, h: np.ndarray):
             run = []
         if screenable:
             run.append((i0, j0, np.ascontiguousarray((1.0 / da).T, dtype=np.float32), 1.0 / float(da.min())))
+            if j0 + da.shape[1] - run[0][1] >= _SCREEN_COLS:
+                yield merged()
+                run = []
         else:
             yield i0, j0, da, drop
     if run:
@@ -673,15 +658,17 @@ class ChordScan:
     """Chord scan of every pair of a fixed point set, reused across projectors.
 
     Squared chord lengths in the ambient space depend only on the points,
-    so they are computed once here.  A block that the float32 screen of
+    so they are computed once here, in the order of ``_chord_blocks``: the
+    diagonal band, then the far blocks.  A block that the float32 screen of
     :func:`_scan` takes (see :func:`_screenable`) keeps only its float32
     reciprocal lengths, 4 bytes per pair; the others, in practice the
     diagonal blocks and their neighbours, keep 8 bytes per pair plus a
     one-byte mask where entries are dropped.  Each :meth:`summary` then
     pays only for its projector's Gram blocks, and agrees bit for bit with
-    :func:`pointset_distortion` at the same block size; :meth:`nested`
-    scans every leading block of rows of one projector in the same pass.
-    The cached blocks are only read, so one scan serves concurrent calls.
+    :func:`pointset_distortion` at the same block size, worst pair and
+    exact ties included; :meth:`nested` scans every leading block of rows
+    of one projector in the same pass.  The cached blocks are only read,
+    so one scan serves concurrent calls.
 
     Raises ValueError if the cache could exceed 2 GiB (see
     :func:`_check_cache_size`), or if the points have no chord of positive

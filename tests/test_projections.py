@@ -25,7 +25,7 @@ from mfldproj import (
     vector_distortion,
     weyl_gap,
 )
-from mfldproj import projections
+from mfldproj import experiments, projections
 from mfldproj.projections import _haar_frame_rows, _Screened
 from mfldproj.sampling import isometric_coordinates
 
@@ -464,8 +464,8 @@ def screen_error_ratio(scan, Y, N, M_grid):
     worst = 0.0
     for run in (b for b in scan._blocks if isinstance(b, _Screened)):
         nt, nr = len(run.max_rec), run.rec.shape[1]
-        r32 = [r.copy() for r in screen.ratios(run, 0, nt)]
-        slack = screen.slack(run, 0, nt)
+        r32 = [r.copy() for r in screen.ratios(run)]
+        slack = screen.slack(run)
         for t in range(nt):
             c0, c1 = run.bounds[t], run.bounds[t + 1]
             rows, cols = slice(run.i0, run.i0 + nr), slice(run.j0 + c0, run.j0 + c1)
@@ -554,6 +554,52 @@ class TestScreenedScan:
         assert got == projections._scan(Y, 40, M_grid, projections._chord_blocks(X, 16))
         assert [(g.max, g.argmax) for g in got] == [(1.0, (3, 40))] * 3
 
+    def test_ties_prefer_the_diagonal_band(self):
+        # integer coordinates make every length exact: the chords (3, 40),
+        # in the far block (0, 32), and (20, 41), in the band block
+        # (16, 32), lie beyond the first 30 coordinates, so both have
+        # distortion 1 at every M, and no other chord reaches it while
+        # N / M < 4.  The band is scanned first, so every path reports the
+        # band pair, through the screen and without it.
+        rng = np.random.default_rng(19)
+        X = rng.integers(-8, 9, size=(150, 40)).astype(float)
+        X[40], X[41] = X[3], X[20]
+        X[40, 35] += 8.0
+        X[41, 36] += 8.0
+        scan = ChordScan(X, block=16)
+        runs = {(b.i0, b.j0) for b in scan._blocks if isinstance(b, _Screened)}
+        assert {(0, 32), (16, 32)} <= runs
+        M_grid, Y = (12, 20, 30), X[:, :30]
+        want = [(1.0, (20, 41))] * 3
+        assert [(g.max, g.argmax) for g in scan.nested(Y, 40, M_grid)] == want
+        got = projections._scan(Y, 40, M_grid, projections._chord_blocks(X, 16))
+        assert [(g.max, g.argmax) for g in got] == want
+        A = Projector(rows=np.eye(30, 40), M=30, N=40, seed=0)
+        assert (pointset_distortion(A, X, block=16).argmax, scan.summary(A).argmax) == ((20, 41), (20, 41))
+
+    @pytest.mark.parametrize("block", [16, 128])
+    def test_band_blocks_come_first(self, block):
+        # the diagonal blocks and their first neighbours (j0 - i0 <= block)
+        # precede every far block, in the stream and in the cache, and a
+        # cached run is closed once it reaches one screen product's columns
+        rng = np.random.default_rng(20)
+        X = gp_curve(2048)[:2000] if block == 128 else np.cumsum(rng.standard_normal((150, 40)), axis=0)
+        streamed = [(i0, j0) for i0, j0, _, _ in projections._chord_blocks(X, block)]
+        starts = range(0, len(X), block)
+        assert sorted(streamed) == [(i0, j0) for i0 in starts for j0 in starts if j0 >= i0]
+        band = [j0 - i0 <= block for i0, j0 in streamed]
+        assert band == sorted(band, reverse=True) and sum(band) == 2 * len(starts) - 1
+        scan = ChordScan(X, block=block)
+        cached = []
+        for b in scan._blocks:
+            cached += [(b.i0, b.j0 + int(c)) for c in b.bounds[:-1]] if isinstance(b, _Screened) else [b[:2]]
+        assert cached == streamed
+        runs = [b for b in scan._blocks if isinstance(b, _Screened)]
+        assert runs and all(b.bounds[-1] <= projections._SCREEN_COLS for b in runs)
+        if block == 128:  # the far blocks of row 0 span 1744 columns
+            assert (runs[0].i0, runs[0].j0, runs[0].bounds[-1]) == (0, 256, projections._SCREEN_COLS)
+        assert any(b.bounds[-1] - b.bounds[-2] < block for b in runs)
+
     def test_slack_bounds_float32_error(self):
         # every float32 ratio is within the screen's slack of the float64
         # one, at every M: on random points, and on points moved far from
@@ -582,16 +628,18 @@ class TestScreenedScan:
 
     def test_screen_skips_most_far_blocks(self, monkeypatch):
         # on a smooth curve the float64 pass runs on fewer than a quarter of
-        # the screened blocks per projector
-        X, N, M_grid = gp_curve(2048), 1000, (63, 100)
+        # the screened blocks per projector, also on the 12-value default
+        # fig6a grid, where a block must be ruled out at every M
+        X, N = gp_curve(2048), 1000
         scan = ChordScan(X)
         n_screened = screened_blocks(scan)
         assert n_screened >= 100  # of 136 blocks
         recomputed = count_recomputed(monkeypatch, scan)
-        for seed in range(4):
-            recomputed.clear()
-            scan.nested(X @ frame_rows(N, X.shape[1], M_grid[-1], seed).T, N, M_grid)
-            assert len(recomputed) < n_screened / 4
+        for M_grid in ((63, 100), experiments._FIG_DEFAULTS["fig6a"]["M_grid"]):
+            for seed in range(4):
+                recomputed.clear()
+                scan.nested(X @ frame_rows(N, X.shape[1], M_grid[-1], seed).T, N, M_grid)
+                assert len(recomputed) < n_screened / 4, (M_grid, seed)
 
 
 class TestSubspaceDistortion:
