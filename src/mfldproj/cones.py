@@ -40,6 +40,7 @@ from .errors import GuaranteeVacuous
 from .projections import (
     SubspaceBasis,
     _haar_frame_rows,
+    _signed_qr,
     _transposed,
     _wishart,
     random_subspace,
@@ -220,10 +221,7 @@ def _complement_frames(u: np.ndarray, rng: np.random.Generator, size: int) -> np
     n, k = u.shape
     g = rng.standard_normal((size, n, k))
     g -= u @ (u.T @ g)
-    q, r = np.linalg.qr(g)
-    sign = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    sign[sign == 0] = 1.0
-    return q * sign[:, None, :]
+    return _signed_qr(g)
 
 
 @dataclass(frozen=True)

@@ -90,8 +90,8 @@ def distortion_distribution(
     the ambient points with its own N x M projector: the reference for the
     latent path of :func:`m_star_empirical`.
     """
-    if M > spec.N:
-        raise ValueError(f"need M <= N, got M={M}, N={spec.N}")
+    if not (1 <= M <= spec.N and n_proj >= 1):
+        raise ValueError(f"need 1 <= M <= N and n_proj >= 1, got M={M}, N={spec.N}, n_proj={n_proj}")
     _check_cache_size(spec.n_points)
     scan = ChordScan(sample_manifold(spec, derive_seed(seed, ["manifold"])).points)
     out = np.empty(n_proj)

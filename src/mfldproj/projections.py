@@ -36,18 +36,19 @@ __all__ = [
 _ORTHO_TOL = 1e-10
 
 
-def _haar_columns(N: int, K: int, rng: np.random.Generator) -> np.ndarray:
-    """N x K column-orthonormal matrix, Haar-distributed.
-
-    QR of a standard Gaussian matrix with the sign of the triangular
-    factor's diagonal fixed to be nonnegative; without the sign fix the
-    distribution of Q is not unbiased.
-    """
-    g = rng.standard_normal((N, K))
+def _signed_qr(g: np.ndarray) -> np.ndarray:
+    """Q factor of a matrix, or of each matrix in a stack, with the sign of
+    the triangular factor's diagonal fixed to be nonnegative: of a Gaussian
+    matrix this Q is Haar, which it is not without the sign fix."""
     q, r = np.linalg.qr(g)
-    sign = np.sign(np.diagonal(r))
+    sign = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     sign[sign == 0] = 1.0
-    return q * sign
+    return q * sign[..., None, :]
+
+
+def _haar_columns(N: int, K: int, rng: np.random.Generator) -> np.ndarray:
+    """N x K column-orthonormal matrix, Haar-distributed (Householder QR)."""
+    return _signed_qr(rng.standard_normal((N, K)))
 
 
 def _transposed(a: np.ndarray) -> np.ndarray:
@@ -72,18 +73,20 @@ def _wishart(dof: int, K: int, size: int, rng: np.random.Generator) -> np.ndarra
 
 
 def _haar_frame_rows(N: int, k: int, M: int, rng: np.random.Generator) -> np.ndarray:
-    """The first M rows (M x k) of a Haar-distributed N x k column-orthonormal
-    frame, without forming the frame when k < N.
+    """The first M rows (M x k) of a Haar N x k column-orthonormal frame,
+    drawn from the cheaper side without forming the frame.
 
-    The frame is W = H L^{-T} for an N x k Gaussian H with H^T H = L L^T
-    (the Q factor of H with a positive triangular diagonal, which is Haar).
-    Its first M rows are G L^{-T} with G the first M rows of H, and
-    H^T H = G^T G + Wishart_k(N - M) for the rows below them: O(M k^2 + k^3).
-    With k = N the frame is square and its first M rows are the transposed
-    columns of :func:`_haar_columns`.
+    For k <= M the frame is W = H L^{-T} for an N x k Gaussian H with
+    H^T H = L L^T (the Q factor of H with a positive triangular diagonal,
+    which is Haar).  Its first M rows are G L^{-T} with G the first M rows
+    of H, and H^T H = G^T G + Wishart_k(N - M) for the rows below them:
+    O(M k^2 + k^3).  For k > M the rows are the top-left M x k block of a
+    Haar N x N matrix, whose transpose is Haar too (Mezzadri 2007): they
+    are the transposed first k rows of a Haar N x M frame, O(k M^2 + M^3).
+    At k = N that frame draws the normals of :func:`sample_projector`.
     """
-    if k == N:
-        return _haar_columns(N, M, rng).T
+    if k > M:
+        return _haar_frame_rows(N, M, k, rng).T
     g = rng.standard_normal((M, k))
     chol = np.linalg.cholesky(g.T @ g + _wishart(N - M, k, 1, rng)[0])
     return np.linalg.solve(chol, g.T).T

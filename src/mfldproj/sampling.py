@@ -170,9 +170,8 @@ def isometric_coordinates(spec: ManifoldSpec, seed: int) -> np.ndarray:
     When r < N, the Cholesky factor of Z Z^T = L L^T gives X = (F L) V^T
     with V = Z^T L^{-T} column-orthonormal (the Q factor of Z^T), so
     C = F L and k = r: O(N r^2) for the Gram matrix and O(P r) per axis
-    product, never O(P N).  The Gram matrix, unlike a Householder QR of
-    Z^T, does not round differently with the number of BLAS threads.
-    When r >= N there is nothing to gain and C is X itself (k = N).
+    product, never O(P N).  When r >= N there is nothing to gain and C
+    is X itself (k = N).
     """
     factors, z = _latent(spec, seed)
     r = z.size // spec.N

@@ -43,6 +43,28 @@ spec = mp.spec_for_volume(1, 1000, math.log(10 * math.sqrt(2) / 3), 256)
 dd = mp.distortion_distribution(spec, 160, 20, seed=77)
 print(repr(float(np.median(dd.samples))), repr(dd.max))
 """
+# the latent M* path at the criterion-6 inputs (rank 39)
+NESTED_CHILD = """
+import hashlib, math, mfldproj as mp
+from mfldproj.experiments import _nested_worst
+spec = mp.spec_for_volume(1, 1000, math.log(10 * math.sqrt(2) / 3), 512)
+worst = _nested_worst(spec, (4, 6, 10, 16, 25, 40, 63, 100, 158, 200), 20, 20240101, 1)
+print(hashlib.sha256(worst.tobytes()).hexdigest())
+"""
+
+
+def child_outputs(code, envs):
+    """Standard output of ``code`` run in a child process per environment
+    change; each setting acts on a child process only."""
+    src = str(Path(mp.__file__).resolve().parents[1])
+    outs = []
+    for extra in envs:
+        env = dict(os.environ, **extra)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+                             timeout=300)
+        outs.append(out.stdout)
+    return outs
 
 
 def summary_of(values):
@@ -102,22 +124,13 @@ class TestDistortionDistribution:
 
     def test_golden_independent_of_blas_path(self):
         # the reference run must not depend on how OpenBLAS splits or
-        # vectorizes its work; each setting acts on a child process only
-        src = str(Path(mp.__file__).resolve().parents[1])
-        results = []
-        for extra in (
+        # vectorizes its work
+        outs = child_outputs(GOLDEN_CHILD, (
             {"OPENBLAS_NUM_THREADS": "1"},
             {"OPENBLAS_NUM_THREADS": "2"},
             {"OPENBLAS_NUM_THREADS": "1", "OPENBLAS_CORETYPE": "Prescott"},
-        ):
-            env = dict(os.environ, **extra)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            out = subprocess.run(
-                [sys.executable, "-c", GOLDEN_CHILD],
-                env=env, capture_output=True, text=True, check=True, timeout=300,
-            )
-            results.append(tuple(float(v) for v in out.stdout.split()))
-        for median, worst in results:
+        ))
+        for median, worst in (tuple(float(v) for v in out.split()) for out in outs):
             assert median == pytest.approx(GOLDEN_MEDIAN, rel=1e-12)
             assert worst == pytest.approx(GOLDEN_MAX, rel=1e-12)
 
@@ -132,6 +145,16 @@ class TestDistortionDistribution:
         monkeypatch.setattr(mp.experiments, "sample_manifold", no_sample)
         with pytest.raises(ValueError, match="32768 points"):
             distortion_distribution(spec_for_volume(1, 100, 1.0, 32768), 10, 20, seed=0)
+
+    def test_inputs_checked_before_sampling(self, monkeypatch):
+        def no_sample(*args, **kwargs):
+            raise AssertionError("a manifold was sampled before the inputs were checked")
+
+        monkeypatch.setattr(mp.experiments, "sample_manifold", no_sample)
+        spec = spec_for_volume(1, 50, 1.0, 16)
+        for M, n_proj in ((0, 5), (-1, 5), (51, 5), (10, 0), (10, -2)):
+            with pytest.raises(ValueError, match="1 <= M <= N and n_proj >= 1"):
+                distortion_distribution(spec, M, n_proj, seed=0)
 
 
 class TestEpsilonAtDelta:
@@ -305,6 +328,12 @@ class TestMStarEmpirical:
             for m, M in enumerate(M_grid):
                 A = mp.Projector(rows=np.ascontiguousarray(O[:M]), M=M, N=N, seed=0)
                 assert got[i, m] == pytest.approx(mp.pointset_distortion(A, X).max, rel=0, abs=1e-10)
+
+    def test_latent_worst_independent_of_blas_threads(self):
+        # at latent rank 39 the Gram + Cholesky frame draw rounds the same
+        # on one and two OpenBLAS threads, so these runs replay anywhere
+        outs = child_outputs(NESTED_CHILD, ({"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"}))
+        assert len(set(outs)) == 1
 
     @pytest.mark.parametrize("N,M", [(300, 20), (1000, 60), (30, 8)], ids=["N300", "N1000", "r>=N"])
     def test_latent_law_matches_ambient(self, N, M):

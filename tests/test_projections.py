@@ -76,8 +76,44 @@ class TestHaarFrameRows:
         assert scipy.stats.kstest(sq, scipy.stats.beta(k / 2, (N - k) / 2).cdf).pvalue > 0.01
 
     def test_square_frame_rows_are_a_projector(self):
+        # at k = N the rows come from the projector's N x M normals, by
+        # Gram + Cholesky instead of Householder QR: equal to rounding
         rows = _haar_frame_rows(40, 40, 9, np.random.default_rng(5))
-        assert np.array_equal(rows, sample_projector(40, 9, 5).rows)
+        assert np.abs(rows - sample_projector(40, 9, 5).rows).max() < 1e-13
+
+    @pytest.mark.parametrize("N, k, M", [(60, 25, 10), (300, 139, 100), (30, 29, 1)])
+    def test_wide_frame_rows_are_transposed_haar_frame(self, N, k, M, monkeypatch):
+        # k > M: with the Wishart tail replaced by the Gram of an explicit
+        # (N - k) x M Gaussian, the rows are the transposed first k rows of
+        # the Haar frame H L^{-T} (L L^T = H^T H) of the stacked Gaussian H
+        G = np.random.default_rng(7).standard_normal((k, M))
+        tail = np.random.default_rng(8).standard_normal((N - k, M))
+        monkeypatch.setattr(projections, "_wishart", lambda dof, K, size, rng: (tail.T @ tail)[None])
+        got = _haar_frame_rows(N, k, M, np.random.default_rng(7))
+        H = np.vstack([G, tail])
+        W = np.linalg.solve(np.linalg.cholesky(H.T @ H), H.T).T
+        assert got.shape == (M, k)
+        assert np.abs(got - W[:k].T).max() < 1e-13
+
+    def test_wide_frame_rows_match_householder_law(self):
+        # k > M against the first M rows of a Householder Haar frame:
+        # extreme singular values, one entry and one row norm
+        N, k, M, draws = 60, 25, 10, 4000
+        rng_a, rng_b = np.random.default_rng(30), np.random.default_rng(31)
+        wide = [_haar_frame_rows(N, k, M, rng_a) for _ in range(draws)]
+        ambient = [projections._haar_columns(N, k, rng_b)[:M] for _ in range(draws)]
+
+        def stats(rows):
+            s = np.linalg.svd(np.array(rows), compute_uv=False)
+            return s[:, 0], s[:, -1], np.array([r[2, 3] for r in rows]), np.array([np.linalg.norm(r[1]) for r in rows])
+
+        for a, b in zip(stats(wide), stats(ambient)):
+            assert scipy.stats.ks_2samp(a, b).pvalue > 0.01
+
+    @pytest.mark.parametrize("M", [200, 199])
+    def test_square_frame_rows_are_orthonormal(self, M):
+        rows = _haar_frame_rows(200, 200, M, np.random.default_rng(M))
+        assert np.abs(rows @ rows.T - np.eye(M)).max() < 1e-9
 
 
 class TestVectorDistortion:
@@ -452,36 +488,55 @@ class TestChordScan:
             with pytest.raises(ValueError):
                 scan.nested(images, 10, M_grid)
 
+
+def screen_of(Y, M_grid):
+    """The nested segments of the images ``Y``, their operands and the
+    float32 screen over them, as :func:`projections._scan` builds them."""
+    edges = (0, *M_grid)
+    segs = [np.ascontiguousarray(Y[:, a:b]) for a, b in zip(edges, edges[1:])]
+    ops = [projections._sq_operands(seg) for seg in segs]
+    return segs, ops, projections._Screen(segs, ops, M_grid)
+
+
+def float64_ratios(scan, segs, ops, run):
+    """``(t, m, r)`` per block t of the screened ``run`` of ``scan`` and
+    index m of the nested grid: r (rows by columns) the float64 ratios of
+    projected to ambient half squared length that the scan computes."""
+    nr = run.rec.shape[1]
+    for t in range(len(run.max_rec)):
+        c0, c1 = run.bounds[t], run.bounds[t + 1]
+        rows, cols = slice(run.i0, run.i0 + nr), slice(run.j0 + c0, run.j0 + c1)
+        shape = (nr, c1 - c0)
+        da = projections._block_half_sq(*scan._ambient, rows, cols, np.empty(shape), np.empty(shape))
+        proj = 0.0
+        for m, (seg, (lead, trail)) in enumerate(zip(segs, ops)):
+            proj = proj + projections._block_half_sq(seg, lead, trail, rows, cols, np.empty(shape), np.empty(shape))
+            yield t, m, proj / da
+
+
+def screened_runs(scan):
+    return [b for b in scan._blocks if isinstance(b, _Screened)]
+
+
 def screen_error_ratio(scan, Y, N, M_grid):
     """Largest |r32 - r64| / slack over every entry of every screened block
     of ``scan`` at every M of the nested grid: r32 from the float32 pass,
     r64 the float64 ratio the scan computes for the pair, and the slack the
     screen widens the block's float32 extremes by."""
-    edges = (0, *M_grid)
-    segs = [np.ascontiguousarray(Y[:, a:b]) for a, b in zip(edges, edges[1:])]
-    ops = [projections._sq_operands(seg) for seg in segs]
-    screen = projections._Screen(segs, ops, M_grid)
+    segs, ops, screen = screen_of(Y, M_grid)
     worst = 0.0
-    for run in (b for b in scan._blocks if isinstance(b, _Screened)):
-        nt, nr = len(run.max_rec), run.rec.shape[1]
+    for run in screened_runs(scan):
         r32 = [r.copy() for r in screen.ratios(run)]
         slack = screen.slack(run)
-        for t in range(nt):
-            c0, c1 = run.bounds[t], run.bounds[t + 1]
-            rows, cols = slice(run.i0, run.i0 + nr), slice(run.j0 + c0, run.j0 + c1)
-            shape = (nr, c1 - c0)
-            da = projections._block_half_sq(*scan._ambient, rows, cols, np.empty(shape), np.empty(shape))
-            proj = 0.0
-            for m, (seg, (lead, trail)) in enumerate(zip(segs, ops)):
-                proj = proj + projections._block_half_sq(seg, lead, trail, rows, cols, np.empty(shape), np.empty(shape))
-                r = r32[m][c0:c1].T.astype(float)
-                bound = slack[m, t] + 8 * 2.0**-24 * np.abs(r).max() + 2.0**-126
-                worst = max(worst, float((np.abs(r - proj / da) / bound).max()))
+        for t, m, r64 in float64_ratios(scan, segs, ops, run):
+            r = r32[m][run.bounds[t] : run.bounds[t + 1]].T.astype(float)
+            bound = slack[m, t] + 8 * 2.0**-24 * np.abs(r).max() + 2.0**-126
+            worst = max(worst, float((np.abs(r - r64) / bound).max()))
     return worst
 
 
 def screened_blocks(scan):
-    return sum(len(b.max_rec) for b in scan._blocks if isinstance(b, _Screened))
+    return sum(len(b.max_rec) for b in screened_runs(scan))
 
 
 def count_recomputed(monkeypatch, scan):
@@ -625,6 +680,21 @@ class TestScreenedScan:
             for seed in range(3):
                 Y = X @ frame_rows(N, 30, M_grid[-1], seed).T
                 assert screen_error_ratio(scan, Y, N, M_grid) <= 1.0
+
+    def test_widened_extremes_hold_the_float64_ratios(self):
+        # the screen skips a block on its widened float32 extremes alone,
+        # so they must bound every float64 ratio of the block at every M
+        X, N, M_grid = gp_curve(2048), 1000, (63, 100)
+        scan = ChordScan(X)
+        checked = 0
+        for seed in range(2):
+            segs, ops, screen = screen_of(X @ frame_rows(N, X.shape[1], M_grid[-1], seed).T, M_grid)
+            for run in screened_runs(scan):
+                up, down = screen.widened(run)
+                for t, m, r in float64_ratios(scan, segs, ops, run):
+                    assert down[m, t] <= r.min() and r.max() <= up[m, t], (seed, run.i0, run.j0, t, m)
+                    checked += 1
+        assert checked == 2 * len(M_grid) * screened_blocks(scan)
 
     def test_screen_skips_most_far_blocks(self, monkeypatch):
         # on a smooth curve the float64 pass runs on fewer than a quarter of
