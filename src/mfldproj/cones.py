@@ -322,8 +322,10 @@ def _verify(kind: str, params: dict, chunk: int, trial, budget, invert) -> Verif
     ``trial(t)`` returns trial t's central distortion and a function
     ``boundary(m, done)`` with the distortions of its boundary draws
     done, ..., done + m - 1; they are drawn ``chunk`` at a time and only
-    the worst is kept.  ``budget`` maps the worst boundary distortions to
-    their g values and ``invert`` the central distortions to eps_x.
+    the worst is kept, so ``boundary`` may return only the draws that can
+    hold the chunk's maximum.  ``budget`` maps the worst boundary
+    distortions to their g values and ``invert`` the central distortions
+    to eps_x.
     """
     if params["sampler"] not in ("reduced", "ambient"):
         raise ValueError(f"sampler must be 'reduced' or 'ambient', got {params['sampler']!r}")
@@ -409,11 +411,24 @@ def _lower_inverse(chol: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _tangential_boundary_singular_values(
-    au: np.ndarray, N: int, M: int, K: int, sin_t: float, size: int, rng: np.random.Generator
+def _tangential_center(au: np.ndarray, N: int, M: int, sin_t: float):
+    """The pieces of A U that every boundary draw of a trial reuses: its
+    singular values d (descending), the diagonal of E = (I - D^2)^{1/2}
+    with its first j = max(0, M + K - N) entries set to 0, and c D as a
+    K x K matrix (c = cos t)."""
+    j = max(0, M + au.shape[1] - N)
+    d = np.linalg.svd(au, compute_uv=False)
+    e = np.sqrt(np.maximum(1.0 - d * d, 0.0))
+    e[:j] = 0.0
+    return d, e, np.diag(math.sqrt(1.0 - sin_t * sin_t) * d)
+
+
+def _tangential_boundary_grams(
+    center, N: int, M: int, sin_t: float, size: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """(size, K) ascending singular values of A U' = cos(t) A U + sin(t) A V
-    for random complement frames V, from K x K pieces only.
+    """(size, K, K) Grams (A U')^T A U' of A U' = cos(t) A U + sin(t) A V
+    for random complement frames V, from K x K pieces only; ``center`` is
+    ``_tangential_center`` of A U.
 
     V = G_perp R^{-1} with G_perp = (I - U U^T) G for Gaussian G (N x K) and
     R^T R = G_perp^T G_perp.  Let A U = P D Q^T and E = (I - D^2)^{1/2}, so
@@ -431,19 +446,116 @@ def _tangential_boundary_singular_values(
 
     (c = cos t, s = sin t): the exact law at O(K^3) per draw, not O(N M K).
     """
+    d, e, cd = center
+    K = d.size
     j = max(0, M + K - N)
-    d = np.linalg.svd(au, compute_uv=False)
-    e = np.sqrt(np.maximum(1.0 - d * d, 0.0))
-    e[:j] = 0.0
     z = rng.standard_normal((size, K, K))
     zt = _transposed(z)
     w_vis = _wishart(M - K, K, size, rng)
     w_inv = _wishart(max(0, N - K - M), K, size, rng)
     linv = _lower_inverse(np.linalg.cholesky(zt[:, :, j:] @ z[:, j:] + w_vis + w_inv))
     bt = sin_t * linv @ (zt * e)  # B^T = c D + s L^{-1} Z^T E
-    bt += np.diag(math.sqrt(1.0 - sin_t * sin_t) * d)
-    gram = bt @ _transposed(bt) + sin_t * sin_t * (linv @ w_vis) @ _transposed(linv)
-    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram), 0.0))
+    bt += cd
+    return bt @ _transposed(bt) + sin_t * sin_t * (linv @ w_vis) @ _transposed(linv)
+
+
+def _tangential_boundary_singular_values(
+    au: np.ndarray, N: int, M: int, sin_t: float, size: int, rng: np.random.Generator
+) -> np.ndarray:
+    """(size, K) ascending singular values of A U' for random complement
+    frames V: the roots of every eigenvalue of ``_tangential_boundary_grams``.
+    The verifier solves only the draws ``_boundary_worst_candidates`` keeps;
+    this is its oracle."""
+    grams = _tangential_boundary_grams(_tangential_center(au, N, M, sin_t), N, M, sin_t, size, rng)
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(grams), 0.0))
+
+
+def _gram_distortions(lam_max: np.ndarray, lam_min: np.ndarray, scale: float) -> np.ndarray:
+    """Distortions of planes whose projected Grams have extreme eigenvalues
+    lam_max and lam_min: ``max(scale sqrt(lam_max) - 1, 1 - scale sqrt(lam_min))``.
+
+    Every operation here rounds monotonically, so bounds on the eigenvalues
+    bound the rounded distortion with no further margin."""
+    return np.maximum(scale * np.sqrt(np.maximum(lam_max, 0.0)) - 1.0,
+                      1.0 - scale * np.sqrt(np.maximum(lam_min, 0.0)))
+
+
+def _extreme_eigenvalue_bounds(grams: np.ndarray):
+    """Bounds (max_lo, max_hi, min_lo, min_hi) on the largest and smallest
+    eigenvalue ``eigvalsh`` returns for each Gram of a (size, K, K) stack,
+    K >= 2, without an eigen-solve.
+
+    ``eigvalsh`` reads the lower triangle, so every bound is on the
+    symmetric matrix G it defines.  With rho = G_11, eps^2 = sum_{j>1} G_j1^2
+    and alpha >= lambda_2 (the Gershgorin upper bound of G[1:, 1:], which
+    interlacing puts above lambda_2), (G - alpha)(G - lambda_max) is
+    positive semidefinite, so for x = e_1, x^T (G - alpha)(G - lambda_max) x
+    = eps^2 + rho^2 - (alpha + lambda_max) rho + alpha lambda_max >= 0,
+    which is Kato-Temple's
+
+        rho <= lambda_max <= rho + eps^2 / (rho - alpha)    when rho > alpha;
+
+    the mirror bound with e_K, rho_K = G_KK and the Gershgorin lower bound
+    beta of G[:-1, :-1] puts lambda_min between
+    rho_K - eps_K^2 / (beta - rho_K) and rho_K.  Both eigenvalues also lie
+    within ||G||_inf, the largest absolute row sum, of 0.  svd orders d, so
+    the diagonal of G, about c^2 d^2, descends, and the bounds are tight
+    when the cone angle is small against the gaps between the singular
+    values of A U.
+
+    Margin.  LAPACK's symmetric eigensolver (Householder tridiagonalization,
+    then QL/QR sweeps) returns the exact eigenvalues of G + F with
+    ||F||_2 <= p(K) u ||G||_2, u = 2^-53 and p(K) = O(K^2); we budget
+    p(K) = 32 K^2.  Rounding the bounds costs at most (2K + 12) u ||G||_inf:
+    the Gershgorin sums and eps^2 are each within K u of their exact
+    values, so alpha + eta lies above lambda_2; the Kato-Temple quotient,
+    capped at ||G||_inf, carries relative error (K + 3) u; the sums and
+    differences round once each.  So eta = 64 K^2 u ||G||_inf covers both,
+    about 1.8e-13 ||G|| at K = 5, and widens every bound outward.
+    """
+    K = grams.shape[-1]
+    # (K, K, size), each entry a row over the stack: numpy reduces short axes slowly
+    g = np.ascontiguousarray(np.moveaxis(grams, 0, -1))
+    diag = g[range(K), range(K)]
+    low = np.abs(g) * np.tri(K, k=-1)[:, :, None]
+
+    def radii(block):
+        return block.sum(axis=0) + block.sum(axis=1)
+
+    norm = (np.abs(diag) + radii(low)).max(axis=0)
+    eta = 64 * K * K * 2.0**-53 * norm
+    rho, rho_k = diag[0], diag[-1]
+    gap = rho - ((diag[1:] + radii(low[1:, 1:])).max(axis=0) + eta)
+    kt = np.divide((g[1:, 0] ** 2).sum(axis=0), gap, out=np.full_like(gap, np.inf), where=gap > 0.0)
+    max_hi = np.minimum(rho + kt, norm) + eta
+    gap = ((diag[:-1] - radii(low[:-1, :-1])).min(axis=0) - eta) - rho_k
+    kt = np.divide((g[-1, :-1] ** 2).sum(axis=0), gap, out=np.full_like(gap, np.inf), where=gap > 0.0)
+    min_lo = np.maximum(rho_k - kt, -norm) - eta
+    return rho - eta, max_hi, min_lo, rho_k + eta
+
+
+def _boundary_worst_candidates(grams: np.ndarray, scale: float) -> np.ndarray:
+    """Distortions of the draws of a (size, K, K) Gram stack that can hold
+    its largest.  Their maximum is bit for bit the maximum of
+    ``_gram_distortions`` over ``eigvalsh`` of every Gram, and ``eigvalsh``
+    runs only on them.
+
+    A draw whose distortion upper bound, from ``_extreme_eigenvalue_bounds``,
+    stays below the largest distortion lower bound of the stack cannot be
+    its worst.  ``_gram_distortions`` maps the eigenvalue bounds to
+    distortion bounds exactly, and LAPACK solves each matrix of a stack on
+    its own, so dropping such draws leaves the maximum unchanged.  Where
+    nothing can be certified (cone angles wide against the gaps between the
+    singular values of A U) every draw goes to ``eigvalsh``.  A 1 x 1 Gram
+    is its own eigenvalue (LAPACK returns it unchanged), so at K = 1 no
+    draw does.
+    """
+    if grams.shape[-1] == 1:
+        return _gram_distortions(grams[:, 0, 0], grams[:, 0, 0], scale)
+    max_lo, max_hi, min_lo, min_hi = _extreme_eigenvalue_bounds(grams)
+    lower = _gram_distortions(max_lo, min_hi, scale)
+    lam = np.linalg.eigvalsh(grams[_gram_distortions(max_hi, min_lo, scale) >= lower.max()])
+    return _gram_distortions(lam[:, -1], lam[:, 0], scale)
 
 
 def verify_tangential_guarantee(
@@ -465,10 +577,11 @@ def verify_tangential_guarantee(
     inverted form ``worst <= eps_x``.
 
     ``sampler="reduced"`` draws A U as the first M rows of a Haar N x K
-    frame, O(M K^2) per trial, and the boundary planes' projected singular
-    values from their exact K x K law, O(K^3) per draw; ``sampler="ambient"``
-    draws U and an N x M projector and materializes the frames in R^N,
-    O(N M K) per draw, as the test oracle.
+    frame, O(M K^2) per trial, and the boundary planes' projected Grams
+    from their exact K x K law, O(K^3) per draw, with ``eigvalsh`` only on
+    the draws that Kato-Temple bounds cannot rule out as a chunk's worst;
+    ``sampler="ambient"`` draws U and an N x M projector and materializes
+    the frames in R^N, O(N M K) per draw, as the test oracle.
     """
     check_cone_inputs(N, M, K, sin_theta_t, n_boundary, n_trials)
     if mode not in ("approx", "exact"):
@@ -479,27 +592,24 @@ def verify_tangential_guarantee(
     def trial(t):
         rng = np.random.default_rng(derive_seed(seed, ["tangential", t, "boundary"]))
         if sampler == "reduced":
-            au = _haar_frame_rows(N, K, M, rng)
-            s = np.linalg.svd(au, compute_uv=False)
-            dist_u = max(scale * float(s[0]) - 1.0, 1.0 - scale * float(s[-1]))
+            center = _tangential_center(_haar_frame_rows(N, K, M, rng), N, M, sin_theta_t)
+            d = center[0]
 
-            def singular_values(m):
-                return _tangential_boundary_singular_values(au, N, M, K, sin_theta_t, m, rng)
-        else:
-            U = random_subspace(N, K, derive_seed(seed, ["tangential", t, "subspace"]))
-            A = sample_projector(N, M, derive_seed(seed, ["tangential", t, "proj"]))
-            dist_u = subspace_distortion(A, U)
-            au = A.rows @ U.cols
+            def reduced(m, done):
+                grams = _tangential_boundary_grams(center, N, M, sin_theta_t, m, rng)
+                return _boundary_worst_candidates(grams, scale)
 
-            def singular_values(m):
-                av = np.einsum("mn,snk->smk", A.rows, _complement_frames(U.cols, rng, m), optimize=True)
-                return np.linalg.svd(cos_t * au[None, :, :] + sin_theta_t * av, compute_uv=False)
+            return max(scale * float(d[0]) - 1.0, 1.0 - scale * float(d[-1])), reduced
+        U = random_subspace(N, K, derive_seed(seed, ["tangential", t, "subspace"]))
+        A = sample_projector(N, M, derive_seed(seed, ["tangential", t, "proj"]))
+        au = A.rows @ U.cols
 
-        def boundary(m, done):
-            s = singular_values(m)
+        def ambient(m, done):
+            av = np.einsum("mn,snk->smk", A.rows, _complement_frames(U.cols, rng, m), optimize=True)
+            s = np.linalg.svd(cos_t * au[None, :, :] + sin_theta_t * av, compute_uv=False)
             return np.maximum(scale * s.max(axis=1) - 1.0, 1.0 - scale * s.min(axis=1))
 
-        return dist_u, boundary
+        return subspace_distortion(A, U), ambient
 
     if mode == "approx":
         slack = (N / M) * sin_theta_t

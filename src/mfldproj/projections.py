@@ -9,6 +9,7 @@ distortions, and computes principal angles between subspaces.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -58,6 +59,16 @@ def _transposed(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a.transpose(0, 2, 1))
 
 
+@functools.lru_cache(maxsize=None)
+def _strict_lower(K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices below the diagonal of a K x K matrix, built
+    once per K (read-only: every caller shares them)."""
+    rows, cols = np.tril_indices(K, -1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
 def _wishart(dof: int, K: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """(size, K, K) draws from Wishart_K(dof): Bartlett factors when
     dof >= K, the Gram of a dof x K Gaussian otherwise (singular then)."""
@@ -65,7 +76,7 @@ def _wishart(dof: int, K: int, size: int, rng: np.random.Generator) -> np.ndarra
         g = rng.standard_normal((size, dof, K))
         return _transposed(g) @ g
     bart = np.zeros((size, K, K))
-    rows, cols = np.tril_indices(K, -1)
+    rows, cols = _strict_lower(K)
     bart[:, rows, cols] = rng.standard_normal((size, rows.size))
     for i in range(K):
         bart[:, i, i] = np.sqrt(rng.chisquare(dof - i, size=size))

@@ -1,6 +1,7 @@
 """Guarantee functions, boundary samplers and Monte Carlo verifiers."""
 
 import csv
+import dataclasses
 import math
 import os
 import subprocess
@@ -16,6 +17,7 @@ from mfldproj import (
     GuaranteeVacuous,
     Projector,
     SubspaceBasis,
+    VerificationReport,
     g_chordal,
     g_tangential,
     invert_g_chordal,
@@ -31,11 +33,15 @@ from mfldproj import (
 )
 from mfldproj import cones, projections
 from mfldproj.cones import (
+    _boundary_worst_candidates,
     _chordal_boundary_distortions_reduced,
     _complement_frames,
+    _extreme_eigenvalue_bounds,
     _g_tangential_exact_raw,
     _lower_inverse,
+    _tangential_boundary_grams,
     _tangential_boundary_singular_values,
+    _tangential_center,
     _wishart,
 )
 from mfldproj.harness import RunConfig
@@ -278,7 +284,7 @@ class TestReducedSamplers:
         for sin_t in (0.0, 1e-3, 0.3, 0.999):
             wisharts.update({M - K: w_vis, N - K - M: w_inv})
             replay = Replay(z)
-            got = _tangential_boundary_singular_values(au, N, M, K, sin_t, S, replay)
+            got = _tangential_boundary_singular_values(au, N, M, sin_t, S, replay)
             assert not wisharts and not replay.draws
             # A V = S H L^{-T} for the frame of (H, W_inv), in the basis Q of A U
             L = np.linalg.cholesky(H.transpose(0, 2, 1) @ H + w_inv)
@@ -320,13 +326,88 @@ class TestReducedSamplers:
         assert np.abs(w.mean(axis=0) - dof * np.eye(4)).max() < 0.15
 
 
+class TestCertifiedWorst:
+    @pytest.mark.parametrize(
+        "N, M, K, sin_t, tie",
+        [(1000, 100, K, s, False) for K in (1, 2, 5) for s in (0.0, 1e-9, 0.0005, 0.05, 0.5, 0.99)]
+        + [(16, 14, 4, 0.0005, False), (20, 17, 4, 0.05, False), (1000, 100, 5, 0.0005, True)],
+    )
+    def test_chunk_maximum_matches_oracle(self, N, M, K, sin_t, tie, monkeypatch):
+        # at sin_t = 1e-9 the bounds are tight to rounding, so eigvalsh
+        # lands outside them without the margin; (16, 14, 4) and (20, 17, 4)
+        # have M + K > N (j = 2 and 1 singular values of A U exactly 1); tie
+        # sets d_1 = d_2 on the side that holds the worst distortion, where
+        # Kato-Temple mostly bounds nothing, so many draws go to eigvalsh
+        au = _haar_frame_rows(N, K, M, np.random.default_rng(K))
+        if tie:
+            au = np.eye(M, K) * np.array([0.5, 0.5, 0.4, 0.3, 0.2])
+        scale = math.sqrt(N / M)
+        center = _tangential_center(au, N, M, sin_t)
+        solved = count_eigvalsh(monkeypatch)
+        for seed in range(8):
+            s = _tangential_boundary_singular_values(au, N, M, sin_t, 1024, np.random.default_rng(seed))
+            want = np.maximum(scale * s[:, -1] - 1.0, 1.0 - scale * s[:, 0]).max()
+            grams = _tangential_boundary_grams(center, N, M, sin_t, 1024, np.random.default_rng(seed))
+            if K > 1:
+                max_lo, max_hi, min_lo, min_hi = _extreme_eigenvalue_bounds(grams)
+                lam = np.linalg.eigvalsh(grams)
+                assert np.all((max_lo <= lam[:, -1]) & (lam[:, -1] <= max_hi))
+                assert np.all((min_lo <= lam[:, 0]) & (lam[:, 0] <= min_hi))
+            solved[0] = 0
+            assert _boundary_worst_candidates(grams, scale).max() == want
+            if K == 1:
+                assert solved[0] == 0
+            if tie:
+                assert solved[0] > 100
+
+    @pytest.mark.parametrize("N, M, K, sin_t, mode", [
+        (1000, 100, 5, 0.0005, "approx"), (1000, 100, 5, 0.002, "exact"), (300, 30, 1, 0.01, "approx"),
+        (16, 14, 4, 0.05, "approx"), (200, 20, 2, 0.5, "approx"),
+    ])
+    def test_reports_match_plain_eigvalsh(self, N, M, K, sin_t, mode, monkeypatch):
+        def run():
+            return verify_tangential_guarantee(N, M, K, sin_t, 3000, 4, seed=12, mode=mode)
+
+        def plain(grams, scale):
+            s = np.sqrt(np.maximum(np.linalg.eigvalsh(grams), 0.0))
+            return np.maximum(scale * s.max(axis=1) - 1.0, 1.0 - scale * s.min(axis=1))
+
+        certified = run()
+        monkeypatch.setattr(cones, "_boundary_worst_candidates", plain)
+        oracle = run()
+        for field in dataclasses.fields(VerificationReport):
+            a, b = getattr(certified, field.name), getattr(oracle, field.name)
+            assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, field.name
+
+    def test_eigvalsh_sees_under_one_percent_at_criterion_4(self, monkeypatch):
+        solved = count_eigvalsh(monkeypatch)
+        for s in (0.0005, 0.002):
+            rep = verify_tangential_guarantee(1000, 100, 5, s, 5000, 10, seed=derive_seed(909, ["tangential", f"{s}"]))
+            assert rep.violation_fraction == 0.0
+        assert 0 < solved[0] < 0.01 * 2 * 10 * 5000
+
+
+def count_eigvalsh(monkeypatch):
+    """Count the matrices ``np.linalg.eigvalsh`` solves from here on, in
+    the returned one-element list."""
+    solved = [0]
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        solved[0] += len(a) if a.ndim == 3 else 1
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return solved
+
+
 def tangential_singular_values(N, M, K, sin_t=0.01, S=15000):
     """(S, K) ascending singular values of A U' for one (A, U): from the
     reduced law and from ambient complement frames."""
     U = random_subspace(N, K, 2)
     A = sample_projector(N, M, 3)
     au = A.rows @ U.cols
-    reduced = _tangential_boundary_singular_values(au, N, M, K, sin_t, S, np.random.default_rng(10))
+    reduced = _tangential_boundary_singular_values(au, N, M, sin_t, S, np.random.default_rng(10))
     frames = _complement_frames(U.cols, np.random.default_rng(20), S)
     av = np.einsum("mn,snk->smk", A.rows, frames, optimize=True)
     ambient = np.linalg.svd(math.sqrt(1 - sin_t**2) * au[None] + sin_t * av, compute_uv=False)

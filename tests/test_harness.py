@@ -81,6 +81,27 @@ def read_echo(path):
     return config, seed
 
 
+MSTAR_SMALL = {"K": 1, "N": 150, "lnV": 1.0, "grid_per_axis": 48, "eps_target": 0.45, "delta": 0.1,
+               "M_grid": [6, 12, 24, 48], "n_proj": 20}
+CONES_SMALL = {"N": 120, "M": 12, "K": 3, "chordal_sin_theta": [0.01], "tangential_sin_theta": [0.01],
+               "n_trials": 4, "chordal_boundary": 200, "tangential_boundary": 100}
+
+
+class TestManifest:
+    @pytest.mark.parametrize("command, params", [("bounds", {}), ("mstar", MSTAR_SMALL), ("verify-cones", CONES_SMALL)])
+    def test_reruns_differ_only_in_wall_time(self, tmp_path, command, params):
+        # the benchmark hashes the manifest without its wall time, so any
+        # other field that varies between runs would fail every rerun
+        cfg = RunConfig(command=command, params=params, master_seed=4, out_dir=str(tmp_path))
+        manifests = []
+        for _ in range(2):
+            assert run(cfg) == 0
+            manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+            assert manifest.pop("wall_time_s") > 0.0
+            manifests.append(manifest)
+        assert manifests[0] == manifests[1]
+
+
 class TestRunBounds:
     def test_matches_theory_and_manifest(self, tmp_path):
         cfg = RunConfig(command="bounds", params={}, master_seed=1, out_dir=str(tmp_path))
