@@ -63,7 +63,8 @@ class MStarResult:
 
     ``m_star_emp`` interpolates the isotonically smoothed quantile curve in
     (log M, eps) space; ``isotonic_adjusted`` records whether smoothing
-    changed the raw quantiles.
+    changed the raw quantiles.  ``cache_bytes`` and ``screened_blocks`` are
+    those of the manifold's :class:`ChordScan`.
     """
 
     eps_target: float
@@ -74,6 +75,8 @@ class MStarResult:
     m_star_emp: float
     isotonic_adjusted: bool
     seed: int
+    cache_bytes: int
+    screened_blocks: int
 
 
 def distortion_distribution(
@@ -200,15 +203,22 @@ def _check_m_star_inputs(
     return M_grid
 
 
+def _latent_scan(spec: ManifoldSpec, seed: int) -> ChordScan:
+    """Chord scan of the isometric coordinates of the manifold of ``seed``."""
+    return ChordScan(isometric_coordinates(spec, derive_seed(seed, ["manifold"])))
+
+
 def _nested_worst(
     spec: ManifoldSpec,
     M_grid: tuple[int, ...],
     n_proj: int,
     seed: int,
     threads: int,
+    scan: ChordScan | None = None,
 ) -> np.ndarray:
     """(n_proj, len(M_grid)) worst chord distortions of one manifold: row i
     under the first M rows of projector i, for every M of the grid.
+    ``scan``, if given, is :func:`_latent_scan` of ``spec`` and ``seed``.
 
     The chords are scanned in the k-dimensional isometric coordinates C of
     the manifold, X = C V^T with V a column-orthonormal N x k frame.  For a
@@ -216,8 +226,8 @@ def _nested_worst(
     frame W, independent of V, so X A^T = C (A V)^T has the law of C W_M^T:
     exact, and O(M k) per point instead of O(M N).
     """
-    coords = isometric_coordinates(spec, derive_seed(seed, ["manifold"]))
-    scan = ChordScan(coords)
+    scan = _latent_scan(spec, seed) if scan is None else scan
+    coords = scan.points
 
     def worst(i: int) -> list[float]:
         rng = np.random.default_rng(derive_seed(seed, ["proj", i]))
@@ -251,7 +261,8 @@ def m_star_empirical(
     identical results for any thread count.
     """
     M_grid = _check_m_star_inputs(spec, eps_target, delta, M_grid, n_proj)
-    quantiles = _quantile_at_delta(_nested_worst(spec, M_grid, n_proj, seed, threads), delta)
+    scan = _latent_scan(spec, seed)
+    quantiles = _quantile_at_delta(_nested_worst(spec, M_grid, n_proj, seed, threads, scan), delta)
     m_star, iso, adjusted = invert_quantile_curve(M_grid, quantiles, eps_target)
     return MStarResult(
         eps_target=eps_target,
@@ -262,6 +273,8 @@ def m_star_empirical(
         m_star_emp=m_star,
         isotonic_adjusted=adjusted,
         seed=seed,
+        cache_bytes=scan.cache_bytes,
+        screened_blocks=scan.screened_blocks,
     )
 
 

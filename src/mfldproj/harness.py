@@ -148,10 +148,15 @@ def _write_table(out: Path, stem: str, columns: dict, cfg: RunConfig) -> str:
     return name
 
 
-def _manifest(cfg: RunConfig, artifacts: list[str], started: float) -> dict:
+def _manifest(cfg: RunConfig, artifacts: list[str], diagnostics: dict, started: float) -> dict:
+    """The run's manifest.  Every field but ``wall_time_s`` is the same on
+    reruns of one config; ``diagnostics`` holds what the runner reports
+    about its work (for ``mstar``, the chord scan's cache bytes and
+    screened blocks)."""
     return {
         "artifacts": sorted(artifacts),
         "config": asdict(cfg),
+        "diagnostics": diagnostics,
         "master_seed": cfg.master_seed,
         "version": __version__,
         "numpy_version": np.__version__,
@@ -170,7 +175,7 @@ def _spec_from_params(p: dict) -> ManifoldSpec:
     )
 
 
-def _run_sample(cfg: RunConfig, out: Path) -> list[str]:
+def _run_sample(cfg: RunConfig, out: Path) -> tuple[list[str], dict]:
     spec = _spec_from_params(cfg.params)
     sample = sampling.sample_manifold(spec, cfg.master_seed)
     path = out / "sample.bin"
@@ -178,10 +183,10 @@ def _run_sample(cfg: RunConfig, out: Path) -> list[str]:
     audit = sampling.self_averaging_audit(sample)
     columns = {"mean_sq_norm": [audit.mean], "rel_sd": [audit.rel_sd],
                "expected_mean": [audit.expected_mean], "expected_rel_sd": [audit.expected_rel_sd]}
-    return ["sample.bin", _write_table(out, "sample_audit", columns, cfg)]
+    return ["sample.bin", _write_table(out, "sample_audit", columns, cfg)], {}
 
 
-def _run_verify_cones(cfg: RunConfig, out: Path) -> list[str]:
+def _run_verify_cones(cfg: RunConfig, out: Path) -> tuple[list[str], dict]:
     p = cfg.params
     N, M, K = int(p.get("N", 1000)), int(p.get("M", 100)), int(p.get("K", 5))
     n_trials = int(p.get("n_trials", 50))
@@ -208,7 +213,7 @@ def _run_verify_cones(cfg: RunConfig, out: Path) -> list[str]:
         artifacts.append(_write_table(out, f"{kind}_{s}", trials, cfg))
         for column, value in zip(summary.values(), (kind, s, rep.violation_fraction, float(np.mean(rep.margins)))):
             column.append(value)
-    return artifacts + [_write_table(out, "cone_summary", summary, cfg)]
+    return artifacts + [_write_table(out, "cone_summary", summary, cfg)], {}
 
 
 _BOUNDS_HEADER = [
@@ -221,7 +226,7 @@ _BOUNDS_HEADER = [
 ]
 
 
-def _run_bounds(cfg: RunConfig, out: Path) -> list[str]:
+def _run_bounds(cfg: RunConfig, out: Path) -> tuple[list[str], dict]:
     p = cfg.params
     eps, delta = float(p.get("eps", 0.2)), float(p.get("delta", 0.05))
     points = p.get("points")
@@ -247,16 +252,16 @@ def _run_bounds(cfg: RunConfig, out: Path) -> list[str]:
             r.m_bw, r.m_nv, r.crossover_closed, r.rho_star, r.C0,
         ])
     columns = {name: [row[i] for row in rows] for i, name in enumerate(_BOUNDS_HEADER)}
-    return [_write_table(out, "bounds", columns, cfg)]
+    return [_write_table(out, "bounds", columns, cfg)], {}
 
 
-def _run_figure(cfg: RunConfig, out: Path) -> list[str]:
+def _run_figure(cfg: RunConfig, out: Path) -> tuple[list[str], dict]:
     kind = cfg.params.get("kind")
     table = experiments.figure_data(kind, cfg.params.get("params"), seed=cfg.master_seed, threads=cfg.threads)
-    return [_write_table(out, table.kind, table.columns, cfg)]
+    return [_write_table(out, table.kind, table.columns, cfg)], {}
 
 
-def _run_mstar(cfg: RunConfig, out: Path) -> list[str]:
+def _run_mstar(cfg: RunConfig, out: Path) -> tuple[list[str], dict]:
     p = cfg.params
     K = int(p.get("K", 1))
     N = int(p.get("N", 1000))
@@ -275,10 +280,11 @@ def _run_mstar(cfg: RunConfig, out: Path) -> list[str]:
     point = {"K": [K], "N": [N], "lnV": [lnV], "eps_target": [res.eps_target], "delta": [res.delta],
              "m_star_emp": [res.m_star_emp], "isotonic_adjusted": [res.isotonic_adjusted],
              "m_star_new": [bounds.m_star_bound(res.eps_target, res.delta, K, N, lnV)]}
-    return [_write_table(out, "mstar_curve", curve, cfg), _write_table(out, "mstar", point, cfg)]
+    diagnostics = {"chord_cache_bytes": res.cache_bytes, "screened_blocks": res.screened_blocks}
+    return [_write_table(out, "mstar_curve", curve, cfg), _write_table(out, "mstar", point, cfg)], diagnostics
 
 
-def _run_replay(cfg: RunConfig, out: Path) -> list[str]:
+def _run_replay(cfg: RunConfig, out: Path) -> tuple[list[str], dict]:
     manifest_path = Path(cfg.params["manifest"])
     with open(manifest_path) as fh:
         manifest = json.load(fh)
@@ -297,7 +303,7 @@ def _run_replay(cfg: RunConfig, out: Path) -> list[str]:
     table = _write_table(out, "replay_diff", diff, cfg)
     if mismatches:
         raise RuntimeError(f"replay differs for artifacts: {mismatches}")
-    return [table]
+    return [table], {}
 
 
 _RUNNERS = {
@@ -322,8 +328,8 @@ def run(config: RunConfig) -> int:
     out = Path(config.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        artifacts = _RUNNERS[config.command](config, out)
-        manifest = _manifest(config, artifacts, started)
+        artifacts, diagnostics = _RUNNERS[config.command](config, out)
+        manifest = _manifest(config, artifacts, diagnostics, started)
         (out / "run_manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
         return 0
     except Exception as exc:  # noqa: BLE001 - converted to a structured record

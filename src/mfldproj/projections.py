@@ -243,14 +243,18 @@ _TINY32 = 2.0**-126
 # squared norms is below this fraction of its shortest half squared chord.
 _SCREEN_COND = 1e-4
 
+# Largest 16-bit code of a screened block's reciprocal lengths (see _cached).
+_CODES = 65535
+
 # Relative margin of the screen's comparisons for float64 rounding of the
 # thresholds, of the widened extremes and of the distortions themselves.
 _F64_MARGIN = 1e-9
 
 # Columns at which a screened run is closed, so each float32 product of
-# the screen takes one run: two float32 buffers of this many columns by
-# 128 rows take 1 MiB.  512 to 2048 columns scanned `curve-4096` equally
-# fast on a 2-core host with 2 MiB of L2 per core.
+# the screen takes one run: its three float32 buffers (running sum, ratios
+# and decoded reciprocals) of this many columns by 128 rows take 1.5 MiB.
+# 512 to 2048 columns scanned `curve-4096` equally fast on a 2-core host
+# with 2 MiB of L2 per core.
 _SCREEN_COLS = 1024
 
 
@@ -377,11 +381,14 @@ class _Screened(NamedTuple):
     closed once they reach ``_SCREEN_COLS`` columns (see :func:`_cached`),
     so the screen takes a run in one product per segment.
 
-    ``rec`` holds 1 / da transposed, one row per column of the points, in
-    float32 (all normal numbers); block t spans its rows
-    ``bounds[t]:bounds[t + 1]`` and has ``max_rec[t]``, its largest 1 / da
-    in float64.  A block's float64 lengths da are recomputed from the
-    points only when the screen cannot rule the block out.
+    ``rec`` holds 1 / da transposed, one row per column of the points, as
+    16-bit codes q = rint((1 / da) / step) scaled per block, 2 bytes per
+    pair.  Block t spans its rows ``bounds[t]:bounds[t + 1]`` and has
+    ``max_rec[t]``, its largest 1 / da in float64, ``step[t]`` =
+    max_rec[t] / 65535, so its codes run up to 65535, and ``qerr[t]`` =
+    (max da / min da) / (2 * 65535), which bounds |q step - 1 / da| relative
+    to 1 / da.  A block's float64 lengths da are recomputed from the points
+    only when the screen cannot rule the block out.
     """
 
     i0: int
@@ -389,6 +396,8 @@ class _Screened(NamedTuple):
     rec: np.ndarray
     bounds: np.ndarray
     max_rec: np.ndarray
+    step: np.ndarray
+    qerr: np.ndarray
 
 
 def _thresholds(best: list[float], N: int, M_grid) -> tuple[np.ndarray, np.ndarray]:
@@ -422,23 +431,25 @@ class _Screen:
             self.operands.append(op)
         self.H = np.cumsum([trail[1] for _, trail in ops], axis=0)
         self.kappa = np.array([4.0 * (M + 7 * (m + 1)) for m, M in enumerate(M_grid)])
-        self.bufs = np.empty((2, 0), np.float32)
+        self.bufs = np.empty((3, 0), np.float32)
 
     def ratios(self, run: _Screened):
-        """Per M, the float32 ratios of ``run``, laid out like ``run.rec``
-        in a reused buffer."""
+        """Per M, the float32 ratios of ``run`` in units of each block's
+        step (the running sum times the codes), laid out like ``run.rec``
+        in a reused buffer.  The codes are decoded once per run, exactly."""
         shape = run.rec.shape
         rows, cols = slice(run.i0, run.i0 + shape[1]), slice(run.j0, run.j0 + shape[0])
         if self.bufs.shape[1] < run.rec.size:
-            self.bufs = np.empty((2, run.rec.size), np.float32)
-        total, ratio = (_view(buf, shape) for buf in self.bufs)
+            self.bufs = np.empty((3, run.rec.size), np.float32)
+        total, ratio, codes = (_view(buf, shape) for buf in self.bufs)
+        np.copyto(codes, run.rec)
         for m, op in enumerate(self.operands):
             row_op = np.negative(op[rows])
             row_op[:, -2], row_op[:, -1] = 1.0, op[rows, -2]
             np.matmul(op[cols], row_op.T, out=ratio if m else total)
             if m:
                 total += ratio
-            np.multiply(total, run.rec, out=ratio)
+            np.multiply(total, codes, out=ratio)
             yield ratio
 
     def slack(self, run: _Screened) -> np.ndarray:
@@ -450,7 +461,8 @@ class _Screen:
 
     def widened(self, run: _Screened) -> tuple[np.ndarray, np.ndarray]:
         """Upper and lower bounds, M by block, on the float64 ratios of
-        ``run``: the float32 extremes widened by the slack of :func:`_scan`."""
+        ``run``: the float32 extremes, scaled by each block's step, widened
+        by the slack of :func:`_scan`."""
         offs = run.bounds[:-1] * run.rec.shape[1]
         hi, lo = np.empty((2, len(self.operands), len(run.max_rec)), np.float32)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -458,8 +470,9 @@ class _Screen:
                 flat = ratio.reshape(-1)
                 np.maximum.reduceat(flat, offs, out=hi[m])
                 np.minimum.reduceat(flat, offs, out=lo[m])
-            hi, lo = hi.astype(float), lo.astype(float)
-            slack = self.slack(run) + 8.0 * _U32 * np.maximum(np.abs(hi), np.abs(lo)) + _TINY32
+            hi, lo = hi * run.step, lo * run.step
+            size = np.maximum(np.abs(hi), np.abs(lo))
+            slack = self.slack(run) + (8.0 * _U32 + 2.0 * run.qerr) * size + _TINY32 * run.step
         return hi + slack, lo - slack
 
     def unresolved(self, run: _Screened, N: int, M_grid, best: list[float]):
@@ -519,46 +532,62 @@ def _scan(Y: np.ndarray, N: int, M_grid, blocks, ambient: tuple | None = None) -
 
     The float32 pass forms each segment's half squared lengths with one
     GEMM of [y, h, 1] by [-y; 1; h] (h = |y|^2 / 2 over the segment), adds
-    them up over segments, multiplies by the float32 1 / da and takes each
-    block's largest and smallest ratio.  With u = 2^-24 and H = |y|^2 / 2
-    over the first M columns, its error against the float64 ratio of a
-    pair (i, j) is at most
+    them up over segments into t, multiplies t by the block's 16-bit codes
+    q of 1 / da (see :class:`_Screened`) and takes each block's largest and
+    smallest product, scaled to a ratio by the block's step.  With
+    u = 2^-24 and H = |y|^2 / 2 over the first M columns, its error against
+    the float64 ratio of a pair (i, j) is at most
 
-        kappa_M (u (H_i + H_j) + 2^-126) / da + 8 u |r| + 2^-126,
+        kappa_M (u (H_i + H_j) + 2^-126) / da + (8 u + 2 qerr) |r| + 2^-126 step,
         kappa_M = 4 (M + 7 S) over S segments,
 
-    with r the float32 extreme of larger size in the block.  Derivation,
-    in exact arithmetic on the float64 images: rounding the operands to
-    float32 moves each segment's dot product by at most 3 u (h_i + h_j).
-    A dot product of n terms, summed in any order and with or without
-    fused multiply-adds, is off by at most gamma_n sum |x_k y_k| (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, section
-    3.1), gamma_n = n u / (1 - n u): every term meets at most n roundings
+    with r the scaled float32 extreme of larger size in the block and step
+    and qerr those of the block.  Derivation, in exact arithmetic on the
+    float64 images: rounding the operands to float32 moves each segment's
+    dot product by at most 3 u (h_i + h_j).  A dot product of n terms,
+    summed in any order and with or without fused multiply-adds, is off by
+    at most gamma_n sum |x_k y_k| (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 2002, section 3.1),
+    gamma_n = n u / (1 - n u): every term meets at most n roundings
     whatever the order, and a fused multiply-add only drops one.  Here
     n = w + 2 for a segment of width w, and sum |x_k y_k| <= 2 (h_i + h_j)
     because |y_ik y_jk| <= (y_ik^2 + y_jk^2) / 2.  A segment is thus within
     (2 w + 7) u (h_i + h_j), and adding up S segments costs at most
-    2 (S - 1) u (H_i + H_j) more: in all 2 M + 2 S + 5 <= 2 (M + 7 S) times
-    u (H_i + H_j).  kappa_M doubles that to cover second-order terms and
-    the float64 pass's own rounding (2^-29 times smaller).  Rounding 1 / da
-    and the product by it add a relative 2 u, covered by 8 u |r|.  The
-    2^-126 terms bound underflow: a float32 operation with a subnormal
-    result, or one flushed to zero, is off by at most 2^-126.  Per block,
-    H_i + H_j and 1 / da are replaced by their largest values.  The limits
-    are narrowed by a relative 1e-9 for the float64 rounding of the limits,
-    of the widened extremes and of the distortions themselves, and an
-    extreme that overflows to inf or NaN never skips a block.
+    2 (S - 1) u (H_i + H_j) more: t is within e = (2 M + 2 S + 5) u (H_i + H_j)
+    of the float64 projected length p, to first order.  The codes:
+    |q step - 1 / da| <= step / 2, and q >= 65535 min(1 / da) / max(1 / da)
+    - 1/2, so 1 / da = q step (1 + delta) with |delta| <= 1 / (2 q)
+    <= qerr / (1 - qerr) <= 2 qerr while qerr <= 1/2, which
+    :func:`_screenable` ensures (it also makes every q >= 1).  As q step
+    <= max 1 / da, t q step is within e max 1 / da of p q step, and the
+    float64 ratio p / da = p q step (1 + delta) is within 2 qerr (|r| +
+    e max 1 / da) of p q step: in all (1 + 2 qerr) e max 1 / da + 2 qerr |r|.
+    kappa_M = 4 (M + 7 S) exceeds 2 (2 M + 2 S + 5) >= (1 + 2 qerr)
+    (2 M + 2 S + 5) by 24 S - 10 >= 14, which covers second-order terms and
+    the float64 pass's own rounding (2^-29 times smaller).  The float32
+    product t q, its float64 product by step, and the float64 rounding of
+    the codes and of step add a relative u + 3 2^-53, covered with their
+    cross terms by 8 u |r|.  The 2^-126 terms bound underflow: a float32
+    operation with a subnormal result, or one flushed to zero, is off by at
+    most 2^-126; the product t q by an integer code is exact when its
+    result is subnormal, and off by 2^-126 code units (2^-126 step) when
+    flushed to zero.  Per block, H_i + H_j and 1 / da are replaced by their
+    largest values.  The limits are narrowed by a relative 1e-9 for the
+    float64 rounding of the limits, of the widened extremes and of the
+    distortions themselves, and an extreme that overflows to inf or NaN
+    never skips a block.
 
     A block takes three reused buffers of its size (the running sum, the
     segment's lengths, and the Gram product, then the ratios), and a fourth
     for recomputed ambient lengths, so the pass allocates no block-sized
-    array; the screen takes a whole run at every M in two float32 buffers
-    of a run's size.
+    array; the screen decodes a run's codes once per call and takes the
+    whole run at every M, in three float32 buffers of a run's size.  The
+    segments of the images are column views of ``Y``, not copies.
     The buffers belong to the call: one :class:`ChordScan` serves
     concurrent scans.
     """
     edges = (0, *M_grid)
-    segs = [np.ascontiguousarray(Y[:, m0:m1]) for m0, m1 in zip(edges, edges[1:])]
+    segs = [Y[:, m0:m1] for m0, m1 in zip(edges, edges[1:])]
     ops = [_sq_operands(seg) for seg in segs]
     bufs, screen = np.empty((4, 0)), None
     best, best_pair, n_eval = [-1.0] * len(segs), [(-1, -1)] * len(segs), 0
@@ -613,13 +642,25 @@ def _screenable(i0: int, j0: int, da: np.ndarray, drop, h: np.ndarray) -> bool:
     screen: it has no dropped entry (so it is off the diagonal, with no
     identical points and no chord of computed length <= 0), it is well
     conditioned for float32, u (max h_i + max h_j) < 1e-4 min da with
-    u = 2^-24 and h the half squared norms of its rows i and columns j, and
-    every 1 / da is a normal float32 number."""
+    u = 2^-24 and h the half squared norms of its rows i and columns j,
+    every 1 / da is a normal float32 number, and max da <= 65535 min da,
+    which the error bound of its 16-bit codes needs (see :func:`_scan`).
+    The conditioning test already keeps max da below 3356 min da, as
+    da <= 2 (h_i + h_j)."""
     if drop is not None:
         return False
     lo, hi = float(da.min()), float(da.max())
     cond = _U32 * (h[i0 : i0 + da.shape[0]].max() + h[j0 : j0 + da.shape[1]].max())
-    return bool(cond < _SCREEN_COND * lo) and _TINY32 < lo and hi < 1.0 / _TINY32
+    return bool(cond < _SCREEN_COND * lo) and _TINY32 < lo and hi < 1.0 / _TINY32 and hi <= _CODES * lo
+
+
+def _encoded(da: np.ndarray) -> tuple[np.ndarray, float, float, float]:
+    """The 16-bit codes of 1 / da, transposed, with the block's max_rec,
+    step and qerr (see :class:`_Screened`)."""
+    max_rec = 1.0 / float(da.min())
+    step = max_rec / _CODES
+    codes = np.ascontiguousarray(np.rint((1.0 / da.T) / step), dtype=np.uint16)
+    return codes, max_rec, step, 0.5 * max_rec * float(da.max()) / _CODES
 
 
 def _cached(blocks, h: np.ndarray):
@@ -627,12 +668,12 @@ def _cached(blocks, h: np.ndarray):
     keeps them, in the same order: each run of consecutive screenable
     blocks in one block row as one :class:`_Screened`, closed once it
     reaches ``_SCREEN_COLS`` columns, and every other block as it is."""
-    run = []  # (i0, j0, rec, max_rec) of the screenable blocks not yet yielded
+    run = []  # (i0, j0, *_encoded(da)) of the screenable blocks not yet yielded
 
     def merged():
-        recs = [rec for _, _, rec, _ in run]
+        i0, j0, recs, *per_block = zip(*run)
         bounds = np.cumsum([0] + [len(rec) for rec in recs])
-        return _Screened(run[0][0], run[0][1], np.concatenate(recs), bounds, np.array([m for *_, m in run]))
+        return _Screened(i0[0], j0[0], np.concatenate(recs), bounds, *map(np.array, per_block))
 
     for i0, j0, da, drop in blocks:
         screenable = _screenable(i0, j0, da, drop, h)
@@ -640,7 +681,7 @@ def _cached(blocks, h: np.ndarray):
             yield merged()
             run = []
         if screenable:
-            run.append((i0, j0, np.ascontiguousarray((1.0 / da).T, dtype=np.float32), 1.0 / float(da.min())))
+            run.append((i0, j0, *_encoded(da)))
             if j0 + da.shape[1] - run[0][1] >= _SCREEN_COLS:
                 yield merged()
                 run = []
@@ -674,10 +715,12 @@ class ChordScan:
     Squared chord lengths in the ambient space depend only on the points,
     so they are computed once here, in the order of ``_chord_blocks``: the
     diagonal band, then the far blocks.  A block that the float32 screen of
-    :func:`_scan` takes (see :func:`_screenable`) keeps only its float32
-    reciprocal lengths, 4 bytes per pair; the others, in practice the
-    diagonal blocks and their neighbours, keep 8 bytes per pair plus a
-    one-byte mask where entries are dropped.  Each :meth:`summary` then
+    :func:`_scan` takes (see :func:`_screenable`) keeps only 16-bit codes
+    of its reciprocal lengths, 2 bytes per pair, and three floats; the
+    others, in practice the diagonal blocks and their neighbours, keep
+    8 bytes per pair plus a one-byte mask where entries are dropped.
+    :attr:`cache_bytes` and :attr:`screened_blocks` report the result.
+    Each :meth:`summary` then
     pays only for its projector's Gram blocks, and agrees bit for bit with
     :func:`pointset_distortion` at the same block size, worst pair and
     exact ties included; :meth:`nested` scans every leading block of rows
@@ -696,6 +739,16 @@ class ChordScan:
         self._blocks = list(_cached(_chord_blocks(self.points, block), self._ambient[2][1]))
         if not self._blocks:
             raise ValueError(_NO_CHORDS)
+
+    @property
+    def cache_bytes(self) -> int:
+        """Bytes of the arrays of the cached blocks."""
+        return sum(a.nbytes for b in self._blocks for a in b if isinstance(a, np.ndarray))
+
+    @property
+    def screened_blocks(self) -> int:
+        """Number of cached blocks that go through the float32 screen."""
+        return sum(len(b.max_rec) for b in self._blocks if isinstance(b, _Screened))
 
     def summary(self, A: Projector) -> DistortionSummary:
         """Worst chord distortion under A, with the pair it came from."""

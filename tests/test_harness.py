@@ -8,6 +8,7 @@ import pytest
 
 import mfldproj as mp
 from mfldproj.harness import RunConfig, main, run
+from mfldproj.projections import _Screened
 from mfldproj.seeding import derive_seed
 
 
@@ -100,6 +101,22 @@ class TestManifest:
             assert manifest.pop("wall_time_s") > 0.0
             manifests.append(manifest)
         assert manifests[0] == manifests[1]
+
+    def test_mstar_reports_its_chord_cache(self, tmp_path):
+        # an mstar manifest records the bytes of the chord scan's cached
+        # arrays and how many of its blocks the float32 screen takes
+        params = dict(MSTAR_SMALL, grid_per_axis=1024)
+        cfg = RunConfig(command="mstar", params=params, master_seed=4, out_dir=str(tmp_path))
+        assert run(cfg) == 0
+        diagnostics = json.loads((tmp_path / "run_manifest.json").read_text())["diagnostics"]
+        scan = mp.experiments._latent_scan(mp.spec_for_volume(1, 150, 1.0, 1024), 4)
+        screened = [b for b in scan._blocks if isinstance(b, _Screened)]
+        others = [b for b in scan._blocks if not isinstance(b, _Screened)]
+        cached = [a for r in screened for a in (r.rec, r.bounds, r.max_rec, r.step, r.qerr)]
+        cached += [a for _, _, da, drop in others for a in (da, drop) if a is not None]
+        assert diagnostics == {"chord_cache_bytes": sum(a.nbytes for a in cached),
+                               "screened_blocks": 8 * 9 // 2 - len(others)}
+        assert diagnostics["screened_blocks"] > 0
 
 
 class TestRunBounds:

@@ -493,9 +493,18 @@ def screen_of(Y, M_grid):
     """The nested segments of the images ``Y``, their operands and the
     float32 screen over them, as :func:`projections._scan` builds them."""
     edges = (0, *M_grid)
-    segs = [np.ascontiguousarray(Y[:, a:b]) for a, b in zip(edges, edges[1:])]
+    segs = [Y[:, a:b] for a, b in zip(edges, edges[1:])]
     ops = [projections._sq_operands(seg) for seg in segs]
     return segs, ops, projections._Screen(segs, ops, M_grid)
+
+
+def screened_lengths(scan, run, t):
+    """The float64 half squared lengths da of block t of the screened
+    ``run`` of ``scan``, rows by columns."""
+    nr, c0, c1 = run.rec.shape[1], run.bounds[t], run.bounds[t + 1]
+    rows, cols = slice(run.i0, run.i0 + nr), slice(run.j0 + c0, run.j0 + c1)
+    shape = (nr, c1 - c0)
+    return projections._block_half_sq(*scan._ambient, rows, cols, np.empty(shape), np.empty(shape))
 
 
 def float64_ratios(scan, segs, ops, run):
@@ -507,7 +516,7 @@ def float64_ratios(scan, segs, ops, run):
         c0, c1 = run.bounds[t], run.bounds[t + 1]
         rows, cols = slice(run.i0, run.i0 + nr), slice(run.j0 + c0, run.j0 + c1)
         shape = (nr, c1 - c0)
-        da = projections._block_half_sq(*scan._ambient, rows, cols, np.empty(shape), np.empty(shape))
+        da = screened_lengths(scan, run, t)
         proj = 0.0
         for m, (seg, (lead, trail)) in enumerate(zip(segs, ops)):
             proj = proj + projections._block_half_sq(seg, lead, trail, rows, cols, np.empty(shape), np.empty(shape))
@@ -521,22 +530,21 @@ def screened_runs(scan):
 def screen_error_ratio(scan, Y, N, M_grid):
     """Largest |r32 - r64| / slack over every entry of every screened block
     of ``scan`` at every M of the nested grid: r32 from the float32 pass,
-    r64 the float64 ratio the scan computes for the pair, and the slack the
-    screen widens the block's float32 extremes by."""
+    scaled by the block's step, r64 the float64 ratio the scan computes for
+    the pair, and the slack the screen widens the block's scaled float32
+    extremes by, which is checked to be exactly the screen's."""
     segs, ops, screen = screen_of(Y, M_grid)
     worst = 0.0
     for run in screened_runs(scan):
         r32 = [r.copy() for r in screen.ratios(run)]
         slack = screen.slack(run)
+        up, down = screen.widened(run)
         for t, m, r64 in float64_ratios(scan, segs, ops, run):
-            r = r32[m][run.bounds[t] : run.bounds[t + 1]].T.astype(float)
-            bound = slack[m, t] + 8 * 2.0**-24 * np.abs(r).max() + 2.0**-126
+            r = r32[m][run.bounds[t] : run.bounds[t + 1]].T * run.step[t]
+            bound = slack[m, t] + (8 * 2.0**-24 + 2 * run.qerr[t]) * np.abs(r).max() + 2.0**-126 * run.step[t]
+            assert (up[m, t], down[m, t]) == (r.max() + bound, r.min() - bound)
             worst = max(worst, float((np.abs(r - r64) / bound).max()))
     return worst
-
-
-def screened_blocks(scan):
-    return sum(len(b.max_rec) for b in screened_runs(scan))
 
 
 def count_recomputed(monkeypatch, scan):
@@ -564,9 +572,9 @@ class TestScreenedScan:
         scan = ChordScan(X)
         n_blocks = 8 * 9 // 2
         if case == "shifted":  # |x|^2 / 2 ~ 7e7 against chords of order 1
-            assert screened_blocks(scan) == 0
+            assert scan.screened_blocks == 0
         else:
-            assert screened_blocks(scan) >= n_blocks // 2
+            assert scan.screened_blocks >= n_blocks // 2
         if case == "duplicates":
             dropped = [(b[0], b[1]) for b in scan._blocks if not isinstance(b, _Screened) and b[3] is not None]
             assert {(0, 256), (0, 640)} <= set(dropped)
@@ -582,7 +590,7 @@ class TestScreenedScan:
             recomputed.clear()
             got = scan.nested(Y, N, M_grid)
             if case != "shifted":  # most screened blocks are skipped
-                assert len(recomputed) < screened_blocks(scan) / 2
+                assert len(recomputed) < scan.screened_blocks / 2
             assert got == projections._scan(Y, N, M_grid, projections._chord_blocks(X, 128))
             assert [g.max for g in got] == nested_elementwise_worst(X, Y, N, M_grid, 128)
             A = sample_projector(k, 50, seed)
@@ -667,7 +675,7 @@ class TestScreenedScan:
         shift = math.sqrt(0.8e-4 * float(np.median(shortest)) / 2.0**-24 / 30)
         for X in (base, base + shift):
             scan = ChordScan(X)
-            assert screened_blocks(scan) > 0
+            assert scan.screened_blocks > 0
             h = scan._ambient[2][1]
             cond = max(
                 2.0**-24 * (h[b.i0 : b.i0 + 128].max() + h[b.j0 + b.bounds[t] : b.j0 + b.bounds[t + 1]].max())
@@ -694,7 +702,65 @@ class TestScreenedScan:
                 for t, m, r in float64_ratios(scan, segs, ops, run):
                     assert down[m, t] <= r.min() and r.max() <= up[m, t], (seed, run.i0, run.j0, t, m)
                     checked += 1
-        assert checked == 2 * len(M_grid) * screened_blocks(scan)
+        assert checked == 2 * len(M_grid) * scan.screened_blocks
+
+    def test_screened_reciprocals_take_two_bytes_per_pair(self):
+        # a screened pair keeps one 16-bit code q of 1 / da, scaled per block
+        # so that its largest code is 65535, and q step is within a relative
+        # qerr of 1 / da
+        scan = ChordScan(gp_curve(2048))
+        runs = screened_runs(scan)
+        assert scan.screened_blocks >= 100  # of 136 blocks
+        for run in runs:
+            assert run.rec.dtype == np.uint16 and run.rec.flags.c_contiguous
+            assert run.rec.nbytes == 2 * run.rec.shape[1] * run.bounds[-1]
+            for t in range(len(run.max_rec)):
+                q, da = run.rec[run.bounds[t] : run.bounds[t + 1]].T, screened_lengths(scan, run, t)
+                assert q.max() == 65535 and q.min() >= 1
+                assert run.max_rec[t] == 1.0 / da.min() and run.step[t] == run.max_rec[t] / 65535
+                assert run.qerr[t] == 0.5 * run.max_rec[t] * da.max() / 65535
+                assert np.abs(q * run.step[t] * da - 1.0).max() <= run.qerr[t] * (1.0 + 1e-9)
+        assert sum(r.rec.nbytes for r in runs) == 2 * 128 * 128 * scan.screened_blocks
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_quantization_edge(self, shifted, monkeypatch):
+        # the smooth curve with a linear trend along a new axis, centred:
+        # its farthest blocks have 1 / da spanning 1.7 to 2 times, the
+        # nearer ones more.  At small M the quantization term 2 qerr |r| is
+        # then most of the widening; moved from the origin until its blocks
+        # are just inside the conditioning limit, the float32 term is.
+        # Either way the widened extremes hold the float64 ratios, the
+        # float32 error stays within the slack, and the scan is the
+        # elementwise one bit for bit
+        curve = gp_curve(1024)
+        X = np.hstack([np.linspace(0.0, 10.0, len(curve), endpoint=False)[:, None], curve])
+        X -= X.mean(axis=0)
+        N, M_grid, k = 1000, (1, 2, 3), X.shape[1]
+        if shifted:
+            shortest = [float(da.min()) for i0, j0, da, _ in projections._chord_blocks(X, 128) if j0 - i0 > 128]
+            X += math.sqrt(0.8e-4 * float(np.median(shortest)) / 2.0**-24 / k)
+        scan = ChordScan(X)
+        runs = screened_runs(scan)
+        spans = [2 * 65535 * q for r in runs for q in r.qerr]
+        assert min(spans) < 2.0 and sum(span < 2.5 for span in spans) >= 3
+        h = scan._ambient[2][1]
+        cond = max(2.0**-24 * (h[r.i0 : r.i0 + 128].max() + h[r.j0 + r.bounds[t] : r.j0 + r.bounds[t + 1]].max())
+                   * r.max_rec[t] for r in runs for t in range(len(r.max_rec)))
+        assert 0.5e-4 < cond < 1e-4 if shifted else cond < 1e-6
+        recomputed = count_recomputed(monkeypatch, scan)
+        for seed in range(2):
+            Y = X @ frame_rows(N, k, M_grid[-1], seed).T
+            segs, ops, screen = screen_of(Y, M_grid)
+            for run in runs:
+                up, down = screen.widened(run)
+                for t, m, r in float64_ratios(scan, segs, ops, run):
+                    assert down[m, t] <= r.min() and r.max() <= up[m, t], (seed, run.i0, run.j0, t, m)
+            assert screen_error_ratio(scan, Y, N, M_grid) <= 1.0
+            recomputed.clear()
+            got = scan.nested(Y, N, M_grid)
+            assert len(recomputed) < scan.screened_blocks
+            assert [g.max for g in got] == nested_elementwise_worst(X, Y, N, M_grid, 128)
+            assert got == projections._scan(Y, N, M_grid, projections._chord_blocks(X, 128))
 
     def test_screen_skips_most_far_blocks(self, monkeypatch):
         # on a smooth curve the float64 pass runs on fewer than a quarter of
@@ -702,7 +768,7 @@ class TestScreenedScan:
         # fig6a grid, where a block must be ruled out at every M
         X, N = gp_curve(2048), 1000
         scan = ChordScan(X)
-        n_screened = screened_blocks(scan)
+        n_screened = scan.screened_blocks
         assert n_screened >= 100  # of 136 blocks
         recomputed = count_recomputed(monkeypatch, scan)
         for M_grid in ((63, 100), experiments._FIG_DEFAULTS["fig6a"]["M_grid"]):
