@@ -145,9 +145,19 @@ def g_tangential(eps: float, sin_theta_t: float, N: int, M: int, mode: str = "ap
 def invert_g_tangential(d: float, sin_theta_t: float, N: int, M: int, mode: str = "approx") -> float:
     """The eps whose tangential budget equals d.
 
-    Closed form ``d + (N/M) sin(theta_T)`` in approx mode; bracketed
-    bisection to 1e-12 on the exact branches otherwise (the exact budget is
-    strictly increasing in eps on its domain).
+    Closed form ``d + (N/M) sin(theta_T)`` in approx mode.  In exact mode
+    each branch of the budget is solved for eps in closed form.  With
+    n = N/M, s = sin(theta_T) and c+- = (1 +- d)^2 + n s^2, the upper
+    branch equals d where (1 + eps)^2 = c+ - 2 n s^2 + 2 s sqrt(n (n - c+ + n s^2)),
+    and the lower one where (1 - eps)^2 = c- - 2 n s^2 - 2 s sqrt(n (n - c- + n s^2)):
+    each squares ``sqrt(inside) = 1 +- d`` into a quadratic in (1 +- eps)^2
+    and keeps the root on the side of c+- that the unsquared equation
+    needs.  Both branches increase with eps up to eps = 1, so there their
+    minimum equals d at the larger of the two eps.  The lower branch stays
+    below 1 and is symmetric about eps = 1, so the squared equations also
+    have roots where the budget is not d (any d >= 1 among them); the
+    budget of the root is therefore checked against d.  Raises ValueError
+    when no eps in the exact domain (see :func:`g_tangential`) has budget d.
     """
     if not (1 <= M <= N):
         raise ValueError(f"need 1 <= M <= N, got M={M}, N={N}")
@@ -155,24 +165,21 @@ def invert_g_tangential(d: float, sin_theta_t: float, N: int, M: int, mode: str 
         return d + (N / M) * sin_theta_t
     if mode != "exact":
         raise ValueError(f"mode must be 'exact' or 'approx', got {mode!r}")
-    lo = max(d, 1e-300)
-    hi = d + 2.0 * (N / M) * sin_theta_t + 1e-6
-    hi = min(hi, math.sqrt(N / M) - 1.0 - 1e-12)  # exact-mode domain ceiling
-    if hi <= lo:
-        raise ValueError("no exact-mode eps brackets this budget")
-    f_lo = _g_tangential_exact_raw(lo, sin_theta_t, N, M) - d
-    f_hi = _g_tangential_exact_raw(hi, sin_theta_t, N, M) - d
-    if f_lo > 0.0 or f_hi < 0.0:
-        raise ValueError("no exact-mode eps brackets this budget")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _g_tangential_exact_raw(mid, sin_theta_t, N, M) - d > 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-12:
-            break
-    return 0.5 * (lo + hi)
+    n, s = N / M, sin_theta_t
+    ns2 = n * s * s
+    c_plus, c_minus = (1.0 + d) ** 2 + ns2, (1.0 - d) ** 2 + ns2
+    undefined = ValueError(f"no exact-mode eps has budget d={d} at sin_theta_T={s}, N/M={n:.4g}")
+    if n < c_plus:  # the upper branch stays below d on the whole domain
+        raise undefined
+    a = c_plus - 2.0 * ns2 + 2.0 * s * math.sqrt(n * (n - c_plus + ns2))
+    b = c_minus - 2.0 * ns2 - 2.0 * s * math.sqrt(n * (n - c_minus + ns2))
+    if b < 0.0:
+        raise undefined
+    eps = max(math.sqrt(a) - 1.0, 1.0 - math.sqrt(b))
+    # the budget's own check raises if eps leaves the exact domain
+    if not eps > 0.0 or abs(_g_tangential_exact_raw(eps, s, N, M) - d) > 1e-9:
+        raise undefined
+    return eps
 
 
 def sample_chordal_boundary(x: np.ndarray, sin_theta_c: float, seed: int, size: int | None = None) -> np.ndarray:

@@ -317,43 +317,81 @@ class FigureTable:
 # Volume convention of the ambient-dimension sweep: V = (10 sqrt(2)/3)^K.
 LNV_PER_K_DEFAULT = math.log(10.0 * math.sqrt(2.0) / 3.0)
 
+# Settings of every M* point, in ``mstar`` and in fig6a/fig6b.
+# ``grid_per_axis`` is one count for every K or a map from K to a count.
+_M_STAR_SETTINGS = {"eps_target": 0.2, "delta": 0.05, "n_proj": 100, "grid_per_axis": {1: 512, 2: 32}}
+_M_GRID = (4, 6, 10, 16, 25, 40, 63, 100, 158, 200)
+
+# The ``mstar`` parameters; lnV None stands for LNV_PER_K_DEFAULT * K.
+MSTAR_DEFAULTS = {"K": 1, "N": 1000, "lnV": None, "M_grid": _M_GRID, **_M_STAR_SETTINGS}
+
 _FIG_DEFAULTS = {
     "fig4": {"N": 1000, "L": 10.0, "lam": 1.0, "n_grid": 1024, "ell": 1.0},
     "fig5": {"N": 200, "L": (12.0, 20.0), "lam": (1.0, 1.8), "n_grid": (64, 64), "ell": 1.0},
-    "fig6a": {
-        "N": 1000,
-        "eps_target": 0.2,
-        "delta": 0.05,
-        "K_values": (1, 2),
-        "lnV_over_K": (1.0, LNV_PER_K_DEFAULT, 2.2),
-        "M_grid": (4, 6, 10, 16, 25, 40, 63, 100, 158, 200, 251, 316),
-        "n_proj": 100,
-        "grid_per_axis": {1: 512, 2: 32},
-    },
-    "fig6b": {
-        "eps_target": 0.2,
-        "delta": 0.05,
-        "K_values": (1,),
-        "N_values": (200, 500, 1000, 2000),
-        "M_grid": (4, 6, 10, 16, 25, 40, 63, 100, 158, 200),
-        "n_proj": 100,
-        "grid_per_axis": {1: 512, 2: 32},
-    },
+    "fig6a": {"N": 1000, "K_values": (1, 2), "lnV_over_K": (1.0, LNV_PER_K_DEFAULT, 2.2),
+              "M_grid": _M_GRID + (251, 316), **_M_STAR_SETTINGS},
+    "fig6b": {"K_values": (1,), "N_values": (200, 500, 1000, 2000), "M_grid": _M_GRID, **_M_STAR_SETTINGS},
 }
 
 
-def _merge_params(kind: str, params: dict | None) -> dict:
-    if kind not in _FIG_DEFAULTS:
-        raise ValueError(f"unknown figure kind {kind!r}; expected one of {sorted(_FIG_DEFAULTS)}")
-    merged = dict(_FIG_DEFAULTS[kind])
+def merge_params(defaults: dict, params: dict | None, what: str) -> dict:
+    """``defaults`` overridden by ``params``, which may hold only their
+    keys; JSON object keys of a ``grid_per_axis`` map become ints."""
+    merged = dict(defaults)
     for key, val in (params or {}).items():
         if key not in merged:
-            raise ValueError(f"unknown parameter {key!r} for {kind}; allowed: {sorted(merged)}")
+            raise ValueError(f"unknown parameter {key!r} for {what}; allowed: {sorted(merged)}")
         merged[key] = val
     if isinstance(merged.get("grid_per_axis"), dict):
-        # JSON object keys arrive as strings; K is looked up as an int
         merged["grid_per_axis"] = {int(K): n for K, n in merged["grid_per_axis"].items()}
     return merged
+
+
+@dataclass(frozen=True)
+class MStarPoint:
+    """One checked M* point: the surface of (K, lnV, N) and the settings
+    :func:`m_star_empirical` runs it at."""
+
+    K: int
+    lnV: float
+    N: int
+    spec: ManifoldSpec
+    eps_target: float
+    delta: float
+    M_grid: tuple[int, ...]
+    n_proj: int
+
+    def row(self, seed: int, threads: int = 1) -> tuple[dict, MStarResult]:
+        """The point's M* row, the empirical count beside every bound
+        column, and the :class:`MStarResult` it came from."""
+        res = m_star_empirical(self.spec, self.eps_target, self.delta, self.M_grid, self.n_proj, seed,
+                               threads=threads)
+        eps, delta, K, N, lnV = self.eps_target, self.delta, self.K, self.N, self.lnV
+        row = {
+            "K": K, "lnV": lnV, "N": N, "eps_target": eps, "delta": delta,
+            "m_star_emp": res.m_star_emp, "isotonic_adjusted": res.isotonic_adjusted,
+            "m_star_new": bounds.m_star_bound(eps, delta, K, N, lnV),
+            "m_star_bw": bounds.bw_underestimate(eps, delta, K, N, lnV),
+            "m_star_nv": bounds.nv_underestimate(eps, delta, K, lnV),
+        }
+        return row, res
+
+
+def m_star_point(K: int, lnV: float, N: int, M_grid, settings: dict) -> MStarPoint:
+    """The point (K, lnV, N) with the eps_target, delta, n_proj and
+    grid_per_axis of ``settings``.
+
+    Every input, the size of the chord scan included, is checked here, so
+    a table can check all its points before it runs one.
+    """
+    grid = settings["grid_per_axis"]
+    if isinstance(grid, dict):
+        if K not in grid:
+            raise ValueError(f"grid_per_axis has no entry for K={K}: {grid}")
+        grid = grid[K]
+    spec = spec_for_volume(K, N, lnV, grid)
+    eps, delta, n_proj = float(settings["eps_target"]), float(settings["delta"]), int(settings["n_proj"])
+    return MStarPoint(K, lnV, N, spec, eps, delta, _check_m_star_inputs(spec, eps, delta, M_grid, n_proj), n_proj)
 
 
 def figure_data(kind: str, params: dict | None = None, seed: int = 0, threads: int = 1) -> FigureTable:
@@ -370,129 +408,75 @@ def figure_data(kind: str, params: dict | None = None, seed: int = 0, threads: i
     ``threads`` is passed to :func:`m_star_empirical` for fig6a and fig6b;
     the tables are identical for any thread count.
     """
-    p = _merge_params(kind, params)
-    if kind == "fig4":
-        return _fig4(p, seed)
-    if kind == "fig5":
-        return _fig5(p, seed)
-    if kind == "fig6a":
-        return _fig6(p, seed, vary="lnV", threads=threads)
-    return _fig6(p, seed, vary="N", threads=threads)
+    if kind not in _FIG_DEFAULTS:
+        raise ValueError(f"unknown figure kind {kind!r}; expected one of {sorted(_FIG_DEFAULTS)}")
+    p = merge_params(_FIG_DEFAULTS[kind], params, kind)
+    if kind in ("fig4", "fig5"):
+        return _geometry(kind, 1 if kind == "fig4" else 2, p, seed)
+    return _fig6(kind, p, seed, threads)
 
 
-def _fig4(p: dict, seed: int) -> FigureTable:
-    from .manifold import expected_chord_sq, expected_tangent_cosine
+def _geometry(kind: str, K: int, p: dict, seed: int) -> FigureTable:
+    """Chords and tangent cosines of one manifold against its central grid
+    point: signed tangent cosines for a curve, principal cosines for K >= 2.
+    Per-axis parameters are scalars for a curve and sequences otherwise."""
+    from .manifold import expected_chord_sq, expected_principal_cosines, expected_tangent_cosine
 
-    spec = ManifoldSpec(
-        K=1, N=int(p["N"]), ell=p["ell"], lam=(p["lam"],), L=(p["L"],), grid=(int(p["n_grid"]),)
-    )
-    sample = sample_manifold(spec, derive_seed(seed, ["fig4", "manifold"]))
+    def per_axis(value) -> tuple:
+        return tuple(value) if K > 1 else (value,)
+
+    spec = ManifoldSpec(K=K, N=int(p["N"]), ell=p["ell"], lam=per_axis(p["lam"]), L=per_axis(p["L"]),
+                        grid=tuple(int(n) for n in per_axis(p["n_grid"])))
+    sample = sample_manifold(spec, derive_seed(seed, [kind, "manifold"]))
     frames = tangent_frames(sample)
-    center = spec.n_points // 2
-    sig = sample.sigma_axes[0]
-    rho = ((sig - sig[center]) / spec.lam[0]) ** 2
-    diffs = sample.points - sample.points[center]
-    chord_emp = np.einsum("ij,ij->i", diffs, diffs)
-    tc = frames.derivs[:, 0, :]
-    norms = np.linalg.norm(tc, axis=1)
-    cos_emp = (tc @ tc[center]) / (norms * norms[center])
-    keep = np.arange(spec.n_points) != center
-    return FigureTable(
-        kind="fig4",
-        columns={
-            "rho": rho[keep],
-            "chord_sq_emp": chord_emp[keep],
-            "chord_sq_theory": np.array([expected_chord_sq(r, spec.ell) for r in rho[keep]]),
-            "tangent_cos_emp": cos_emp[keep],
-            "tangent_cos_theory": np.array([expected_tangent_cosine(r) for r in rho[keep]]),
-        },
-        params={**p, "seed": seed},
-    )
-
-
-def _fig5(p: dict, seed: int) -> FigureTable:
-    from .manifold import expected_chord_sq, expected_principal_cosines
-
-    n1, n2 = (int(v) for v in p["n_grid"])
-    spec = ManifoldSpec(
-        K=2, N=int(p["N"]), ell=p["ell"], lam=tuple(p["lam"]), L=tuple(p["L"]), grid=(n1, n2)
-    )
-    sample = sample_manifold(spec, derive_seed(seed, ["fig5", "manifold"]))
-    frames = tangent_frames(sample)
-    center = np.ravel_multi_index((n1 // 2, n2 // 2), spec.grid)
-    mesh = np.meshgrid(*sample.sigma_axes, indexing="ij")
-    sig = np.stack([m.ravel() for m in mesh], axis=-1)
+    center = np.ravel_multi_index(tuple(n // 2 for n in spec.grid), spec.grid)
+    sig = np.stack([m.ravel() for m in np.meshgrid(*sample.sigma_axes, indexing="ij")], axis=-1)
     d = (sig - sig[center]) / np.asarray(spec.lam)
     rho = np.einsum("ij,ij->i", d, d)
     diffs = sample.points - sample.points[center]
-    chord_emp = np.einsum("ij,ij->i", diffs, diffs)
-    cross = np.einsum("nk,pnl->pkl", frames.bases[center], frames.bases, optimize=True)
-    cos_emp = np.clip(np.linalg.svd(cross, compute_uv=False), 0.0, 1.0)
-    theory = np.stack([np.sort(expected_principal_cosines(r, 2))[::-1] for r in rho])
-    keep = np.arange(spec.n_points) != center
-    return FigureTable(
-        kind="fig5",
-        columns={
-            "rho": rho[keep],
-            "chord_sq_emp": chord_emp[keep],
-            "chord_sq_theory": np.array([expected_chord_sq(r, spec.ell) for r in rho[keep]]),
-            "cos1_emp": cos_emp[keep, 0],
-            "cos2_emp": cos_emp[keep, 1],
-            "cos1_theory": theory[keep, 0],
-            "cos2_theory": theory[keep, 1],
-        },
-        params={**p, "seed": seed},
-    )
-
-
-def _fig6(p: dict, seed: int, vary: str, threads: int) -> FigureTable:
-    kind = "fig6a" if vary == "lnV" else "fig6b"
-    eps, delta = float(p["eps_target"]), float(p["delta"])
-    rows = {
-        k: []
-        for k in ("K", "lnV", "N", "eps_target", "delta", "m_star_emp", "m_star_new", "m_star_bw", "m_star_nv")
+    columns = {
+        "rho": rho,
+        "chord_sq_emp": np.einsum("ij,ij->i", diffs, diffs),
+        "chord_sq_theory": np.array([expected_chord_sq(r, spec.ell) for r in rho]),
     }
-    if vary == "lnV":
-        points = [
-            (K, float(r) * K, int(p["N"]))
-            for K in p["K_values"]
-            for r in p["lnV_over_K"]
-        ]
+    if K == 1:
+        tc = frames.derivs[:, 0, :]
+        norms = np.linalg.norm(tc, axis=1)
+        columns["tangent_cos_emp"] = (tc @ tc[center]) / (norms * norms[center])
+        columns["tangent_cos_theory"] = np.array([expected_tangent_cosine(r) for r in rho])
     else:
-        points = [
-            (K, LNV_PER_K_DEFAULT * K, int(N))
-            for K in p["K_values"]
-            for N in p["N_values"]
-        ]
-    jobs = []
+        cross = np.einsum("nk,pnl->pkl", frames.bases[center], frames.bases, optimize=True)
+        emp = np.clip(np.linalg.svd(cross, compute_uv=False), 0.0, 1.0)
+        theory = np.stack([np.sort(expected_principal_cosines(r, K))[::-1] for r in rho])
+        columns.update({f"cos{i + 1}_emp": emp[:, i] for i in range(K)})
+        columns.update({f"cos{i + 1}_theory": theory[:, i] for i in range(K)})
+    keep = np.arange(spec.n_points) != center
+    return FigureTable(kind=kind, columns={k: v[keep] for k, v in columns.items()}, params={**p, "seed": seed})
+
+
+_FIG6_COLUMNS = ("K", "lnV", "N", "eps_target", "delta", "m_star_emp", "m_star_new", "m_star_bw", "m_star_nv")
+
+
+def _fig6(kind: str, p: dict, seed: int, threads: int) -> FigureTable:
+    if kind == "fig6a":
+        points = [(K, float(r) * K, int(p["N"])) for K in p["K_values"] for r in p["lnV_over_K"]]
+    else:
+        points = [(K, LNV_PER_K_DEFAULT * K, int(N)) for K in p["K_values"] for N in p["N_values"]]
+    checked = []
     for K, lnV, N in points:
-        grid = p["grid_per_axis"][K] if isinstance(p["grid_per_axis"], dict) else p["grid_per_axis"]
-        spec = spec_for_volume(K, N, lnV, grid)
         where = f"{kind} point K={K}, lnV={lnV:.6g}, N={N}: "
         try:
-            M_grid = _check_m_star_inputs(spec, eps, delta, [m for m in p["M_grid"] if m <= N], int(p["n_proj"]))
+            checked.append((where, m_star_point(K, lnV, N, [m for m in p["M_grid"] if m <= N], p)))
         except ValueError as exc:
             raise ValueError(where + str(exc)) from None
-        jobs.append((K, lnV, N, spec, M_grid, where))
-    for K, lnV, N, spec, M_grid, where in jobs:
+    rows = []
+    for where, point in checked:
         try:
-            res = m_star_empirical(
-                spec, eps, delta, M_grid, int(p["n_proj"]), derive_seed(seed, ["fig6", K, f"{lnV:.6f}", N]),
-                threads=threads,
-            )
+            rows.append(point.row(derive_seed(seed, ["fig6", point.K, f"{point.lnV:.6f}", point.N]), threads)[0])
         except Unachievable as exc:
             raise Unachievable(where + str(exc)) from None
-        rows["K"].append(K)
-        rows["lnV"].append(lnV)
-        rows["N"].append(N)
-        rows["eps_target"].append(eps)
-        rows["delta"].append(delta)
-        rows["m_star_emp"].append(res.m_star_emp)
-        rows["m_star_new"].append(bounds.m_star_bound(eps, delta, K, N, lnV))
-        rows["m_star_bw"].append(bounds.bw_underestimate(eps, delta, K, N, lnV))
-        rows["m_star_nv"].append(bounds.nv_underestimate(eps, delta, K, lnV))
     return FigureTable(
         kind=kind,
-        columns={k: np.asarray(v, dtype=float) for k, v in rows.items()},
+        columns={k: np.asarray([row[k] for row in rows], dtype=float) for k in _FIG6_COLUMNS},
         params={**p, "seed": seed},
     )

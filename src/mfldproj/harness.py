@@ -19,6 +19,7 @@ import csv
 import json
 import sys
 import time
+from operator import attrgetter
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -47,9 +48,11 @@ _SCHEMAS = {
     },
     "bounds": {"eps", "delta", "points"},
     "figure": {"kind", "params"},
-    "mstar": {"K", "N", "lnV", "grid_per_axis", "eps_target", "delta", "M_grid", "n_proj"},
+    "mstar": set(experiments.MSTAR_DEFAULTS),
     "replay": {"manifest"},
 }
+# Keys a command cannot run without; checked beside the unknown keys.
+_REQUIRED = {"sample": {"K", "N", "lam", "L", "grid"}, "figure": {"kind"}, "replay": {"manifest"}}
 
 
 @dataclass(frozen=True)
@@ -72,6 +75,9 @@ class RunConfig:
             raise ValueError(
                 f"unknown parameter keys for {self.command!r}: {sorted(unknown)}; allowed: {sorted(allowed)}"
             )
+        missing = _REQUIRED.get(self.command, set()) - set(self.params)
+        if missing:
+            raise ValueError(f"missing required parameter keys for {self.command!r}: {sorted(missing)}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be 'csv' or 'json', got {self.format!r}")
         if self.threads < 1:
@@ -216,14 +222,18 @@ def _run_verify_cones(cfg: RunConfig, out: Path) -> tuple[list[str], dict]:
     return artifacts + [_write_table(out, "cone_summary", summary, cfg)], {}
 
 
-_BOUNDS_HEADER = [
-    "eps", "delta", "K", "N", "lnV", "M_eval", "mu",
-    "delta_long", "delta_long_log", "delta_long_ok",
-    "delta_short", "delta_short_log", "delta_short_ok",
-    "delta_total", "m_star_new", "gamma_star_c", "sin_theta_c_star", "chordal_ok",
-    "gamma_star_t", "sin_theta_t_star", "tangential_ok",
-    "m_star_bw", "m_star_nv", "crossover_closed", "rho_star", "C0",
-]
+# Each column of the bounds table beside the BoundReport field it holds.
+_BOUNDS_COLUMNS = {
+    "eps": "query.eps", "delta": "query.delta", "K": "query.K", "N": "query.N", "lnV": "query.lnV",
+    "M_eval": "M_eval", "mu": "mu",
+    "delta_long": "delta_long", "delta_long_log": "delta_long_log", "delta_long_ok": "delta_long_ok",
+    "delta_short": "delta_short", "delta_short_log": "delta_short_log", "delta_short_ok": "delta_short_ok",
+    "delta_total": "delta_total", "m_star_new": "m_bar",
+    "gamma_star_c": "gamma_star_c", "sin_theta_c_star": "sin_theta_c_star", "chordal_ok": "chordal_ok",
+    "gamma_star_t": "gamma_star_t", "sin_theta_t_star": "sin_theta_t_star", "tangential_ok": "tangential_ok",
+    "m_star_bw": "m_bw", "m_star_nv": "m_nv", "crossover_closed": "crossover_closed",
+    "rho_star": "rho_star", "C0": "C0",
+}
 
 
 def _run_bounds(cfg: RunConfig, out: Path) -> tuple[list[str], dict]:
@@ -232,26 +242,18 @@ def _run_bounds(cfg: RunConfig, out: Path) -> tuple[list[str], dict]:
     points = p.get("points")
     if points is None:
         points = [{"K": K, "N": 1000, "lnV": experiments.LNV_PER_K_DEFAULT * K} for K in (1, 2, 4, 8)]
-    rows = []
-    for pt in points:
-        q = bounds.BoundQuery(
+    reports = [
+        bounds.bound_report(bounds.BoundQuery(
             eps=float(pt.get("eps", eps)),
             delta=float(pt.get("delta", delta)),
             K=int(pt["K"]),
             N=int(pt["N"]),
             lnV=float(pt["lnV"]),
             M=int(pt["M"]) if "M" in pt else None,
-        )
-        r = bounds.bound_report(q)
-        rows.append([
-            q.eps, q.delta, q.K, q.N, q.lnV, r.M_eval, r.mu,
-            r.delta_long, r.delta_long_log, r.delta_long_ok,
-            r.delta_short, r.delta_short_log, r.delta_short_ok,
-            r.delta_total, r.m_bar, r.gamma_star_c, r.sin_theta_c_star, r.chordal_ok,
-            r.gamma_star_t, r.sin_theta_t_star, r.tangential_ok,
-            r.m_bw, r.m_nv, r.crossover_closed, r.rho_star, r.C0,
-        ])
-    columns = {name: [row[i] for row in rows] for i, name in enumerate(_BOUNDS_HEADER)}
+        ))
+        for pt in points
+    ]
+    columns = {name: [attrgetter(field)(r) for r in reports] for name, field in _BOUNDS_COLUMNS.items()}
     return [_write_table(out, "bounds", columns, cfg)], {}
 
 
@@ -262,24 +264,13 @@ def _run_figure(cfg: RunConfig, out: Path) -> tuple[list[str], dict]:
 
 
 def _run_mstar(cfg: RunConfig, out: Path) -> tuple[list[str], dict]:
-    p = cfg.params
-    K = int(p.get("K", 1))
-    N = int(p.get("N", 1000))
-    lnV = float(p.get("lnV", experiments.LNV_PER_K_DEFAULT * K))
-    spec = experiments.spec_for_volume(K, N, lnV, int(p.get("grid_per_axis", 512)))
-    res = experiments.m_star_empirical(
-        spec,
-        float(p.get("eps_target", 0.2)),
-        float(p.get("delta", 0.05)),
-        p.get("M_grid", [4, 6, 10, 16, 25, 40, 63, 100, 158, 200]),
-        int(p.get("n_proj", 100)),
-        cfg.master_seed,
-        threads=cfg.threads,
-    )
+    p = experiments.merge_params(experiments.MSTAR_DEFAULTS, cfg.params, "mstar")
+    K, N = int(p["K"]), int(p["N"])
+    lnV = experiments.LNV_PER_K_DEFAULT * K if p["lnV"] is None else float(p["lnV"])
+    row, res = experiments.m_star_point(K, lnV, N, p["M_grid"], p).row(cfg.master_seed, cfg.threads)
     curve = {"M": res.M_grid, "eps_quantile": res.eps_quantiles, "eps_isotonic": res.eps_isotonic}
-    point = {"K": [K], "N": [N], "lnV": [lnV], "eps_target": [res.eps_target], "delta": [res.delta],
-             "m_star_emp": [res.m_star_emp], "isotonic_adjusted": [res.isotonic_adjusted],
-             "m_star_new": [bounds.m_star_bound(res.eps_target, res.delta, K, N, lnV)]}
+    point = {k: [row[k]] for k in
+             ("K", "N", "lnV", "eps_target", "delta", "m_star_emp", "isotonic_adjusted", "m_star_new")}
     diagnostics = {"chord_cache_bytes": res.cache_bytes, "screened_blocks": res.screened_blocks}
     return [_write_table(out, "mstar_curve", curve, cfg), _write_table(out, "mstar", point, cfg)], diagnostics
 
@@ -290,8 +281,8 @@ def _run_replay(cfg: RunConfig, out: Path) -> tuple[list[str], dict]:
         manifest = json.load(fh)
     original = RunConfig.from_dict(manifest["config"])
     replay_dir = out / "replay"
-    replay_dir.mkdir(parents=True, exist_ok=True)
-    run(replace(original, out_dir=str(replay_dir)))
+    # the re-run's own error, if any, is this run's error
+    _execute(replace(original, out_dir=str(replay_dir)))
     src_dir = manifest_path.parent
     names = manifest["artifacts"]
     mismatches = []
@@ -316,6 +307,16 @@ _RUNNERS = {
 }
 
 
+def _execute(config: RunConfig) -> None:
+    """Run ``config`` and write its artifacts and manifest; raise on error."""
+    started = time.perf_counter()
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    artifacts, diagnostics = _RUNNERS[config.command](config, out)
+    manifest = _manifest(config, artifacts, diagnostics, started)
+    (out / "run_manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
+
+
 def run(config: RunConfig) -> int:
     """Execute a validated config; write artifacts plus a JSON manifest.
 
@@ -324,13 +325,8 @@ def run(config: RunConfig) -> int:
     on error a machine-readable record goes to stderr and the status is
     nonzero, with no partial manifest left behind.
     """
-    started = time.perf_counter()
-    out = Path(config.out_dir)
     try:
-        out.mkdir(parents=True, exist_ok=True)
-        artifacts, diagnostics = _RUNNERS[config.command](config, out)
-        manifest = _manifest(config, artifacts, diagnostics, started)
-        (out / "run_manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
+        _execute(config)
         return 0
     except Exception as exc:  # noqa: BLE001 - converted to a structured record
         record = {

@@ -89,11 +89,15 @@ class TestGChordal:
             assert g_chordal(eps, 0.007, 1000, 100) == pytest.approx(d, abs=1e-12)
 
 
-def _g_exact_oracle(eps, s, n):
+def _g_exact_mp(eps, s, n):
     eps, s, n = mp.mpf(eps), mp.mpf(s), mp.mpf(n)
     gp = mp.sqrt((1 + eps) ** 2 - 2 * s * mp.sqrt(n * (n - (1 + eps) ** 2)) - n * s * s) - 1
     gm = 1 - mp.sqrt((1 - eps) ** 2 + 2 * s * mp.sqrt(n * (n - (1 - eps) ** 2)) - n * s * s)
-    return float(min(gp, gm))
+    return min(gp, gm)
+
+
+def _g_exact_oracle(eps, s, n):
+    return float(_g_exact_mp(eps, s, n))
 
 
 class TestGTangential:
@@ -149,6 +153,42 @@ class TestGTangential:
         d = 0.11
         eps = invert_g_tangential(d, 1e-4, 10000, 100, mode="exact")
         assert g_tangential(eps, 1e-4, 10000, 100, mode="exact") == pytest.approx(d, abs=1e-10)
+
+    def test_invert_exact_closed_form_against_mpmath(self):
+        # the eps whose exact budget is d, found by an mpmath root search at
+        # 40 digits around the closed form; d runs up to 0.8, where the
+        # budget falls more than 2 (N/M) sin(theta_T) below eps, and on past
+        # 1, which no eps reaches (the lower branch stays below 1)
+        rng = np.random.default_rng(17)
+        solved = 0
+        with mp.workdps(40):
+            for _ in range(300):
+                M = int(rng.integers(1, 200))
+                N = M + int(M * rng.uniform(1.5, 500))
+                s, d = 10 ** rng.uniform(-7, -2), rng.uniform(0.001, 1.5)
+                try:
+                    eps = invert_g_tangential(d, s, N, M, mode="exact")
+                except ValueError:
+                    continue
+                assert d < 1.0
+                solved += 1
+                oracle = mp.findroot(lambda e: _g_exact_mp(e, s, mp.mpf(N) / M) - mp.mpf(d),
+                                     (mp.mpf(eps) - mp.mpf("1e-9"), mp.mpf(eps) + mp.mpf("1e-9")),
+                                     solver="anderson")
+                assert abs(float(oracle) - eps) <= 1e-12 * eps
+                assert _g_tangential_exact_raw(eps, s, N, M) == pytest.approx(d, abs=1e-12)
+        assert solved >= 100
+
+    @pytest.mark.parametrize("d, s, N, M", [
+        (0.2, 0.001, 100, 80),      # N/M < (1 + d)^2: no eps in the domain reaches d
+        (0.05, 0.01, 100000, 100),  # wide cone at large N/M: the lower branch has no root
+        (-0.5, 1e-4, 10000, 100),   # the root would be eps <= 0
+        (1.2, 1e-4, 10000, 100),    # the lower branch stays below 1
+        (1.0, 1e-4, 10000, 100),
+    ])
+    def test_invert_exact_outside_domain(self, d, s, N, M):
+        with pytest.raises(ValueError):
+            invert_g_tangential(d, s, N, M, mode="exact")
 
 
 class TestBoundarySamplers:

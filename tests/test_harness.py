@@ -55,6 +55,16 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig.from_dict({"params": {}})
 
+    @pytest.mark.parametrize("command, params, missing", [
+        ("sample", {"N": 10}, ["K", "L", "grid", "lam"]),
+        ("figure", {"params": {}}, ["kind"]),
+        ("replay", {}, ["manifest"]),
+    ])
+    def test_missing_required_keys_named(self, command, params, missing):
+        with pytest.raises(ValueError) as exc:
+            RunConfig(command=command, params=params)
+        assert str(exc.value) == f"missing required parameter keys for {command!r}: {missing}"
+
     def test_from_file(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"command": "bounds", "master_seed": 5}))
@@ -157,6 +167,12 @@ class TestRunBounds:
         header, rows = read_csv(tmp_path / "bounds.csv")
         assert len(rows) == 1
         assert float(rows[0][header.index("M_eval")]) == 400
+
+    def test_empty_points_write_the_header(self, tmp_path):
+        cfg = RunConfig(command="bounds", params={"points": []}, out_dir=str(tmp_path))
+        assert run(cfg) == 0
+        header, rows = read_csv(tmp_path / "bounds.csv")
+        assert header[:5] == ["eps", "delta", "K", "N", "lnV"] and len(header) == 26 and rows == []
 
 
 class TestRunFigure:
@@ -267,6 +283,45 @@ class TestRunSampleAndMstar:
         assert err["code"] == "ValueError"
         assert "32768 points" in err["message"] and "2147483648 bytes" in err["message"]
         assert not (tmp_path / "run_manifest.json").exists()
+
+    def test_mstar_k2_defaults_use_a_32_by_32_surface(self, tmp_path, monkeypatch):
+        # the K = 2 grid default is the fig6 one; 512^2 points would be
+        # refused by the chord-cache limit
+        specs = []
+        m_star = mp.experiments.m_star_empirical
+
+        def spy(spec, *args, **kwargs):
+            specs.append(spec)
+            return m_star(spec, *args, **kwargs)
+
+        monkeypatch.setattr(mp.experiments, "m_star_empirical", spy)
+        cfg = RunConfig(command="mstar", params={"K": 2, "n_proj": 20}, master_seed=1, out_dir=str(tmp_path))
+        assert run(cfg) == 0
+        assert [s.grid for s in specs] == [(32, 32)]
+        header, rows = read_csv(tmp_path / "mstar.csv")
+        assert int(rows[0][header.index("K")]) == 2
+        assert float(rows[0][header.index("lnV")]) == 2 * mp.experiments.LNV_PER_K_DEFAULT
+
+    def test_mstar_grid_per_axis_map_with_string_keys(self, tmp_path, capsys):
+        # the per-K object that fig6 accepts, keyed by strings as in JSON
+        tables = []
+        for grid in (48, {"1": 48, "2": 8}):
+            out = tmp_path / str(len(tables))
+            cfg = RunConfig(command="mstar", params=dict(MSTAR_SMALL, grid_per_axis=grid), master_seed=4,
+                            out_dir=str(out))
+            assert run(cfg) == 0
+            tables.append(read_csv(out / "mstar.csv"))
+        assert tables[0] == tables[1]
+        cfg = RunConfig(command="mstar", params=dict(MSTAR_SMALL, K=3, grid_per_axis={"1": 48}),
+                        out_dir=str(tmp_path / "k3"))
+        assert run(cfg) == 1
+        assert "no entry for K=3" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_mstar_m_grid_above_n_refused(self, tmp_path, capsys):
+        cfg = RunConfig(command="mstar", params=dict(MSTAR_SMALL, M_grid=[6, 151]), out_dir=str(tmp_path))
+        assert run(cfg) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == "ValueError" and "M <= N" in err["message"]
 
 
 class TestRunVerifyCones:
@@ -379,6 +434,20 @@ class TestReplay:
         )
         assert run(rep) == 1
 
+    def test_replay_of_failing_run_reports_its_error_once(self, tmp_path, capsys):
+        # a manifest whose config cannot reach its target: the replay's
+        # single error record is the re-run's own
+        manifest = tmp_path / "run_manifest.json"
+        config = {"command": "mstar", "params": dict(MSTAR_SMALL, eps_target=1e-3), "master_seed": 4}
+        manifest.write_text(json.dumps({"config": config, "artifacts": ["mstar.csv", "mstar_curve.csv"]}))
+        rep = RunConfig(command="replay", params={"manifest": str(manifest)}, out_dir=str(tmp_path / "check"))
+        assert run(rep) == 1
+        records = capsys.readouterr().err.strip().splitlines()
+        assert len(records) == 1
+        record = json.loads(records[0])
+        assert record["code"] == "Unachievable" and "exceeds target 0.001" in record["message"]
+        assert not (tmp_path / "check" / "run_manifest.json").exists()
+
 
 class TestCLI:
     def test_bounds_cli(self, tmp_path):
@@ -426,6 +495,15 @@ class TestCLI:
         assert rc == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["code"] == "ValueError"
+
+    def test_missing_required_key_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["sample", "--out-dir", str(out), "--param", "N=10"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == "ValueError"
+        assert "missing required parameter keys for 'sample': ['K', 'L', 'grid', 'lam']" in err["message"]
+        assert not out.exists()
 
     def test_missing_config_file_exit_code(self, tmp_path, capsys):
         rc = main(["bounds", "--config", str(tmp_path / "absent.json"), "--out-dir", str(tmp_path)])
