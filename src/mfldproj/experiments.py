@@ -64,7 +64,9 @@ class MStarResult:
     ``m_star_emp`` interpolates the isotonically smoothed quantile curve in
     (log M, eps) space; ``isotonic_adjusted`` records whether smoothing
     changed the raw quantiles.  ``cache_bytes`` and ``screened_blocks`` are
-    those of the manifold's :class:`ChordScan`.
+    those of the manifold's :class:`ChordScan`; ``float64_recomputes`` is
+    the number of screened blocks that took the float64 pass, summed over
+    projectors, and ``pairs_scanned`` the chords scanned per projector.
     """
 
     eps_target: float
@@ -77,6 +79,8 @@ class MStarResult:
     seed: int
     cache_bytes: int
     screened_blocks: int
+    float64_recomputes: int
+    pairs_scanned: int
 
 
 def distortion_distribution(
@@ -215,10 +219,13 @@ def _nested_worst(
     seed: int,
     threads: int,
     scan: ChordScan | None = None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, int, int]:
     """(n_proj, len(M_grid)) worst chord distortions of one manifold: row i
-    under the first M rows of projector i, for every M of the grid.
-    ``scan``, if given, is :func:`_latent_scan` of ``spec`` and ``seed``.
+    under the first M rows of projector i, for every M of the grid.  Also
+    returns the screened blocks the scans recomputed in float64, summed
+    over projectors, and the chords each projector's scan took (see
+    :class:`DistortionSummary`).  ``scan``, if given, is
+    :func:`_latent_scan` of ``spec`` and ``seed``.
 
     The chords are scanned in the k-dimensional isometric coordinates C of
     the manifold, X = C V^T with V a column-orthonormal N x k frame.  For a
@@ -229,12 +236,14 @@ def _nested_worst(
     scan = _latent_scan(spec, seed) if scan is None else scan
     coords = scan.points
 
-    def worst(i: int) -> list[float]:
+    def worst(i: int) -> list[DistortionSummary]:
         rng = np.random.default_rng(derive_seed(seed, ["proj", i]))
         rows = _haar_frame_rows(spec.N, coords.shape[1], M_grid[-1], rng)
-        return [s.max for s in scan.nested(coords @ rows.T, spec.N, M_grid)]
+        return scan.nested(coords @ rows.T, spec.N, M_grid)
 
-    return np.array(pooled_map(worst, range(n_proj), threads))
+    runs = pooled_map(worst, range(n_proj), threads)
+    worst_max = np.array([[s.max for s in run] for run in runs])
+    return worst_max, sum(run[0].recomputed for run in runs), runs[0][0].n_evaluated
 
 
 def m_star_empirical(
@@ -262,7 +271,8 @@ def m_star_empirical(
     """
     M_grid = _check_m_star_inputs(spec, eps_target, delta, M_grid, n_proj)
     scan = _latent_scan(spec, seed)
-    quantiles = _quantile_at_delta(_nested_worst(spec, M_grid, n_proj, seed, threads, scan), delta)
+    worst, recomputes, pairs = _nested_worst(spec, M_grid, n_proj, seed, threads, scan)
+    quantiles = _quantile_at_delta(worst, delta)
     m_star, iso, adjusted = invert_quantile_curve(M_grid, quantiles, eps_target)
     return MStarResult(
         eps_target=eps_target,
@@ -275,6 +285,8 @@ def m_star_empirical(
         seed=seed,
         cache_bytes=scan.cache_bytes,
         screened_blocks=scan.screened_blocks,
+        float64_recomputes=recomputes,
+        pairs_scanned=pairs,
     )
 
 
@@ -419,14 +431,19 @@ def figure_data(kind: str, params: dict | None = None, seed: int = 0, threads: i
 def _geometry(kind: str, K: int, p: dict, seed: int) -> FigureTable:
     """Chords and tangent cosines of one manifold against its central grid
     point: signed tangent cosines for a curve, principal cosines for K >= 2.
-    Per-axis parameters are scalars for a curve and sequences otherwise."""
+    A per-axis parameter is a sequence of K values; a curve also takes a
+    scalar.  Any other length is a ValueError that names the parameter."""
     from .manifold import expected_chord_sq, expected_principal_cosines, expected_tangent_cosine
 
-    def per_axis(value) -> tuple:
-        return tuple(value) if K > 1 else (value,)
+    def per_axis(key: str) -> tuple:
+        value = p[key]
+        values = tuple(value) if isinstance(value, (list, tuple)) else (value,)
+        if len(values) != K:
+            raise ValueError(f"{kind} parameter {key!r} needs one value per axis ({K}), got {value!r}")
+        return values
 
-    spec = ManifoldSpec(K=K, N=int(p["N"]), ell=p["ell"], lam=per_axis(p["lam"]), L=per_axis(p["L"]),
-                        grid=tuple(int(n) for n in per_axis(p["n_grid"])))
+    spec = ManifoldSpec(K=K, N=int(p["N"]), ell=p["ell"], lam=per_axis("lam"), L=per_axis("L"),
+                        grid=tuple(int(n) for n in per_axis("n_grid")))
     sample = sample_manifold(spec, derive_seed(seed, [kind, "manifold"]))
     frames = tangent_frames(sample)
     center = np.ravel_multi_index(tuple(n // 2 for n in spec.grid), spec.grid)

@@ -158,7 +158,8 @@ def _manifest(cfg: RunConfig, artifacts: list[str], diagnostics: dict, started: 
     """The run's manifest.  Every field but ``wall_time_s`` is the same on
     reruns of one config; ``diagnostics`` holds what the runner reports
     about its work (for ``mstar``, the chord scan's cache bytes and
-    screened blocks)."""
+    screened blocks, the screened blocks recomputed in float64 over all
+    projectors, and the chords scanned per projector)."""
     return {
         "artifacts": sorted(artifacts),
         "config": asdict(cfg),
@@ -242,6 +243,10 @@ def _run_bounds(cfg: RunConfig, out: Path) -> tuple[list[str], dict]:
     points = p.get("points")
     if points is None:
         points = [{"K": K, "N": 1000, "lnV": experiments.LNV_PER_K_DEFAULT * K} for K in (1, 2, 4, 8)]
+    for i, pt in enumerate(points):
+        missing = sorted({"K", "N", "lnV"} - set(pt)) if isinstance(pt, dict) else ["K", "N", "lnV"]
+        if missing:
+            raise ValueError(f"bounds points[{i}] = {pt!r} is missing keys {missing}")
     reports = [
         bounds.bound_report(bounds.BoundQuery(
             eps=float(pt.get("eps", eps)),
@@ -271,7 +276,8 @@ def _run_mstar(cfg: RunConfig, out: Path) -> tuple[list[str], dict]:
     curve = {"M": res.M_grid, "eps_quantile": res.eps_quantiles, "eps_isotonic": res.eps_isotonic}
     point = {k: [row[k]] for k in
              ("K", "N", "lnV", "eps_target", "delta", "m_star_emp", "isotonic_adjusted", "m_star_new")}
-    diagnostics = {"chord_cache_bytes": res.cache_bytes, "screened_blocks": res.screened_blocks}
+    diagnostics = {"chord_cache_bytes": res.cache_bytes, "screened_blocks": res.screened_blocks,
+                   "float64_recomputes": res.float64_recomputes, "pairs_scanned": res.pairs_scanned}
     return [_write_table(out, "mstar_curve", curve, cfg), _write_table(out, "mstar", point, cfg)], diagnostics
 
 

@@ -180,13 +180,17 @@ class DistortionSummary:
     indices for point sets, a projector index for projector ensembles).
     Among exact ties a chord scan reports the pair that comes first in
     its block order, the diagonal band before the far blocks (see
-    ``_chord_blocks``).
+    ``_chord_blocks``).  ``recomputed`` is the number of screened blocks
+    whose float64 reciprocals the chord scan recomputed (the same in every
+    summary of one nested scan); it counts work, not a result, so
+    summaries that differ only in it compare equal.
     """
 
     max: float
     argmax: tuple
     n_evaluated: int
     samples: np.ndarray | None = field(default=None, repr=False)
+    recomputed: int = field(default=0, compare=False)
 
     def __post_init__(self):
         if self.samples is not None and len(self.samples) and not math.isclose(
@@ -314,21 +318,31 @@ def _duplicate_groups(X: np.ndarray) -> np.ndarray | None:
 
 
 def _chord_blocks(X: np.ndarray, block: int):
-    """Ambient squared chord lengths of all pairs, by block, at half scale:
-    d / 2 = (h_i + h_j) - x_i.x_j with h = |x|^2 / 2.
+    """Reciprocal ambient squared chord lengths of all pairs, by block, at
+    half scale: 1 / da with da / 2 = (h_i + h_j) - x_i.x_j and
+    h = |x|^2 / 2.
 
     Halving commutes with rounding (for squared norms that are not
     subnormal), so each half-scale length is the full-scale
-    |x_i|^2 + |x_j|^2 - 2 x_i.x_j times 1/2 bit for bit, and the ratio of a
-    projected to an ambient length, both at half scale, is the full-scale
-    ratio bit for bit.
+    |x_i|^2 + |x_j|^2 - 2 x_i.x_j times 1/2 bit for bit, its reciprocal the
+    full-scale one times 2, and the product of a projected length and a
+    reciprocal, both at half scale, is the full-scale product bit for bit.
 
-    Yields ``(i0, j0, da, drop)`` for each block pair with j0 >= i0, where
-    ``da`` is the full block and ``drop`` marks its entries that are not
-    scanned (the diagonal and lower triangle of a diagonal block, pairs of
-    identical points, and chords whose computed length is not positive),
-    or is None if there are none.  Dropped entries of ``da`` are set to 1
-    so that dividing by the block is safe.
+    Yields ``(i0, j0, rec, drop)`` for each block pair with j0 >= i0 that
+    holds a scanned pair, where ``rec`` is 1 / da over the full block and
+    ``drop`` marks the pairs that are not scanned (pairs of identical
+    points, and chords whose computed length is not positive or whose
+    reciprocal overflows), or is None if there are none.  Dropped entries
+    of ``rec`` are set to 1.
+
+    A diagonal block (i0 == j0) is kept whole.  numpy forms
+    ``Z[rows] @ Z[rows].T`` with syrk and mirrors the triangle it computed,
+    and each entry of the rank-2 product of :func:`_sq_operands` is
+    fl(h_i + h_j) = fl(h_j + h_i), so da, rec, every projected block and
+    every ratio of a diagonal block are symmetric bit for bit, and so is
+    its ``drop``.  Its scanned pairs are those above the diagonal; the
+    diagonal of ``rec`` is set to 1 and never dropped, and :func:`_scan`
+    blanks it before it takes extremes.
 
     This order is the order of every chord scan.  The diagonal band comes
     first: the pairs with j0 - i0 <= block, the diagonal blocks and their
@@ -344,15 +358,36 @@ def _chord_blocks(X: np.ndarray, block: int):
     for i0, j0 in pairs:
         rows, cols = slice(i0, min(i0 + block, P)), slice(j0, min(j0 + block, P))
         shape = (rows.stop - i0, cols.stop - j0)
-        da = _block_half_sq(X, lead, trail, rows, cols, np.empty(shape), _view(gram, shape))
-        drop = ~(da > 0.0)
+        rec = _block_half_sq(X, lead, trail, rows, cols, np.empty(shape), _view(gram, shape))
+        if i0 == j0:
+            _diagonal(rec).fill(1.0)
+        with np.errstate(divide="ignore"):  # a zero length is dropped below
+            np.divide(1.0, rec, out=rec)
+        drop = ~((rec > 0.0) & (rec < math.inf))
         if group is not None:
             drop |= group[rows, None] == group[None, cols]
-        if i0 == j0:
-            drop |= np.tri(*da.shape, dtype=bool)
-        if not drop.all():
-            da[drop] = 1.0
-            yield i0, j0, da, (drop if drop.any() else None)
+            if i0 == j0:
+                _diagonal(drop).fill(False)
+        drop = drop if drop.any() else None
+        if drop is not None:
+            rec[drop] = 1.0
+        if _n_pairs(i0, j0, rec, drop):
+            yield i0, j0, rec, drop
+
+
+def _diagonal(a: np.ndarray) -> np.ndarray:
+    """Writable view of the diagonal of a contiguous square block."""
+    return a.reshape(-1)[:: a.shape[1] + 1]
+
+
+def _n_pairs(i0: int, j0: int, rec: np.ndarray, drop) -> int:
+    """Pairs a block of :func:`_chord_blocks` scans: those above the
+    diagonal of a diagonal block, every entry of the others, less the
+    dropped ones (half the symmetric mask of a diagonal block)."""
+    if i0 != j0:
+        return rec.size - (0 if drop is None else int(np.count_nonzero(drop)))
+    s = rec.shape[0]
+    return s * (s - 1) // 2 - (0 if drop is None else int(np.count_nonzero(drop)) // 2)
 
 
 def _as_points(points) -> np.ndarray:
@@ -381,14 +416,15 @@ class _Screened(NamedTuple):
     closed once they reach ``_SCREEN_COLS`` columns (see :func:`_cached`),
     so the screen takes a run in one product per segment.
 
-    ``rec`` holds 1 / da transposed, one row per column of the points, as
-    16-bit codes q = rint((1 / da) / step) scaled per block, 2 bytes per
-    pair.  Block t spans its rows ``bounds[t]:bounds[t + 1]`` and has
-    ``max_rec[t]``, its largest 1 / da in float64, ``step[t]`` =
-    max_rec[t] / 65535, so its codes run up to 65535, and ``qerr[t]`` =
-    (max da / min da) / (2 * 65535), which bounds |q step - 1 / da| relative
-    to 1 / da.  A block's float64 lengths da are recomputed from the points
-    only when the screen cannot rule the block out.
+    ``rec`` holds the reciprocal lengths 1 / da of :func:`_chord_blocks`
+    transposed, one row per column of the points, as 16-bit codes
+    q = rint(rec / step) scaled per block, 2 bytes per pair.  Block t spans
+    its rows ``bounds[t]:bounds[t + 1]`` and has ``max_rec[t]``, its
+    largest float64 reciprocal, ``step[t]`` = max_rec[t] / 65535, so its
+    codes run up to 65535, and ``qerr[t]`` = (max rec / min rec) /
+    (2 * 65535), which bounds |q step - rec| relative to rec.  A block's
+    float64 reciprocals are recomputed from the points only when the
+    screen cannot rule the block out, and then once per block.
     """
 
     i0: int
@@ -454,7 +490,7 @@ class _Screen:
 
     def slack(self, run: _Screened) -> np.ndarray:
         """M by block, the part of the slack of :func:`_scan` that does not
-        depend on the ratios: kappa_M (u (H_i + H_j) + 2^-126) max 1 / da."""
+        depend on the ratios: kappa_M (u (H_i + H_j) + 2^-126) max rec."""
         rows, cols = slice(run.i0, run.i0 + run.rec.shape[1]), slice(run.j0, run.j0 + run.rec.shape[0])
         H = self.H[:, rows].max(axis=1)[:, None] + np.maximum.reduceat(self.H[:, cols], run.bounds[:-1], axis=1)
         return self.kappa[:, None] * (_U32 * H + _TINY32) * run.max_rec
@@ -476,19 +512,38 @@ class _Screen:
         return hi + slack, lo - slack
 
     def unresolved(self, run: _Screened, N: int, M_grid, best: list[float]):
-        """The blocks of ``run`` that the screen cannot rule out, in order,
-        as ``(i0, j0, shape)``.  ``best`` is read again after each block,
-        once the caller has scanned it."""
+        """The blocks of ``run`` that the screen cannot rule out at some M,
+        in order, as ``(i0, j0, shape, open)``, ``open`` the ascending
+        indices into ``M_grid`` of the M at which it cannot.  ``best`` is
+        read again after each block, once the caller has scanned it."""
         up, down = self.widened(run)
         t = 0
         while t < len(run.max_rec):
             above, below = _thresholds(best, N, M_grid)
-            ruled_out = ((up[:, t:] <= above[:, None]) & (down[:, t:] >= below[:, None])).all(axis=0)
-            if ruled_out.all():
+            ruled_out = (up[:, t:] <= above[:, None]) & (down[:, t:] >= below[:, None])
+            pending = ~ruled_out.all(axis=0)
+            if not pending.any():
                 break
-            t += int(np.argmin(ruled_out))
-            yield run.i0, run.j0 + int(run.bounds[t]), (run.rec.shape[1], int(run.bounds[t + 1] - run.bounds[t]))
+            k = int(np.argmax(pending))
+            t += k
+            shape = (run.rec.shape[1], int(run.bounds[t + 1] - run.bounds[t]))
+            yield run.i0, run.j0 + int(run.bounds[t]), shape, tuple(np.flatnonzero(~ruled_out[:, k]).tolist())
             t += 1
+
+
+def _extremes(ratio: np.ndarray, drop, diagonal: bool) -> list[int]:
+    """Flat indices of the first largest and the first smallest scanned
+    ratio of a block: the dropped entries and the diagonal of a diagonal
+    block are blanked, to -inf before the argmax and to +inf before the
+    argmin, so they can be neither extreme."""
+    ends = []
+    for fill, arg in ((-math.inf, ratio.argmax), (math.inf, ratio.argmin)):
+        if diagonal:
+            _diagonal(ratio).fill(fill)
+        if drop is not None:
+            np.copyto(ratio, fill, where=drop)
+        ends.append(int(arg()))
+    return ends
 
 
 def _scan(Y: np.ndarray, N: int, M_grid, blocks, ambient: tuple | None = None) -> list[DistortionSummary]:
@@ -497,18 +552,29 @@ def _scan(Y: np.ndarray, N: int, M_grid, blocks, ambient: tuple | None = None) -
     the first M rows of one row-orthonormal projection of R^N, for every M
     of the ascending ``M_grid``.
 
-    Per block the projected squared lengths are added up segment by segment
-    over the columns [M_{k-1}, M_k), at half scale like the ambient ones
-    (see ``_chord_blocks``), so each sum and ratio is the full-scale one bit
-    for bit.  At each M only the smallest and largest ratio r of projected
-    to ambient squared length are found, while the block is still in cache.
-    Rounded products, square roots and differences are monotone, so
-    max(|sqrt(s lo) - 1|, |sqrt(s hi) - 1|) equals the largest
-    |sqrt(s r) - 1| over the block bit for bit.  A computed projected
-    length can be negative; clipping r at 0 is monotone too, so it is
-    applied to the two extremes only, which gives the value of clipping
-    every entry (among tied entries clipped to 0 the pair reported may
-    differ).  With one segment this is the plain scan of one projector.
+    Per block the projected squared lengths p are added up segment by
+    segment over the columns [M_{k-1}, M_k), at half scale like the ambient
+    ones (see ``_chord_blocks``), so each sum and ratio is the full-scale
+    one bit for bit.  The ratio of a pair is r = p rec, the product by the
+    cached reciprocal rec = 1 / da: rounded twice, once in the reciprocal
+    and once in the product, so within a relative 2^-52 of p / da (to
+    first order).  At each M only the smallest and largest r are found,
+    while the block is still in cache.  Rounded products, square roots and
+    differences are monotone, so max(|sqrt(s lo) - 1|, |sqrt(s hi) - 1|)
+    equals the largest |sqrt(s r) - 1| over the block bit for bit.  A
+    computed projected length can be negative; clipping r at 0 is monotone
+    too, so it is applied to the two extremes only, which gives the value
+    of clipping every entry (among tied entries clipped to 0 the pair
+    reported may differ).  With one segment this is the plain scan of one projector.
+
+    A diagonal block is scanned whole, its ratios symmetric bit for bit
+    (see ``_chord_blocks``): its diagonal is blanked with a strided write,
+    to +inf before the argmin and -inf before the argmax, and so are its
+    dropped entries.  The first extreme in row-major order is then always
+    above the diagonal: a lower twin (j, i), i < j, comes after the upper
+    entry (i, j) that holds the same value, j s + i > i s + j for a block
+    of s rows, so every max, min and reported pair is that of a scan of
+    the upper triangle alone.
 
     Blocks are visited in the order of ``_chord_blocks``, the diagonal
     band first, and only a strictly larger distortion replaces the worst
@@ -517,28 +583,33 @@ def _scan(Y: np.ndarray, N: int, M_grid, blocks, ambient: tuple | None = None) -
 
     Runs of blocks that :class:`ChordScan` keeps as :class:`_Screened` go
     through a float32 screen first.  A block whose float64 distortions are
-    all at most the running worst b at every M leaves the scan as it was
-    (ties do not replace the worst pair), and it needs none of its ratios
-    above (1 + b)^2 / s or, when b < 1, below (1 - b)^2 / s.  The screen
-    skips a block when its float32 extremes, widened by the slack below,
-    stay within both limits at every M.  Otherwise ``ambient`` =
-    (points, *_sq_operands(points)) recomputes the block's float64 lengths
-    with the call that cached them, and the float64 pass below runs on it.
-    Blocks keep their order, so every max and argmax is the unscreened
-    scan's bit for bit.  The band blocks are rarely screenable (their
-    shortest chords are too short for float32), but they set the running
-    worst before the screen reaches the far blocks, so a far block is
-    screened against the worst chord of the band and is usually ruled out.
+    all at most the running worst b at some M leaves the scan at that M as
+    it was (ties do not replace the worst pair), and it needs none of its
+    ratios above (1 + b)^2 / s or, when b < 1, below (1 - b)^2 / s.  The
+    screen rules a block out at an M when its float32 extremes, widened by
+    the slack below, stay within both limits there, and skips the block
+    when it rules it out at every M.  Otherwise ``ambient`` =
+    (points, *_sq_operands(points)) recomputes the block's float64
+    reciprocals with the call that cached them, and the float64 pass below
+    runs on it: it adds up segments only to the largest M still open and
+    takes extremes only at the open M.  A block ruled out at M cannot
+    change the worst at M then or later, as b only grows and the limits
+    only widen.  Blocks keep their order, so every max and argmax is the
+    unscreened scan's bit for bit.  The band blocks are rarely screenable
+    (their shortest chords are too short for float32), but they set the
+    running worst before the screen reaches the far blocks, so a far block
+    is screened against the worst chord of the band and is usually ruled
+    out.
 
     The float32 pass forms each segment's half squared lengths with one
     GEMM of [y, h, 1] by [-y; 1; h] (h = |y|^2 / 2 over the segment), adds
     them up over segments into t, multiplies t by the block's 16-bit codes
-    q of 1 / da (see :class:`_Screened`) and takes each block's largest and
+    q of rec (see :class:`_Screened`) and takes each block's largest and
     smallest product, scaled to a ratio by the block's step.  With
     u = 2^-24 and H = |y|^2 / 2 over the first M columns, its error against
     the float64 ratio of a pair (i, j) is at most
 
-        kappa_M (u (H_i + H_j) + 2^-126) / da + (8 u + 2 qerr) |r| + 2^-126 step,
+        kappa_M (u (H_i + H_j) + 2^-126) rec + (8 u + 2 qerr) |r| + 2^-126 step,
         kappa_M = 4 (M + 7 S) over S segments,
 
     with r the scaled float32 extreme of larger size in the block and step
@@ -555,31 +626,32 @@ def _scan(Y: np.ndarray, N: int, M_grid, blocks, ambient: tuple | None = None) -
     (2 w + 7) u (h_i + h_j), and adding up S segments costs at most
     2 (S - 1) u (H_i + H_j) more: t is within e = (2 M + 2 S + 5) u (H_i + H_j)
     of the float64 projected length p, to first order.  The codes:
-    |q step - 1 / da| <= step / 2, and q >= 65535 min(1 / da) / max(1 / da)
-    - 1/2, so 1 / da = q step (1 + delta) with |delta| <= 1 / (2 q)
-    <= qerr / (1 - qerr) <= 2 qerr while qerr <= 1/2, which
-    :func:`_screenable` ensures (it also makes every q >= 1).  As q step
-    <= max 1 / da, t q step is within e max 1 / da of p q step, and the
-    float64 ratio p / da = p q step (1 + delta) is within 2 qerr (|r| +
-    e max 1 / da) of p q step: in all (1 + 2 qerr) e max 1 / da + 2 qerr |r|.
-    kappa_M = 4 (M + 7 S) exceeds 2 (2 M + 2 S + 5) >= (1 + 2 qerr)
-    (2 M + 2 S + 5) by 24 S - 10 >= 14, which covers second-order terms and
-    the float64 pass's own rounding (2^-29 times smaller).  The float32
-    product t q, its float64 product by step, and the float64 rounding of
-    the codes and of step add a relative u + 3 2^-53, covered with their
-    cross terms by 8 u |r|.  The 2^-126 terms bound underflow: a float32
-    operation with a subnormal result, or one flushed to zero, is off by at
-    most 2^-126; the product t q by an integer code is exact when its
-    result is subnormal, and off by 2^-126 code units (2^-126 step) when
-    flushed to zero.  Per block, H_i + H_j and 1 / da are replaced by their
-    largest values.  The limits are narrowed by a relative 1e-9 for the
-    float64 rounding of the limits, of the widened extremes and of the
-    distortions themselves, and an extreme that overflows to inf or NaN
-    never skips a block.
+    |q step - rec| <= step / 2, and q >= 65535 min rec / max rec - 1/2, so
+    rec = q step (1 + delta) with |delta| <= 1 / (2 q) <= qerr / (1 - qerr)
+    <= 2 qerr while qerr <= 1/2, which :func:`_screenable` ensures (it also
+    makes every q >= 1).  As q step <= max rec, t q step is within
+    e max rec of p q step, and p rec = p q step (1 + delta) is within
+    2 qerr (|r| + e max rec) of p q step: in all (1 + 2 qerr) e max rec
+    + 2 qerr |r|.  kappa_M = 4 (M + 7 S) exceeds 2 (2 M + 2 S + 5) >=
+    (1 + 2 qerr) (2 M + 2 S + 5) by 24 S - 10 >= 14, which covers
+    second-order terms and the float64 pass's own rounding of p (2^-29
+    times smaller).  The float32 product t q, its float64 product by step,
+    and the float64 rounding of the codes and of step add a relative
+    u + 3 2^-53, covered with their cross terms by 8 u |r|.  The 2^-126
+    terms bound underflow: a float32 operation with a subnormal result, or
+    one flushed to zero, is off by at most 2^-126; the product t q by an
+    integer code is exact when its result is subnormal, and off by 2^-126
+    code units (2^-126 step) when flushed to zero.  Per block, H_i + H_j
+    and rec are replaced by their largest values.  The limits are narrowed
+    by a relative 1e-9 for the float64 rounding of the limits, of the
+    widened extremes and of the distortions themselves, and that margin
+    also covers the rounding of the float64 product p rec (a relative
+    2^-53): the screen bounds exactly the ratios the float64 pass computes.
+    An extreme that overflows to inf or NaN never skips a block.
 
     A block takes three reused buffers of its size (the running sum, the
     segment's lengths, and the Gram product, then the ratios), and a fourth
-    for recomputed ambient lengths, so the pass allocates no block-sized
+    for recomputed reciprocals, so the pass allocates no block-sized
     array; the screen decodes a run's codes once per call and takes the
     whole run at every M, in three float32 buffers of a run's size.  The
     segments of the images are column views of ``Y``, not copies.
@@ -589,8 +661,9 @@ def _scan(Y: np.ndarray, N: int, M_grid, blocks, ambient: tuple | None = None) -
     edges = (0, *M_grid)
     segs = [Y[:, m0:m1] for m0, m1 in zip(edges, edges[1:])]
     ops = [_sq_operands(seg) for seg in segs]
+    every = tuple(range(len(segs)))
     bufs, screen = np.empty((4, 0)), None
-    best, best_pair, n_eval = [-1.0] * len(segs), [(-1, -1)] * len(segs), 0
+    best, best_pair, n_eval, recomputed = [-1.0] * len(segs), [(-1, -1)] * len(segs), 0, 0
     for item in blocks:
         screened = isinstance(item, _Screened)
         if screened:
@@ -599,68 +672,63 @@ def _scan(Y: np.ndarray, N: int, M_grid, blocks, ambient: tuple | None = None) -
             todo = screen.unresolved(item, N, M_grid, best)
             n_eval += item.rec.size
         else:
-            todo = (item,)
-            n_eval += item[2].size - (0 if item[3] is None else int(np.count_nonzero(item[3])))
-        for block in todo:
-            if screened:
-                (i0, j0, shape), drop = block, None
-            else:
-                i0, j0, da, drop = block
-                shape = da.shape
+            i0, j0, rec, drop = item
+            todo = ((i0, j0, rec.shape, every),)
+            n_eval += _n_pairs(*item)
+        for i0, j0, shape, open_ms in todo:
             rows, cols = slice(i0, i0 + shape[0]), slice(j0, j0 + shape[1])
             if bufs.shape[1] < shape[0] * shape[1]:
                 bufs = np.empty((4, shape[0] * shape[1]))
             proj, part, ratio, lengths = (_view(buf, shape) for buf in bufs)
-            if screened:  # the float64 lengths, by the call that cached them
-                da = _block_half_sq(*ambient, rows, cols, lengths, ratio)
-            for m, (seg, (lead, trail)) in enumerate(zip(segs, ops)):
-                # ratio holds the Gram block until the division
-                _block_half_sq(seg, lead, trail, rows, cols, part if m else proj, ratio)
+            if screened:  # the float64 reciprocals, by the call that cached them
+                rec, drop = np.divide(1.0, _block_half_sq(*ambient, rows, cols, lengths, ratio), out=lengths), None
+                recomputed += 1
+            for m in range(open_ms[-1] + 1):
+                lead, trail = ops[m]
+                # ratio holds the Gram block until the product
+                _block_half_sq(segs[m], lead, trail, rows, cols, part if m else proj, ratio)
                 if m:
                     proj += part
-                np.divide(proj, da, out=ratio)
-                if drop is None:
-                    lo, hi = int(ratio.argmin()), int(ratio.argmax())
-                else:  # dropped entries can be neither extreme
-                    np.copyto(ratio, np.inf, where=drop)
-                    lo = int(ratio.argmin())
-                    np.copyto(ratio, -np.inf, where=drop)
-                    hi = int(ratio.argmax())
+                if m not in open_ms:
+                    continue
+                np.multiply(proj, rec, out=ratio)
                 scale = N / M_grid[m]
-                for k in (hi, lo):
+                for k in _extremes(ratio, drop, i0 == j0):
                     d = abs(math.sqrt(scale * max(float(ratio.flat[k]), 0.0)) - 1.0)
                     if d > best[m]:
                         best[m] = d
                         best_pair[m] = (i0 + k // shape[1], j0 + k % shape[1])
     if n_eval == 0:
         raise ValueError(_NO_CHORDS)
-    return [DistortionSummary(max=d, argmax=pair, n_evaluated=n_eval) for d, pair in zip(best, best_pair)]
+    return [DistortionSummary(max=d, argmax=pair, n_evaluated=n_eval, recomputed=recomputed)
+            for d, pair in zip(best, best_pair)]
 
 
-def _screenable(i0: int, j0: int, da: np.ndarray, drop, h: np.ndarray) -> bool:
-    """Whether :class:`ChordScan` keeps an all-pairs block for the float32
-    screen: it has no dropped entry (so it is off the diagonal, with no
-    identical points and no chord of computed length <= 0), it is well
-    conditioned for float32, u (max h_i + max h_j) < 1e-4 min da with
-    u = 2^-24 and h the half squared norms of its rows i and columns j,
-    every 1 / da is a normal float32 number, and max da <= 65535 min da,
-    which the error bound of its 16-bit codes needs (see :func:`_scan`).
-    The conditioning test already keeps max da below 3356 min da, as
-    da <= 2 (h_i + h_j)."""
-    if drop is not None:
+def _screenable(i0: int, j0: int, rec: np.ndarray, drop, h: np.ndarray) -> bool:
+    """Whether :class:`ChordScan` keeps an all-pairs block of reciprocal
+    lengths ``rec`` for the float32 screen: it is off the diagonal, it has
+    no dropped entry (no identical points and no chord of computed length
+    <= 0), it is well conditioned for float32,
+    u (max h_i + max h_j) max rec < 1e-4 with u = 2^-24 and h the half
+    squared norms of its rows i and columns j, every rec is a normal
+    float32 number below 2^126, and max rec <= 65535 min rec, which the
+    error bound of its 16-bit codes needs (see :func:`_scan`).  The
+    conditioning test already keeps max rec below 3356 min rec, as
+    1 / rec = da <= 2 (h_i + h_j)."""
+    if i0 == j0 or drop is not None:
         return False
-    lo, hi = float(da.min()), float(da.max())
-    cond = _U32 * (h[i0 : i0 + da.shape[0]].max() + h[j0 : j0 + da.shape[1]].max())
-    return bool(cond < _SCREEN_COND * lo) and _TINY32 < lo and hi < 1.0 / _TINY32 and hi <= _CODES * lo
+    lo, hi = float(rec.min()), float(rec.max())
+    cond = _U32 * (h[i0 : i0 + rec.shape[0]].max() + h[j0 : j0 + rec.shape[1]].max())
+    return bool(cond * hi < _SCREEN_COND) and _TINY32 < lo and hi < 1.0 / _TINY32 and hi <= _CODES * lo
 
 
-def _encoded(da: np.ndarray) -> tuple[np.ndarray, float, float, float]:
-    """The 16-bit codes of 1 / da, transposed, with the block's max_rec,
-    step and qerr (see :class:`_Screened`)."""
-    max_rec = 1.0 / float(da.min())
+def _encoded(rec: np.ndarray) -> tuple[np.ndarray, float, float, float]:
+    """The 16-bit codes of the reciprocal lengths ``rec``, transposed, with
+    the block's max_rec, step and qerr (see :class:`_Screened`)."""
+    max_rec, min_rec = float(rec.max()), float(rec.min())
     step = max_rec / _CODES
-    codes = np.ascontiguousarray(np.rint((1.0 / da.T) / step), dtype=np.uint16)
-    return codes, max_rec, step, 0.5 * max_rec * float(da.max()) / _CODES
+    codes = np.ascontiguousarray(np.rint(rec.T / step), dtype=np.uint16)
+    return codes, max_rec, step, 0.5 * (max_rec / min_rec) / _CODES
 
 
 def _cached(blocks, h: np.ndarray):
@@ -668,25 +736,25 @@ def _cached(blocks, h: np.ndarray):
     keeps them, in the same order: each run of consecutive screenable
     blocks in one block row as one :class:`_Screened`, closed once it
     reaches ``_SCREEN_COLS`` columns, and every other block as it is."""
-    run = []  # (i0, j0, *_encoded(da)) of the screenable blocks not yet yielded
+    run = []  # (i0, j0, *_encoded(rec)) of the screenable blocks not yet yielded
 
     def merged():
         i0, j0, recs, *per_block = zip(*run)
         bounds = np.cumsum([0] + [len(rec) for rec in recs])
         return _Screened(i0[0], j0[0], np.concatenate(recs), bounds, *map(np.array, per_block))
 
-    for i0, j0, da, drop in blocks:
-        screenable = _screenable(i0, j0, da, drop, h)
+    for i0, j0, rec, drop in blocks:
+        screenable = _screenable(i0, j0, rec, drop, h)
         if run and not (screenable and i0 == run[-1][0] and j0 == run[-1][1] + len(run[-1][2])):
             yield merged()
             run = []
         if screenable:
-            run.append((i0, j0, *_encoded(da)))
-            if j0 + da.shape[1] - run[0][1] >= _SCREEN_COLS:
+            run.append((i0, j0, *_encoded(rec)))
+            if j0 + rec.shape[1] - run[0][1] >= _SCREEN_COLS:
                 yield merged()
                 run = []
         else:
-            yield i0, j0, da, drop
+            yield i0, j0, rec, drop
     if run:
         yield merged()
 
@@ -696,8 +764,8 @@ def _check_cache_size(n_points: int, block: int = _BLOCK) -> None:
     points could hold more than ``_CACHE_LIMIT`` bytes.
 
     Counts the worst case: every block pair with j0 >= i0 kept as float64
-    lengths with a one-byte drop mask, 9 bytes per entry, diagonal blocks
-    whole.  It needs only the point count, so callers check before they
+    reciprocal lengths with a one-byte drop mask, 9 bytes per entry,
+    diagonal blocks whole.  It needs only the point count, so callers check before they
     sample the points.
     """
     full, rest = divmod(n_points, block)
@@ -713,14 +781,16 @@ class ChordScan:
     """Chord scan of every pair of a fixed point set, reused across projectors.
 
     Squared chord lengths in the ambient space depend only on the points,
-    so they are computed once here, in the order of ``_chord_blocks``: the
-    diagonal band, then the far blocks.  A block that the float32 screen of
-    :func:`_scan` takes (see :func:`_screenable`) keeps only 16-bit codes
-    of its reciprocal lengths, 2 bytes per pair, and three floats; the
-    others, in practice the diagonal blocks and their neighbours, keep
-    8 bytes per pair plus a one-byte mask where entries are dropped.
-    :attr:`cache_bytes` and :attr:`screened_blocks` report the result.
-    Each :meth:`summary` then
+    so their reciprocals are computed once here, in the order of
+    ``_chord_blocks``: the diagonal band, then the far blocks.  A block
+    that the float32 screen of :func:`_scan` takes (see
+    :func:`_screenable`) keeps only 16-bit codes of its reciprocal lengths,
+    2 bytes per pair, and three floats; the others, in practice the
+    diagonal blocks and their neighbours, keep their float64 reciprocals,
+    8 bytes per pair, plus a one-byte mask only where pairs are dropped
+    (a diagonal block is kept whole and needs none for its diagonal and
+    lower triangle).  :attr:`cache_bytes` and :attr:`screened_blocks`
+    report the result.  Each :meth:`summary` then
     pays only for its projector's Gram blocks, and agrees bit for bit with
     :func:`pointset_distortion` at the same block size, worst pair and
     exact ties included; :meth:`nested` scans every leading block of rows

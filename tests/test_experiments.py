@@ -48,7 +48,7 @@ NESTED_CHILD = """
 import hashlib, math, mfldproj as mp
 from mfldproj.experiments import _nested_worst
 spec = mp.spec_for_volume(1, 1000, math.log(10 * math.sqrt(2) / 3), 512)
-worst = _nested_worst(spec, (4, 6, 10, 16, 25, 40, 63, 100, 158, 200), 20, 20240101, 1)
+worst = _nested_worst(spec, (4, 6, 10, 16, 25, 40, 63, 100, 158, 200), 20, 20240101, 1)[0]
 print(hashlib.sha256(worst.tobytes()).hexdigest())
 """
 
@@ -315,7 +315,7 @@ class TestMStarEmpirical:
         assert r < N  # the latent path, not the ambient fallback
         tail = np.random.default_rng(99).standard_normal((N - M_grid[-1], r))
         monkeypatch.setattr(mp.projections, "_wishart", lambda dof, K, size, rng: (tail.T @ tail)[None])
-        got = _nested_worst(spec, M_grid, 3, seed, 1)
+        got = _nested_worst(spec, M_grid, 3, seed, 1)[0]
         X = mp.sample_manifold(spec, derive_seed(seed, ["manifold"])).points
         V, R = np.linalg.qr(z.reshape(r, N).T)
         V *= np.sign(np.diag(R))
@@ -341,7 +341,7 @@ class TestMStarEmpirical:
         # at N = 30 the rank r = 39 exceeds N and the points are scanned as is
         spec = spec_for_volume(1, N, LNV1, 128)
         latent = np.concatenate([
-            _nested_worst(spec, (M // 2, M), 10, derive_seed(N, ["latent", j]), 1)[:, 1] for j in range(30)
+            _nested_worst(spec, (M // 2, M), 10, derive_seed(N, ["latent", j]), 1)[0][:, 1] for j in range(30)
         ])
         ambient = np.concatenate(
             [distortion_distribution(spec, M, 10, derive_seed(N, ["ambient", j])).samples for j in range(30)]
@@ -414,6 +414,17 @@ class TestFigureData:
         cos = np.array([mp.expected_tangent_cosine(r) for r in t.columns["rho"]])
         assert np.abs(chord - t.columns["chord_sq_theory"]).max() < 1e-12
         assert np.abs(cos - t.columns["tangent_cos_theory"]).max() < 1e-12
+
+    def test_per_axis_parameters_take_one_value_per_axis(self):
+        # a curve takes a scalar or a one-value sequence alike; a sequence
+        # of another length, or a scalar for a surface, names the key
+        base = figure_data("fig4", {"N": 60, "n_grid": 64}, seed=4)
+        seq = figure_data("fig4", {"N": 60, "n_grid": [64], "lam": [1.0], "L": (10.0,)}, seed=4)
+        assert all(np.array_equal(base.columns[k], seq.columns[k]) for k in base.columns)
+        with pytest.raises(ValueError, match="fig4 parameter 'lam' needs one value per axis"):
+            figure_data("fig4", {"N": 60, "n_grid": 64, "lam": [1.0, 2.0]})
+        with pytest.raises(ValueError, match="fig5 parameter 'n_grid' needs one value per axis"):
+            figure_data("fig5", {"N": 40, "n_grid": 12})
 
     def test_fig5_theory_columns_consistent(self):
         t = figure_data("fig5", {"N": 40, "n_grid": (12, 12)}, seed=4)

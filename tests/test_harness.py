@@ -111,22 +111,43 @@ class TestManifest:
             assert manifest.pop("wall_time_s") > 0.0
             manifests.append(manifest)
         assert manifests[0] == manifests[1]
+        if command == "mstar":  # the work counts of the chord scan are deterministic too
+            assert {"float64_recomputes", "pairs_scanned"} <= set(manifests[0]["diagnostics"])
 
-    def test_mstar_reports_its_chord_cache(self, tmp_path):
+    def test_mstar_reports_its_chord_cache(self, tmp_path, monkeypatch):
         # an mstar manifest records the bytes of the chord scan's cached
-        # arrays and how many of its blocks the float32 screen takes
+        # arrays, how many of its blocks the float32 screen takes, how many
+        # screened blocks the float64 pass recomputed over all projectors
+        # (counted here as calls that recompute lengths from the points
+        # after the scan is built) and the chords each projector scans
+        scans, recomputed = [], []
+        latent_scan, block_half_sq = mp.experiments._latent_scan, mp.projections._block_half_sq
+
+        def capture(*args):
+            scans.append(latent_scan(*args))
+            return scans[-1]
+
+        def spy(Z, *args):
+            if scans and Z is scans[0].points:
+                recomputed.append(1)
+            return block_half_sq(Z, *args)
+
+        monkeypatch.setattr(mp.experiments, "_latent_scan", capture)
+        monkeypatch.setattr(mp.projections, "_block_half_sq", spy)
         params = dict(MSTAR_SMALL, grid_per_axis=1024)
         cfg = RunConfig(command="mstar", params=params, master_seed=4, out_dir=str(tmp_path))
         assert run(cfg) == 0
         diagnostics = json.loads((tmp_path / "run_manifest.json").read_text())["diagnostics"]
-        scan = mp.experiments._latent_scan(mp.spec_for_volume(1, 150, 1.0, 1024), 4)
+        (scan,) = scans
         screened = [b for b in scan._blocks if isinstance(b, _Screened)]
         others = [b for b in scan._blocks if not isinstance(b, _Screened)]
         cached = [a for r in screened for a in (r.rec, r.bounds, r.max_rec, r.step, r.qerr)]
-        cached += [a for _, _, da, drop in others for a in (da, drop) if a is not None]
+        cached += [a for _, _, rec, drop in others for a in (rec, drop) if a is not None]
         assert diagnostics == {"chord_cache_bytes": sum(a.nbytes for a in cached),
-                               "screened_blocks": 8 * 9 // 2 - len(others)}
-        assert diagnostics["screened_blocks"] > 0
+                               "screened_blocks": 8 * 9 // 2 - len(others),
+                               "float64_recomputes": len(recomputed),
+                               "pairs_scanned": 1024 * 1023 // 2}
+        assert diagnostics["screened_blocks"] > 0 and diagnostics["float64_recomputes"] > 0
 
 
 class TestRunBounds:
@@ -167,6 +188,21 @@ class TestRunBounds:
         header, rows = read_csv(tmp_path / "bounds.csv")
         assert len(rows) == 1
         assert float(rows[0][header.index("M_eval")]) == 400
+
+    @pytest.mark.parametrize("points, message", [
+        ([{"K": 1, "N": 10, "lnV": 1.0}, {"N": 10, "lnV": 1.0}],
+         "bounds points[1] = {'N': 10, 'lnV': 1.0} is missing keys ['K']"),
+        ([{"K": 2}], "bounds points[0] = {'K': 2} is missing keys ['N', 'lnV']"),
+        ([[2, 10, 1.0]], "bounds points[0] = [2, 10, 1.0] is missing keys ['K', 'N', 'lnV']"),
+    ])
+    def test_points_missing_keys_named(self, tmp_path, capsys, points, message):
+        # every entry is checked before any bound is computed, and the
+        # error names the entry and its missing keys
+        cfg = RunConfig(command="bounds", params={"points": points}, out_dir=str(tmp_path))
+        assert run(cfg) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert (record["code"], record["message"]) == ("ValueError", message)
+        assert not (tmp_path / "bounds.csv").exists()
 
     def test_empty_points_write_the_header(self, tmp_path):
         cfg = RunConfig(command="bounds", params={"points": []}, out_dir=str(tmp_path))

@@ -2,8 +2,11 @@
 
 import functools
 import math
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,8 +271,9 @@ def nested_elementwise_worst(X, Y, N, M_grid, block):
     """Largest |sqrt(s r) - 1| over every scanned pair at each M of the
     nested grid, one pair at a time, on the scan's block layout: full-scale
     squared lengths |z_i|^2 + |z_j|^2 - 2 z_i.z_j, the projected ones summed
-    one column segment [M_{k-1}, M_k) of Y at a time, each ratio clipped at
-    0, and pairs of identical points skipped."""
+    one column segment [M_{k-1}, M_k) of Y at a time, each ratio the
+    projected length times the reciprocal of the ambient one and clipped
+    at 0, and pairs of identical points skipped."""
     edges = (0, *M_grid)
     segs = [np.ascontiguousarray(Y[:, a:b]) for a, b in zip(edges, edges[1:])]
     xsq = np.einsum("ij,ij->i", X, X)
@@ -286,7 +290,7 @@ def nested_elementwise_worst(X, Y, N, M_grid, block):
             for m, (seg, sq) in enumerate(zip(segs, sqs)):
                 dp = dp + (sq[r, None] + sq[None, c] - 2.0 * (seg[r] @ seg[c].T))
                 if keep.any():
-                    d = np.abs(np.sqrt(N / M_grid[m] * (np.maximum(dp[keep], 0.0) / da[keep])) - 1.0)
+                    d = np.abs(np.sqrt(N / M_grid[m] * (np.maximum(dp[keep], 0.0) * (1.0 / da[keep]))) - 1.0)
                     best[m] = max(best[m], float(d.max()))
     return best
 
@@ -323,7 +327,75 @@ def screened_cases():
     }
 
 
+# the ambient and projected blocks of the diagonal blocks of a smooth curve
+# (300 points: two full blocks and a ragged one), projected segments of
+# widths 1, 6 and 53 taken as the scan takes them, as column views
+SYMMETRY_CHILD = """
+import math, numpy as np, mfldproj as mp
+from mfldproj import projections
+X = mp.sampling.isometric_coordinates(mp.spec_for_volume(1, 1000, math.log(40.0), 300), 5)
+Y = X @ np.random.default_rng(3).standard_normal((X.shape[1], 60))
+checked = []
+for i0, j0, rec, drop in projections._chord_blocks(X, 128):
+    if i0 == j0:
+        checked.append(np.array_equal(rec, rec.T) and drop is None)
+        rows, buf = slice(i0, i0 + len(rec)), np.empty(2 * rec.size)
+        for a, b in ((0, 1), (1, 7), (7, 60)):
+            lead, trail = projections._sq_operands(Y[:, a:b])
+            part = projections._block_half_sq(Y[:, a:b], lead, trail, rows, rows, projections._view(buf, rec.shape),
+                                              projections._view(buf[rec.size :], rec.shape))
+            checked.append(np.array_equal(part, part.T))
+print(len(checked), all(checked))
+"""
+
+
 class TestChordScan:
+    def test_diagonal_blocks_are_symmetric(self):
+        # numpy forms a block times its own transpose with syrk and mirrors
+        # it, which the whole-block scan of the diagonal blocks relies on
+        # (a numpy that stops doing so fails here); checked at one and two
+        # BLAS threads, each in a child process
+        src = str(Path(mp.__file__).resolve().parents[1])
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = subprocess.run([sys.executable, "-c", SYMMETRY_CHILD], env=env, capture_output=True, text=True,
+                                 check=True, timeout=300)
+            assert out.stdout.split() == ["12", "True"], threads
+
+    def test_diagonal_is_blanked(self):
+        # integer coordinates make every length exact, so the diagonal of a
+        # diagonal block has projected length 0 against reciprocal 1: left
+        # in, it would be the smallest ratio, a distortion of exactly 1.
+        # No chord lies beyond the first 30 coordinates, so the worst is
+        # below 1, found above the diagonal
+        rng = np.random.default_rng(22)
+        X = rng.integers(-8, 9, size=(60, 40)).astype(float)
+        M_grid, Y = (12, 20, 30), X[:, :30]
+        scan = ChordScan(X, block=16)
+        for got in (scan.nested(Y, 40, M_grid), projections._scan(Y, 40, M_grid, projections._chord_blocks(X, 16))):
+            assert [g.max for g in got] == nested_elementwise_worst(X, Y, 40, M_grid, 16)
+            assert all(g.max < 0.9 and g.argmax[0] < g.argmax[1] for g in got)
+
+    def test_identical_points_in_a_diagonal_block(self):
+        # a diagonal block keeps a mask only for its dropped pairs, the pair
+        # of identical points and its mirror image, and still scans every
+        # other pair above its diagonal
+        rng = np.random.default_rng(23)
+        X = np.cumsum(rng.standard_normal((150, 40)), axis=0)
+        X[9] = X[5]
+        scan = ChordScan(X, block=16)
+        i0, j0, _, drop = scan._blocks[0]
+        assert (i0, j0) == (0, 0) and sorted(zip(*np.nonzero(drop))) == [(5, 9), (9, 5)]
+        assert all(b[3] is None for b in scan._blocks[1:] if not isinstance(b, _Screened))
+        for seed in range(3):
+            A = sample_projector(40, 5 + seed, seed)
+            got = scan.summary(A)
+            assert got == pointset_distortion(A, X, block=16)
+            assert got.max == elementwise_worst(A, X, 16)
+            assert got.n_evaluated == 150 * 149 // 2 - 1
+            assert got.argmax not in ((5, 9), (9, 5))
+
     def test_extremes_equal_elementwise_max(self):
         # min/max of the ratio per block gives the per-pair maximum bit for bit
         rng = np.random.default_rng(12)
@@ -510,17 +582,18 @@ def screened_lengths(scan, run, t):
 def float64_ratios(scan, segs, ops, run):
     """``(t, m, r)`` per block t of the screened ``run`` of ``scan`` and
     index m of the nested grid: r (rows by columns) the float64 ratios of
-    projected to ambient half squared length that the scan computes."""
+    projected half squared length to ambient one, as the scan computes
+    them: the projected length times the reciprocal of the ambient one."""
     nr = run.rec.shape[1]
     for t in range(len(run.max_rec)):
         c0, c1 = run.bounds[t], run.bounds[t + 1]
         rows, cols = slice(run.i0, run.i0 + nr), slice(run.j0 + c0, run.j0 + c1)
         shape = (nr, c1 - c0)
-        da = screened_lengths(scan, run, t)
+        rec = 1.0 / screened_lengths(scan, run, t)
         proj = 0.0
         for m, (seg, (lead, trail)) in enumerate(zip(segs, ops)):
             proj = proj + projections._block_half_sq(seg, lead, trail, rows, cols, np.empty(shape), np.empty(shape))
-            yield t, m, proj / da
+            yield t, m, proj * rec
 
 
 def screened_runs(scan):
@@ -670,7 +743,7 @@ class TestScreenedScan:
         rng = np.random.default_rng(21)
         base = rng.standard_normal((512, 30))
         N, M_grid = 200, (1, 3, 8, 20, 50)
-        shortest = [float(da.min()) for i0, j0, da, _ in projections._chord_blocks(base, 128)
+        shortest = [1.0 / float(rec.max()) for i0, j0, rec, _ in projections._chord_blocks(base, 128)
                     if i0 != j0]
         shift = math.sqrt(0.8e-4 * float(np.median(shortest)) / 2.0**-24 / 30)
         for X in (base, base + shift):
@@ -705,9 +778,9 @@ class TestScreenedScan:
         assert checked == 2 * len(M_grid) * scan.screened_blocks
 
     def test_screened_reciprocals_take_two_bytes_per_pair(self):
-        # a screened pair keeps one 16-bit code q of 1 / da, scaled per block
-        # so that its largest code is 65535, and q step is within a relative
-        # qerr of 1 / da
+        # a screened pair keeps one 16-bit code q of its reciprocal length
+        # rec = 1 / da, scaled per block so that its largest code is 65535,
+        # and q step is within a relative qerr of rec
         scan = ChordScan(gp_curve(2048))
         runs = screened_runs(scan)
         assert scan.screened_blocks >= 100  # of 136 blocks
@@ -715,11 +788,11 @@ class TestScreenedScan:
             assert run.rec.dtype == np.uint16 and run.rec.flags.c_contiguous
             assert run.rec.nbytes == 2 * run.rec.shape[1] * run.bounds[-1]
             for t in range(len(run.max_rec)):
-                q, da = run.rec[run.bounds[t] : run.bounds[t + 1]].T, screened_lengths(scan, run, t)
+                q, rec = run.rec[run.bounds[t] : run.bounds[t + 1]].T, 1.0 / screened_lengths(scan, run, t)
                 assert q.max() == 65535 and q.min() >= 1
-                assert run.max_rec[t] == 1.0 / da.min() and run.step[t] == run.max_rec[t] / 65535
-                assert run.qerr[t] == 0.5 * run.max_rec[t] * da.max() / 65535
-                assert np.abs(q * run.step[t] * da - 1.0).max() <= run.qerr[t] * (1.0 + 1e-9)
+                assert run.max_rec[t] == rec.max() and run.step[t] == run.max_rec[t] / 65535
+                assert run.qerr[t] == 0.5 * (run.max_rec[t] / rec.min()) / 65535
+                assert np.abs(q * run.step[t] / rec - 1.0).max() <= run.qerr[t] * (1.0 + 1e-9)
         assert sum(r.rec.nbytes for r in runs) == 2 * 128 * 128 * scan.screened_blocks
 
     @pytest.mark.parametrize("shifted", [False, True])
@@ -737,7 +810,8 @@ class TestScreenedScan:
         X -= X.mean(axis=0)
         N, M_grid, k = 1000, (1, 2, 3), X.shape[1]
         if shifted:
-            shortest = [float(da.min()) for i0, j0, da, _ in projections._chord_blocks(X, 128) if j0 - i0 > 128]
+            shortest = [1.0 / float(rec.max()) for i0, j0, rec, _ in projections._chord_blocks(X, 128)
+                        if j0 - i0 > 128]
             X += math.sqrt(0.8e-4 * float(np.median(shortest)) / 2.0**-24 / k)
         scan = ChordScan(X)
         runs = screened_runs(scan)
@@ -761,6 +835,54 @@ class TestScreenedScan:
             assert len(recomputed) < scan.screened_blocks
             assert [g.max for g in got] == nested_elementwise_worst(X, Y, N, M_grid, 128)
             assert got == projections._scan(Y, N, M_grid, projections._chord_blocks(X, 128))
+
+    def test_recomputed_blocks_scan_only_the_open_M(self, monkeypatch):
+        # a screened block that the screen cannot rule out at every M is
+        # recomputed once, its segments added up only to the largest M still
+        # open and its extremes taken only at the open M; the results equal
+        # the unscreened pass and a pass that scans those blocks at every M
+        X, N, M_grid = gp_curve(2048), 1000, experiments._FIG_DEFAULTS["fig6a"]["M_grid"]
+        scan = ChordScan(X)
+        n_band = sum(not isinstance(b, _Screened) for b in scan._blocks)
+        opened, extremes, segments = [], [], []
+        unresolved, extremes_of, block_half_sq = projections._Screen.unresolved, projections._extremes, \
+            projections._block_half_sq
+
+        def spy_unresolved(screen, *args):
+            for block in unresolved(screen, *args):
+                opened.append(block[3])
+                yield block
+
+        def spy_extremes(*args):
+            extremes.append(1)
+            return extremes_of(*args)
+
+        def spy_block_half_sq(Z, *args):
+            if Z is not scan.points:
+                segments.append(1)
+            return block_half_sq(Z, *args)
+
+        monkeypatch.setattr(projections._Screen, "unresolved", spy_unresolved)
+        monkeypatch.setattr(projections, "_extremes", spy_extremes)
+        monkeypatch.setattr(projections, "_block_half_sq", spy_block_half_sq)
+        every = tuple(range(len(M_grid)))
+        skipped = 0
+        for seed in range(3):
+            Y = X @ frame_rows(N, X.shape[1], M_grid[-1], seed).T
+            for log in (opened, extremes, segments):
+                log.clear()
+            got = scan.nested(Y, N, M_grid)
+            assert opened and got[0].recomputed == len(opened)
+            assert all(o and list(o) == sorted(set(o)) and set(o) <= set(every) for o in opened)
+            assert len(extremes) == n_band * len(M_grid) + sum(len(o) for o in opened)
+            assert len(segments) == n_band * len(M_grid) + sum(o[-1] + 1 for o in opened)
+            skipped += sum(len(M_grid) - len(o) for o in opened)
+            assert got == projections._scan(Y, N, M_grid, projections._chord_blocks(X, 128))
+            with monkeypatch.context() as m:
+                m.setattr(projections._Screen, "unresolved",
+                          lambda screen, *args: (b[:3] + (every,) for b in unresolved(screen, *args)))
+                assert scan.nested(Y, N, M_grid) == got
+        assert skipped > 0
 
     def test_screen_skips_most_far_blocks(self, monkeypatch):
         # on a smooth curve the float64 pass runs on fewer than a quarter of
