@@ -347,15 +347,15 @@ _FIG_DEFAULTS = {
 
 
 def merge_params(defaults: dict, params: dict | None, what: str) -> dict:
-    """``defaults`` overridden by ``params``, which may hold only their
-    keys; JSON object keys of a ``grid_per_axis`` map become ints."""
+    """``defaults`` overridden by ``params``, an object that may hold only
+    their keys."""
+    if params is not None and not isinstance(params, dict):
+        raise ValueError(f"{what} 'params' must be an object, got {params!r}")
     merged = dict(defaults)
     for key, val in (params or {}).items():
         if key not in merged:
             raise ValueError(f"unknown parameter {key!r} for {what}; allowed: {sorted(merged)}")
         merged[key] = val
-    if isinstance(merged.get("grid_per_axis"), dict):
-        merged["grid_per_axis"] = {int(K): n for K, n in merged["grid_per_axis"].items()}
     return merged
 
 
@@ -397,7 +397,8 @@ def m_star_point(K: int, lnV: float, N: int, M_grid, settings: dict) -> MStarPoi
     a table can check all its points before it runs one.
     """
     grid = settings["grid_per_axis"]
-    if isinstance(grid, dict):
+    if isinstance(grid, dict):  # JSON object keys are strings
+        grid = {int(k): n for k, n in grid.items()}
         if K not in grid:
             raise ValueError(f"grid_per_axis has no entry for K={K}: {grid}")
         grid = grid[K]

@@ -32,32 +32,14 @@ from .seeding import derive_seed, pooled_map
 __all__ = ["RunConfig", "run", "derive_seed", "main"]
 
 
-# Allowed "params" keys per command; validation rejects anything else
-# before any computation runs.
-_SCHEMAS = {
-    "sample": {"K", "N", "ell", "lam", "L", "grid"},
-    "verify-cones": {
-        "N",
-        "M",
-        "K",
-        "chordal_sin_theta",
-        "tangential_sin_theta",
-        "n_trials",
-        "chordal_boundary",
-        "tangential_boundary",
-    },
-    "bounds": {"eps", "delta", "points"},
-    "figure": {"kind", "params"},
-    "mstar": set(experiments.MSTAR_DEFAULTS),
-    "replay": {"manifest"},
-}
-# Keys a command cannot run without; checked beside the unknown keys.
-_REQUIRED = {"sample": {"K", "N", "lam", "L", "grid"}, "figure": {"kind"}, "replay": {"manifest"}}
+# Marks a parameter that has no default; see ``_COMMANDS`` below.
+_REQUIRED = object()
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated description of one run."""
+    """Validated description of one run.  ``params`` holds the parameters
+    as given; the defaults of ``_COMMANDS`` are merged in when it runs."""
 
     command: str
     params: dict
@@ -67,15 +49,15 @@ class RunConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        if self.command not in _SCHEMAS:
-            raise ValueError(f"unknown command {self.command!r}; expected one of {sorted(_SCHEMAS)}")
-        allowed = _SCHEMAS[self.command]
-        unknown = set(self.params) - allowed
+        if self.command not in _COMMANDS:
+            raise ValueError(f"unknown command {self.command!r}; expected one of {sorted(_COMMANDS)}")
+        _, defaults = _COMMANDS[self.command]
+        unknown = set(_object(self.params, "params")) - set(defaults)
         if unknown:
             raise ValueError(
-                f"unknown parameter keys for {self.command!r}: {sorted(unknown)}; allowed: {sorted(allowed)}"
+                f"unknown parameter keys for {self.command!r}: {sorted(unknown)}; allowed: {sorted(defaults)}"
             )
-        missing = _REQUIRED.get(self.command, set()) - set(self.params)
+        missing = {key for key, value in defaults.items() if value is _REQUIRED} - set(self.params)
         if missing:
             raise ValueError(f"missing required parameter keys for {self.command!r}: {sorted(missing)}")
         if self.format not in ("csv", "json"):
@@ -85,24 +67,38 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        unknown = set(raw) - _COMMON_KEYS - {"params"}
+        unknown = set(_object(raw, "config")) - _COMMON_KEYS - {"params"}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "command" not in raw:
             raise ValueError("config must declare a command")
-        return cls(
-            command=raw["command"],
-            params=dict(raw.get("params", {})),
-            master_seed=int(raw.get("master_seed", 0)),
-            out_dir=str(raw.get("out_dir", ".")),
-            threads=int(raw.get("threads", 1)),
-            format=str(raw.get("format", "csv")),
-        )
+        common = {}
+        for key, kind in (("master_seed", int), ("out_dir", str), ("threads", int), ("format", str)):
+            if key in raw:
+                try:
+                    common[key] = kind(raw[key])
+                except (TypeError, ValueError):
+                    raise ValueError(f"config key {key!r} must be {kind.__name__}, got {raw[key]!r}") from None
+        return cls(command=raw["command"], params=raw.get("params", {}), **common)
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _object(value, key: str):
+    """``value``, or a ValueError naming ``key`` if it is not a JSON object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{key!r} must be an object, got {value!r}")
+    return value
+
+
+def _listed(p: dict, key: str):
+    """The list parameter ``key``, or a ValueError naming it."""
+    if not isinstance(p[key], (list, tuple)):
+        raise ValueError(f"parameter {key!r} must be a list, got {p[key]!r}")
+    return p[key]
 
 
 _COMMON_KEYS = {f.name for f in fields(RunConfig)} - {"params"}
@@ -126,15 +122,6 @@ def _echo(cfg: RunConfig) -> dict:
     return {"command": cfg.command, "params": cfg.params, "format": cfg.format}
 
 
-def _echo_lines(cfg: RunConfig) -> list[str]:
-    """Comment preamble with the config echo and master seed, ahead of the
-    CSV header row."""
-    return [
-        "# config: " + json.dumps(_echo(cfg), sort_keys=True),
-        f"# master_seed: {cfg.master_seed}",
-    ]
-
-
 def _write_table(out: Path, stem: str, columns: dict, cfg: RunConfig) -> str:
     """Write one table as ``<stem>.csv`` or ``<stem>.json`` after the
     configured format, with the config echo; return the artifact name."""
@@ -142,8 +129,7 @@ def _write_table(out: Path, stem: str, columns: dict, cfg: RunConfig) -> str:
     values = {n: np.asarray(column).tolist() for n, column in columns.items()}
     if cfg.format == "csv":
         with open(out / name, "w", newline="") as fh:
-            for line in _echo_lines(cfg):
-                fh.write(line + "\n")
+            fh.write(f"# config: {json.dumps(_echo(cfg), sort_keys=True)}\n# master_seed: {cfg.master_seed}\n")
             writer = csv.writer(fh)
             writer.writerow(values)
             for row in zip(*values.values()):
@@ -171,42 +157,28 @@ def _manifest(cfg: RunConfig, artifacts: list[str], diagnostics: dict, started: 
     }
 
 
-def _spec_from_params(p: dict) -> ManifoldSpec:
-    return ManifoldSpec(
-        K=int(p["K"]),
-        N=int(p["N"]),
-        ell=float(p.get("ell", 1.0)),
-        lam=tuple(p["lam"]),
-        L=tuple(p["L"]),
-        grid=tuple(p["grid"]),
-    )
-
-
-def _run_sample(cfg: RunConfig, out: Path) -> tuple[list[str], dict]:
-    spec = _spec_from_params(cfg.params)
+def _run_sample(cfg: RunConfig, p: dict, out: Path) -> tuple[list[str], dict]:
+    spec = ManifoldSpec(K=int(p["K"]), N=int(p["N"]), ell=float(p["ell"]),
+                        lam=_listed(p, "lam"), L=_listed(p, "L"), grid=_listed(p, "grid"))
     sample = sampling.sample_manifold(spec, cfg.master_seed)
-    path = out / "sample.bin"
-    sampling.save_sample(sample, path)
+    sampling.save_sample(sample, out / "sample.bin")
     audit = sampling.self_averaging_audit(sample)
     columns = {"mean_sq_norm": [audit.mean], "rel_sd": [audit.rel_sd],
                "expected_mean": [audit.expected_mean], "expected_rel_sd": [audit.expected_rel_sd]}
     return ["sample.bin", _write_table(out, "sample_audit", columns, cfg)], {}
 
 
-def _run_verify_cones(cfg: RunConfig, out: Path) -> tuple[list[str], dict]:
-    p = cfg.params
-    N, M, K = int(p.get("N", 1000)), int(p.get("M", 100)), int(p.get("K", 5))
-    n_trials = int(p.get("n_trials", 50))
-    n_chordal = int(p.get("chordal_boundary", 20000))
-    n_tangential = int(p.get("tangential_boundary", 5000))
+def _run_verify_cones(cfg: RunConfig, p: dict, out: Path) -> tuple[list[str], dict]:
+    N, M, K, n_trials = int(p["N"]), int(p["M"]), int(p["K"]), int(p["n_trials"])
+    n_chordal, n_tangential = int(p["chordal_boundary"]), int(p["tangential_boundary"])
 
     # every job's inputs are checked before the first job runs
     jobs = []
-    for s in map(float, p.get("chordal_sin_theta", [0.001, 0.005, 0.01])):
+    for s in map(float, _listed(p, "chordal_sin_theta")):
         cones.check_cone_inputs(N, M, None, s, n_chordal, n_trials)
         jobs.append(("chordal", s, lambda s=s: cones.verify_chordal_guarantee(
             N, M, s, n_chordal, n_trials, derive_seed(cfg.master_seed, ["chordal", f"{s}"]))))
-    for s in map(float, p.get("tangential_sin_theta", [0.0005, 0.002])):
+    for s in map(float, _listed(p, "tangential_sin_theta")):
         cones.check_cone_inputs(N, M, K, s, n_tangential, n_trials)
         jobs.append(("tangential", s, lambda s=s: cones.verify_tangential_guarantee(
             N, M, K, s, n_tangential, n_trials, derive_seed(cfg.master_seed, ["tangential", f"{s}"]))))
@@ -237,12 +209,12 @@ _BOUNDS_COLUMNS = {
 }
 
 
-def _run_bounds(cfg: RunConfig, out: Path) -> tuple[list[str], dict]:
-    p = cfg.params
-    eps, delta = float(p.get("eps", 0.2)), float(p.get("delta", 0.05))
-    points = p.get("points")
-    if points is None:
+def _run_bounds(cfg: RunConfig, p: dict, out: Path) -> tuple[list[str], dict]:
+    eps, delta = float(p["eps"]), float(p["delta"])
+    if p["points"] is None:
         points = [{"K": K, "N": 1000, "lnV": experiments.LNV_PER_K_DEFAULT * K} for K in (1, 2, 4, 8)]
+    else:
+        points = _listed(p, "points")
     for i, pt in enumerate(points):
         missing = sorted({"K", "N", "lnV"} - set(pt)) if isinstance(pt, dict) else ["K", "N", "lnV"]
         if missing:
@@ -262,14 +234,12 @@ def _run_bounds(cfg: RunConfig, out: Path) -> tuple[list[str], dict]:
     return [_write_table(out, "bounds", columns, cfg)], {}
 
 
-def _run_figure(cfg: RunConfig, out: Path) -> tuple[list[str], dict]:
-    kind = cfg.params.get("kind")
-    table = experiments.figure_data(kind, cfg.params.get("params"), seed=cfg.master_seed, threads=cfg.threads)
+def _run_figure(cfg: RunConfig, p: dict, out: Path) -> tuple[list[str], dict]:
+    table = experiments.figure_data(p["kind"], p["params"], seed=cfg.master_seed, threads=cfg.threads)
     return [_write_table(out, table.kind, table.columns, cfg)], {}
 
 
-def _run_mstar(cfg: RunConfig, out: Path) -> tuple[list[str], dict]:
-    p = experiments.merge_params(experiments.MSTAR_DEFAULTS, cfg.params, "mstar")
+def _run_mstar(cfg: RunConfig, p: dict, out: Path) -> tuple[list[str], dict]:
     K, N = int(p["K"]), int(p["N"])
     lnV = experiments.LNV_PER_K_DEFAULT * K if p["lnV"] is None else float(p["lnV"])
     row, res = experiments.m_star_point(K, lnV, N, p["M_grid"], p).row(cfg.master_seed, cfg.threads)
@@ -281,8 +251,8 @@ def _run_mstar(cfg: RunConfig, out: Path) -> tuple[list[str], dict]:
     return [_write_table(out, "mstar_curve", curve, cfg), _write_table(out, "mstar", point, cfg)], diagnostics
 
 
-def _run_replay(cfg: RunConfig, out: Path) -> tuple[list[str], dict]:
-    manifest_path = Path(cfg.params["manifest"])
+def _run_replay(cfg: RunConfig, p: dict, out: Path) -> tuple[list[str], dict]:
+    manifest_path = Path(p["manifest"])
     with open(manifest_path) as fh:
         manifest = json.load(fh)
     original = RunConfig.from_dict(manifest["config"])
@@ -303,22 +273,33 @@ def _run_replay(cfg: RunConfig, out: Path) -> tuple[list[str], dict]:
     return [table], {}
 
 
-_RUNNERS = {
-    "sample": _run_sample,
-    "verify-cones": _run_verify_cones,
-    "bounds": _run_bounds,
-    "figure": _run_figure,
-    "mstar": _run_mstar,
-    "replay": _run_replay,
+# Per command, its runner and its parameters with their defaults, the
+# only place either is written down; ``_REQUIRED`` marks a parameter
+# without a default.  A null ``points`` is the four points K = 1, 2, 4, 8
+# at N = 1000 and lnV = ln(10 sqrt(2)/3) K.
+_COMMANDS = {
+    "sample": (_run_sample, {"K": _REQUIRED, "N": _REQUIRED, "ell": 1.0, "lam": _REQUIRED, "L": _REQUIRED,
+                             "grid": _REQUIRED}),
+    "verify-cones": (_run_verify_cones, {
+        "N": 1000, "M": 100, "K": 5, "n_trials": 50,
+        "chordal_sin_theta": (0.001, 0.005, 0.01), "chordal_boundary": 20000,
+        "tangential_sin_theta": (0.0005, 0.002), "tangential_boundary": 5000,
+    }),
+    "bounds": (_run_bounds, {"eps": 0.2, "delta": 0.05, "points": None}),
+    "figure": (_run_figure, {"kind": _REQUIRED, "params": {}}),
+    "mstar": (_run_mstar, experiments.MSTAR_DEFAULTS),
+    "replay": (_run_replay, {"manifest": _REQUIRED}),
 }
 
 
 def _execute(config: RunConfig) -> None:
-    """Run ``config`` and write its artifacts and manifest; raise on error."""
+    """Run ``config`` with its command's defaults merged under its params,
+    and write its artifacts and manifest; raise on error."""
     started = time.perf_counter()
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    artifacts, diagnostics = _RUNNERS[config.command](config, out)
+    runner, defaults = _COMMANDS[config.command]
+    artifacts, diagnostics = runner(config, {**defaults, **config.params}, out)
     manifest = _manifest(config, artifacts, diagnostics, started)
     (out / "run_manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
 
@@ -351,9 +332,10 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="mfldproj",
         description="Random projections of Gaussian random manifolds: experiments and bounds.",
     )
-    parser.add_argument("command", choices=sorted(_RUNNERS), help="what to run")
+    parser.add_argument("command", choices=sorted(_COMMANDS), help="what to run")
     parser.add_argument("--config", type=str, default=None, help="JSON config file")
-    parser.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
+    parser.add_argument("--seed", type=int, default=None, dest="master_seed", metavar="SEED",
+                        help="master seed (overrides config)")
     parser.add_argument("--threads", type=int, default=None,
                         help="worker threads (overrides config); above 1, run with OPENBLAS_NUM_THREADS=1")
     parser.add_argument("--out-dir", type=str, default=None, help="artifact directory (overrides config)")
@@ -364,9 +346,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    raw = asdict(RunConfig.from_file(args.config)) if args.config else {}
-    raw["command"] = args.command
-    params = dict(raw.get("params", {}))
+    """The config file's dict with the CLI command, the flags and the
+    ``--param`` entries laid over it, validated once."""
+    raw = {}
+    if args.config:
+        with open(args.config) as fh:
+            raw = _object(json.load(fh), "config")
+    params = dict(_object(raw.get("params", {}), "params"))
     for item in args.param:
         key, sep, value = item.partition("=")
         if not sep:
@@ -375,13 +361,8 @@ def _config_from_args(args) -> RunConfig:
             params[key] = json.loads(value)
         except json.JSONDecodeError:
             params[key] = value
-    raw["params"] = params
-    for flag, key in (("seed", "master_seed"), ("threads", "threads"),
-                      ("out_dir", "out_dir"), ("format", "format")):
-        val = getattr(args, flag)
-        if val is not None:
-            raw[key] = val
-    return RunConfig.from_dict(raw)
+    flags = {key: getattr(args, key) for key in _COMMON_KEYS if getattr(args, key) is not None}
+    return RunConfig.from_dict({**raw, **flags, "params": params})
 
 
 def main(argv=None) -> int:

@@ -81,13 +81,6 @@ class ManifoldSample:
         for ax in self.sigma_axes:
             ax.flags.writeable = False
 
-    def grid_index(self, p: int) -> tuple[int, ...]:
-        return tuple(int(v) for v in np.unravel_index(p, self.spec.grid))
-
-    def sigma(self, p: int) -> np.ndarray:
-        idx = self.grid_index(p)
-        return np.array([ax[i] for ax, i in zip(self.sigma_axes, idx)])
-
 
 def grid_axes(spec: ManifoldSpec) -> tuple[np.ndarray, ...]:
     """Evenly spaced intrinsic coordinates covering [0, L_a) per axis."""

@@ -52,7 +52,7 @@ class TestRunConfig:
             RunConfig.from_dict({"command": "teleport"})
 
     def test_missing_command(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^config must declare a command$"):
             RunConfig.from_dict({"params": {}})
 
     @pytest.mark.parametrize("command, params, missing", [
@@ -64,6 +64,18 @@ class TestRunConfig:
         with pytest.raises(ValueError) as exc:
             RunConfig(command=command, params=params)
         assert str(exc.value) == f"missing required parameter keys for {command!r}: {missing}"
+
+    @pytest.mark.parametrize("command, params, message", [
+        ("bounds", {"points": 5}, "parameter 'points' must be a list, got 5"),
+        ("verify-cones", {"chordal_sin_theta": 0.01}, "parameter 'chordal_sin_theta' must be a list, got 0.01"),
+        ("figure", {"kind": "fig4", "params": [1]}, "fig4 'params' must be an object, got [1]"),
+    ])
+    def test_wrong_containers_named_when_run(self, tmp_path, capsys, command, params, message):
+        cfg = RunConfig(command=command, params=params, out_dir=str(tmp_path))
+        assert run(cfg) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert (record["code"], record["message"]) == ("ValueError", message)
+        assert not (tmp_path / "run_manifest.json").exists()
 
     def test_from_file(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -92,6 +104,7 @@ def read_echo(path):
     return config, seed
 
 
+LNV = mp.experiments.LNV_PER_K_DEFAULT
 MSTAR_SMALL = {"K": 1, "N": 150, "lnV": 1.0, "grid_per_axis": 48, "eps_target": 0.45, "delta": 0.1,
                "M_grid": [6, 12, 24, 48], "n_proj": 20}
 CONES_SMALL = {"N": 120, "M": 12, "K": 3, "chordal_sin_theta": [0.01], "tangential_sin_theta": [0.01],
@@ -151,6 +164,18 @@ class TestManifest:
 
 
 class TestRunBounds:
+    @pytest.mark.parametrize("command, params, key, value, table", [
+        ("bounds", {}, "points", [{"K": K, "N": 1000, "lnV": LNV * K} for K in (1, 2, 4, 8)], "bounds.csv"),
+        ("mstar", MSTAR_SMALL, "lnV", LNV, "mstar.csv"),
+    ])
+    def test_explicit_null_is_the_documented_value(self, tmp_path, command, params, key, value, table):
+        tables = []
+        for name, given in (("null", None), ("value", value)):
+            cfg = RunConfig(command=command, params=dict(params, **{key: given}), out_dir=str(tmp_path / name))
+            assert run(cfg) == 0
+            tables.append(read_csv(tmp_path / name / table))
+        assert tables[0] == tables[1]
+
     def test_matches_theory_and_manifest(self, tmp_path):
         cfg = RunConfig(command="bounds", params={}, master_seed=1, out_dir=str(tmp_path))
         assert run(cfg) == 0
@@ -525,6 +550,56 @@ class TestCLI:
         assert rc == 0
         assert (out / "fig4.csv").exists()
         assert not (tmp_path / "wrong").exists()
+
+    def test_file_leaves_a_required_key_to_a_flag(self, tmp_path):
+        # the file, the flags and the defaults are merged before the one
+        # validation; a --param wins over the file, and the manifest keeps
+        # the merged params as given, without the defaults (ell)
+        cfg_path = tmp_path / "base.json"
+        cfg_path.write_text(json.dumps({"command": "sample",
+                                        "params": {"N": 100, "lam": [1.0], "L": [10.0], "grid": [64]}}))
+        out = tmp_path / "out"
+        rc = main(["sample", "--config", str(cfg_path), "--param", "K=1", "--param", "N=50", "--out-dir", str(out)])
+        assert rc == 0 and (out / "sample.bin").exists()
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["config"]["params"] == {"K": 1, "N": 50, "lam": [1.0], "L": [10.0], "grid": [64]}
+        assert mp.load_sample(out / "sample.bin").spec.N == 50
+
+    def test_file_without_command_runs_the_cli_command(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"params": {"eps": 0.3}, "master_seed": 6}))
+        assert main(["bounds", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 0
+        header, rows = read_csv(tmp_path / "bounds.csv")
+        assert {float(row[header.index("eps")]) for row in rows} == {0.3}
+        assert read_echo(tmp_path / "bounds.csv") == ({"command": "bounds", "params": {"eps": 0.3},
+                                                      "format": "csv"}, 6)
+
+    def test_file_params_checked_against_the_cli_command(self, tmp_path, capsys):
+        # the file's own command does not choose the parameter table
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"command": "mstar", "params": {"eps": 0.3}}))
+        assert main(["bounds", "--config", str(cfg_path), "--out-dir", str(tmp_path / "bounds")]) == 0
+        cfg_path.write_text(json.dumps({"command": "bounds", "params": {"eps": 0.3}}))
+        out = tmp_path / "mstar"
+        assert main(["mstar", "--config", str(cfg_path), "--out-dir", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"].startswith("unknown parameter keys for 'mstar': ['eps']; allowed: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"command": "bounds", "params": [1, 2]}, "'params' must be an object, got [1, 2]"),
+        ({"command": "bounds", "params": None}, "'params' must be an object, got None"),
+        ({"command": "bounds", "threads": [2]}, "config key 'threads' must be int, got [2]"),
+        ({"command": "bounds", "master_seed": "one"}, "config key 'master_seed' must be int, got 'one'"),
+        ([1], "'config' must be an object, got [1]"),
+    ])
+    def test_wrong_typed_file_values_exit_code(self, tmp_path, capsys, raw, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["bounds", "--config", str(cfg_path), "--param", "eps=0.3", "--out-dir", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err) == {"code": "ValueError", "message": message}
+        assert not out.exists()
 
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         rc = main(["bounds", "--out-dir", str(tmp_path), "--param", "nonsense=1"])
