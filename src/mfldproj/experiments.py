@@ -13,12 +13,15 @@ the curve share their random numbers and are correlated, not independent
 draws per M.  Chords are scanned in r-dimensional isometric coordinates of
 the manifold, and only the first rows of a Haar frame in those coordinates
 are drawn (see :func:`m_star_empirical`).  :func:`distortion_distribution`
-keeps the ambient path, one N x M projector per sample, as the reference.
+keeps the ambient path, one N x M projector per sample, as the reference;
+it returns the worst distortion under each projector, the array that
+:func:`epsilon_at_delta` takes.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,24 +66,20 @@ class MStarResult:
 
     ``m_star_emp`` interpolates the isotonically smoothed quantile curve in
     (log M, eps) space; ``isotonic_adjusted`` records whether smoothing
-    changed the raw quantiles.  ``cache_bytes`` and ``screened_blocks`` are
-    those of the manifold's :class:`ChordScan`; ``float64_recomputes`` is
-    the number of screened blocks that took the float64 pass, summed over
-    projectors, and ``pairs_scanned`` the chords scanned per projector.
+    changed the raw quantiles.  ``diagnostics`` is the work of the chord
+    scan, under the names the run manifest gives it: ``chord_cache_bytes``
+    and ``screened_blocks`` of the manifold's :class:`ChordScan`,
+    ``float64_recomputes``, the screened blocks that took the float64 pass
+    summed over projectors, and ``pairs_scanned``, the chords scanned per
+    projector.
     """
 
-    eps_target: float
-    delta: float
     M_grid: tuple[int, ...]
     eps_quantiles: np.ndarray
     eps_isotonic: np.ndarray
     m_star_emp: float
     isotonic_adjusted: bool
-    seed: int
-    cache_bytes: int
-    screened_blocks: int
-    float64_recomputes: int
-    pairs_scanned: int
+    diagnostics: dict
 
 
 def distortion_distribution(
@@ -88,39 +87,32 @@ def distortion_distribution(
     M: int,
     n_proj: int,
     seed: int,
-) -> DistortionSummary:
-    """Worst-chord distortion of one manifold under n_proj random projections.
+) -> np.ndarray:
+    """Worst-chord distortion of one manifold under each of n_proj random
+    projections: entry i is the worst under projector i.
 
     One manifold realization per call (seeded from ``seed``); projector i
     uses a child seed independent of ``n_proj``, so growing the ensemble
-    extends the sample list without perturbing it.  Each sample projects
-    the ambient points with its own N x M projector: the reference for the
-    latent path of :func:`m_star_empirical`.
+    extends the array without perturbing it.  Each projector is an N x M
+    matrix applied to the ambient points: the reference for the latent
+    path of :func:`m_star_empirical`.
     """
     if not (1 <= M <= spec.N and n_proj >= 1):
         raise ValueError(f"need 1 <= M <= N and n_proj >= 1, got M={M}, N={spec.N}, n_proj={n_proj}")
     _check_cache_size(spec.n_points)
     scan = ChordScan(sample_manifold(spec, derive_seed(seed, ["manifold"])).points)
-    out = np.empty(n_proj)
-    for i in range(n_proj):
-        out[i] = scan.summary(sample_projector(spec.N, M, derive_seed(seed, ["proj", i]))).max
-    k = int(np.argmax(out))
-    return DistortionSummary(max=float(out[k]), argmax=("projector", k), n_evaluated=n_proj, samples=out)
+    return np.array([scan.summary(sample_projector(spec.N, M, derive_seed(seed, ["proj", i]))).max
+                     for i in range(n_proj)])
 
 
-def epsilon_at_delta(summary: DistortionSummary, delta: float) -> float:
-    """Smallest distortion level achieved with probability >= 1 - delta.
+def epsilon_at_delta(samples: np.ndarray, delta: float) -> np.ndarray | float:
+    """Smallest distortion level achieved with probability >= 1 - delta,
+    per column of ``samples`` (n x ...), such as the array of
+    :func:`distortion_distribution`.
 
     The ceil((1-delta) n)-th order statistic of the samples: the smallest
     value eps with #(samples <= eps)/n >= 1 - delta.
     """
-    if summary.samples is None:
-        raise ValueError("summary does not retain samples")
-    return float(_quantile_at_delta(summary.samples, delta))
-
-
-def _quantile_at_delta(samples: np.ndarray, delta: float) -> np.ndarray:
-    """:func:`epsilon_at_delta` of every column of ``samples`` (n x ...)."""
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     n = len(samples)
@@ -190,7 +182,7 @@ def _check_m_star_inputs(
     every input that does not need a sample, the size of the chord scan
     included."""
     N = spec.N
-    M_grid = tuple(int(m) for m in M_grid)
+    M_grid = tuple(integer(m, "parameter 'M_grid' entry") for m in M_grid)
     outside = [m for m in M_grid if not 1 <= m <= N]
     if outside:
         raise ValueError(f"M_grid entries must satisfy 1 <= M <= N = {N}, got {outside}")
@@ -213,19 +205,14 @@ def _latent_scan(spec: ManifoldSpec, seed: int) -> ChordScan:
 
 
 def _nested_worst(
-    spec: ManifoldSpec,
-    M_grid: tuple[int, ...],
-    n_proj: int,
-    seed: int,
-    threads: int,
-    scan: ChordScan | None = None,
+    scan: ChordScan, N: int, M_grid: tuple[int, ...], n_proj: int, seed: int, threads: int
 ) -> tuple[np.ndarray, int, int]:
-    """(n_proj, len(M_grid)) worst chord distortions of one manifold: row i
-    under the first M rows of projector i, for every M of the grid.  Also
-    returns the screened blocks the scans recomputed in float64, summed
-    over projectors, and the chords each projector's scan took (see
-    :class:`DistortionSummary`).  ``scan``, if given, is
-    :func:`_latent_scan` of ``spec`` and ``seed``.
+    """(n_proj, len(M_grid)) worst chord distortions of the manifold of
+    ``scan``, the :func:`_latent_scan` of ambient dimension N and ``seed``:
+    row i under the first M rows of projector i, for every M of the grid.
+    Also returns the screened blocks the scans recomputed in float64,
+    summed over projectors, and the chords each projector's scan took (see
+    :class:`DistortionSummary`).
 
     The chords are scanned in the k-dimensional isometric coordinates C of
     the manifold, X = C V^T with V a column-orthonormal N x k frame.  For a
@@ -233,13 +220,12 @@ def _nested_worst(
     frame W, independent of V, so X A^T = C (A V)^T has the law of C W_M^T:
     exact, and O(M k) per point instead of O(M N).
     """
-    scan = _latent_scan(spec, seed) if scan is None else scan
     coords = scan.points
 
     def worst(i: int) -> list[DistortionSummary]:
         rng = np.random.default_rng(derive_seed(seed, ["proj", i]))
-        rows = _haar_frame_rows(spec.N, coords.shape[1], M_grid[-1], rng)
-        return scan.nested(coords @ rows.T, spec.N, M_grid)
+        rows = _haar_frame_rows(N, coords.shape[1], M_grid[-1], rng)
+        return scan.nested(coords @ rows.T, N, M_grid)
 
     runs = pooled_map(worst, range(n_proj), threads)
     worst_max = np.array([[s.max for s in run] for run in runs])
@@ -271,23 +257,13 @@ def m_star_empirical(
     """
     M_grid = _check_m_star_inputs(spec, eps_target, delta, M_grid, n_proj)
     scan = _latent_scan(spec, seed)
-    worst, recomputes, pairs = _nested_worst(spec, M_grid, n_proj, seed, threads, scan)
-    quantiles = _quantile_at_delta(worst, delta)
+    worst, recomputes, pairs = _nested_worst(scan, spec.N, M_grid, n_proj, seed, threads)
+    quantiles = epsilon_at_delta(worst, delta)
     m_star, iso, adjusted = invert_quantile_curve(M_grid, quantiles, eps_target)
-    return MStarResult(
-        eps_target=eps_target,
-        delta=delta,
-        M_grid=M_grid,
-        eps_quantiles=quantiles,
-        eps_isotonic=iso,
-        m_star_emp=m_star,
-        isotonic_adjusted=adjusted,
-        seed=seed,
-        cache_bytes=scan.cache_bytes,
-        screened_blocks=scan.screened_blocks,
-        float64_recomputes=recomputes,
-        pairs_scanned=pairs,
-    )
+    diagnostics = {"chord_cache_bytes": scan.cache_bytes, "screened_blocks": scan.screened_blocks,
+                   "float64_recomputes": recomputes, "pairs_scanned": pairs}
+    return MStarResult(M_grid=M_grid, eps_quantiles=quantiles, eps_isotonic=iso, m_star_emp=m_star,
+                       isotonic_adjusted=adjusted, diagnostics=diagnostics)
 
 
 def scaling_fit(results) -> tuple[float, float, np.ndarray]:
@@ -346,6 +322,15 @@ _FIG_DEFAULTS = {
 }
 
 
+def integer(value, key: str) -> int:
+    """``value`` as an int, or a ValueError naming ``key`` if it is not a
+    whole number: 16.0 is 16, but 16.9, True and "16" are refused."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or
+                                       isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{key} must be int, got {value!r}")
+    return int(value)
+
+
 def merge_params(defaults: dict, params: dict | None, what: str) -> dict:
     """``defaults`` overridden by ``params``, an object that may hold only
     their keys."""
@@ -402,8 +387,9 @@ def m_star_point(K: int, lnV: float, N: int, M_grid, settings: dict) -> MStarPoi
         if K not in grid:
             raise ValueError(f"grid_per_axis has no entry for K={K}: {grid}")
         grid = grid[K]
-    spec = spec_for_volume(K, N, lnV, grid)
-    eps, delta, n_proj = float(settings["eps_target"]), float(settings["delta"]), int(settings["n_proj"])
+    spec = spec_for_volume(K, N, lnV, integer(grid, "parameter 'grid_per_axis'"))
+    eps, delta = float(settings["eps_target"]), float(settings["delta"])
+    n_proj = integer(settings["n_proj"], "parameter 'n_proj'")
     return MStarPoint(K, lnV, N, spec, eps, delta, _check_m_star_inputs(spec, eps, delta, M_grid, n_proj), n_proj)
 
 
@@ -443,8 +429,9 @@ def _geometry(kind: str, K: int, p: dict, seed: int) -> FigureTable:
             raise ValueError(f"{kind} parameter {key!r} needs one value per axis ({K}), got {value!r}")
         return values
 
-    spec = ManifoldSpec(K=K, N=int(p["N"]), ell=p["ell"], lam=per_axis("lam"), L=per_axis("L"),
-                        grid=tuple(int(n) for n in per_axis("n_grid")))
+    grid = [integer(n, f"{kind} parameter 'n_grid' entry") for n in per_axis("n_grid")]
+    spec = ManifoldSpec(K=K, N=integer(p["N"], f"{kind} parameter 'N'"), ell=p["ell"], lam=per_axis("lam"),
+                        L=per_axis("L"), grid=grid)
     sample = sample_manifold(spec, derive_seed(seed, [kind, "manifold"]))
     frames = tangent_frames(sample)
     center = np.ravel_multi_index(tuple(n // 2 for n in spec.grid), spec.grid)
@@ -476,15 +463,20 @@ _FIG6_COLUMNS = ("K", "lnV", "N", "eps_target", "delta", "m_star_emp", "m_star_n
 
 
 def _fig6(kind: str, p: dict, seed: int, threads: int) -> FigureTable:
+    def entries(key: str) -> list[int]:
+        return [integer(v, f"{kind} parameter {key!r} entry") for v in p[key]]
+
+    K_values, M_grid = entries("K_values"), entries("M_grid")
     if kind == "fig6a":
-        points = [(K, float(r) * K, int(p["N"])) for K in p["K_values"] for r in p["lnV_over_K"]]
+        N = integer(p["N"], f"{kind} parameter 'N'")
+        points = [(K, float(r) * K, N) for K in K_values for r in p["lnV_over_K"]]
     else:
-        points = [(K, LNV_PER_K_DEFAULT * K, int(N)) for K in p["K_values"] for N in p["N_values"]]
+        points = [(K, LNV_PER_K_DEFAULT * K, N) for K in K_values for N in entries("N_values")]
     checked = []
     for K, lnV, N in points:
         where = f"{kind} point K={K}, lnV={lnV:.6g}, N={N}: "
         try:
-            checked.append((where, m_star_point(K, lnV, N, [m for m in p["M_grid"] if m <= N], p)))
+            checked.append((where, m_star_point(K, lnV, N, [m for m in M_grid if m <= N], p)))
         except ValueError as exc:
             raise ValueError(where + str(exc)) from None
     rows = []

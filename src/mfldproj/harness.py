@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bounds, cones, experiments, sampling
+from .experiments import integer
 from .manifold import ManifoldSpec
 from .seeding import derive_seed, pooled_map
 
@@ -49,7 +50,7 @@ class RunConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        if self.command not in _COMMANDS:
+        if not isinstance(self.command, str) or self.command not in _COMMANDS:
             raise ValueError(f"unknown command {self.command!r}; expected one of {sorted(_COMMANDS)}")
         _, defaults = _COMMANDS[self.command]
         unknown = set(_object(self.params, "params")) - set(defaults)
@@ -72,19 +73,10 @@ class RunConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "command" not in raw:
             raise ValueError("config must declare a command")
-        common = {}
-        for key, kind in (("master_seed", int), ("out_dir", str), ("threads", int), ("format", str)):
-            if key in raw:
-                try:
-                    common[key] = kind(raw[key])
-                except (TypeError, ValueError):
-                    raise ValueError(f"config key {key!r} must be {kind.__name__}, got {raw[key]!r}") from None
+        common = {key: str(raw[key]) for key in ("out_dir", "format") if key in raw}
+        common.update({key: integer(raw[key], f"config key {key!r}")
+                       for key in ("master_seed", "threads") if key in raw})
         return cls(command=raw["command"], params=raw.get("params", {}), **common)
-
-    @classmethod
-    def from_file(cls, path) -> "RunConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def _object(value, key: str):
@@ -99,6 +91,11 @@ def _listed(p: dict, key: str):
     if not isinstance(p[key], (list, tuple)):
         raise ValueError(f"parameter {key!r} must be a list, got {p[key]!r}")
     return p[key]
+
+
+def _int(p: dict, key: str) -> int:
+    """The integer parameter ``key``, or a ValueError naming it."""
+    return integer(p[key], f"parameter {key!r}")
 
 
 _COMMON_KEYS = {f.name for f in fields(RunConfig)} - {"params"}
@@ -143,9 +140,8 @@ def _write_table(out: Path, stem: str, columns: dict, cfg: RunConfig) -> str:
 def _manifest(cfg: RunConfig, artifacts: list[str], diagnostics: dict, started: float) -> dict:
     """The run's manifest.  Every field but ``wall_time_s`` is the same on
     reruns of one config; ``diagnostics`` holds what the runner reports
-    about its work (for ``mstar``, the chord scan's cache bytes and
-    screened blocks, the screened blocks recomputed in float64 over all
-    projectors, and the chords scanned per projector)."""
+    about its work (for ``mstar``, :attr:`experiments.MStarResult.diagnostics`,
+    the one list of its diagnostics)."""
     return {
         "artifacts": sorted(artifacts),
         "config": asdict(cfg),
@@ -158,8 +154,8 @@ def _manifest(cfg: RunConfig, artifacts: list[str], diagnostics: dict, started: 
 
 
 def _run_sample(cfg: RunConfig, p: dict, out: Path) -> tuple[list[str], dict]:
-    spec = ManifoldSpec(K=int(p["K"]), N=int(p["N"]), ell=float(p["ell"]),
-                        lam=_listed(p, "lam"), L=_listed(p, "L"), grid=_listed(p, "grid"))
+    spec = ManifoldSpec(K=_int(p, "K"), N=_int(p, "N"), ell=float(p["ell"]), lam=_listed(p, "lam"),
+                        L=_listed(p, "L"), grid=[integer(n, "parameter 'grid' entry") for n in _listed(p, "grid")])
     sample = sampling.sample_manifold(spec, cfg.master_seed)
     sampling.save_sample(sample, out / "sample.bin")
     audit = sampling.self_averaging_audit(sample)
@@ -169,8 +165,8 @@ def _run_sample(cfg: RunConfig, p: dict, out: Path) -> tuple[list[str], dict]:
 
 
 def _run_verify_cones(cfg: RunConfig, p: dict, out: Path) -> tuple[list[str], dict]:
-    N, M, K, n_trials = int(p["N"]), int(p["M"]), int(p["K"]), int(p["n_trials"])
-    n_chordal, n_tangential = int(p["chordal_boundary"]), int(p["tangential_boundary"])
+    N, M, K, n_trials = (_int(p, key) for key in ("N", "M", "K", "n_trials"))
+    n_chordal, n_tangential = _int(p, "chordal_boundary"), _int(p, "tangential_boundary")
 
     # every job's inputs are checked before the first job runs
     jobs = []
@@ -215,21 +211,15 @@ def _run_bounds(cfg: RunConfig, p: dict, out: Path) -> tuple[list[str], dict]:
         points = [{"K": K, "N": 1000, "lnV": experiments.LNV_PER_K_DEFAULT * K} for K in (1, 2, 4, 8)]
     else:
         points = _listed(p, "points")
+    queries = []
     for i, pt in enumerate(points):
         missing = sorted({"K", "N", "lnV"} - set(pt)) if isinstance(pt, dict) else ["K", "N", "lnV"]
         if missing:
             raise ValueError(f"bounds points[{i}] = {pt!r} is missing keys {missing}")
-    reports = [
-        bounds.bound_report(bounds.BoundQuery(
-            eps=float(pt.get("eps", eps)),
-            delta=float(pt.get("delta", delta)),
-            K=int(pt["K"]),
-            N=int(pt["N"]),
-            lnV=float(pt["lnV"]),
-            M=int(pt["M"]) if "M" in pt else None,
-        ))
-        for pt in points
-    ]
+        K, N, M = (integer(pt[key], f"bounds points[{i}] {key!r}") if key in pt else None for key in ("K", "N", "M"))
+        queries.append(bounds.BoundQuery(eps=float(pt.get("eps", eps)), delta=float(pt.get("delta", delta)),
+                                         K=K, N=N, lnV=float(pt["lnV"]), M=M))
+    reports = [bounds.bound_report(query) for query in queries]
     columns = {name: [attrgetter(field)(r) for r in reports] for name, field in _BOUNDS_COLUMNS.items()}
     return [_write_table(out, "bounds", columns, cfg)], {}
 
@@ -240,15 +230,13 @@ def _run_figure(cfg: RunConfig, p: dict, out: Path) -> tuple[list[str], dict]:
 
 
 def _run_mstar(cfg: RunConfig, p: dict, out: Path) -> tuple[list[str], dict]:
-    K, N = int(p["K"]), int(p["N"])
+    K, N = _int(p, "K"), _int(p, "N")
     lnV = experiments.LNV_PER_K_DEFAULT * K if p["lnV"] is None else float(p["lnV"])
     row, res = experiments.m_star_point(K, lnV, N, p["M_grid"], p).row(cfg.master_seed, cfg.threads)
     curve = {"M": res.M_grid, "eps_quantile": res.eps_quantiles, "eps_isotonic": res.eps_isotonic}
     point = {k: [row[k]] for k in
              ("K", "N", "lnV", "eps_target", "delta", "m_star_emp", "isotonic_adjusted", "m_star_new")}
-    diagnostics = {"chord_cache_bytes": res.cache_bytes, "screened_blocks": res.screened_blocks,
-                   "float64_recomputes": res.float64_recomputes, "pairs_scanned": res.pairs_scanned}
-    return [_write_table(out, "mstar_curve", curve, cfg), _write_table(out, "mstar", point, cfg)], diagnostics
+    return [_write_table(out, "mstar_curve", curve, cfg), _write_table(out, "mstar", point, cfg)], res.diagnostics
 
 
 def _run_replay(cfg: RunConfig, p: dict, out: Path) -> tuple[list[str], dict]:

@@ -110,7 +110,6 @@ class Projector:
     rows: np.ndarray = field(repr=False)
     M: int
     N: int
-    seed: int
 
     def __post_init__(self):
         if not (1 <= self.M <= self.N):
@@ -158,13 +157,10 @@ class PrincipalAngles:
 
     ``cosines`` are the singular values of U1^T U2, clipped to [0, 1] and
     sorted descending (floating point can overshoot 1 by ~1e-16, which
-    would break arccos).  The orthogonal SVD factors are kept when
-    requested so the extremal vector pairs can be reconstructed.
+    would break arccos).
     """
 
     cosines: np.ndarray
-    W: np.ndarray | None = field(default=None, repr=False)
-    V: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def angles(self) -> np.ndarray:
@@ -173,30 +169,21 @@ class PrincipalAngles:
 
 @dataclass(frozen=True)
 class DistortionSummary:
-    """Empirical distortion samples with max and provenance.
+    """Worst chord distortion of a scan with its provenance.
 
-    ``samples`` may be None for streaming scans that only track the max.
-    ``argmax`` records where the worst element came from (a pair of point
-    indices for point sets, a projector index for projector ensembles).
-    Among exact ties a chord scan reports the pair that comes first in
-    its block order, the diagonal band before the far blocks (see
-    ``_chord_blocks``).  ``recomputed`` is the number of screened blocks
-    whose float64 reciprocals the chord scan recomputed (the same in every
-    summary of one nested scan); it counts work, not a result, so
-    summaries that differ only in it compare equal.
+    ``argmax`` is the pair of point indices the worst chord joins.  Among
+    exact ties a chord scan reports the pair that comes first in its block
+    order, the diagonal band before the far blocks (see ``_chord_blocks``).
+    ``recomputed`` is the number of screened blocks whose float64
+    reciprocals the chord scan recomputed (the same in every summary of
+    one nested scan); it counts work, not a result, so summaries that
+    differ only in it compare equal.
     """
 
     max: float
     argmax: tuple
     n_evaluated: int
-    samples: np.ndarray | None = field(default=None, repr=False)
     recomputed: int = field(default=0, compare=False)
-
-    def __post_init__(self):
-        if self.samples is not None and len(self.samples) and not math.isclose(
-            float(np.max(self.samples)), self.max, rel_tol=0.0, abs_tol=0.0
-        ):
-            raise ValueError("summary max does not equal max of samples")
 
 
 def sample_projector(N: int, M: int, seed: int) -> Projector:
@@ -210,7 +197,7 @@ def sample_projector(N: int, M: int, seed: int) -> Projector:
         raise ValueError(f"need 1 <= M <= N, got M={M}, N={N}")
     rng = np.random.default_rng(seed)
     q = _haar_columns(N, M, rng)
-    return Projector(rows=np.ascontiguousarray(q.T), M=M, N=N, seed=int(seed))
+    return Projector(rows=np.ascontiguousarray(q.T), M=M, N=N)
 
 
 def random_subspace(N: int, K: int, seed: int) -> SubspaceBasis:
@@ -877,7 +864,7 @@ def subspace_distortion(A: Projector, U: SubspaceBasis) -> float:
     return max(scale * float(s[0]) - 1.0, 1.0 - scale * float(s[-1]))
 
 
-def principal_angles(U: SubspaceBasis, U2: SubspaceBasis, keep_factors: bool = False) -> PrincipalAngles:
+def principal_angles(U: SubspaceBasis, U2: SubspaceBasis) -> PrincipalAngles:
     """Principal angles between two subspaces of equal dimension.
 
     Cosines are the singular values of U^T U2, clipped to [0, 1].
@@ -886,11 +873,7 @@ def principal_angles(U: SubspaceBasis, U2: SubspaceBasis, keep_factors: bool = F
         raise ValueError(f"subspace dimensions differ: {U.K} vs {U2.K}")
     if U.N != U2.N:
         raise ValueError(f"ambient dimensions differ: {U.N} vs {U2.N}")
-    m = U.cols.T @ U2.cols
-    if keep_factors:
-        w, s, vt = np.linalg.svd(m)
-        return PrincipalAngles(cosines=np.clip(s, 0.0, 1.0), W=w, V=vt.T)
-    s = np.linalg.svd(m, compute_uv=False)
+    s = np.linalg.svd(U.cols.T @ U2.cols, compute_uv=False)
     return PrincipalAngles(cosines=np.clip(s, 0.0, 1.0))
 
 

@@ -61,12 +61,11 @@ class ManifoldSample:
 
     ``points[p, i]`` is ambient coordinate i of grid point p, with p the
     row-major (C-order) flattening of the grid indices.  Identical
-    (spec, seed) reproduce identical points bit for bit.  Arrays are
+    (spec, seed) reproduce identical points bit for bit.  The points are
     read-only; a sample is safe to share.
     """
 
     spec: ManifoldSpec
-    sigma_axes: tuple[np.ndarray, ...]
     points: np.ndarray = field(repr=False)
     seed: int
 
@@ -78,8 +77,11 @@ class ManifoldSample:
         if not np.all(np.isfinite(self.points)):
             raise ValueError("sample contains non-finite values")
         self.points.flags.writeable = False
-        for ax in self.sigma_axes:
-            ax.flags.writeable = False
+
+    @property
+    def sigma_axes(self) -> tuple[np.ndarray, ...]:
+        """The intrinsic coordinates of the grid, per axis (see :func:`grid_axes`)."""
+        return grid_axes(self.spec)
 
 
 def grid_axes(spec: ManifoldSpec) -> tuple[np.ndarray, ...]:
@@ -188,7 +190,7 @@ def sample_manifold(spec: ManifoldSpec, seed: int) -> ManifoldSample:
     rounding, and the draws do not depend on the BLAS/LAPACK build beyond
     rounding of the matrix products.
     """
-    return ManifoldSample(spec=spec, sigma_axes=grid_axes(spec), points=_realize(spec, seed)[0], seed=int(seed))
+    return ManifoldSample(spec=spec, points=_realize(spec, seed)[0], seed=int(seed))
 
 
 @dataclass(frozen=True)
@@ -382,4 +384,4 @@ def load_sample(path) -> ManifoldSample:
     off += 8
     spec = ManifoldSpec(K=K, N=N, ell=ell, lam=lam, L=L, grid=grid)
     pts = np.frombuffer(raw[off:], dtype="<f8").reshape(spec.n_points, spec.N).copy()
-    return ManifoldSample(spec=spec, sigma_axes=grid_axes(spec), points=pts, seed=seed)
+    return ManifoldSample(spec=spec, points=pts, seed=seed)

@@ -1,6 +1,7 @@
 """The package imports numpy and the standard library only, as declared."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -41,3 +42,16 @@ def test_third_party_imports_match_declared_dependencies():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
     assert imported - set(sys.stdlib_module_names) - {"mfldproj"} == declared == {"numpy"}
+
+
+def test_benchmark_span_bindings_resolve():
+    # perfbench/spans.py wraps each (module, attribute) of its BINDINGS
+    # when it traces a run; a name removed from the package would otherwise
+    # fail only in a traced benchmark run.  The file is read, not imported.
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    (bindings,) = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                   and [getattr(t, "id", None) for t in node.targets] == ["BINDINGS"]]
+    assert bindings
+    missing = [f"{module}.{name}" for module, name, _ in bindings
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 import mfldproj as mp
 from mfldproj import (
-    DistortionSummary,
     RankDeficient,
     Unachievable,
     derive_seed,
@@ -27,6 +26,7 @@ from mfldproj import (
 )
 from mfldproj.experiments import (
     LNV_PER_K_DEFAULT,
+    _latent_scan,
     _nested_worst,
     invert_quantile_curve,
     isotonic_nonincreasing,
@@ -41,14 +41,15 @@ GOLDEN_CHILD = """
 import math, numpy as np, mfldproj as mp
 spec = mp.spec_for_volume(1, 1000, math.log(10 * math.sqrt(2) / 3), 256)
 dd = mp.distortion_distribution(spec, 160, 20, seed=77)
-print(repr(float(np.median(dd.samples))), repr(dd.max))
+print(repr(float(np.median(dd))), repr(float(dd.max())))
 """
 # the latent M* path at the criterion-6 inputs (rank 39)
 NESTED_CHILD = """
 import hashlib, math, mfldproj as mp
-from mfldproj.experiments import _nested_worst
+from mfldproj.experiments import _latent_scan, _nested_worst
 spec = mp.spec_for_volume(1, 1000, math.log(10 * math.sqrt(2) / 3), 512)
-worst = _nested_worst(spec, (4, 6, 10, 16, 25, 40, 63, 100, 158, 200), 20, 20240101, 1)[0]
+scan = _latent_scan(spec, 20240101)
+worst = _nested_worst(scan, 1000, (4, 6, 10, 16, 25, 40, 63, 100, 158, 200), 20, 20240101, 1)[0]
 print(hashlib.sha256(worst.tobytes()).hexdigest())
 """
 
@@ -65,12 +66,6 @@ def child_outputs(code, envs):
                              timeout=300)
         outs.append(out.stdout)
     return outs
-
-
-def summary_of(values):
-    v = np.asarray(values, dtype=float)
-    return DistortionSummary(max=float(v.max()), argmax=("projector", int(np.argmax(v))),
-                             n_evaluated=len(v), samples=v)
 
 
 class TestSpecForVolume:
@@ -91,8 +86,7 @@ class TestDistortionDistribution:
         sample = mp.sample_manifold(spec, derive_seed(5, ["manifold"]))
         A = mp.sample_projector(120, 12, derive_seed(5, ["proj", 0]))
         direct = mp.pointset_distortion(A, sample.points)
-        assert got.samples[0] == direct.max
-        assert got.max == direct.max
+        assert got.tolist() == [direct.max]
 
     @pytest.mark.parametrize("n_points", [1100, 4097], ids=["all", "all-4097"])
     def test_samples_equal_pointset_per_projector(self, n_points):
@@ -104,23 +98,23 @@ class TestDistortionDistribution:
         X = mp.sample_manifold(spec, derive_seed(6, ["manifold"])).points
         for i in range(4):
             A = mp.sample_projector(60, 9, derive_seed(6, ["proj", i]))
-            assert got.samples[i] == mp.pointset_distortion(A, X).max
+            assert got[i] == mp.pointset_distortion(A, X).max
 
     def test_stream_extension_preserves_prefix(self):
         spec = spec_for_volume(1, 100, 1.0, 32)
         a = distortion_distribution(spec, 10, 6, seed=9)
         b = distortion_distribution(spec, 10, 12, seed=9)
-        assert np.array_equal(a.samples, b.samples[:6])
+        assert np.array_equal(a, b[:6])
 
     def test_golden_regression(self):
         # archived reference run; guards the full sampling + scan pipeline
         spec = spec_for_volume(1, 1000, LNV1, 256)
         dd = distortion_distribution(spec, 160, 20, seed=77)
-        assert float(np.median(dd.samples)) == pytest.approx(GOLDEN_MEDIAN, rel=1e-12)
-        assert dd.max == pytest.approx(GOLDEN_MAX, rel=1e-12)
+        assert float(np.median(dd)) == pytest.approx(GOLDEN_MEDIAN, rel=1e-12)
+        assert dd.max() == pytest.approx(GOLDEN_MAX, rel=1e-12)
         # loose physical band: worst-chord distortion sits a few times above
         # the sqrt(K/M) subspace scale
-        assert 0.05 < float(np.median(dd.samples)) < 0.4
+        assert 0.05 < float(np.median(dd)) < 0.4
 
     def test_golden_independent_of_blas_path(self):
         # the reference run must not depend on how OpenBLAS splits or
@@ -161,22 +155,20 @@ class TestEpsilonAtDelta:
     def test_order_statistic_definition(self):
         vals = np.arange(1, 101, dtype=float)
         np.random.default_rng(0).shuffle(vals)
-        assert epsilon_at_delta(summary_of(vals), 0.05) == 95.0
+        assert epsilon_at_delta(vals, 0.05) == 95.0
 
     def test_rounding_boundary(self):
         # (1 - 1/3) * 48 rounds to 32.0, but 32/48 < 1 - 1/3 in floating point
         vals = np.r_[np.zeros(32), np.ones(16)]
-        assert epsilon_at_delta(summary_of(vals), 1 / 3) == 1.0
+        assert epsilon_at_delta(vals, 1 / 3) == 1.0
 
     def test_delta_near_one_gives_minimum(self):
         vals = np.array([5.0, 1.0, 3.0])
-        assert epsilon_at_delta(summary_of(vals), 0.999) == 1.0
+        assert epsilon_at_delta(vals, 0.999) == 1.0
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
-            epsilon_at_delta(summary_of([1.0, 2.0]), 0.05)
-        with pytest.raises(ValueError):
-            epsilon_at_delta(DistortionSummary(max=1.0, argmax=(0, 1), n_evaluated=1), 0.5)
+            epsilon_at_delta(np.array([1.0, 2.0]), 0.05)
 
     @given(
         vals=st.lists(st.floats(0, 100), min_size=25, max_size=200),
@@ -187,7 +179,7 @@ class TestEpsilonAtDelta:
         # oracle: smallest sample with empirical CDF mass >= 1 - delta
         s = np.sort(np.asarray(vals))
         oracle = next(x for k, x in enumerate(s, start=1) if k / len(s) >= 1 - delta)
-        assert epsilon_at_delta(summary_of(vals), delta) == oracle
+        assert epsilon_at_delta(vals, delta) == oracle
 
     def test_matches_ecdf_oracle_bulk(self):
         # the same scan oracle over 1000 random multisets and deltas
@@ -198,7 +190,7 @@ class TestEpsilonAtDelta:
             delta = float(rng.uniform(1.0 / n + 1e-9, 0.6))
             s = np.sort(vals)
             oracle = next(x for k, x in enumerate(s, start=1) if k / n >= 1 - delta)
-            assert epsilon_at_delta(summary_of(vals), delta) == oracle
+            assert epsilon_at_delta(vals, delta) == oracle
 
 
 class TestIsotonic:
@@ -315,7 +307,7 @@ class TestMStarEmpirical:
         assert r < N  # the latent path, not the ambient fallback
         tail = np.random.default_rng(99).standard_normal((N - M_grid[-1], r))
         monkeypatch.setattr(mp.projections, "_wishart", lambda dof, K, size, rng: (tail.T @ tail)[None])
-        got = _nested_worst(spec, M_grid, 3, seed, 1)[0]
+        got = _nested_worst(_latent_scan(spec, seed), N, M_grid, 3, seed, 1)[0]
         X = mp.sample_manifold(spec, derive_seed(seed, ["manifold"])).points
         V, R = np.linalg.qr(z.reshape(r, N).T)
         V *= np.sign(np.diag(R))
@@ -326,7 +318,7 @@ class TestMStarEmpirical:
             W = Wf[:, :r] * np.sign(np.diag(Rf))
             O = W @ V.T + Wf[:, r:] @ V_perp.T
             for m, M in enumerate(M_grid):
-                A = mp.Projector(rows=np.ascontiguousarray(O[:M]), M=M, N=N, seed=0)
+                A = mp.Projector(rows=np.ascontiguousarray(O[:M]), M=M, N=N)
                 assert got[i, m] == pytest.approx(mp.pointset_distortion(A, X).max, rel=0, abs=1e-10)
 
     def test_latent_worst_independent_of_blas_threads(self):
@@ -341,10 +333,11 @@ class TestMStarEmpirical:
         # at N = 30 the rank r = 39 exceeds N and the points are scanned as is
         spec = spec_for_volume(1, N, LNV1, 128)
         latent = np.concatenate([
-            _nested_worst(spec, (M // 2, M), 10, derive_seed(N, ["latent", j]), 1)[0][:, 1] for j in range(30)
+            _nested_worst(_latent_scan(spec, seed), N, (M // 2, M), 10, seed, 1)[0][:, 1]
+            for seed in (derive_seed(N, ["latent", j]) for j in range(30))
         ])
         ambient = np.concatenate(
-            [distortion_distribution(spec, M, 10, derive_seed(N, ["ambient", j])).samples for j in range(30)]
+            [distortion_distribution(spec, M, 10, derive_seed(N, ["ambient", j])) for j in range(30)]
         )
         assert scipy.stats.ks_2samp(latent, ambient).pvalue > 0.01
 

@@ -55,6 +55,15 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="^config must declare a command$"):
             RunConfig.from_dict({"params": {}})
 
+    def test_non_string_command(self):
+        with pytest.raises(ValueError, match=r"^unknown command \['bounds'\]; expected one of "):
+            RunConfig.from_dict({"command": ["bounds"]})
+
+    def test_integral_floats_are_integers(self):
+        cfg = RunConfig.from_dict({"command": "bounds", "master_seed": 3.0, "threads": 2.0})
+        assert (cfg.master_seed, cfg.threads) == (3, 2)
+        assert type(cfg.master_seed) is int and type(cfg.threads) is int
+
     @pytest.mark.parametrize("command, params, missing", [
         ("sample", {"N": 10}, ["K", "L", "grid", "lam"]),
         ("figure", {"params": {}}, ["kind"]),
@@ -76,12 +85,6 @@ class TestRunConfig:
         record = json.loads(capsys.readouterr().err)
         assert (record["code"], record["message"]) == ("ValueError", message)
         assert not (tmp_path / "run_manifest.json").exists()
-
-    def test_from_file(self, tmp_path):
-        p = tmp_path / "cfg.json"
-        p.write_text(json.dumps({"command": "bounds", "master_seed": 5}))
-        cfg = RunConfig.from_file(p)
-        assert cfg.command == "bounds" and cfg.master_seed == 5
 
     def test_bad_format_or_threads(self):
         with pytest.raises(ValueError):
@@ -107,6 +110,8 @@ def read_echo(path):
 LNV = mp.experiments.LNV_PER_K_DEFAULT
 MSTAR_SMALL = {"K": 1, "N": 150, "lnV": 1.0, "grid_per_axis": 48, "eps_target": 0.45, "delta": 0.1,
                "M_grid": [6, 12, 24, 48], "n_proj": 20}
+SAMPLE_ARGS = ["--param", "K=1", "--param", "N=100", "--param", "lam=[1.0]", "--param", "L=[10.0]",
+               "--param", "grid=[16]"]
 CONES_SMALL = {"N": 120, "M": 12, "K": 3, "chordal_sin_theta": [0.01], "tangential_sin_theta": [0.01],
                "n_trials": 4, "chordal_boundary": 200, "tangential_boundary": 100}
 
@@ -509,6 +514,19 @@ class TestReplay:
         assert record["code"] == "Unachievable" and "exceeds target 0.001" in record["message"]
         assert not (tmp_path / "check" / "run_manifest.json").exists()
 
+    def test_replay_of_manifest_with_non_string_command(self, tmp_path, capsys):
+        src = tmp_path / "orig"
+        assert run(RunConfig(command="bounds", params={}, out_dir=str(src))) == 0
+        manifest = json.loads((src / "run_manifest.json").read_text())
+        manifest["config"]["command"] = ["bounds"]
+        (src / "run_manifest.json").write_text(json.dumps(manifest))
+        rep = RunConfig(command="replay", params={"manifest": str(src / "run_manifest.json")},
+                        out_dir=str(tmp_path / "check"))
+        assert run(rep) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["code"] == "ValueError" and record["message"].startswith("unknown command ['bounds']; ")
+        assert not (tmp_path / "check" / "run_manifest.json").exists()
+
 
 class TestCLI:
     def test_bounds_cli(self, tmp_path):
@@ -592,6 +610,9 @@ class TestCLI:
         ({"command": "bounds", "threads": [2]}, "config key 'threads' must be int, got [2]"),
         ({"command": "bounds", "master_seed": "one"}, "config key 'master_seed' must be int, got 'one'"),
         ([1], "'config' must be an object, got [1]"),
+        ({"command": "bounds", "master_seed": 3.9}, "config key 'master_seed' must be int, got 3.9"),
+        ({"command": "bounds", "threads": 2.5}, "config key 'threads' must be int, got 2.5"),
+        ({"command": "bounds", "master_seed": True}, "config key 'master_seed' must be int, got True"),
     ])
     def test_wrong_typed_file_values_exit_code(self, tmp_path, capsys, raw, message):
         cfg_path = tmp_path / "cfg.json"
@@ -600,6 +621,57 @@ class TestCLI:
         assert main(["bounds", "--config", str(cfg_path), "--param", "eps=0.3", "--out-dir", str(out)]) == 2
         assert json.loads(capsys.readouterr().err) == {"code": "ValueError", "message": message}
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sample", *SAMPLE_ARGS, "--param", "K=1.7"], "parameter 'K' must be int, got 1.7"),
+        (["sample", *SAMPLE_ARGS, "--param", "grid=[16.9]"], "parameter 'grid' entry must be int, got 16.9"),
+        (["sample", *SAMPLE_ARGS, "--param", "N=100.5"], "parameter 'N' must be int, got 100.5"),
+        (["verify-cones", "--param", "n_trials=2.5"], "parameter 'n_trials' must be int, got 2.5"),
+        (["verify-cones", "--param", "tangential_boundary=100.5"],
+         "parameter 'tangential_boundary' must be int, got 100.5"),
+        (["bounds", "--param", 'points=[{"K": 1, "N": 1000, "lnV": 1}, {"K": 2, "N": 1000, "lnV": 2, "M": 80.5}]'],
+         "bounds points[1] 'M' must be int, got 80.5"),
+        (["bounds", "--param", 'points=[{"K": 1.5, "N": 1000, "lnV": 1}]'], "bounds points[0] 'K' must be int, got 1.5"),
+        (["mstar", "--param", "K=true"], "parameter 'K' must be int, got True"),
+        (["mstar", "--param", "N=1000.5"], "parameter 'N' must be int, got 1000.5"),
+        (["mstar", "--param", "n_proj=20.5"], "parameter 'n_proj' must be int, got 20.5"),
+        (["mstar", "--param", "M_grid=[4, 6.5]"], "parameter 'M_grid' entry must be int, got 6.5"),
+        (["mstar", "--param", "grid_per_axis=64.5"], "parameter 'grid_per_axis' must be int, got 64.5"),
+        (["mstar", "--param", 'grid_per_axis={"1": 64.5}'], "parameter 'grid_per_axis' must be int, got 64.5"),
+        (["figure", "--param", "kind=fig4", "--param", 'params={"n_grid": 16.5}'],
+         "fig4 parameter 'n_grid' entry must be int, got 16.5"),
+        (["figure", "--param", "kind=fig5", "--param", 'params={"N": "200"}'],
+         "fig5 parameter 'N' must be int, got '200'"),
+        (["figure", "--param", "kind=fig6a", "--param", 'params={"K_values": [1.5]}'],
+         "fig6a parameter 'K_values' entry must be int, got 1.5"),
+        (["figure", "--param", "kind=fig6a", "--param", 'params={"M_grid": [4, 6.5]}'],
+         "fig6a parameter 'M_grid' entry must be int, got 6.5"),
+        (["figure", "--param", "kind=fig6b", "--param", 'params={"N_values": [200, 500.5]}'],
+         "fig6b parameter 'N_values' entry must be int, got 500.5"),
+        (["figure", "--param", "kind=fig6b", "--param", 'params={"n_proj": 20.5}'],
+         "fig6b point K=1, lnV=1.55055, N=200: parameter 'n_proj' must be int, got 20.5"),
+    ])
+    def test_non_integral_parameters_exit_1(self, tmp_path, capsys, monkeypatch, argv, message):
+        # refused with a record that names the key, before anything is
+        # sampled, drawn or computed
+        def no_work(*args, **kwargs):
+            raise AssertionError("computed before the parameters were checked")
+
+        for module, name in ((mp.sampling, "_latent"), (mp.bounds, "bound_report"),
+                             (mp.cones, "verify_chordal_guarantee"), (mp.cones, "verify_tangential_guarantee")):
+            monkeypatch.setattr(module, name, no_work)
+        out = tmp_path / "out"
+        assert main([*argv, "--out-dir", str(out)]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert (record["code"], record["message"]) == ("ValueError", message)
+        assert not (out / "run_manifest.json").exists()
+
+    def test_integral_float_parameters_are_integers(self, tmp_path):
+        # 1.0 and 16.0 are whole numbers: the same sample as 1 and 16
+        for name, values in (("ints", ["K=1", "grid=[16]"]), ("floats", ["K=1.0", "grid=[16.0]"])):
+            argv = ["sample", *SAMPLE_ARGS, "--seed", "5", "--out-dir", str(tmp_path / name)]
+            assert main(argv + [arg for v in values for arg in ("--param", v)]) == 0
+        assert (tmp_path / "ints" / "sample.bin").read_bytes() == (tmp_path / "floats" / "sample.bin").read_bytes()
 
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         rc = main(["bounds", "--out-dir", str(tmp_path), "--param", "nonsense=1"])

@@ -15,7 +15,6 @@ import scipy.stats
 import mfldproj as mp
 from mfldproj import (
     ChordScan,
-    DistortionSummary,
     NumericalBreakdown,
     Projector,
     SubspaceBasis,
@@ -255,10 +254,6 @@ class TestPointsetDistortion:
         A = sample_projector(10, 2, 1)
         with pytest.raises(ValueError):
             pointset_distortion(A, np.zeros((1, 10)))
-
-    def test_summary_invariant(self):
-        with pytest.raises(ValueError):
-            DistortionSummary(max=0.5, argmax=(0, 1), n_evaluated=2, samples=np.array([0.1, 0.2]))
 
 
 def elementwise_worst(A, X, block):
@@ -710,7 +705,7 @@ class TestScreenedScan:
         assert [(g.max, g.argmax) for g in scan.nested(Y, 40, M_grid)] == want
         got = projections._scan(Y, 40, M_grid, projections._chord_blocks(X, 16))
         assert [(g.max, g.argmax) for g in got] == want
-        A = Projector(rows=np.eye(30, 40), M=30, N=40, seed=0)
+        A = Projector(rows=np.eye(30, 40), M=30, N=40)
         assert (pointset_distortion(A, X, block=16).argmax, scan.summary(A).argmax) == ((20, 41), (20, 41))
 
     @pytest.mark.parametrize("block", [16, 128])
@@ -973,15 +968,6 @@ class TestPrincipalAngles:
         assert np.allclose(sv[: 2 * K], expected, atol=1e-8)
         assert np.allclose(sv[2 * K :], 0.0, atol=1e-8)
 
-    def test_factors_orthogonal(self):
-        U = random_subspace(25, 3, 6)
-        V = random_subspace(25, 3, 7)
-        pa = principal_angles(U, V, keep_factors=True)
-        assert np.abs(pa.W.T @ pa.W - np.eye(3)).max() < 1e-10
-        assert np.abs(pa.V.T @ pa.V - np.eye(3)).max() < 1e-10
-        rebuilt = pa.W @ np.diag(pa.cosines) @ pa.V.T
-        assert np.allclose(rebuilt, U.cols.T @ V.cols, atol=1e-10)
-
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             principal_angles(random_subspace(30, 3, 0), random_subspace(30, 4, 0))
@@ -1004,7 +990,7 @@ class TestWeylGap:
 
     def test_non_orthogonal_projector_rejected(self):
         A = sample_projector(40, 8, 0)
-        bad = Projector(rows=2.0 * A.rows, M=8, N=40, seed=0)
+        bad = Projector(rows=2.0 * A.rows, M=8, N=40)
         U = random_subspace(40, 3, 1)
         with pytest.raises(ValueError):
             weyl_gap(bad, U, U)

@@ -249,14 +249,14 @@ class TestTangentFrames:
     def test_points_must_be_the_realization(self):
         spec = spec1d(N=20, n=8)
         s = sample_manifold(spec, 3)
-        other = ManifoldSample(spec=spec, sigma_axes=s.sigma_axes, points=s.points, seed=4)
+        other = ManifoldSample(spec=spec, points=s.points, seed=4)
         with pytest.raises(ValueError, match="realization"):
             tangent_frames(other)
-        moved = ManifoldSample(spec=spec, sigma_axes=s.sigma_axes, points=s.points + 1e-9, seed=3)
+        moved = ManifoldSample(spec=spec, points=s.points + 1e-9, seed=3)
         with pytest.raises(ValueError, match="realization"):
             tangent_frames(moved)
         # rounding of another BLAS build is tolerated
-        rounded = ManifoldSample(spec=spec, sigma_axes=s.sigma_axes, points=s.points + 1e-14, seed=3)
+        rounded = ManifoldSample(spec=spec, points=s.points + 1e-14, seed=3)
         assert np.array_equal(tangent_frames(rounded).derivs, tangent_frames(s).derivs)
 
     def test_singular_metric_breaks(self):
