@@ -41,8 +41,7 @@ from .projections import (
     SubspaceBasis,
     _haar_frame_rows,
     _signed_qr,
-    _transposed,
-    _wishart,
+    _wishart_factor,
     random_subspace,
     sample_projector,
     subspace_distortion,
@@ -406,36 +405,52 @@ def verify_chordal_guarantee(
     return _verify("chordal", params, _CHORDAL_CHUNK, trial, lambda w: w - slack, lambda d: d + slack)
 
 
-def _lower_inverse(chol: np.ndarray) -> np.ndarray:
-    """Inverses of a (size, K, K) stack of lower-triangular matrices, by K
-    steps of forward substitution vectorized over the stack."""
-    K = chol.shape[-1]
-    inv = np.zeros_like(chol)
-    for i in range(K):
-        row = -np.einsum("sj,sjk->sk", chol[:, i, :i], inv[:, :i, :])
-        row[:, i] += 1.0
-        inv[:, i, :] = row / chol[:, i, i, None]
-    return inv
-
-
 def _tangential_center(au: np.ndarray, N: int, M: int, sin_t: float):
     """The pieces of A U that every boundary draw of a trial reuses: its
     singular values d (descending), the diagonal of E = (I - D^2)^{1/2}
-    with its first j = max(0, M + K - N) entries set to 0, and c D as a
-    K x K matrix (c = cos t)."""
+    with its first j = max(0, M + K - N) entries set to 0, and c d
+    (c = cos t)."""
     j = max(0, M + au.shape[1] - N)
     d = np.linalg.svd(au, compute_uv=False)
     e = np.sqrt(np.maximum(1.0 - d * d, 0.0))
     e[:j] = 0.0
-    return d, e, np.diag(math.sqrt(1.0 - sin_t * sin_t) * d)
+    return d, e, math.sqrt(1.0 - sin_t * sin_t) * d
+
+
+# The K x K algebra of a chunk keeps the stack axis last: a stack of
+# (rows, K, size) holds each draw's rows x K matrix, and every step below is
+# a handful of numpy operations over whole (size,) rows.  numpy would spend
+# one BLAS or LAPACK call per 5 x 5 matrix on a stack of (size, K, K).
+
+
+def _lower_gram(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the lower triangle of each draw's Gram x^T x, for x a
+    (rows, K, size) stack, into the (K, K, size) stack ``out``; return it."""
+    for i in range(x.shape[1]):
+        np.einsum("cks,cs->ks", x[:, i:], x[:, i], out=out[i:, i])
+    return out
+
+
+def _cholesky_solve(a: np.ndarray, K: int) -> None:
+    """K steps of Cholesky recurrences, in place, down the (K + r, K, size)
+    stack a = [S; R^T], S symmetric positive definite (its lower triangle
+    is read) and R K x r: the top K rows become the lower-triangular L with
+    L L^T = S, and the r rows below it (L^{-1} R)^T, since the bordered
+    factor [L; W] with W L^T = R^T continues the same recurrences."""
+    for i in range(K):
+        if i:
+            a[i:, i] -= np.einsum("rks,ks->rs", a[i:, :i], a[i, :i])
+        a[i, i] = np.sqrt(a[i, i])
+        a[i + 1:, i] /= a[i, i]
 
 
 def _tangential_boundary_grams(
     center, N: int, M: int, sin_t: float, size: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """(size, K, K) Grams (A U')^T A U' of A U' = cos(t) A U + sin(t) A V
-    for random complement frames V, from K x K pieces only; ``center`` is
-    ``_tangential_center`` of A U.
+    """(K, K, size) Grams (A U')^T A U' of A U' = cos(t) A U + sin(t) A V
+    for random complement frames V, stack axis last and lower triangle only
+    (what ``eigvalsh`` reads; the upper is 0), from K x K pieces only;
+    ``center`` is ``_tangential_center`` of A U.
 
     V = G_perp R^{-1} with G_perp = (I - U U^T) G for Gaussian G (N x K) and
     R^T R = G_perp^T G_perp.  Let A U = P D Q^T and E = (I - D^2)^{1/2}, so
@@ -452,18 +467,31 @@ def _tangential_boundary_grams(
         (A U')^T A U' = B^T B + s^2 L^{-1} W_vis L^{-T},   B = c D + s E Z L^{-T}
 
     (c = cos t, s = sin t): the exact law at O(K^3) per draw, not O(N M K).
+
+    The Wisharts are never formed.  With W = F F^T for the factors F of
+    :func:`_wishart_factor`, L L^T = F F^T for F = [F_vis | F_inv | Z_2^T];
+    the Cholesky steps that factor it also give (L^{-1} [Z^T E | F_vis])^T
+    (:func:`_cholesky_solve`), and the Gram is Y Y^T for
+    Y = [B^T | s L^{-1} F_vis].
     """
     d, e, cd = center
     K = d.size
     j = max(0, M + K - N)
-    z = rng.standard_normal((size, K, K))
-    zt = _transposed(z)
-    w_vis = _wishart(M - K, K, size, rng)
-    w_inv = _wishart(max(0, N - K - M), K, size, rng)
-    linv = _lower_inverse(np.linalg.cholesky(zt[:, :, j:] @ z[:, j:] + w_vis + w_inv))
-    bt = sin_t * linv @ (zt * e)  # B^T = c D + s L^{-1} Z^T E
-    bt += cd
-    return bt @ _transposed(bt) + sin_t * sin_t * (linv @ w_vis) @ _transposed(linv)
+    n_vis, n_inv = min(M - K, K), min(max(0, N - K - M), K)
+    vis, inv, z2 = 2 * K, 2 * K + n_vis, 2 * K + n_vis + n_inv
+    # row blocks L L^T (to become L) | E Z | F_vis^T | F_inv^T | Z_2, so
+    # that a[:inv] = [L L^T; R^T] with R = [Z^T E | F_vis] and a[vis:] = F^T
+    a = np.zeros((z2 + K - j, K, size))
+    a[z2:] = rng.standard_normal((size, K, K)).transpose(1, 2, 0)[j:]
+    np.multiply(a[z2:], e[j:, None, None], out=a[K + j:vis])  # the first j rows of E Z are 0
+    _wishart_factor(M - K, rng, a[vis:inv])
+    _wishart_factor(max(0, N - K - M), rng, a[inv:z2])
+    _lower_gram(a[vis:], a[:K])
+    _cholesky_solve(a[:inv], K)
+    yt = a[K:inv]  # Y^T, with B^T = c D + s L^{-1} Z^T E
+    yt *= sin_t
+    yt[range(K), range(K)] += cd[:, None]
+    return _lower_gram(yt, np.zeros((K, K, size)))
 
 
 def _tangential_boundary_singular_values(
@@ -474,7 +502,7 @@ def _tangential_boundary_singular_values(
     The verifier solves only the draws ``_boundary_worst_candidates`` keeps;
     this is its oracle."""
     grams = _tangential_boundary_grams(_tangential_center(au, N, M, sin_t), N, M, sin_t, size, rng)
-    return np.sqrt(np.maximum(np.linalg.eigvalsh(grams), 0.0))
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(grams.transpose(2, 0, 1)), 0.0))
 
 
 def _gram_distortions(lam_max: np.ndarray, lam_min: np.ndarray, scale: float) -> np.ndarray:
@@ -487,9 +515,9 @@ def _gram_distortions(lam_max: np.ndarray, lam_min: np.ndarray, scale: float) ->
                       1.0 - scale * np.sqrt(np.maximum(lam_min, 0.0)))
 
 
-def _extreme_eigenvalue_bounds(grams: np.ndarray):
+def _extreme_eigenvalue_bounds(g: np.ndarray):
     """Bounds (max_lo, max_hi, min_lo, min_hi) on the largest and smallest
-    eigenvalue ``eigvalsh`` returns for each Gram of a (size, K, K) stack,
+    eigenvalue ``eigvalsh`` returns for each Gram of a (K, K, size) stack,
     K >= 2, without an eigen-solve.
 
     ``eigvalsh`` reads the lower triangle, so every bound is on the
@@ -520,9 +548,7 @@ def _extreme_eigenvalue_bounds(grams: np.ndarray):
     differences round once each.  So eta = 64 K^2 u ||G||_inf covers both,
     about 1.8e-13 ||G|| at K = 5, and widens every bound outward.
     """
-    K = grams.shape[-1]
-    # (K, K, size), each entry a row over the stack: numpy reduces short axes slowly
-    g = np.ascontiguousarray(np.moveaxis(grams, 0, -1))
+    K = g.shape[0]
     diag = g[range(K), range(K)]
     low = np.abs(g) * np.tri(K, k=-1)[:, :, None]
 
@@ -542,7 +568,7 @@ def _extreme_eigenvalue_bounds(grams: np.ndarray):
 
 
 def _boundary_worst_candidates(grams: np.ndarray, scale: float) -> np.ndarray:
-    """Distortions of the draws of a (size, K, K) Gram stack that can hold
+    """Distortions of the draws of a (K, K, size) Gram stack that can hold
     its largest.  Their maximum is bit for bit the maximum of
     ``_gram_distortions`` over ``eigvalsh`` of every Gram, and ``eigvalsh``
     runs only on them.
@@ -557,11 +583,12 @@ def _boundary_worst_candidates(grams: np.ndarray, scale: float) -> np.ndarray:
     is its own eigenvalue (LAPACK returns it unchanged), so at K = 1 no
     draw does.
     """
-    if grams.shape[-1] == 1:
-        return _gram_distortions(grams[:, 0, 0], grams[:, 0, 0], scale)
+    if grams.shape[0] == 1:
+        return _gram_distortions(grams[0, 0], grams[0, 0], scale)
     max_lo, max_hi, min_lo, min_hi = _extreme_eigenvalue_bounds(grams)
     lower = _gram_distortions(max_lo, min_hi, scale)
-    lam = np.linalg.eigvalsh(grams[_gram_distortions(max_hi, min_lo, scale) >= lower.max()])
+    keep = _gram_distortions(max_hi, min_lo, scale) >= lower.max()
+    lam = np.linalg.eigvalsh(grams[:, :, keep].transpose(2, 0, 1))
     return _gram_distortions(lam[:, -1], lam[:, 0], scale)
 
 

@@ -21,13 +21,12 @@ it returns the worst distortion under each projector, the array that
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import RankDeficient, Unachievable
-from .manifold import ManifoldSpec
+from .manifold import ManifoldSpec, integer
 from .projections import ChordScan, DistortionSummary, _check_cache_size, _haar_frame_rows, sample_projector
 from .sampling import isometric_coordinates, sample_manifold, tangent_frames
 from .seeding import derive_seed, pooled_map
@@ -52,12 +51,11 @@ def spec_for_volume(K: int, N: int, lnV: float, grid_per_axis: int, ell: float =
 
     The volume ratio is split equally across axes: lam_a = 1 and
     L_a = V^(1/K) (the split is a convention; only the product matters to
-    the theory).
+    the theory).  ``K`` and ``grid_per_axis`` must be whole numbers.
     """
+    K, grid_per_axis = integer(K, "K"), integer(grid_per_axis, "grid_per_axis")
     side = math.exp(lnV / K)
-    return ManifoldSpec(
-        K=K, N=N, ell=ell, lam=(1.0,) * K, L=(side,) * K, grid=(int(grid_per_axis),) * K
-    )
+    return ManifoldSpec(K=K, N=N, ell=ell, lam=(1.0,) * K, L=(side,) * K, grid=(grid_per_axis,) * K)
 
 
 @dataclass(frozen=True)
@@ -322,15 +320,6 @@ _FIG_DEFAULTS = {
 }
 
 
-def integer(value, key: str) -> int:
-    """``value`` as an int, or a ValueError naming ``key`` if it is not a
-    whole number: 16.0 is 16, but 16.9, True and "16" are refused."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or
-                                       isinstance(value, float) and value.is_integer()):
-        raise ValueError(f"{key} must be int, got {value!r}")
-    return int(value)
-
-
 def merge_params(defaults: dict, params: dict | None, what: str) -> dict:
     """``defaults`` overridden by ``params``, an object that may hold only
     their keys."""
@@ -374,6 +363,15 @@ class MStarPoint:
         return row, res
 
 
+def _axis_key(key) -> int:
+    """The K that a ``grid_per_axis`` map key names: an int, or the string
+    of one (JSON object keys are strings)."""
+    try:
+        return int(key) if isinstance(key, str) else integer(key, "key")
+    except ValueError:
+        raise ValueError(f"parameter 'grid_per_axis' key {key!r} is not an integer K") from None
+
+
 def m_star_point(K: int, lnV: float, N: int, M_grid, settings: dict) -> MStarPoint:
     """The point (K, lnV, N) with the eps_target, delta, n_proj and
     grid_per_axis of ``settings``.
@@ -383,7 +381,7 @@ def m_star_point(K: int, lnV: float, N: int, M_grid, settings: dict) -> MStarPoi
     """
     grid = settings["grid_per_axis"]
     if isinstance(grid, dict):  # JSON object keys are strings
-        grid = {int(k): n for k, n in grid.items()}
+        grid = {_axis_key(k): n for k, n in grid.items()}
         if K not in grid:
             raise ValueError(f"grid_per_axis has no entry for K={K}: {grid}")
         grid = grid[K]

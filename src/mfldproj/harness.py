@@ -26,8 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bounds, cones, experiments, sampling
-from .experiments import integer
-from .manifold import ManifoldSpec
+from .manifold import ManifoldSpec, integer
 from .seeding import derive_seed, pooled_map
 
 __all__ = ["RunConfig", "run", "derive_seed", "main"]

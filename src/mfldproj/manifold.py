@@ -15,6 +15,7 @@ expected principal cosines between tangent planes are ``exp(-rho/2)``
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +38,15 @@ __all__ = [
 ]
 
 
+def integer(value, key: str) -> int:
+    """``value`` as an int, or a ValueError naming ``key`` if it is not a
+    whole number: 16.0 is 16, but 16.9, True and "16" are refused."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or
+                                       isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{key} must be int, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ManifoldSpec:
     """Parameters of one point of the random-manifold ensemble.
@@ -57,6 +67,9 @@ class ManifoldSpec:
     grid : tuple of int
         Number of grid points per intrinsic axis (used by the sampler),
         length K, each at least 2.
+
+    K, N and the grid entries must be whole numbers (16.0 is 16); any
+    other value is a ValueError that names it.
     """
 
     K: int
@@ -67,9 +80,11 @@ class ManifoldSpec:
     grid: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "K", integer(self.K, "K"))
+        object.__setattr__(self, "N", integer(self.N, "N"))
         object.__setattr__(self, "lam", tuple(float(v) for v in self.lam))
         object.__setattr__(self, "L", tuple(float(v) for v in self.L))
-        object.__setattr__(self, "grid", tuple(int(v) for v in self.grid))
+        object.__setattr__(self, "grid", tuple(integer(v, "grid entry") for v in self.grid))
         if self.K < 1:
             raise ValueError(f"K must be >= 1, got {self.K}")
         if self.N < 1:

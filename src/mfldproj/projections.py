@@ -52,13 +52,6 @@ def _haar_columns(N: int, K: int, rng: np.random.Generator) -> np.ndarray:
     return _signed_qr(rng.standard_normal((N, K)))
 
 
-def _transposed(a: np.ndarray) -> np.ndarray:
-    """Row-major copy of a stack's transposes: numpy multiplies stacked
-    matrices through BLAS only when every operand is row-major, and its
-    fallback loop is about 2.5 times slower on 5 x 5 stacks."""
-    return np.ascontiguousarray(a.transpose(0, 2, 1))
-
-
 @functools.lru_cache(maxsize=None)
 def _strict_lower(K: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices below the diagonal of a K x K matrix, built
@@ -69,18 +62,31 @@ def _strict_lower(K: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def _wishart(dof: int, K: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """(size, K, K) draws from Wishart_K(dof): Bartlett factors when
-    dof >= K, the Gram of a dof x K Gaussian otherwise (singular then)."""
+def _wishart_factor(dof: int, rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill ``out``, an (n, K, size) stack with the stack axis last, n =
+    min(dof, K) and zeros below its diagonal, with n x K factors X whose
+    X^T X ~ Wishart_K(dof): the transposed Bartlett factor (upper
+    triangular) when dof >= K, a dof x K Gaussian otherwise (singular
+    X^T X then)."""
+    K, size = out.shape[1:]
     if dof < K:
-        g = rng.standard_normal((size, dof, K))
-        return _transposed(g) @ g
-    bart = np.zeros((size, K, K))
+        out[...] = rng.standard_normal((size, dof, K)).transpose(1, 2, 0)
+        return
     rows, cols = _strict_lower(K)
-    bart[:, rows, cols] = rng.standard_normal((size, rows.size))
+    out[cols, rows] = rng.standard_normal((size, rows.size)).T
     for i in range(K):
-        bart[:, i, i] = np.sqrt(rng.chisquare(dof - i, size=size))
-    return bart @ _transposed(bart)
+        out[i, i] = np.sqrt(rng.chisquare(dof - i, size=size))
+
+
+def _wishart(dof: int, K: int, rng: np.random.Generator) -> np.ndarray:
+    """One K x K draw from Wishart_K(dof), X^T X for the factor X of
+    :func:`_wishart_factor`.  X^T is a copy: with a view of X's own
+    transpose numpy would multiply through syrk, which rounds unlike gemm,
+    and every Haar frame (so every M* artifact) depends on this rounding."""
+    x = np.zeros((min(dof, K), K, 1))
+    _wishart_factor(dof, rng, x)
+    x = x[:, :, 0]
+    return np.ascontiguousarray(x.T) @ x
 
 
 def _haar_frame_rows(N: int, k: int, M: int, rng: np.random.Generator) -> np.ndarray:
@@ -99,7 +105,7 @@ def _haar_frame_rows(N: int, k: int, M: int, rng: np.random.Generator) -> np.nda
     if k > M:
         return _haar_frame_rows(N, M, k, rng).T
     g = rng.standard_normal((M, k))
-    chol = np.linalg.cholesky(g.T @ g + _wishart(N - M, k, 1, rng)[0])
+    chol = np.linalg.cholesky(g.T @ g + _wishart(N - M, k, rng))
     return np.linalg.solve(chol, g.T).T
 
 

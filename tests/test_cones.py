@@ -34,19 +34,18 @@ from mfldproj import (
 from mfldproj import cones, projections
 from mfldproj.cones import (
     _boundary_worst_candidates,
+    _cholesky_solve,
     _chordal_boundary_distortions_reduced,
     _complement_frames,
     _extreme_eigenvalue_bounds,
     _g_tangential_exact_raw,
-    _lower_inverse,
     _tangential_boundary_grams,
     _tangential_boundary_singular_values,
     _tangential_center,
-    _wishart,
 )
 from mfldproj.harness import RunConfig
 from mfldproj.harness import run as run_config
-from mfldproj.projections import _haar_frame_rows
+from mfldproj.projections import _haar_frame_rows, _strict_lower, _wishart_factor
 from mfldproj.seeding import derive_seed
 
 mp.mp.dps = 40
@@ -316,21 +315,45 @@ class TestReducedSamplers:
         P, d, Qt = np.linalg.svd(au, full_matrices=False)
         root = np.eye(M) - P @ np.diag(1 - np.sqrt(1 - d**2)) @ P.T  # (I - AU AU^T)^{1/2}
         H = rng.standard_normal((S, M, K))
-        w_inv = _wishart(N - K - M, K, S, rng)
         z = P.T @ H
-        w_vis = H.transpose(0, 2, 1) @ (H - P @ z)
-        wisharts = {}
-        monkeypatch.setattr(cones, "_wishart", lambda dof, K_, size, rng_: wisharts.pop(dof))
+        # Wishart factors X (X^T X = W) as the R of a QR: W_vis = H^T (I - P P^T) H
+        # from the part of H off the columns of P, W_inv from its own Gaussian
+        perp = np.linalg.svd(P, full_matrices=True)[0][:, K:]
+        r_vis = np.linalg.qr(perp.T @ H, mode="r")
+        r_inv = np.linalg.qr(rng.standard_normal((S, N - K - M, K)), mode="r")
+        w_inv = r_inv.transpose(0, 2, 1) @ r_inv
+        factors = {}
+
+        def factor(dof, rng_, out):
+            out[...] = factors.pop(dof).transpose(1, 2, 0)
+
+        monkeypatch.setattr(cones, "_wishart_factor", factor)
         for sin_t in (0.0, 1e-3, 0.3, 0.999):
-            wisharts.update({M - K: w_vis, N - K - M: w_inv})
+            factors.update({M - K: r_vis, N - K - M: r_inv})
             replay = Replay(z)
             got = _tangential_boundary_singular_values(au, N, M, sin_t, S, replay)
-            assert not wisharts and not replay.draws
+            assert not factors and not replay.draws
             # A V = S H L^{-T} for the frame of (H, W_inv), in the basis Q of A U
             L = np.linalg.cholesky(H.transpose(0, 2, 1) @ H + w_inv)
             av = root @ H @ np.linalg.inv(L).transpose(0, 2, 1) @ Qt
             want = np.linalg.svd(math.sqrt(1 - sin_t**2) * au + sin_t * av, compute_uv=False)
             assert np.abs(got - want[:, ::-1]).max() < 1e-13
+
+    @pytest.mark.parametrize("N, M, K", [
+        (1000, 100, 5), (100, 6, 4), (19, 12, 4), (18, 12, 4), (16, 12, 4), (16, 14, 4), (20, 17, 4), (300, 30, 1),
+    ])
+    def test_grams_match_stacked_oracle(self, N, M, K):
+        # M - K < K at (100, 6, 4), N - K - M < K at N = 19, 18, 16 with
+        # M = 12, and j = M + K - N > 0 at (16, 14, 4) and (20, 17, 4)
+        au = _haar_frame_rows(N, K, M, np.random.default_rng(K))
+        for seed, sin_t in enumerate((0.0, 5e-4, 0.3, 0.999)):
+            center = _tangential_center(au, N, M, sin_t)
+            got = _tangential_boundary_grams(center, N, M, sin_t, 1024, np.random.default_rng(seed))
+            want = stacked_boundary_grams(center, N, M, sin_t, 1024, np.random.default_rng(seed))
+            got = got.transpose(2, 0, 1)
+            assert not np.triu(got, 1).any()
+            err = np.abs(got - np.tril(want)).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
+            assert err.max() < 1e-14
 
     @pytest.mark.parametrize("N, M, K", [(300, 30, 4), (16, 12, 4), (300, 30, 1), (30, 30, 1)])
     def test_tangential_center_is_projected_haar_frame(self, N, M, K, monkeypatch):
@@ -339,7 +362,7 @@ class TestReducedSamplers:
         # is the chordal center A xhat = g_M / ||g|| of the chord x = g
         H = np.random.default_rng(8).standard_normal((N, K))
         tail = H[M:]
-        monkeypatch.setattr(projections, "_wishart", lambda dof, K_, size, rng_: (tail.T @ tail)[None])
+        monkeypatch.setattr(projections, "_wishart", lambda dof, K_, rng_: tail.T @ tail)
         replay = Replay(H[:M])
         got = _haar_frame_rows(N, K, M, replay)
         assert not replay.draws
@@ -351,17 +374,27 @@ class TestReducedSamplers:
         assert dist == pytest.approx(subspace_distortion(A, SubspaceBasis(cols=U)), abs=1e-13)
 
     @pytest.mark.parametrize("K", [1, 2, 5])
-    def test_lower_inverse_matches_inv(self, K):
-        z = np.random.default_rng(K).standard_normal((500, K + 2, K))
-        chol = np.linalg.cholesky(z.transpose(0, 2, 1) @ z)
-        want = np.linalg.inv(chol)
-        err = np.abs(_lower_inverse(chol) - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
-        assert err.max() < 1e-14
+    def test_cholesky_solve_matches_solve(self, K):
+        # [S; R^T] as the verifier lays it out, stack axis last; the upper
+        # triangle of S is never read, so it holds noise here
+        rng = np.random.default_rng(K)
+        z = rng.standard_normal((500, 4 * K, K))
+        s = z.transpose(0, 2, 1) @ z
+        r = rng.standard_normal((500, K, 2 * K))
+        a = np.concatenate([s + np.triu(rng.standard_normal(s.shape), 1), r.transpose(0, 2, 1)], axis=1)
+        a = np.ascontiguousarray(a.transpose(1, 2, 0))
+        _cholesky_solve(a, K)
+        chol = np.linalg.cholesky(s)
+        want = np.linalg.solve(chol, r)
+        got_l, got_x = np.tril(a[:K].transpose(2, 0, 1)), a[K:].transpose(2, 1, 0)
+        assert (np.abs(got_l - chol).max(axis=(1, 2)) / np.abs(chol).max(axis=(1, 2))).max() < 1e-14
+        assert (np.abs(got_x - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))).max() < 1e-14
 
     @pytest.mark.parametrize("dof", [0, 2, 4, 9])
     def test_wishart_mean(self, dof):
-        w = _wishart(dof, 4, 20000, np.random.default_rng(dof))
-        assert np.allclose(w, w.transpose(0, 2, 1))
+        x = np.zeros((min(dof, 4), 4, 20000))
+        _wishart_factor(dof, np.random.default_rng(dof), x)
+        w = np.einsum("cas,cbs->sab", x, x)
         assert np.all(np.linalg.matrix_rank(w) == min(dof, 4))
         assert np.abs(w.mean(axis=0) - dof * np.eye(4)).max() < 0.15
 
@@ -390,7 +423,7 @@ class TestCertifiedWorst:
             grams = _tangential_boundary_grams(center, N, M, sin_t, 1024, np.random.default_rng(seed))
             if K > 1:
                 max_lo, max_hi, min_lo, min_hi = _extreme_eigenvalue_bounds(grams)
-                lam = np.linalg.eigvalsh(grams)
+                lam = np.linalg.eigvalsh(grams.transpose(2, 0, 1))
                 assert np.all((max_lo <= lam[:, -1]) & (lam[:, -1] <= max_hi))
                 assert np.all((min_lo <= lam[:, 0]) & (lam[:, 0] <= min_hi))
             solved[0] = 0
@@ -409,7 +442,7 @@ class TestCertifiedWorst:
             return verify_tangential_guarantee(N, M, K, sin_t, 3000, 4, seed=12, mode=mode)
 
         def plain(grams, scale):
-            s = np.sqrt(np.maximum(np.linalg.eigvalsh(grams), 0.0))
+            s = np.sqrt(np.maximum(np.linalg.eigvalsh(grams.transpose(2, 0, 1)), 0.0))
             return np.maximum(scale * s.max(axis=1) - 1.0, 1.0 - scale * s.min(axis=1))
 
         certified = run()
@@ -439,6 +472,36 @@ def count_eigvalsh(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     return solved
+
+
+def stacked_wishart(dof, K, size, rng):
+    """(size, K, K) Wishart_K(dof) draws from the draws of ``_wishart_factor``,
+    as dense products."""
+    if dof < K:
+        g = rng.standard_normal((size, dof, K))
+        return g.transpose(0, 2, 1) @ g
+    bart = np.zeros((size, K, K))
+    rows, cols = _strict_lower(K)
+    bart[:, rows, cols] = rng.standard_normal((size, rows.size))
+    for i in range(K):
+        bart[:, i, i] = np.sqrt(rng.chisquare(dof - i, size=size))
+    return bart @ bart.transpose(0, 2, 1)
+
+
+def stacked_boundary_grams(center, N, M, sin_t, size, rng):
+    """The (size, K, K) Grams of ``_tangential_boundary_grams`` from the same
+    draws, both triangles, formed matrix by matrix: dense Wisharts,
+    ``np.linalg.cholesky``, the inverse factor and stacked products."""
+    d, e, cd = center
+    K = d.size
+    j = max(0, M + K - N)
+    z = rng.standard_normal((size, K, K))
+    zt = z.transpose(0, 2, 1)
+    w_vis = stacked_wishart(M - K, K, size, rng)
+    w_inv = stacked_wishart(max(0, N - K - M), K, size, rng)
+    linv = np.linalg.inv(np.linalg.cholesky(zt[:, :, j:] @ z[:, j:] + w_vis + w_inv))
+    bt = sin_t * linv @ (zt * e) + np.diag(cd)  # B^T = c D + s L^{-1} Z^T E
+    return bt @ bt.transpose(0, 2, 1) + sin_t**2 * (linv @ w_vis) @ linv.transpose(0, 2, 1)
 
 
 def tangential_singular_values(N, M, K, sin_t=0.01, S=15000):

@@ -75,6 +75,15 @@ class TestSpecForVolume:
         assert s.L == (math.exp(1.5),) * 3
         assert s.lam == (1.0,) * 3
 
+    @pytest.mark.parametrize("args, message", [
+        ((1, 10, 1.0, 16.9), "grid_per_axis must be int, got 16.9"),
+        ((1.7, 10, 1.0, 16), "K must be int, got 1.7"),
+        ((1, 10.5, 1.0, 16), "N must be int, got 10.5"),
+    ])
+    def test_non_whole_counts_refused(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            spec_for_volume(*args)
+
     def test_default_volume_per_dimension(self):
         assert LNV_PER_K_DEFAULT == pytest.approx(LNV1, rel=1e-15)
 
@@ -306,7 +315,7 @@ class TestMStarEmpirical:
         r = z.size // N
         assert r < N  # the latent path, not the ambient fallback
         tail = np.random.default_rng(99).standard_normal((N - M_grid[-1], r))
-        monkeypatch.setattr(mp.projections, "_wishart", lambda dof, K, size, rng: (tail.T @ tail)[None])
+        monkeypatch.setattr(mp.projections, "_wishart", lambda dof, K, rng: tail.T @ tail)
         got = _nested_worst(_latent_scan(spec, seed), N, M_grid, 3, seed, 1)[0]
         X = mp.sample_manifold(spec, derive_seed(seed, ["manifold"])).points
         V, R = np.linalg.qr(z.reshape(r, N).T)

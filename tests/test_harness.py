@@ -650,6 +650,7 @@ class TestCLI:
          "fig6b parameter 'N_values' entry must be int, got 500.5"),
         (["figure", "--param", "kind=fig6b", "--param", 'params={"n_proj": 20.5}'],
          "fig6b point K=1, lnV=1.55055, N=200: parameter 'n_proj' must be int, got 20.5"),
+        (["mstar", "--param", 'grid_per_axis={"1.5": 64}'], "parameter 'grid_per_axis' key '1.5' is not an integer K"),
     ])
     def test_non_integral_parameters_exit_1(self, tmp_path, capsys, monkeypatch, argv, message):
         # refused with a record that names the key, before anything is

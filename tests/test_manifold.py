@@ -51,6 +51,22 @@ class TestManifoldSpec:
         with pytest.raises(ValueError):
             ManifoldSpec(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(K=1.7, N=10, grid=(16,)), "K must be int, got 1.7"),
+        (dict(K=1, N=10.5, grid=(16,)), "N must be int, got 10.5"),
+        (dict(K=1, N=10, grid=(16.9,)), "grid entry must be int, got 16.9"),
+        (dict(K=True, N=10, grid=(16,)), "K must be int, got True"),
+    ])
+    def test_non_whole_counts_refused(self, kwargs, message):
+        # refused, not truncated, with a message that names the field
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ManifoldSpec(ell=1.0, lam=(1.0,), L=(5.0,), **kwargs)
+
+    def test_whole_float_counts_are_ints(self):
+        s = ManifoldSpec(K=1.0, N=10.0, ell=1.0, lam=(1.0,), L=(5.0,), grid=(16.0,))
+        assert (s.K, s.N, s.grid) == (1, 10, (16,))
+        assert all(type(v) is int for v in (s.K, s.N, *s.grid))
+
 
 class TestIntrinsicSeparation:
     def test_coincident(self):

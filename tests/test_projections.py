@@ -90,7 +90,7 @@ class TestHaarFrameRows:
         # the Haar frame H L^{-T} (L L^T = H^T H) of the stacked Gaussian H
         G = np.random.default_rng(7).standard_normal((k, M))
         tail = np.random.default_rng(8).standard_normal((N - k, M))
-        monkeypatch.setattr(projections, "_wishart", lambda dof, K, size, rng: (tail.T @ tail)[None])
+        monkeypatch.setattr(projections, "_wishart", lambda dof, K, rng: tail.T @ tail)
         got = _haar_frame_rows(N, k, M, np.random.default_rng(7))
         H = np.vstack([G, tail])
         W = np.linalg.solve(np.linalg.cholesky(H.T @ H), H.T).T
