@@ -223,7 +223,7 @@ def _nested_worst(
     def worst(i: int) -> list[DistortionSummary]:
         rng = np.random.default_rng(derive_seed(seed, ["proj", i]))
         rows = _haar_frame_rows(N, coords.shape[1], M_grid[-1], rng)
-        return scan.nested(coords @ rows.T, N, M_grid)
+        return scan.nested(scan.images(rows), N, M_grid)
 
     runs = pooled_map(worst, range(n_proj), threads)
     worst_max = np.array([[s.max for s in run] for run in runs])

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -74,8 +75,9 @@ def _wishart_factor(dof: int, rng: np.random.Generator, out: np.ndarray) -> None
         return
     rows, cols = _strict_lower(K)
     out[cols, rows] = rng.standard_normal((size, rows.size)).T
-    for i in range(K):
-        out[i, i] = np.sqrt(rng.chisquare(dof - i, size=size))
+    # one call draws the chi-squares of dof, dof - 1, ..., the stream of one call per entry
+    diag = np.arange(K)
+    out[diag, diag] = np.sqrt(rng.chisquare((dof - diag)[:, None], size=(K, size)))
 
 
 def _wishart(dof: int, K: int, rng: np.random.Generator) -> np.ndarray:
@@ -255,17 +257,41 @@ _F64_MARGIN = 1e-9
 _SCREEN_COLS = 1024
 
 
-def _sq_operands(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sq_operands(
+    Z: np.ndarray, lead: np.ndarray | None = None, trail: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Half squared norms h = |z|^2 / 2 of the rows of Z, as the P x 2 rows
-    [h_i, 1] and the 2 x P columns [1, h_j] (``trail[1]`` is h itself).
+    [h_i, 1] and the 2 x P columns [1, h_j] (``trail[1]`` is h itself),
+    written into ``lead`` and ``trail`` when given.
 
     A block of their product is h_i + h_j written by BLAS: each entry is a
     dot product of two exact terms, so it is rounded once, to fl(h_i + h_j),
     in any summation order and with or without fused multiply-adds.
     """
-    h = 0.5 * np.einsum("ij,ij->i", Z, Z)
-    ones = np.ones_like(h)
-    return np.stack((h, ones), axis=1), np.stack((ones, h))
+    if lead is None:
+        lead, trail = np.empty((len(Z), 2)), np.empty((2, len(Z)))
+    h = np.einsum("ij,ij->i", Z, Z, out=trail[1])
+    h *= 0.5
+    lead[:, 0], lead[:, 1], trail[0] = h, 1.0, 1.0
+    return lead, trail
+
+
+class _Workspace:
+    """Scratch arrays of the chord scans of one thread, each grown on demand
+    and then reused, so a scan allocates none that an earlier scan of the
+    same shapes has made.  A view stays valid until the next request of its
+    name, so each name serves one purpose at a time."""
+
+    def __init__(self):
+        self._bufs: dict[str, np.ndarray] = {}
+
+    def get(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        """Contiguous ``shape`` view of the start of the buffer ``name``."""
+        size = math.prod(shape)
+        buf = self._bufs.get(name)
+        if buf is None or buf.size < size:
+            buf = self._bufs[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
 
 
 def _view(buf: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -274,12 +300,16 @@ def _view(buf: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 
 def _block_half_sq(
-    Z: np.ndarray, lead: np.ndarray, trail: np.ndarray, rows: slice, cols: slice, out: np.ndarray, gram: np.ndarray
+    Z: np.ndarray, lead: np.ndarray, trail: np.ndarray, rows: slice, cols: slice, out: np.ndarray, gram: np.ndarray,
+    right: np.ndarray | None = None,
 ) -> np.ndarray:
     """Half squared distances (h_i + h_j) - z_i.z_j between the ``rows`` and
-    the ``cols`` of Z, written into ``out``; ``gram`` is a work buffer of its shape."""
+    the ``cols`` of Z, written into ``out``; ``gram`` is a work buffer of its
+    shape.  ``right`` is a copy of ``Z[cols]`` to multiply by instead: numpy
+    forms a block times its own transpose with syrk and mirrors the triangle
+    it computed, and by gemm once the two operands are distinct arrays."""
     np.matmul(lead[rows], trail[:, cols], out=out)
-    np.matmul(Z[rows], Z[cols].T, out=gram)
+    np.matmul(Z[rows], (Z[cols] if right is None else right).T, out=gram)
     out -= gram
     return out
 
@@ -328,14 +358,15 @@ def _chord_blocks(X: np.ndarray, block: int):
     reciprocal overflows), or is None if there are none.  Dropped entries
     of ``rec`` are set to 1.
 
-    A diagonal block (i0 == j0) is kept whole.  numpy forms
-    ``Z[rows] @ Z[rows].T`` with syrk and mirrors the triangle it computed,
+    A diagonal block (i0 == j0) is kept whole.  Here numpy forms
+    ``X[rows] @ X[rows].T`` with syrk and mirrors the triangle it computed,
     and each entry of the rank-2 product of :func:`_sq_operands` is
-    fl(h_i + h_j) = fl(h_j + h_i), so da, rec, every projected block and
-    every ratio of a diagonal block are symmetric bit for bit, and so is
-    its ``drop``.  Its scanned pairs are those above the diagonal; the
-    diagonal of ``rec`` is set to 1 and never dropped, and :func:`_scan`
-    blanks it before it takes extremes.
+    fl(h_i + h_j) = fl(h_j + h_i), so da, rec and ``drop`` of a diagonal
+    block are symmetric bit for bit.  Its scanned pairs are those above the
+    diagonal; the diagonal of ``rec`` is set to 1 and never dropped, and
+    :func:`_scan` blanks it before it takes extremes.  The projected blocks
+    of :func:`_scan` are formed by gemm instead, which need not round the
+    twins (i, j) and (j, i) alike, so their ratios need not be symmetric.
 
     This order is the order of every chord scan.  The diagonal band comes
     first: the pairs with j0 - i0 <= block, the diagonal blocks and their
@@ -442,7 +473,8 @@ def _thresholds(best: list[float], N: int, M_grid) -> tuple[np.ndarray, np.ndarr
 
 class _Screen:
     """Float32 pass of one projector's nested images over :class:`_Screened`
-    runs (see :func:`_scan`).  Its operands and buffers belong to one call.
+    runs (see :func:`_scan`).  Its operands and buffers are views of the
+    :class:`_Workspace` ``work``, so they belong to one thread.
 
     Segment m of the images, of width w with h = |y|^2 / 2, has the float32
     operand [y, h, 1] (P x (w + 2)).  Rows j of it times the rows i of
@@ -450,17 +482,23 @@ class _Screen:
     lengths, laid out like ``rec``.
     """
 
-    def __init__(self, segs: list[np.ndarray], ops: list[tuple[np.ndarray, np.ndarray]], M_grid):
-        self.operands = []
-        for seg, (_, trail) in zip(segs, ops):
-            w = seg.shape[1]
-            op = np.empty((len(seg), w + 2), np.float32)
+    def __init__(self, segs: list[np.ndarray], ops: list[tuple[np.ndarray, np.ndarray]], M_grid,
+                 work: _Workspace | None = None):
+        self.work = _Workspace() if work is None else work
+        P, widths = len(segs[0]), [seg.shape[1] + 2 for seg in segs]
+        flat = self.work.get("screen_operands", (P * sum(widths),), np.float32)
+        self.operands, self.H = [], self.work.get("screen_H", (len(segs), P))
+        for m, (seg, (_, trail), w) in enumerate(zip(segs, ops, widths)):
+            op = flat[: P * w].reshape(P, w)
+            flat = flat[P * w :]
             with np.errstate(over="ignore"):  # a float32 overflow only keeps blocks in the float64 pass
-                op[:, :w], op[:, w], op[:, w + 1] = seg, trail[1], 1.0
+                op[:, : w - 2], op[:, w - 2], op[:, w - 1] = seg, trail[1], 1.0
             self.operands.append(op)
-        self.H = np.cumsum([trail[1] for _, trail in ops], axis=0)
+            if m:
+                np.add(self.H[m - 1], trail[1], out=self.H[m])
+            else:
+                self.H[0] = trail[1]
         self.kappa = np.array([4.0 * (M + 7 * (m + 1)) for m, M in enumerate(M_grid)])
-        self.bufs = np.empty((3, 0), np.float32)
 
     def ratios(self, run: _Screened):
         """Per M, the float32 ratios of ``run`` in units of each block's
@@ -468,12 +506,10 @@ class _Screen:
         in a reused buffer.  The codes are decoded once per run, exactly."""
         shape = run.rec.shape
         rows, cols = slice(run.i0, run.i0 + shape[1]), slice(run.j0, run.j0 + shape[0])
-        if self.bufs.shape[1] < run.rec.size:
-            self.bufs = np.empty((3, run.rec.size), np.float32)
-        total, ratio, codes = (_view(buf, shape) for buf in self.bufs)
+        total, ratio, codes = self.work.get("screen_run", (3, *shape), np.float32)
         np.copyto(codes, run.rec)
         for m, op in enumerate(self.operands):
-            row_op = np.negative(op[rows])
+            row_op = np.negative(op[rows], out=self.work.get("screen_rows", (shape[1], op.shape[1]), np.float32))
             row_op[:, -2], row_op[:, -1] = 1.0, op[rows, -2]
             np.matmul(op[cols], row_op.T, out=ratio if m else total)
             if m:
@@ -539,7 +575,9 @@ def _extremes(ratio: np.ndarray, drop, diagonal: bool) -> list[int]:
     return ends
 
 
-def _scan(Y: np.ndarray, N: int, M_grid, blocks, ambient: tuple | None = None) -> list[DistortionSummary]:
+def _scan(
+    Y: np.ndarray, N: int, M_grid, blocks, ambient: tuple | None = None, work: _Workspace | None = None
+) -> list[DistortionSummary]:
     """Worst chord distortion under each nested projection over the blocks
     of ``_chord_blocks``: ``Y[:, :M]`` are the images of the points under
     the first M rows of one row-orthonormal projection of R^N, for every M
@@ -560,13 +598,18 @@ def _scan(Y: np.ndarray, N: int, M_grid, blocks, ambient: tuple | None = None) -
     of clipping every entry (among tied entries clipped to 0 the pair
     reported may differ).  With one segment this is the plain scan of one projector.
 
-    A diagonal block is scanned whole, its ratios symmetric bit for bit
-    (see ``_chord_blocks``): its diagonal is blanked with a strided write,
-    to +inf before the argmin and -inf before the argmax, and so are its
-    dropped entries.  The first extreme in row-major order is then always
-    above the diagonal: a lower twin (j, i), i < j, comes after the upper
-    entry (i, j) that holds the same value, j s + i > i s + j for a block
-    of s rows, so every max, min and reported pair is that of a scan of
+    A diagonal block is scanned whole: its diagonal is blanked with a
+    strided write, to +inf before the argmin and -inf before the argmax,
+    and so are its dropped entries.  Its projected Gram is a gemm of the
+    block's rows by a copy of them (numpy would form it with syrk and a
+    mirror, which costs up to 2.3 times as much), and gemm need not
+    round the twins (i, j) and (j, i) of a pair alike: rec and ``drop`` are
+    symmetric (see ``_chord_blocks``), the products are not always.  Both
+    twins are scanned, so the extremes are those of the twin of larger
+    distortion, the pair is reported as (i, j) with i < j, and the count
+    of pairs is that of the upper triangle.  Where the twins are equal the
+    upper one is the first in row-major order (j s + i > i s + j for a
+    block of s rows), so max, min and reported pair are those of a scan of
     the upper triangle alone.
 
     Blocks are visited in the order of ``_chord_blocks``, the diagonal
@@ -642,26 +685,32 @@ def _scan(Y: np.ndarray, N: int, M_grid, blocks, ambient: tuple | None = None) -
     2^-53): the screen bounds exactly the ratios the float64 pass computes.
     An extreme that overflows to inf or NaN never skips a block.
 
-    A block takes three reused buffers of its size (the running sum, the
+    A block takes three buffers of its size (the running sum, the
     segment's lengths, and the Gram product, then the ratios), and a fourth
-    for recomputed reciprocals, so the pass allocates no block-sized
-    array; the screen decodes a run's codes once per call and takes the
-    whole run at every M, in three float32 buffers of a run's size.  The
-    segments of the images are column views of ``Y``, not copies.
-    The buffers belong to the call: one :class:`ChordScan` serves
-    concurrent scans.
+    for recomputed reciprocals; the screen decodes a run's codes once per
+    call and takes the whole run at every M, in three float32 buffers of a
+    run's size.  The segments of the images are column views of ``Y``, not
+    copies, and their operands of both passes are filled in place.  Every
+    buffer is a view of ``work``, the :class:`_Workspace` of the calling
+    thread (a new one when None), so a scan on a thread that has scanned
+    blocks of the same sizes allocates no array of a block's size.  The
+    buffers belong to the thread, not the call: one :class:`ChordScan`
+    serves concurrent scans from several threads, each in its own
+    workspace.
     """
+    work = _Workspace() if work is None else work
     edges = (0, *M_grid)
     segs = [Y[:, m0:m1] for m0, m1 in zip(edges, edges[1:])]
-    ops = [_sq_operands(seg) for seg in segs]
+    leads, trails = work.get("lead", (len(segs), len(Y), 2)), work.get("trail", (len(segs), 2, len(Y)))
+    ops = [_sq_operands(*args) for args in zip(segs, leads, trails)]
     every = tuple(range(len(segs)))
-    bufs, screen = np.empty((4, 0)), None
+    screen = None
     best, best_pair, n_eval, recomputed = [-1.0] * len(segs), [(-1, -1)] * len(segs), 0, 0
     for item in blocks:
         screened = isinstance(item, _Screened)
         if screened:
             if screen is None:
-                screen = _Screen(segs, ops, M_grid)
+                screen = _Screen(segs, ops, M_grid, work)
             todo = screen.unresolved(item, N, M_grid, best)
             n_eval += item.rec.size
         else:
@@ -670,27 +719,31 @@ def _scan(Y: np.ndarray, N: int, M_grid, blocks, ambient: tuple | None = None) -
             n_eval += _n_pairs(*item)
         for i0, j0, shape, open_ms in todo:
             rows, cols = slice(i0, i0 + shape[0]), slice(j0, j0 + shape[1])
-            if bufs.shape[1] < shape[0] * shape[1]:
-                bufs = np.empty((4, shape[0] * shape[1]))
-            proj, part, ratio, lengths = (_view(buf, shape) for buf in bufs)
+            proj, part, ratio, lengths = work.get("block", (4, *shape))
             if screened:  # the float64 reciprocals, by the call that cached them
                 rec, drop = np.divide(1.0, _block_half_sq(*ambient, rows, cols, lengths, ratio), out=lengths), None
                 recomputed += 1
+            diagonal, right = i0 == j0, None
             for m in range(open_ms[-1] + 1):
                 lead, trail = ops[m]
+                if diagonal:  # a copy of the block's rows makes its Gram a gemm
+                    right = work.get("twin", segs[m][rows].shape)
+                    np.copyto(right, segs[m][rows])
                 # ratio holds the Gram block until the product
-                _block_half_sq(segs[m], lead, trail, rows, cols, part if m else proj, ratio)
+                _block_half_sq(segs[m], lead, trail, rows, cols, part if m else proj, ratio, right)
                 if m:
                     proj += part
                 if m not in open_ms:
                     continue
                 np.multiply(proj, rec, out=ratio)
                 scale = N / M_grid[m]
-                for k in _extremes(ratio, drop, i0 == j0):
+                for k in _extremes(ratio, drop, diagonal):
                     d = abs(math.sqrt(scale * max(float(ratio.flat[k]), 0.0)) - 1.0)
                     if d > best[m]:
-                        best[m] = d
-                        best_pair[m] = (i0 + k // shape[1], j0 + k % shape[1])
+                        i, j = divmod(k, shape[1])
+                        if diagonal and i > j:  # a lower twin: name the pair above the diagonal
+                            i, j = j, i
+                        best[m], best_pair[m] = d, (i0 + i, j0 + j)
     if n_eval == 0:
         raise ValueError(_NO_CHORDS)
     return [DistortionSummary(max=d, argmax=pair, n_evaluated=n_eval, recomputed=recomputed)
@@ -788,7 +841,13 @@ class ChordScan:
     :func:`pointset_distortion` at the same block size, worst pair and
     exact ties included; :meth:`nested` scans every leading block of rows
     of one projector in the same pass.  The cached blocks are only read,
-    so one scan serves concurrent calls.
+    so one scan serves concurrent calls from several threads.
+
+    Each thread that scans gets one workspace of this scan (a
+    ``threading.local``), made at its first call and freed with the scan or
+    the thread: the images buffer of :meth:`images` and every buffer and
+    operand of :func:`_scan`.  The buffers belong to the thread, not the
+    call, so every later projector on the thread reuses them.
 
     Raises ValueError if the cache could exceed 2 GiB (see
     :func:`_check_cache_size`), or if the points have no chord of positive
@@ -802,6 +861,7 @@ class ChordScan:
         self._blocks = list(_cached(_chord_blocks(self.points, block), self._ambient[2][1]))
         if not self._blocks:
             raise ValueError(_NO_CHORDS)
+        self._local = threading.local()
 
     @property
     def cache_bytes(self) -> int:
@@ -813,9 +873,26 @@ class ChordScan:
         """Number of cached blocks that go through the float32 screen."""
         return sum(len(b.max_rec) for b in self._blocks if isinstance(b, _Screened))
 
+    def _work(self) -> _Workspace:
+        """The calling thread's workspace, made at its first scan."""
+        work = getattr(self._local, "work", None)
+        if work is None:
+            work = self._local.work = _Workspace()
+        return work
+
+    def images(self, rows: np.ndarray) -> np.ndarray:
+        """``points @ rows.T``, the points under the rows of a map of their
+        space, written into the calling thread's images buffer: valid until
+        the thread's next call of this method on this scan."""
+        rows = np.asarray(rows, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != self.points.shape[1]:
+            raise ValueError(f"rows must be (M, {self.points.shape[1]}), got {rows.shape}")
+        out = self._work().get("images", (len(self.points), len(rows)))
+        return np.matmul(self.points, rows.T, out=out)
+
     def summary(self, A: Projector) -> DistortionSummary:
         """Worst chord distortion under A, with the pair it came from."""
-        return _scan(_images(self.points, A), A.N, (A.M,), self._blocks, self._ambient)[0]
+        return _scan(self.images(A.rows), A.N, (A.M,), self._blocks, self._ambient, self._work())[0]
 
     def nested(self, images: np.ndarray, N: int, M_grid) -> list[DistortionSummary]:
         """Worst chord distortion under the first M rows of one projection,
@@ -823,7 +900,7 @@ class ChordScan:
 
         ``images`` (P x M_max, at least, finite) holds the points under the
         rows of a row-orthonormal projection of R^N, so column m is the m-th
-        coordinate of every image: ``points @ A.rows.T`` for a
+        coordinate of every image: :meth:`images` of ``A.rows`` for a
         :class:`Projector` A, or any map with the same inner products.
         Entry k of the result equals :meth:`summary` of ``A.rows[:M_k]``
         up to rounding of the per-segment sums.
@@ -837,9 +914,10 @@ class ChordScan:
         limit = min(N, images.shape[1])
         if M_grid[-1] > limit:
             raise ValueError(f"need M <= min(N, images columns) = {limit}, got {M_grid[-1]}")
-        if not np.isfinite(images[:, : M_grid[-1]]).all():
+        used = images[:, : M_grid[-1]]
+        if not (math.isfinite(used.min()) and math.isfinite(used.max())):  # NaN propagates to both
             raise ValueError("images must be finite")
-        return _scan(images, N, M_grid, self._blocks, self._ambient)
+        return _scan(images, N, M_grid, self._blocks, self._ambient, self._work())
 
 
 def pointset_distortion(A: Projector, points: np.ndarray, block: int = _BLOCK) -> DistortionSummary:

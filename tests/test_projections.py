@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +117,21 @@ class TestHaarFrameRows:
     def test_square_frame_rows_are_orthonormal(self, M):
         rows = _haar_frame_rows(200, 200, M, np.random.default_rng(M))
         assert np.abs(rows @ rows.T - np.eye(M)).max() < 1e-9
+
+    @pytest.mark.parametrize("K, size, dof", [(39, 1, 800), (39, 1, 895), (39, 1, 95), (5, 1024, 800),
+                                              (5, 1024, 95), (4, 3, 4)])
+    def test_wishart_factor_draws_the_per_i_stream(self, K, size, dof):
+        # the K chi-squares of the Bartlett diagonal come from one call, with
+        # the values and the stream after them of one call per diagonal entry
+        rng, ref = np.random.default_rng(dof), np.random.default_rng(dof)
+        x = np.zeros((K, K, size))
+        projections._wishart_factor(dof, rng, x)
+        rows, cols = np.tril_indices(K, -1)
+        lower = ref.standard_normal((size, rows.size)).T
+        diag = np.stack([np.sqrt(ref.chisquare(dof - i, size=size)) for i in range(K)])
+        assert np.array_equal(x[cols, rows], lower)
+        assert np.array_equal(x[np.arange(K), np.arange(K)], diag)
+        assert np.array_equal(rng.standard_normal(7), ref.standard_normal(7))
 
 
 class TestVectorDistortion:
@@ -268,7 +284,9 @@ def nested_elementwise_worst(X, Y, N, M_grid, block):
     squared lengths |z_i|^2 + |z_j|^2 - 2 z_i.z_j, the projected ones summed
     one column segment [M_{k-1}, M_k) of Y at a time, each ratio the
     projected length times the reciprocal of the ambient one and clipped
-    at 0, and pairs of identical points skipped."""
+    at 0, and pairs of identical points skipped.  A diagonal block's
+    projected Gram is formed by gemm, as the scan forms it, and both of a
+    pair's entries (i, j) and (j, i) are taken: the scan keeps the larger."""
     edges = (0, *M_grid)
     segs = [np.ascontiguousarray(Y[:, a:b]) for a, b in zip(edges, edges[1:])]
     xsq = np.einsum("ij,ij->i", X, X)
@@ -280,10 +298,10 @@ def nested_elementwise_worst(X, Y, N, M_grid, block):
             da = xsq[r, None] + xsq[None, c] - 2.0 * (X[r] @ X[c].T)
             keep = (da > 0.0) & ~np.all(X[r, None] == X[None, c], axis=2)
             if i0 == j0:
-                keep &= np.triu(np.ones_like(keep), k=1)
+                np.fill_diagonal(keep, False)
             dp = 0.0
             for m, (seg, sq) in enumerate(zip(segs, sqs)):
-                dp = dp + (sq[r, None] + sq[None, c] - 2.0 * (seg[r] @ seg[c].T))
+                dp = dp + (sq[r, None] + sq[None, c] - 2.0 * (seg[r] @ seg[c].copy().T))
                 if keep.any():
                     d = np.abs(np.sqrt(N / M_grid[m] * (np.maximum(dp[keep], 0.0) * (1.0 / da[keep]))) - 1.0)
                     best[m] = max(best[m], float(d.max()))
@@ -322,9 +340,9 @@ def screened_cases():
     }
 
 
-# the ambient and projected blocks of the diagonal blocks of a smooth curve
-# (300 points: two full blocks and a ragged one), projected segments of
-# widths 1, 6 and 53 taken as the scan takes them, as column views
+# the ambient blocks of the diagonal blocks of a smooth curve (300 points:
+# two full blocks and a ragged one), and the syrk products of projected
+# segments of widths 1, 6 and 53, as column views
 SYMMETRY_CHILD = """
 import math, numpy as np, mfldproj as mp
 from mfldproj import projections
@@ -347,9 +365,12 @@ print(len(checked), all(checked))
 class TestChordScan:
     def test_diagonal_blocks_are_symmetric(self):
         # numpy forms a block times its own transpose with syrk and mirrors
-        # it, which the whole-block scan of the diagonal blocks relies on
-        # (a numpy that stops doing so fails here); checked at one and two
-        # BLAS threads, each in a child process
+        # it, which the cached ambient diagonal blocks rely on: their
+        # reciprocal lengths and masks are symmetric, and a mask's count is
+        # halved (a numpy that stops doing so fails here).  The projected
+        # blocks of the scan go through gemm instead and need not be
+        # symmetric; the syrk path is checked on column segments as well.
+        # Checked at one and two BLAS threads, each in a child process
         src = str(Path(mp.__file__).resolve().parents[1])
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
@@ -464,9 +485,9 @@ class TestChordScan:
         assert all(g.argmax == (0, 1) for g in got)
 
     def test_concurrent_nested_calls_match_serial(self):
-        # every call scans in buffers of its own, so two threads on one scan
-        # get the serial results; the smooth curve goes through the float32
-        # screen, whose operands and buffers belong to the call as well
+        # every thread scans in a workspace of its own, so two threads on one
+        # scan get the serial results; the smooth curve goes through the
+        # float32 screen, whose operands and buffers belong to the thread too
         rng = np.random.default_rng(17)
         X = np.cumsum(rng.standard_normal((300, 30)), axis=0)
         curve = gp_curve(1024)
@@ -498,6 +519,73 @@ class TestChordScan:
             assert not any(th.is_alive() for th in threads)
             for t in range(2):
                 assert results[t] == [serial[t]] * 5
+
+    def test_second_projector_allocates_no_block(self):
+        # after one warm-up projector the images, the block buffers and the
+        # operands of both passes come from the thread's workspace, so the
+        # next nested call allocates no array of a block's size (128 x 128
+        # float64) or larger; the smooth curve takes the float32 screen too
+        X, N, M_grid = gp_curve(1024), 1000, (16, 63, 100)
+        scan = ChordScan(X)
+        assert scan.screened_blocks > 0
+        rows = [frame_rows(N, X.shape[1], M_grid[-1], seed) for seed in range(2)]
+        want = [scan.nested(X @ r.T, N, M_grid) for r in rows]
+        assert scan.nested(scan.images(rows[0]), N, M_grid) == want[0]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            got = scan.nested(scan.images(rows[1]), N, M_grid)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert got == want[1]
+        assert peak < 128 * 128 * 8
+
+    def test_nested_worst_is_the_same_on_one_and_two_threads(self):
+        # pool threads scan in workspaces of their own; the calling thread
+        # reuses its workspace after the pool is gone
+        spec = mp.spec_for_volume(1, 1000, math.log(40.0), 512)
+        scan = experiments._latent_scan(spec, 3)
+        runs = [experiments._nested_worst(scan, 1000, (16, 63, 100), 4, 3, threads) for threads in (1, 2, 1)]
+        for worst, recomputed, pairs in runs[1:]:
+            assert np.array_equal(worst, runs[0][0]) and (recomputed, pairs) == runs[0][1:]
+
+    @pytest.mark.parametrize("twin", ["lower", "upper"])
+    def test_unequal_twins_report_the_larger(self, twin, monkeypatch):
+        # integer coordinates make every length exact: the chord (3, 9) lies
+        # along the first axis, so its ratio is exactly 1 at every M, and the
+        # other chords, mostly in the first 12 coordinates, stay below it.
+        # One twin of its projected half length in the diagonal block is
+        # raised by one ulp, as gemm may round it, which raises that twin's
+        # distortion: nested, summary and pointset_distortion report the
+        # raised distortion, as the pair (3, 9)
+        rng = np.random.default_rng(24)
+        X = rng.integers(-1, 2, size=(60, 40)).astype(float)
+        X[:, :12] = 4 * rng.integers(-8, 9, size=(60, 12))
+        X[9] = X[3]
+        X[9, 0] += 8.0
+        a, b = (9, 3) if twin == "lower" else (3, 9)
+        block_half_sq = projections._block_half_sq
+
+        def spy(Z, lead, trail, rows, cols, out, gram, *rest):
+            block_half_sq(Z, lead, trail, rows, cols, out, gram, *rest)
+            if Z is not X and rows == cols == slice(0, 16) and out[a, b] != 0.0:
+                out[a, b] = np.nextafter(out[a, b], math.inf)
+            return out
+
+        def want(M):
+            raised = abs(math.sqrt(40 / M * float(np.nextafter(1.0, 2.0))) - 1.0)
+            assert raised > abs(math.sqrt(40 / M) - 1.0)
+            return raised, (3, 9)
+
+        scan = ChordScan(X, block=16)
+        monkeypatch.setattr(projections, "_block_half_sq", spy)
+        M_grid = (12, 25, 30)
+        assert [(g.max, g.argmax) for g in scan.nested(X[:, :30], 40, M_grid)] == [want(M) for M in M_grid]
+        for M in M_grid:
+            A = Projector(rows=np.eye(M, 40), M=M, N=40)
+            for got in (scan.summary(A), pointset_distortion(A, X, block=16)):
+                assert (got.max, got.argmax) == want(M)
 
     def test_empty_scan_raises(self):
         A = sample_projector(10, 2, 1)
