@@ -420,12 +420,19 @@ class BoundQuery:
 class BoundReport:
     """Every analytic quantity for one parameter point.
 
+    The fields are the columns of the ``bounds`` table, in its order:
+    first the point (eps, delta, K, N, lnV), then the evaluation M.
     Probabilities are clamped to [0, 1]; ``*_ok`` flags carry regime
-    applicability.  ``m_bar`` is the sufficient projection count, ``mu``
-    is M eps^2 / K at the evaluation M.
+    applicability.  ``m_star_new`` is the sufficient projection count,
+    ``m_star_bw`` and ``m_star_nv`` the earlier estimates, and ``mu`` is
+    M eps^2 / K at the evaluation M.
     """
 
-    query: BoundQuery
+    eps: float
+    delta: float
+    K: int
+    N: int
+    lnV: float
     M_eval: int
     mu: float
     delta_long: float
@@ -435,15 +442,15 @@ class BoundReport:
     delta_short_log: float
     delta_short_ok: bool
     delta_total: float
-    m_bar: int
+    m_star_new: int
     gamma_star_c: float
     sin_theta_c_star: float
     chordal_ok: bool
     gamma_star_t: float
     sin_theta_t_star: float
     tangential_ok: bool
-    m_bw: float
-    m_nv: float
+    m_star_bw: float
+    m_star_nv: float
     crossover_closed: float
     rho_star: float
     C0: float
@@ -453,35 +460,22 @@ def bound_report(query: BoundQuery) -> BoundReport:
     """Evaluate the full set of bounds at one parameter point.
 
     The failure probabilities and optimal cell sizes are evaluated at
-    ``query.M`` when given, otherwise at the sufficient count ``m_bar``.
+    ``query.M`` when given, otherwise at the sufficient count
+    ``m_star_new``.
     """
-    m_bar = m_star_bound(query.eps, query.delta, query.K, query.N, query.lnV)
-    m_eval = query.M if query.M is not None else m_bar
-    dl = delta_long(query.eps, m_eval, query.K, query.N, query.lnV)
-    ds = delta_short(query.eps, m_eval, query.K, query.N, query.lnV)
-    cells = optimal_cell_sizes(query.eps, m_eval, query.K, query.N)
+    eps, delta, K, N, lnV = query.eps, query.delta, query.K, query.N, query.lnV
+    m_star = m_star_bound(eps, delta, K, N, lnV)
+    m_eval = query.M if query.M is not None else m_star
+    dl, ds = delta_long(eps, m_eval, K, N, lnV), delta_short(eps, m_eval, K, N, lnV)
+    cells = optimal_cell_sizes(eps, m_eval, K, N)
     c = theory_constants()
     return BoundReport(
-        query=query,
-        M_eval=m_eval,
-        mu=m_eval * query.eps**2 / query.K,
-        delta_long=dl.probability,
-        delta_long_log=dl.log,
-        delta_long_ok=dl.applicable,
-        delta_short=ds.probability,
-        delta_short_log=ds.log,
-        delta_short_ok=ds.applicable,
-        delta_total=delta_total(query.eps, m_eval, query.K, query.N, query.lnV).probability,
-        m_bar=m_bar,
-        gamma_star_c=cells.gamma_c,
-        sin_theta_c_star=cells.sin_theta_c,
-        chordal_ok=cells.chordal_applicable,
-        gamma_star_t=cells.gamma_t,
-        sin_theta_t_star=cells.sin_theta_t,
-        tangential_ok=cells.tangential_applicable,
-        m_bw=bw_underestimate(query.eps, query.delta, query.K, query.N, query.lnV),
-        m_nv=nv_underestimate(query.eps, query.delta, query.K, query.lnV),
-        crossover_closed=crossover_N(query.eps, query.delta, query.K, query.lnV).closed_form,
-        rho_star=c.rho_star,
-        C0=c.C0,
+        eps=eps, delta=delta, K=K, N=N, lnV=lnV, M_eval=m_eval, mu=m_eval * eps**2 / K,
+        delta_long=dl.probability, delta_long_log=dl.log, delta_long_ok=dl.applicable,
+        delta_short=ds.probability, delta_short_log=ds.log, delta_short_ok=ds.applicable,
+        delta_total=delta_total(eps, m_eval, K, N, lnV).probability, m_star_new=m_star,
+        gamma_star_c=cells.gamma_c, sin_theta_c_star=cells.sin_theta_c, chordal_ok=cells.chordal_applicable,
+        gamma_star_t=cells.gamma_t, sin_theta_t_star=cells.sin_theta_t, tangential_ok=cells.tangential_applicable,
+        m_star_bw=bw_underestimate(eps, delta, K, N, lnV), m_star_nv=nv_underestimate(eps, delta, K, lnV),
+        crossover_closed=crossover_N(eps, delta, K, lnV).closed_form, rho_star=c.rho_star, C0=c.C0,
     )

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import RankDeficient, Unachievable
-from .manifold import ManifoldSpec, integer
+from .manifold import ManifoldSpec, integer, real
 from .projections import ChordScan, DistortionSummary, _check_cache_size, _haar_frame_rows, sample_projector
 from .sampling import isometric_coordinates, sample_manifold, tangent_frames
 from .seeding import derive_seed, pooled_map
@@ -99,8 +99,8 @@ def distortion_distribution(
         raise ValueError(f"need 1 <= M <= N and n_proj >= 1, got M={M}, N={spec.N}, n_proj={n_proj}")
     _check_cache_size(spec.n_points)
     scan = ChordScan(sample_manifold(spec, derive_seed(seed, ["manifold"])).points)
-    return np.array([scan.summary(sample_projector(spec.N, M, derive_seed(seed, ["proj", i]))).max
-                     for i in range(n_proj)])
+    projectors = (sample_projector(spec.N, M, derive_seed(seed, ["proj", i])) for i in range(n_proj))
+    return np.array([scan.worst(A.rows, A.N, (A.M,))[0].max for A in projectors])
 
 
 def epsilon_at_delta(samples: np.ndarray, delta: float) -> np.ndarray | float:
@@ -218,12 +218,9 @@ def _nested_worst(
     frame W, independent of V, so X A^T = C (A V)^T has the law of C W_M^T:
     exact, and O(M k) per point instead of O(M N).
     """
-    coords = scan.points
-
     def worst(i: int) -> list[DistortionSummary]:
         rng = np.random.default_rng(derive_seed(seed, ["proj", i]))
-        rows = _haar_frame_rows(N, coords.shape[1], M_grid[-1], rng)
-        return scan.nested(scan.images(rows), N, M_grid)
+        return scan.worst(_haar_frame_rows(N, scan.points.shape[1], M_grid[-1], rng), N, M_grid)
 
     runs = pooled_map(worst, range(n_proj), threads)
     worst_max = np.array([[s.max for s in run] for run in runs])
@@ -377,7 +374,9 @@ def m_star_point(K: int, lnV: float, N: int, M_grid, settings: dict) -> MStarPoi
     grid_per_axis of ``settings``.
 
     Every input, the size of the chord scan included, is checked here, so
-    a table can check all its points before it runs one.
+    a table can check all its points before it runs one.  eps_target must
+    lie in (0, 1), where the bound columns of :meth:`MStarPoint.row` are
+    defined; :func:`m_star_empirical` takes any positive target.
     """
     grid = settings["grid_per_axis"]
     if isinstance(grid, dict):  # JSON object keys are strings
@@ -386,7 +385,9 @@ def m_star_point(K: int, lnV: float, N: int, M_grid, settings: dict) -> MStarPoi
             raise ValueError(f"grid_per_axis has no entry for K={K}: {grid}")
         grid = grid[K]
     spec = spec_for_volume(K, N, lnV, integer(grid, "parameter 'grid_per_axis'"))
-    eps, delta = float(settings["eps_target"]), float(settings["delta"])
+    eps, delta = (real(settings[key], f"parameter {key!r}") for key in ("eps_target", "delta"))
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"parameter 'eps_target' must be in (0, 1), got {eps}")
     n_proj = integer(settings["n_proj"], "parameter 'n_proj'")
     return MStarPoint(K, lnV, N, spec, eps, delta, _check_m_star_inputs(spec, eps, delta, M_grid, n_proj), n_proj)
 
@@ -427,9 +428,12 @@ def _geometry(kind: str, K: int, p: dict, seed: int) -> FigureTable:
             raise ValueError(f"{kind} parameter {key!r} needs one value per axis ({K}), got {value!r}")
         return values
 
+    def reals(key: str) -> list[float]:
+        return [real(v, f"{kind} parameter {key!r} entry") for v in per_axis(key)]
+
     grid = [integer(n, f"{kind} parameter 'n_grid' entry") for n in per_axis("n_grid")]
-    spec = ManifoldSpec(K=K, N=integer(p["N"], f"{kind} parameter 'N'"), ell=p["ell"], lam=per_axis("lam"),
-                        L=per_axis("L"), grid=grid)
+    spec = ManifoldSpec(K=K, N=integer(p["N"], f"{kind} parameter 'N'"), ell=real(p["ell"], f"{kind} parameter 'ell'"),
+                        lam=reals("lam"), L=reals("L"), grid=grid)
     sample = sample_manifold(spec, derive_seed(seed, [kind, "manifold"]))
     frames = tangent_frames(sample)
     center = np.ravel_multi_index(tuple(n // 2 for n in spec.grid), spec.grid)
@@ -467,7 +471,8 @@ def _fig6(kind: str, p: dict, seed: int, threads: int) -> FigureTable:
     K_values, M_grid = entries("K_values"), entries("M_grid")
     if kind == "fig6a":
         N = integer(p["N"], f"{kind} parameter 'N'")
-        points = [(K, float(r) * K, N) for K in K_values for r in p["lnV_over_K"]]
+        points = [(K, real(r, f"{kind} parameter 'lnV_over_K' entry") * K, N)
+                  for K in K_values for r in p["lnV_over_K"]]
     else:
         points = [(K, LNV_PER_K_DEFAULT * K, N) for K in K_values for N in entries("N_values")]
     checked = []

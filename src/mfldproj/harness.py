@@ -19,14 +19,13 @@ import csv
 import json
 import sys
 import time
-from operator import attrgetter
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, bounds, cones, experiments, sampling
-from .manifold import ManifoldSpec, integer
+from .manifold import ManifoldSpec, integer, real
 from .seeding import derive_seed, pooled_map
 
 __all__ = ["RunConfig", "run", "derive_seed", "main"]
@@ -97,6 +96,17 @@ def _int(p: dict, key: str) -> int:
     return integer(p[key], f"parameter {key!r}")
 
 
+def _real(p: dict, key: str) -> float:
+    """The real parameter ``key``, or a ValueError naming it."""
+    return real(p[key], f"parameter {key!r}")
+
+
+def _reals(p: dict, key: str) -> list[float]:
+    """The entries of the list parameter ``key`` as reals, or a ValueError
+    naming it."""
+    return [real(v, f"parameter {key!r} entry") for v in _listed(p, key)]
+
+
 _COMMON_KEYS = {f.name for f in fields(RunConfig)} - {"params"}
 
 
@@ -153,8 +163,8 @@ def _manifest(cfg: RunConfig, artifacts: list[str], diagnostics: dict, started: 
 
 
 def _run_sample(cfg: RunConfig, p: dict, out: Path) -> tuple[list[str], dict]:
-    spec = ManifoldSpec(K=_int(p, "K"), N=_int(p, "N"), ell=float(p["ell"]), lam=_listed(p, "lam"),
-                        L=_listed(p, "L"), grid=[integer(n, "parameter 'grid' entry") for n in _listed(p, "grid")])
+    spec = ManifoldSpec(K=_int(p, "K"), N=_int(p, "N"), ell=_real(p, "ell"), lam=_reals(p, "lam"),
+                        L=_reals(p, "L"), grid=[integer(n, "parameter 'grid' entry") for n in _listed(p, "grid")])
     sample = sampling.sample_manifold(spec, cfg.master_seed)
     sampling.save_sample(sample, out / "sample.bin")
     audit = sampling.self_averaging_audit(sample)
@@ -169,11 +179,11 @@ def _run_verify_cones(cfg: RunConfig, p: dict, out: Path) -> tuple[list[str], di
 
     # every job's inputs are checked before the first job runs
     jobs = []
-    for s in map(float, _listed(p, "chordal_sin_theta")):
+    for s in _reals(p, "chordal_sin_theta"):
         cones.check_cone_inputs(N, M, None, s, n_chordal, n_trials)
         jobs.append(("chordal", s, lambda s=s: cones.verify_chordal_guarantee(
             N, M, s, n_chordal, n_trials, derive_seed(cfg.master_seed, ["chordal", f"{s}"]))))
-    for s in map(float, _listed(p, "tangential_sin_theta")):
+    for s in _reals(p, "tangential_sin_theta"):
         cones.check_cone_inputs(N, M, K, s, n_tangential, n_trials)
         jobs.append(("tangential", s, lambda s=s: cones.verify_tangential_guarantee(
             N, M, K, s, n_tangential, n_trials, derive_seed(cfg.master_seed, ["tangential", f"{s}"]))))
@@ -190,22 +200,8 @@ def _run_verify_cones(cfg: RunConfig, p: dict, out: Path) -> tuple[list[str], di
     return artifacts + [_write_table(out, "cone_summary", summary, cfg)], {}
 
 
-# Each column of the bounds table beside the BoundReport field it holds.
-_BOUNDS_COLUMNS = {
-    "eps": "query.eps", "delta": "query.delta", "K": "query.K", "N": "query.N", "lnV": "query.lnV",
-    "M_eval": "M_eval", "mu": "mu",
-    "delta_long": "delta_long", "delta_long_log": "delta_long_log", "delta_long_ok": "delta_long_ok",
-    "delta_short": "delta_short", "delta_short_log": "delta_short_log", "delta_short_ok": "delta_short_ok",
-    "delta_total": "delta_total", "m_star_new": "m_bar",
-    "gamma_star_c": "gamma_star_c", "sin_theta_c_star": "sin_theta_c_star", "chordal_ok": "chordal_ok",
-    "gamma_star_t": "gamma_star_t", "sin_theta_t_star": "sin_theta_t_star", "tangential_ok": "tangential_ok",
-    "m_star_bw": "m_bw", "m_star_nv": "m_nv", "crossover_closed": "crossover_closed",
-    "rho_star": "rho_star", "C0": "C0",
-}
-
-
 def _run_bounds(cfg: RunConfig, p: dict, out: Path) -> tuple[list[str], dict]:
-    eps, delta = float(p["eps"]), float(p["delta"])
+    eps, delta = _real(p, "eps"), _real(p, "delta")
     if p["points"] is None:
         points = [{"K": K, "N": 1000, "lnV": experiments.LNV_PER_K_DEFAULT * K} for K in (1, 2, 4, 8)]
     else:
@@ -216,10 +212,11 @@ def _run_bounds(cfg: RunConfig, p: dict, out: Path) -> tuple[list[str], dict]:
         if missing:
             raise ValueError(f"bounds points[{i}] = {pt!r} is missing keys {missing}")
         K, N, M = (integer(pt[key], f"bounds points[{i}] {key!r}") if key in pt else None for key in ("K", "N", "M"))
-        queries.append(bounds.BoundQuery(eps=float(pt.get("eps", eps)), delta=float(pt.get("delta", delta)),
-                                         K=K, N=N, lnV=float(pt["lnV"]), M=M))
+        given = {"eps": eps, "delta": delta, **pt}
+        reals = {key: real(given[key], f"bounds points[{i}] {key!r}") for key in ("eps", "delta", "lnV")}
+        queries.append(bounds.BoundQuery(K=K, N=N, M=M, **reals))
     reports = [bounds.bound_report(query) for query in queries]
-    columns = {name: [attrgetter(field)(r) for r in reports] for name, field in _BOUNDS_COLUMNS.items()}
+    columns = {f.name: [getattr(r, f.name) for r in reports] for f in fields(bounds.BoundReport)}
     return [_write_table(out, "bounds", columns, cfg)], {}
 
 
@@ -230,7 +227,7 @@ def _run_figure(cfg: RunConfig, p: dict, out: Path) -> tuple[list[str], dict]:
 
 def _run_mstar(cfg: RunConfig, p: dict, out: Path) -> tuple[list[str], dict]:
     K, N = _int(p, "K"), _int(p, "N")
-    lnV = experiments.LNV_PER_K_DEFAULT * K if p["lnV"] is None else float(p["lnV"])
+    lnV = experiments.LNV_PER_K_DEFAULT * K if p["lnV"] is None else _real(p, "lnV")
     row, res = experiments.m_star_point(K, lnV, N, p["M_grid"], p).row(cfg.master_seed, cfg.threads)
     curve = {"M": res.M_grid, "eps_quantile": res.eps_quantiles, "eps_isotonic": res.eps_isotonic}
     point = {k: [row[k]] for k in

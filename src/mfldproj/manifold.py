@@ -47,6 +47,15 @@ def integer(value, key: str) -> int:
     return int(value)
 
 
+def real(value, key: str) -> float:
+    """``value`` as a float, or a ValueError naming ``key`` if it is not a
+    finite real number: 16 is 16.0, but "0.2", True, None, [0.2], NaN and
+    inf are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ManifoldSpec:
     """Parameters of one point of the random-manifold ensemble.
@@ -68,8 +77,9 @@ class ManifoldSpec:
         Number of grid points per intrinsic axis (used by the sampler),
         length K, each at least 2.
 
-    K, N and the grid entries must be whole numbers (16.0 is 16); any
-    other value is a ValueError that names it.
+    K, N and the grid entries must be whole numbers (16.0 is 16), and ell
+    and the entries of lam and L finite numbers; any other value is a
+    ValueError that names it.
     """
 
     K: int
@@ -82,8 +92,9 @@ class ManifoldSpec:
     def __post_init__(self):
         object.__setattr__(self, "K", integer(self.K, "K"))
         object.__setattr__(self, "N", integer(self.N, "N"))
-        object.__setattr__(self, "lam", tuple(float(v) for v in self.lam))
-        object.__setattr__(self, "L", tuple(float(v) for v in self.L))
+        object.__setattr__(self, "ell", real(self.ell, "ell"))
+        object.__setattr__(self, "lam", tuple(real(v, "lam entry") for v in self.lam))
+        object.__setattr__(self, "L", tuple(real(v, "L entry") for v in self.L))
         object.__setattr__(self, "grid", tuple(integer(v, "grid entry") for v in self.grid))
         if self.K < 1:
             raise ValueError(f"K must be >= 1, got {self.K}")

@@ -184,7 +184,7 @@ class DistortionSummary:
     order, the diagonal band before the far blocks (see ``_chord_blocks``).
     ``recomputed`` is the number of screened blocks whose float64
     reciprocals the chord scan recomputed (the same in every summary of
-    one nested scan); it counts work, not a result, so summaries that
+    one scan); it counts work, not a result, so summaries that
     differ only in it compare equal.
     """
 
@@ -294,11 +294,6 @@ class _Workspace:
         return buf[:size].reshape(shape)
 
 
-def _view(buf: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Contiguous ``shape`` view of the start of a flat buffer."""
-    return buf[: shape[0] * shape[1]].reshape(shape)
-
-
 def _block_half_sq(
     Z: np.ndarray, lead: np.ndarray, trail: np.ndarray, rows: slice, cols: slice, out: np.ndarray, gram: np.ndarray,
     right: np.ndarray | None = None,
@@ -340,10 +335,11 @@ def _duplicate_groups(X: np.ndarray) -> np.ndarray | None:
     return ids
 
 
-def _chord_blocks(X: np.ndarray, block: int):
-    """Reciprocal ambient squared chord lengths of all pairs, by block, at
-    half scale: 1 / da with da / 2 = (h_i + h_j) - x_i.x_j and
-    h = |x|^2 / 2.
+def _chord_blocks(ambient: tuple[np.ndarray, np.ndarray, np.ndarray], block: int):
+    """Reciprocal ambient squared chord lengths of all pairs of the points X,
+    by block, at half scale: 1 / da with da / 2 = (h_i + h_j) - x_i.x_j and
+    h = |x|^2 / 2.  ``ambient`` is (X, *_sq_operands(X)); each block's
+    Gram product goes to one buffer of a :class:`_Workspace`.
 
     Halving commutes with rounding (for squared norms that are not
     subnormal), so each half-scale length is the full-scale
@@ -373,16 +369,15 @@ def _chord_blocks(X: np.ndarray, block: int):
     first neighbours, which hold the short chords and so, in practice, the
     worst ones.  The far blocks follow in row-major order.
     """
-    P = X.shape[0]
-    lead, trail = _sq_operands(X)
+    X, lead, trail = ambient
+    P, work = X.shape[0], _Workspace()
     group = _duplicate_groups(X)
-    gram = np.empty(min(block, P) ** 2)
     starts = range(0, P, block)
     pairs = sorted(((i0, j0) for i0 in starts for j0 in starts if j0 >= i0), key=lambda p: (p[1] - p[0] > block, p))
     for i0, j0 in pairs:
         rows, cols = slice(i0, min(i0 + block, P)), slice(j0, min(j0 + block, P))
         shape = (rows.stop - i0, cols.stop - j0)
-        rec = _block_half_sq(X, lead, trail, rows, cols, np.empty(shape), _view(gram, shape))
+        rec = _block_half_sq(X, lead, trail, rows, cols, np.empty(shape), work.get("gram", shape))
         if i0 == j0:
             _diagonal(rec).fill(1.0)
         with np.errstate(divide="ignore"):  # a zero length is dropped below
@@ -423,12 +418,6 @@ def _as_points(points) -> np.ndarray:
     if not np.isfinite(X).all():
         raise ValueError("points must be finite")
     return X
-
-
-def _images(X: np.ndarray, A: Projector) -> np.ndarray:
-    if X.shape[1] != A.N:
-        raise ValueError(f"points must be (P, {A.N}), got {X.shape}")
-    return X @ A.rows.T
 
 
 _NO_CHORDS = "no chord of positive length to scan"
@@ -625,8 +614,9 @@ def _scan(
     screen rules a block out at an M when its float32 extremes, widened by
     the slack below, stay within both limits there, and skips the block
     when it rules it out at every M.  Otherwise ``ambient`` =
-    (points, *_sq_operands(points)) recomputes the block's float64
-    reciprocals with the call that cached them, and the float64 pass below
+    (points, *_sq_operands(points)), the very arrays that built the cache,
+    recomputes the block's float64 reciprocals with the call that cached
+    them, so it reads the bits the cache read, and the float64 pass below
     runs on it: it adds up segments only to the largest M still open and
     takes extremes only at the open M.  A block ruled out at M cannot
     change the worst at M then or later, as b only grows and the limits
@@ -692,8 +682,9 @@ def _scan(
     run's size.  The segments of the images are column views of ``Y``, not
     copies, and their operands of both passes are filled in place.  Every
     buffer is a view of ``work``, the :class:`_Workspace` of the calling
-    thread (a new one when None), so a scan on a thread that has scanned
-    blocks of the same sizes allocates no array of a block's size.  The
+    thread (a new one when None), in which :meth:`ChordScan.worst` also
+    forms ``Y``, so a scan on a thread that has scanned blocks of the same
+    sizes allocates no array of a block's size.  The
     buffers belong to the thread, not the call: one :class:`ChordScan`
     serves concurrent scans from several threads, each in its own
     workspace.
@@ -826,8 +817,12 @@ def _check_cache_size(n_points: int, block: int = _BLOCK) -> None:
 class ChordScan:
     """Chord scan of every pair of a fixed point set, reused across projectors.
 
-    Squared chord lengths in the ambient space depend only on the points,
-    so their reciprocals are computed once here, in the order of
+    The scan keeps its own read-only copy of the points, :attr:`points`, so
+    a later write to the caller's array changes no result, and their
+    operands of :func:`_sq_operands`, computed once: the same three arrays
+    build the cache and recompute a screened block, so both read the same
+    bits.  Squared chord lengths in the ambient space depend only on the
+    points, so their reciprocals are computed once here, in the order of
     ``_chord_blocks``: the diagonal band, then the far blocks.  A block
     that the float32 screen of :func:`_scan` takes (see
     :func:`_screenable`) keeps only 16-bit codes of its reciprocal lengths,
@@ -836,18 +831,19 @@ class ChordScan:
     8 bytes per pair, plus a one-byte mask only where pairs are dropped
     (a diagonal block is kept whole and needs none for its diagonal and
     lower triangle).  :attr:`cache_bytes` and :attr:`screened_blocks`
-    report the result.  Each :meth:`summary` then
-    pays only for its projector's Gram blocks, and agrees bit for bit with
-    :func:`pointset_distortion` at the same block size, worst pair and
-    exact ties included; :meth:`nested` scans every leading block of rows
-    of one projector in the same pass.  The cached blocks are only read,
-    so one scan serves concurrent calls from several threads.
+    report the result.  Each :meth:`worst` then pays only for its
+    projector's Gram blocks, scans every M of a nested grid in one pass,
+    and at a single M agrees bit for bit with :func:`pointset_distortion`
+    at the same block size, worst pair and exact ties included.  The
+    cached blocks are only read, so one scan serves concurrent calls from
+    several threads.
 
     Each thread that scans gets one workspace of this scan (a
     ``threading.local``), made at its first call and freed with the scan or
-    the thread: the images buffer of :meth:`images` and every buffer and
-    operand of :func:`_scan`.  The buffers belong to the thread, not the
-    call, so every later projector on the thread reuses them.
+    the thread: the images of the points and every buffer and operand of
+    :func:`_scan`.  The buffers belong to the thread, not the call, so
+    every later projector on the thread reuses them; :meth:`worst` returns
+    no view of them.
 
     Raises ValueError if the cache could exceed 2 GiB (see
     :func:`_check_cache_size`), or if the points have no chord of positive
@@ -855,10 +851,12 @@ class ChordScan:
     """
 
     def __init__(self, points: np.ndarray, block: int = _BLOCK):
-        self.points = _as_points(points)
-        _check_cache_size(len(self.points), block)
+        points = _as_points(points)
+        _check_cache_size(len(points), block)
+        self.points = np.array(points)  # a copy, in the memory order of the caller's
+        self.points.flags.writeable = False
         self._ambient = (self.points, *_sq_operands(self.points))
-        self._blocks = list(_cached(_chord_blocks(self.points, block), self._ambient[2][1]))
+        self._blocks = list(_cached(_chord_blocks(self._ambient, block), self._ambient[2][1]))
         if not self._blocks:
             raise ValueError(_NO_CHORDS)
         self._local = threading.local()
@@ -880,44 +878,33 @@ class ChordScan:
             work = self._local.work = _Workspace()
         return work
 
-    def images(self, rows: np.ndarray) -> np.ndarray:
-        """``points @ rows.T``, the points under the rows of a map of their
-        space, written into the calling thread's images buffer: valid until
-        the thread's next call of this method on this scan."""
-        rows = np.asarray(rows, dtype=float)
-        if rows.ndim != 2 or rows.shape[1] != self.points.shape[1]:
-            raise ValueError(f"rows must be (M, {self.points.shape[1]}), got {rows.shape}")
-        out = self._work().get("images", (len(self.points), len(rows)))
-        return np.matmul(self.points, rows.T, out=out)
+    def worst(self, rows, N: int, M_grid) -> list[DistortionSummary]:
+        """Worst chord distortion under the first M ``rows``, for every M of
+        the strictly ascending ``M_grid``, in its order.
 
-    def summary(self, A: Projector) -> DistortionSummary:
-        """Worst chord distortion under A, with the pair it came from."""
-        return _scan(self.images(A.rows), A.N, (A.M,), self._blocks, self._ambient, self._work())[0]
-
-    def nested(self, images: np.ndarray, N: int, M_grid) -> list[DistortionSummary]:
-        """Worst chord distortion under the first M rows of one projection,
-        for every M of the strictly ascending ``M_grid``.
-
-        ``images`` (P x M_max, at least, finite) holds the points under the
-        rows of a row-orthonormal projection of R^N, so column m is the m-th
-        coordinate of every image: :meth:`images` of ``A.rows`` for a
-        :class:`Projector` A, or any map with the same inner products.
-        Entry k of the result equals :meth:`summary` of ``A.rows[:M_k]``
-        up to rounding of the per-segment sums.
+        ``rows`` (at least M_max = max(M_grid) of them, each as wide as a
+        point) map the points' space as M_max rows of a row-orthonormal
+        projection of R^N do: the rows of a :class:`Projector`, or any rows
+        with the same inner products with the points.  The images
+        ``points @ rows[:M_max].T`` are formed in the calling thread's
+        workspace and must be finite; rows past M_max are not read.  Every
+        input is checked before the scan.  Entry k equals the scan of the
+        first M_k rows alone up to rounding of the per-segment sums.
         """
         M_grid = tuple(int(m) for m in M_grid)
-        images = np.asarray(images, dtype=float)
-        if images.ndim != 2 or images.shape[0] != len(self.points):
-            raise ValueError(f"images must have {len(self.points)} rows, got shape {images.shape}")
+        rows = np.asarray(rows, dtype=float)
+        P, dim = self.points.shape
+        if rows.ndim != 2 or rows.shape[1] != dim:
+            raise ValueError(f"rows must be (M, {dim}), got {rows.shape}")
         if not M_grid or M_grid[0] < 1 or any(b <= a for a, b in zip(M_grid, M_grid[1:])):
             raise ValueError(f"M_grid must be strictly ascending and positive, got {M_grid}")
-        limit = min(N, images.shape[1])
-        if M_grid[-1] > limit:
-            raise ValueError(f"need M <= min(N, images columns) = {limit}, got {M_grid[-1]}")
-        used = images[:, : M_grid[-1]]
-        if not (math.isfinite(used.min()) and math.isfinite(used.max())):  # NaN propagates to both
-            raise ValueError("images must be finite")
-        return _scan(images, N, M_grid, self._blocks, self._ambient, self._work())
+        if M_grid[-1] > min(N, len(rows)):
+            raise ValueError(f"need M <= min(N, rows) = {min(N, len(rows))}, got {M_grid[-1]}")
+        work = self._work()
+        images = np.matmul(self.points, rows[: M_grid[-1]].T, out=work.get("images", (P, M_grid[-1])))
+        if not (math.isfinite(images.min()) and math.isfinite(images.max())):  # NaN propagates to both
+            raise ValueError("images of the points under rows must be finite")
+        return _scan(images, N, M_grid, self._blocks, self._ambient, work)
 
 
 def pointset_distortion(A: Projector, points: np.ndarray, block: int = _BLOCK) -> DistortionSummary:
@@ -930,7 +917,9 @@ def pointset_distortion(A: Projector, points: np.ndarray, block: int = _BLOCK) -
     if no chord of positive length is left.
     """
     X = _as_points(points)
-    return _scan(_images(X, A), A.N, (A.M,), _chord_blocks(X, block))[0]
+    if X.shape[1] != A.N:
+        raise ValueError(f"points must be (P, {A.N}), got {X.shape}")
+    return _scan(X @ A.rows.T, A.N, (A.M,), _chord_blocks((X, *_sq_operands(X)), block))[0]
 
 
 def subspace_distortion(A: Projector, U: SubspaceBasis) -> float:

@@ -23,7 +23,6 @@ grid point is special and no finite-difference error enters.
 
 from __future__ import annotations
 
-import io
 import math
 import struct
 from dataclasses import dataclass, field
@@ -340,6 +339,12 @@ def empirical_tangent_cosine(frames: TangentFrames, i: int, j: int) -> float:
     return float(ti @ tj / (np.linalg.norm(ti) * np.linalg.norm(tj)))
 
 
+def _header(K: int) -> struct.Struct:
+    """The header of a dump of a K-dimensional manifold (see
+    :func:`save_sample`): magic, version, K, N, grid, ell, lam, L, seed."""
+    return struct.Struct(f"<4sIII{K}Qd{K}d{K}dQ")
+
+
 def save_sample(sample: ManifoldSample, path) -> None:
     """Write a sample to the binary dump format.
 
@@ -348,17 +353,10 @@ def save_sample(sample: ManifoldSample, path) -> None:
     K x float64 L, uint64 seed, then the P x N float64 points row-major.
     """
     spec = sample.spec
-    buf = io.BytesIO()
-    buf.write(_MAGIC)
-    buf.write(struct.pack("<III", _FORMAT_VERSION, spec.K, spec.N))
-    buf.write(struct.pack(f"<{spec.K}Q", *spec.grid))
-    buf.write(struct.pack("<d", spec.ell))
-    buf.write(struct.pack(f"<{spec.K}d", *spec.lam))
-    buf.write(struct.pack(f"<{spec.K}d", *spec.L))
-    buf.write(struct.pack("<Q", sample.seed))
-    buf.write(np.ascontiguousarray(sample.points, dtype="<f8").tobytes())
     with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+        fh.write(_header(spec.K).pack(_MAGIC, _FORMAT_VERSION, spec.K, spec.N, *spec.grid, spec.ell, *spec.lam,
+                                      *spec.L, sample.seed))
+        fh.write(np.ascontiguousarray(sample.points, dtype="<f8").tobytes())
 
 
 def load_sample(path) -> ManifoldSample:
@@ -367,21 +365,12 @@ def load_sample(path) -> ManifoldSample:
         raw = fh.read()
     if raw[:4] != _MAGIC:
         raise ValueError("not a manifold sample dump (bad magic)")
-    off = 4
-    version, K, N = struct.unpack_from("<III", raw, off)
-    off += 12
+    version, K = struct.unpack_from("<II", raw, 4)
     if version != _FORMAT_VERSION:
         raise ValueError(f"unsupported dump version {version}")
-    grid = struct.unpack_from(f"<{K}Q", raw, off)
-    off += 8 * K
-    (ell,) = struct.unpack_from("<d", raw, off)
-    off += 8
-    lam = struct.unpack_from(f"<{K}d", raw, off)
-    off += 8 * K
-    L = struct.unpack_from(f"<{K}d", raw, off)
-    off += 8 * K
-    (seed,) = struct.unpack_from("<Q", raw, off)
-    off += 8
+    header = _header(K)
+    _, _, _, N, *rest = header.unpack_from(raw)
+    grid, ell, lam, L, seed = rest[:K], rest[K], rest[K + 1 : 2 * K + 1], rest[2 * K + 1 : 3 * K + 1], rest[-1]
     spec = ManifoldSpec(K=K, N=N, ell=ell, lam=lam, L=L, grid=grid)
-    pts = np.frombuffer(raw[off:], dtype="<f8").reshape(spec.n_points, spec.N).copy()
+    pts = np.frombuffer(raw[header.size :], dtype="<f8").reshape(spec.n_points, spec.N).copy()
     return ManifoldSample(spec=spec, points=pts, seed=seed)

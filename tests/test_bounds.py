@@ -507,16 +507,16 @@ class TestBoundReport:
     def test_report_consistency(self):
         q = BoundQuery(eps=0.2, delta=0.05, K=2, N=1000, lnV=3.0)
         r = bound_report(q)
-        assert r.M_eval == r.m_bar == m_star_bound(0.2, 0.05, 2, 1000, 3.0)
+        assert r.M_eval == r.m_star_new == m_star_bound(0.2, 0.05, 2, 1000, 3.0)
         assert r.delta_total == delta_total(0.2, r.M_eval, 2, 1000, 3.0).probability
         assert r.mu == pytest.approx(r.M_eval * 0.04 / 2)
-        assert r.m_nv == pytest.approx(nv_underestimate(0.2, 0.05, 2, 3.0))
+        assert r.m_star_nv == pytest.approx(nv_underestimate(0.2, 0.05, 2, 3.0))
 
     def test_explicit_M(self):
         q = BoundQuery(eps=0.2, delta=0.05, K=2, N=1000, lnV=3.0, M=500)
         r = bound_report(q)
         assert r.M_eval == 500
-        assert r.m_bar == m_star_bound(0.2, 0.05, 2, 1000, 3.0)
+        assert r.m_star_new == m_star_bound(0.2, 0.05, 2, 1000, 3.0)
 
     def test_query_validation(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,23 @@ from mfldproj.projections import _Screened
 from mfldproj.seeding import derive_seed
 
 
+def assert_refused_before_work(tmp_path, capsys, monkeypatch, argv, message):
+    """Run the CLI on ``argv`` with sampling, the bounds and the cone
+    verifiers patched to fail if called: it must exit with status 1, write
+    a ValueError record with ``message`` and leave no manifest."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("computed before the parameters were checked")
+
+    for module, name in ((mp.sampling, "_latent"), (mp.bounds, "bound_report"),
+                         (mp.cones, "verify_chordal_guarantee"), (mp.cones, "verify_tangential_guarantee")):
+        monkeypatch.setattr(module, name, no_work)
+    out = tmp_path / "out"
+    assert main([*argv, "--out-dir", str(out)]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert (record["code"], record["message"]) == ("ValueError", message)
+    assert not (out / "run_manifest.json").exists()
+
+
 class TestDeriveSeed:
     def test_stable(self):
         assert derive_seed(42, ["a", 1]) == derive_seed(42, ["a", 1])
@@ -655,17 +672,57 @@ class TestCLI:
     def test_non_integral_parameters_exit_1(self, tmp_path, capsys, monkeypatch, argv, message):
         # refused with a record that names the key, before anything is
         # sampled, drawn or computed
-        def no_work(*args, **kwargs):
-            raise AssertionError("computed before the parameters were checked")
+        assert_refused_before_work(tmp_path, capsys, monkeypatch, argv, message)
 
-        for module, name in ((mp.sampling, "_latent"), (mp.bounds, "bound_report"),
-                             (mp.cones, "verify_chordal_guarantee"), (mp.cones, "verify_tangential_guarantee")):
-            monkeypatch.setattr(module, name, no_work)
-        out = tmp_path / "out"
-        assert main([*argv, "--out-dir", str(out)]) == 1
-        record = json.loads(capsys.readouterr().err)
-        assert (record["code"], record["message"]) == ("ValueError", message)
-        assert not (out / "run_manifest.json").exists()
+    @pytest.mark.parametrize("argv, message", [
+        (["sample", *SAMPLE_ARGS, "--param", 'ell="1.0"'], "parameter 'ell' must be a finite number, got '1.0'"),
+        (["sample", *SAMPLE_ARGS, "--param", "lam=[true]"], "parameter 'lam' entry must be a finite number, got True"),
+        (["sample", *SAMPLE_ARGS, "--param", "L=[NaN]"], "parameter 'L' entry must be a finite number, got nan"),
+        (["verify-cones", "--param", 'chordal_sin_theta=[0.001, "0.005"]'],
+         "parameter 'chordal_sin_theta' entry must be a finite number, got '0.005'"),
+        (["verify-cones", "--param", "tangential_sin_theta=[null]"],
+         "parameter 'tangential_sin_theta' entry must be a finite number, got None"),
+        (["bounds", "--param", "eps=[0.2]"], "parameter 'eps' must be a finite number, got [0.2]"),
+        (["bounds", "--param", "delta=null"], "parameter 'delta' must be a finite number, got None"),
+        (["bounds", "--param", 'points=[{"K": 1, "N": 1000, "lnV": NaN}]'],
+         "bounds points[0] 'lnV' must be a finite number, got nan"),
+        (["bounds", "--param", 'points=[{"K": 1, "N": 1000, "lnV": 1, "eps": "0.3"}]'],
+         "bounds points[0] 'eps' must be a finite number, got '0.3'"),
+        (["bounds", "--param", 'points=[{"K": 1, "N": 1000, "lnV": 1, "delta": Infinity}]'],
+         "bounds points[0] 'delta' must be a finite number, got inf"),
+        (["mstar", "--param", "eps_target=[0.2]"], "parameter 'eps_target' must be a finite number, got [0.2]"),
+        (["mstar", "--param", 'eps_target="0.2"'], "parameter 'eps_target' must be a finite number, got '0.2'"),
+        (["mstar", "--param", 'lnV="abc"'], "parameter 'lnV' must be a finite number, got 'abc'"),
+        (["mstar", "--param", "delta=null"], "parameter 'delta' must be a finite number, got None"),
+        (["figure", "--param", "kind=fig4", "--param", 'params={"L": "10"}'],
+         "fig4 parameter 'L' entry must be a finite number, got '10'"),
+        (["figure", "--param", "kind=fig4", "--param", 'params={"ell": null}'],
+         "fig4 parameter 'ell' must be a finite number, got None"),
+        (["figure", "--param", "kind=fig5", "--param", 'params={"lam": [1.0, true]}'],
+         "fig5 parameter 'lam' entry must be a finite number, got True"),
+        (["figure", "--param", "kind=fig6a", "--param", 'params={"lnV_over_K": [1.0, "2"]}'],
+         "fig6a parameter 'lnV_over_K' entry must be a finite number, got '2'"),
+        (["figure", "--param", "kind=fig6b", "--param", 'params={"delta": "0.05"}'],
+         "fig6b point K=1, lnV=1.55055, N=200: parameter 'delta' must be a finite number, got '0.05'"),
+    ])
+    def test_non_real_parameters_exit_1(self, tmp_path, capsys, monkeypatch, argv, message):
+        # a real parameter takes a finite int or float only, refused like an
+        # integer one: a record that names the key, before any work
+        assert_refused_before_work(tmp_path, capsys, monkeypatch, argv, message)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["mstar", "--param", "eps_target=1.5", "--param", "n_proj=400"],
+         "parameter 'eps_target' must be in (0, 1), got 1.5"),
+        (["mstar", "--param", "eps_target=0"], "parameter 'eps_target' must be in (0, 1), got 0.0"),
+        (["figure", "--param", "kind=fig6a", "--param", 'params={"eps_target": 1.0}'],
+         "fig6a point K=1, lnV=1, N=1000: parameter 'eps_target' must be in (0, 1), got 1.0"),
+        (["figure", "--param", "kind=fig6b", "--param", 'params={"eps_target": -0.2}'],
+         "fig6b point K=1, lnV=1.55055, N=200: parameter 'eps_target' must be in (0, 1), got -0.2"),
+    ])
+    def test_eps_target_outside_the_unit_interval_exit_1(self, tmp_path, capsys, monkeypatch, argv, message):
+        # every M* row holds bounds defined only for eps in (0, 1), so such
+        # a target is refused before the first point is sampled
+        assert_refused_before_work(tmp_path, capsys, monkeypatch, argv, message)
 
     def test_integral_float_parameters_are_integers(self, tmp_path):
         # 1.0 and 16.0 are whole numbers: the same sample as 1 and 16

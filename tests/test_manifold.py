@@ -67,6 +67,22 @@ class TestManifoldSpec:
         assert (s.K, s.N, s.grid) == (1, 10, (16,))
         assert all(type(v) is int for v in (s.K, s.N, *s.grid))
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(ell="1.0", lam=(1.0,), L=(5.0,)), "ell must be a finite number, got '1.0'"),
+        (dict(ell=math.nan, lam=(1.0,), L=(5.0,)), "ell must be a finite number, got nan"),
+        (dict(ell=1.0, lam=(True,), L=(5.0,)), "lam entry must be a finite number, got True"),
+        (dict(ell=1.0, lam=(1.0,), L=(math.inf,)), "L entry must be a finite number, got inf"),
+        (dict(ell=1.0, lam=(1.0,), L=(None,)), "L entry must be a finite number, got None"),
+    ])
+    def test_non_real_lengths_refused(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ManifoldSpec(K=1, N=10, grid=(16,), **kwargs)
+
+    def test_lengths_are_floats(self):
+        s = ManifoldSpec(K=1, N=10, ell=2, lam=(1,), L=(np.float64(5.0),), grid=(16,))
+        assert (s.ell, s.lam, s.L) == (2.0, (1.0,), (5.0,))
+        assert all(type(v) is float for v in (s.ell, *s.lam, *s.L))
+
 
 class TestIntrinsicSeparation:
     def test_coincident(self):

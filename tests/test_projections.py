@@ -248,7 +248,7 @@ class TestPointsetDistortion:
         for seed in range(40):
             A = sample_projector(200, 5 if seed % 2 else 40, seed)
             expected = pointset_distortion(A, dedup).max
-            for got in (pointset_distortion(A, X), scan.summary(A)):
+            for got in (pointset_distortion(A, X), summary(scan, A)):
                 assert got.argmax not in ((2, 3), (3, 2))
                 assert got.n_evaluated == 512 * 511 // 2 - 1
                 assert got.max == pytest.approx(expected, rel=1e-12)
@@ -261,7 +261,7 @@ class TestPointsetDistortion:
         for seed in range(5):
             A = sample_projector(200, 5, seed)
             expected = pointset_distortion(A, dedup).max
-            for got in (pointset_distortion(A, X), scan.summary(A)):
+            for got in (pointset_distortion(A, X), summary(scan, A)):
                 assert got.argmax not in ((2, 3), (3, 2))
                 assert got.n_evaluated == 512 * 511 // 2 - 1
                 assert got.max == pytest.approx(expected, rel=1e-12)
@@ -324,6 +324,16 @@ def frame_rows(N, k, M, seed):
     return _haar_frame_rows(N, k, M, np.random.default_rng(seed))
 
 
+def summary(scan, A):
+    """The worst chord of ``scan`` under the projector A."""
+    return scan.worst(A.rows, A.N, (A.M,))[0]
+
+
+def chord_blocks(X, block=128):
+    """The blocks of ``_chord_blocks`` of the points X, streamed."""
+    return projections._chord_blocks((X, *projections._sq_operands(X)), block)
+
+
 def screened_cases():
     """Point sets for the screened scan: the smooth curve, the same curve
     far from the origin, duplicated points and exact-zero chords in
@@ -349,14 +359,14 @@ from mfldproj import projections
 X = mp.sampling.isometric_coordinates(mp.spec_for_volume(1, 1000, math.log(40.0), 300), 5)
 Y = X @ np.random.default_rng(3).standard_normal((X.shape[1], 60))
 checked = []
-for i0, j0, rec, drop in projections._chord_blocks(X, 128):
+for i0, j0, rec, drop in projections._chord_blocks((X, *projections._sq_operands(X)), 128):
     if i0 == j0:
         checked.append(np.array_equal(rec, rec.T) and drop is None)
-        rows, buf = slice(i0, i0 + len(rec)), np.empty(2 * rec.size)
+        rows = slice(i0, i0 + len(rec))
         for a, b in ((0, 1), (1, 7), (7, 60)):
             lead, trail = projections._sq_operands(Y[:, a:b])
-            part = projections._block_half_sq(Y[:, a:b], lead, trail, rows, rows, projections._view(buf, rec.shape),
-                                              projections._view(buf[rec.size :], rec.shape))
+            part = projections._block_half_sq(Y[:, a:b], lead, trail, rows, rows, np.empty(rec.shape),
+                                              np.empty(rec.shape))
             checked.append(np.array_equal(part, part.T))
 print(len(checked), all(checked))
 """
@@ -387,9 +397,10 @@ class TestChordScan:
         # below 1, found above the diagonal
         rng = np.random.default_rng(22)
         X = rng.integers(-8, 9, size=(60, 40)).astype(float)
-        M_grid, Y = (12, 20, 30), X[:, :30]
+        M_grid, rows = (12, 20, 30), np.eye(30, 40)
+        Y = X @ rows.T
         scan = ChordScan(X, block=16)
-        for got in (scan.nested(Y, 40, M_grid), projections._scan(Y, 40, M_grid, projections._chord_blocks(X, 16))):
+        for got in (scan.worst(rows, 40, M_grid), projections._scan(Y, 40, M_grid, chord_blocks(X, 16))):
             assert [g.max for g in got] == nested_elementwise_worst(X, Y, 40, M_grid, 16)
             assert all(g.max < 0.9 and g.argmax[0] < g.argmax[1] for g in got)
 
@@ -406,7 +417,7 @@ class TestChordScan:
         assert all(b[3] is None for b in scan._blocks[1:] if not isinstance(b, _Screened))
         for seed in range(3):
             A = sample_projector(40, 5 + seed, seed)
-            got = scan.summary(A)
+            got = summary(scan, A)
             assert got == pointset_distortion(A, X, block=16)
             assert got.max == elementwise_worst(A, X, 16)
             assert got.n_evaluated == 150 * 149 // 2 - 1
@@ -420,7 +431,7 @@ class TestChordScan:
         scan = ChordScan(X, block=16)
         for seed in range(6):
             A = sample_projector(40, 4 + seed, seed)
-            got = scan.summary(A)
+            got = summary(scan, A)
             assert got.max == elementwise_worst(A, X, 16)
             assert got.n_evaluated == 150 * 149 // 2 - 3
             i, j = got.argmax
@@ -433,40 +444,45 @@ class TestChordScan:
         scan = ChordScan(X, block=8)
         for seed in range(4):
             A = sample_projector(30, 5, seed)
-            assert scan.summary(A) == pointset_distortion(A, X, block=8)
+            assert summary(scan, A) == pointset_distortion(A, X, block=8)
 
     def test_nested_equals_prefix_scans(self):
         # at every M the nested pass equals a one-segment scan of the first
-        # M image columns; the first M is that scan bit for bit
+        # M rows; the first M is the scan of its image columns bit for bit
         rng = np.random.default_rng(14)
         X = np.cumsum(rng.standard_normal((150, 40)), axis=0)
         X[[5, 6]] = X[4]
         M_grid = (3, 7, 8, 19, 30)
         scan = ChordScan(X, block=16)
         for seed in range(3):
-            Y = X @ sample_projector(40, 30, seed).rows.T
-            got = scan.nested(Y, 40, M_grid)
+            rows = sample_projector(40, 30, seed).rows
+            got = scan.worst(rows, 40, M_grid)
             for M, g in zip(M_grid, got):
-                ref = scan.nested(Y[:, :M], 40, (M,))[0]
+                ref = scan.worst(rows[:M], 40, (M,))[0]
                 assert g.max == pytest.approx(ref.max, rel=0, abs=1e-12)
                 assert g.n_evaluated == ref.n_evaluated
-            assert got[0] == scan.nested(Y[:, :3], 40, (3,))[0]
+            assert got[0] == projections._scan((X @ rows.T)[:, :3], 40, (3,), scan._blocks, scan._ambient)[0]
 
     def test_nested_equals_elementwise_max_at_every_M(self):
         # 150 points in blocks of 16 (the last is ragged), a duplicated
-        # point, exactly zero chords, and width-1 column segments; the
-        # chords among points 59-62 have coinciding images, so their computed
-        # projected lengths are rounding noise of either sign, clipped at 0
+        # point, exactly zero chords, and width-1 column segments; points
+        # 60-62 differ from point 59 only in coordinates that the rows zero,
+        # so the chords among points 59-62 have coinciding images, and
+        # their computed projected lengths are rounding noise of either
+        # sign, clipped at 0
         rng = np.random.default_rng(15)
         X = np.cumsum(rng.standard_normal((150, 40)), axis=0)
         X[[5, 6, 20]] = 0.0
         X[40] = X[30]
+        X[60:63] = X[59]
+        X[60:63, 36:39] += np.eye(3)
         scan = ChordScan(X, block=16)
         for M_grid in ((1, 2, 7, 30), (3, 8, 19), (40,)):
             for seed in range(3):
-                Y = X @ sample_projector(40, M_grid[-1], seed).rows.T
-                Y[[60, 61, 62]] = Y[59]
-                got = scan.nested(Y, 40, M_grid)
+                rows = sample_projector(40, M_grid[-1], seed).rows.copy()
+                rows[:, 36:] = 0.0
+                Y = X @ rows.T
+                got = scan.worst(rows, 40, M_grid)
                 assert [g.max for g in got] == nested_elementwise_worst(X, Y, 40, M_grid, 16)
                 assert all(g.n_evaluated == 150 * 149 // 2 - 4 for g in got)
 
@@ -478,9 +494,9 @@ class TestChordScan:
         X = rng.integers(-8, 9, size=(60, 40)).astype(float)
         X[1] = X[0]
         X[1, 35] += 1.0
-        M_grid = (12, 20, 30)
-        Y = X[:, :30]
-        got = ChordScan(X, block=16).nested(Y, 40, M_grid)
+        M_grid, rows = (12, 20, 30), np.eye(30, 40)
+        Y = X @ rows.T
+        got = ChordScan(X, block=16).worst(rows, 40, M_grid)
         assert [g.max for g in got] == [1.0] * 3 == nested_elementwise_worst(X, Y, 40, M_grid, 16)
         assert all(g.argmax == (0, 1) for g in got)
 
@@ -492,19 +508,18 @@ class TestChordScan:
         X = np.cumsum(rng.standard_normal((300, 30)), axis=0)
         curve = gp_curve(1024)
         inputs = [
-            (ChordScan(X, block=32), 30, (4, 9, 20), [X @ sample_projector(30, 20, seed).rows.T for seed in range(2)]),
-            (ChordScan(curve), 1000, (16, 63, 100), [curve @ frame_rows(1000, curve.shape[1], 100, seed).T
-                                                     for seed in range(2)]),
+            (ChordScan(X, block=32), 30, (4, 9, 20), [sample_projector(30, 20, seed).rows for seed in range(2)]),
+            (ChordScan(curve), 1000, (16, 63, 100), [frame_rows(1000, curve.shape[1], 100, seed) for seed in range(2)]),
         ]
         assert any(isinstance(b, _Screened) for b in inputs[1][0]._blocks)
-        for scan, N, M_grid, images in inputs:
-            serial = [scan.nested(Y, N, M_grid) for Y in images]
+        for scan, N, M_grid, rows in inputs:
+            serial = [scan.worst(r, N, M_grid) for r in rows]
             results = [None, None]
             barrier = threading.Barrier(2, timeout=60)
 
             def work(t):
                 barrier.wait()
-                results[t] = [scan.nested(images[t], N, M_grid) for _ in range(5)]
+                results[t] = [scan.worst(rows[t], N, M_grid) for _ in range(5)]
 
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
@@ -523,18 +538,18 @@ class TestChordScan:
     def test_second_projector_allocates_no_block(self):
         # after one warm-up projector the images, the block buffers and the
         # operands of both passes come from the thread's workspace, so the
-        # next nested call allocates no array of a block's size (128 x 128
+        # next call allocates no array of a block's size (128 x 128
         # float64) or larger; the smooth curve takes the float32 screen too
         X, N, M_grid = gp_curve(1024), 1000, (16, 63, 100)
         scan = ChordScan(X)
         assert scan.screened_blocks > 0
         rows = [frame_rows(N, X.shape[1], M_grid[-1], seed) for seed in range(2)]
-        want = [scan.nested(X @ r.T, N, M_grid) for r in rows]
-        assert scan.nested(scan.images(rows[0]), N, M_grid) == want[0]
+        want = [projections._scan(X @ r.T, N, M_grid, scan._blocks, scan._ambient) for r in rows]
+        assert scan.worst(rows[0], N, M_grid) == want[0]
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            got = scan.nested(scan.images(rows[1]), N, M_grid)
+            got = scan.worst(rows[1], N, M_grid)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -557,8 +572,8 @@ class TestChordScan:
         # other chords, mostly in the first 12 coordinates, stay below it.
         # One twin of its projected half length in the diagonal block is
         # raised by one ulp, as gemm may round it, which raises that twin's
-        # distortion: nested, summary and pointset_distortion report the
-        # raised distortion, as the pair (3, 9)
+        # distortion: the scan at every M of a grid, at each M alone, and
+        # pointset_distortion report the raised distortion, as the pair (3, 9)
         rng = np.random.default_rng(24)
         X = rng.integers(-1, 2, size=(60, 40)).astype(float)
         X[:, :12] = 4 * rng.integers(-8, 9, size=(60, 12))
@@ -569,7 +584,7 @@ class TestChordScan:
 
         def spy(Z, lead, trail, rows, cols, out, gram, *rest):
             block_half_sq(Z, lead, trail, rows, cols, out, gram, *rest)
-            if Z is not X and rows == cols == slice(0, 16) and out[a, b] != 0.0:
+            if Z is not X and Z is not scan.points and rows == cols == slice(0, 16) and out[a, b] != 0.0:
                 out[a, b] = np.nextafter(out[a, b], math.inf)
             return out
 
@@ -581,10 +596,10 @@ class TestChordScan:
         scan = ChordScan(X, block=16)
         monkeypatch.setattr(projections, "_block_half_sq", spy)
         M_grid = (12, 25, 30)
-        assert [(g.max, g.argmax) for g in scan.nested(X[:, :30], 40, M_grid)] == [want(M) for M in M_grid]
+        assert [(g.max, g.argmax) for g in scan.worst(np.eye(30, 40), 40, M_grid)] == [want(M) for M in M_grid]
         for M in M_grid:
             A = Projector(rows=np.eye(M, 40), M=M, N=40)
-            for got in (scan.summary(A), pointset_distortion(A, X, block=16)):
+            for got in (summary(scan, A), pointset_distortion(A, X, block=16)):
                 assert (got.max, got.argmax) == want(M)
 
     def test_empty_scan_raises(self):
@@ -597,7 +612,7 @@ class TestChordScan:
     def test_all_pairs_above_4096_points(self):
         X = gp_curve(4097)
         A = sample_projector(X.shape[1], 20, 3)
-        got = ChordScan(X).summary(A)
+        got = summary(ChordScan(X), A)
         assert got.n_evaluated == 4097 * 4096 // 2
         assert got == pointset_distortion(A, X)
 
@@ -622,13 +637,15 @@ class TestChordScan:
             with pytest.raises(ValueError, match="finite"):
                 ChordScan(Xb)
         scan = ChordScan(X)
-        Y = X @ A.rows.T
-        Yb = Y.copy()
-        Yb[3, 1] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            scan.nested(Yb, 10, (1, 3))
-        # images need only be array-like
-        assert scan.nested(Y.tolist(), 10, (1, 3)) == scan.nested(Y, 10, (1, 3))
+        for bad in (np.nan, np.inf):
+            rows = A.rows.copy()
+            rows[1, 4] = bad
+            with pytest.raises(ValueError, match="finite"):
+                scan.worst(rows, 10, (1, 3))
+            # rows past the largest M are not read
+            assert scan.worst(rows, 10, (1,)) == scan.worst(A.rows, 10, (1,))
+        # rows need only be array-like
+        assert scan.worst(A.rows.tolist(), 10, (1, 3)) == scan.worst(A.rows, 10, (1, 3))
 
     def test_checks_points(self):
         with pytest.raises(ValueError):
@@ -636,12 +653,61 @@ class TestChordScan:
         with pytest.raises(ValueError):
             ChordScan(np.zeros(10))
         with pytest.raises(ValueError):
-            ChordScan(np.eye(3)).summary(sample_projector(10, 2, 1))
+            summary(ChordScan(np.eye(3)), sample_projector(10, 2, 1))
         scan = ChordScan(np.eye(3))
-        for images, M_grid in ((np.ones((3, 4)), (2, 2)), (np.ones((3, 4)), (0, 2)),
-                               (np.ones((3, 4)), (2, 5)), (np.ones((2, 4)), (1, 2))):
+        for rows, M_grid in ((np.ones((4, 3)), (2, 2)), (np.ones((4, 3)), (0, 2)),
+                             (np.ones((4, 3)), (2, 5)), (np.ones((4, 2)), (1, 2))):
             with pytest.raises(ValueError):
-                scan.nested(images, 10, M_grid)
+                scan.worst(rows, 10, M_grid)
+
+    @pytest.mark.parametrize("shape, bad, N, M_grid, message", [
+        ((4, 30), None, 40, (1, 2), r"rows must be \(M, 40\), got \(4, 30\)"),
+        ((40,), None, 40, (1, 2), r"rows must be \(M, 40\), got \(40,\)"),
+        ((4, 40), None, 40, (2, 5), r"need M <= min\(N, rows\) = 4, got 5"),
+        ((40, 40), None, 20, (10, 30), r"need M <= min\(N, rows\) = 20, got 30"),
+        ((4, 40), np.nan, 40, (1, 3), "finite"),
+        ((4, 40), None, 40, (2, 2), "strictly ascending"),
+        ((4, 40), None, 40, (3, 2), "strictly ascending"),
+        ((4, 40), None, 40, (0, 2), "strictly ascending and positive"),
+        ((4, 40), None, 40, (), "strictly ascending"),
+    ])
+    def test_worst_checks_its_inputs_before_scanning(self, monkeypatch, shape, bad, N, M_grid, message):
+        # rows of the wrong width, too few rows, non-finite rows and a bad
+        # grid are refused before any block is scanned
+        scan = ChordScan(np.cumsum(np.random.default_rng(26).standard_normal((50, 40)), axis=0))
+        rows = np.full(shape, 0.1)
+        if bad is not None:
+            rows[1, 5] = bad
+        monkeypatch.setattr(projections, "_scan", lambda *args: pytest.fail("scanned before the inputs were checked"))
+        with pytest.raises(ValueError, match=message):
+            scan.worst(rows, N, M_grid)
+
+    def test_points_are_copied(self):
+        # the scan keeps its own read-only copy of the points: doubling the
+        # caller's array afterwards changes no result, and a fresh scan of
+        # the doubled points, whose ratios are the same bit for bit, agrees
+        rng = np.random.default_rng(25)
+        X = np.cumsum(rng.standard_normal((300, 40)), axis=0)
+        A = sample_projector(40, 10, 3)
+        scan = ChordScan(X, block=32)
+        want = summary(scan, A)
+        X *= 2.0
+        assert summary(scan, A) == want == summary(ChordScan(X, block=32), A)
+        assert scan.points is not X and not scan.points.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            scan.points[0, 0] = 1.0
+
+    def test_each_call_returns_its_own_result(self):
+        # a result holds no view of the thread's workspace: a later call
+        # with other rows leaves an earlier result as it was, and each is
+        # the scan of its own images
+        X, N, M_grid = gp_curve(1024), 1000, (5, 10)
+        scan = ChordScan(X)
+        rows = [frame_rows(N, X.shape[1], 10, seed) for seed in range(2)]
+        got = [scan.worst(r, N, M_grid) for r in rows]
+        assert got[0] != got[1]
+        for r, g in zip(rows, got):
+            assert g == projections._scan(X @ r.T, N, M_grid, scan._blocks, scan._ambient)
 
 
 def screen_of(Y, M_grid):
@@ -721,8 +787,9 @@ def count_recomputed(monkeypatch, scan):
 class TestScreenedScan:
     @pytest.mark.parametrize("case", ["curve", "shifted", "duplicates", "ragged"])
     def test_screened_scan_equals_oracles(self, case, monkeypatch):
-        # nested and summary equal the unscreened streaming kernel (max,
-        # argmax and count), the pair-by-pair maximum and pointset_distortion
+        # the scan at every M of a grid and at one M equals the unscreened
+        # streaming kernel (max, argmax and count), the pair-by-pair maximum
+        # and pointset_distortion
         X = screened_cases()[case]
         N, M_grid, k = 1000, (25, 63, 100), X.shape[1]
         scan = ChordScan(X)
@@ -739,19 +806,20 @@ class TestScreenedScan:
         order = []
         for b in scan._blocks:
             order += [(b.i0, b.j0 + int(c)) for c in b.bounds[:-1]] if isinstance(b, _Screened) else [b[:2]]
-        assert order == [(i0, j0) for i0, j0, _, _ in projections._chord_blocks(X, 128)]
+        assert order == [(i0, j0) for i0, j0, _, _ in chord_blocks(X)]
         recomputed = count_recomputed(monkeypatch, scan)
         for seed in range(2):
-            Y = X @ frame_rows(N, k, M_grid[-1], seed).T
+            rows = frame_rows(N, k, M_grid[-1], seed)
+            Y = X @ rows.T
             recomputed.clear()
-            got = scan.nested(Y, N, M_grid)
+            got = scan.worst(rows, N, M_grid)
             if case != "shifted":  # most screened blocks are skipped
                 assert len(recomputed) < scan.screened_blocks / 2
-            assert got == projections._scan(Y, N, M_grid, projections._chord_blocks(X, 128))
+            assert got == projections._scan(Y, N, M_grid, chord_blocks(X))
             assert [g.max for g in got] == nested_elementwise_worst(X, Y, N, M_grid, 128)
             A = sample_projector(k, 50, seed)
-            assert scan.summary(A) == pointset_distortion(A, X)
-            assert scan.summary(A).max == elementwise_worst(A, X, 128)
+            assert summary(scan, A) == pointset_distortion(A, X)
+            assert summary(scan, A).max == elementwise_worst(A, X, 128)
 
     def test_ties_keep_the_unscreened_order(self):
         # integer coordinates make every length exact: the chords (3, 40)
@@ -768,9 +836,10 @@ class TestScreenedScan:
         runs = [b for b in scan._blocks if isinstance(b, _Screened)]
         assert any(b.i0 == 0 and b.j0 <= 32 < b.j0 + b.bounds[-1] for b in runs)
         assert not any(b.i0 == 0 and b.j0 <= 96 < b.j0 + b.bounds[-1] for b in runs)
-        M_grid, Y = (12, 20, 30), X[:, :30]
-        got = scan.nested(Y, 40, M_grid)
-        assert got == projections._scan(Y, 40, M_grid, projections._chord_blocks(X, 16))
+        M_grid, rows = (12, 20, 30), np.eye(30, 40)
+        Y = X @ rows.T
+        got = scan.worst(rows, 40, M_grid)
+        assert got == projections._scan(Y, 40, M_grid, chord_blocks(X, 16))
         assert [(g.max, g.argmax) for g in got] == [(1.0, (3, 40))] * 3
 
     def test_ties_prefer_the_diagonal_band(self):
@@ -788,13 +857,14 @@ class TestScreenedScan:
         scan = ChordScan(X, block=16)
         runs = {(b.i0, b.j0) for b in scan._blocks if isinstance(b, _Screened)}
         assert {(0, 32), (16, 32)} <= runs
-        M_grid, Y = (12, 20, 30), X[:, :30]
+        M_grid, rows = (12, 20, 30), np.eye(30, 40)
+        Y = X @ rows.T
         want = [(1.0, (20, 41))] * 3
-        assert [(g.max, g.argmax) for g in scan.nested(Y, 40, M_grid)] == want
-        got = projections._scan(Y, 40, M_grid, projections._chord_blocks(X, 16))
+        assert [(g.max, g.argmax) for g in scan.worst(rows, 40, M_grid)] == want
+        got = projections._scan(Y, 40, M_grid, chord_blocks(X, 16))
         assert [(g.max, g.argmax) for g in got] == want
         A = Projector(rows=np.eye(30, 40), M=30, N=40)
-        assert (pointset_distortion(A, X, block=16).argmax, scan.summary(A).argmax) == ((20, 41), (20, 41))
+        assert (pointset_distortion(A, X, block=16).argmax, summary(scan, A).argmax) == ((20, 41), (20, 41))
 
     @pytest.mark.parametrize("block", [16, 128])
     def test_band_blocks_come_first(self, block):
@@ -803,7 +873,7 @@ class TestScreenedScan:
         # cached run is closed once it reaches one screen product's columns
         rng = np.random.default_rng(20)
         X = gp_curve(2048)[:2000] if block == 128 else np.cumsum(rng.standard_normal((150, 40)), axis=0)
-        streamed = [(i0, j0) for i0, j0, _, _ in projections._chord_blocks(X, block)]
+        streamed = [(i0, j0) for i0, j0, _, _ in chord_blocks(X, block)]
         starts = range(0, len(X), block)
         assert sorted(streamed) == [(i0, j0) for i0 in starts for j0 in starts if j0 >= i0]
         band = [j0 - i0 <= block for i0, j0 in streamed]
@@ -826,7 +896,7 @@ class TestScreenedScan:
         rng = np.random.default_rng(21)
         base = rng.standard_normal((512, 30))
         N, M_grid = 200, (1, 3, 8, 20, 50)
-        shortest = [1.0 / float(rec.max()) for i0, j0, rec, _ in projections._chord_blocks(base, 128)
+        shortest = [1.0 / float(rec.max()) for i0, j0, rec, _ in chord_blocks(base)
                     if i0 != j0]
         shift = math.sqrt(0.8e-4 * float(np.median(shortest)) / 2.0**-24 / 30)
         for X in (base, base + shift):
@@ -893,7 +963,7 @@ class TestScreenedScan:
         X -= X.mean(axis=0)
         N, M_grid, k = 1000, (1, 2, 3), X.shape[1]
         if shifted:
-            shortest = [1.0 / float(rec.max()) for i0, j0, rec, _ in projections._chord_blocks(X, 128)
+            shortest = [1.0 / float(rec.max()) for i0, j0, rec, _ in chord_blocks(X)
                         if j0 - i0 > 128]
             X += math.sqrt(0.8e-4 * float(np.median(shortest)) / 2.0**-24 / k)
         scan = ChordScan(X)
@@ -906,7 +976,8 @@ class TestScreenedScan:
         assert 0.5e-4 < cond < 1e-4 if shifted else cond < 1e-6
         recomputed = count_recomputed(monkeypatch, scan)
         for seed in range(2):
-            Y = X @ frame_rows(N, k, M_grid[-1], seed).T
+            rows = frame_rows(N, k, M_grid[-1], seed)
+            Y = X @ rows.T
             segs, ops, screen = screen_of(Y, M_grid)
             for run in runs:
                 up, down = screen.widened(run)
@@ -914,10 +985,10 @@ class TestScreenedScan:
                     assert down[m, t] <= r.min() and r.max() <= up[m, t], (seed, run.i0, run.j0, t, m)
             assert screen_error_ratio(scan, Y, N, M_grid) <= 1.0
             recomputed.clear()
-            got = scan.nested(Y, N, M_grid)
+            got = scan.worst(rows, N, M_grid)
             assert len(recomputed) < scan.screened_blocks
             assert [g.max for g in got] == nested_elementwise_worst(X, Y, N, M_grid, 128)
-            assert got == projections._scan(Y, N, M_grid, projections._chord_blocks(X, 128))
+            assert got == projections._scan(Y, N, M_grid, chord_blocks(X))
 
     def test_recomputed_blocks_scan_only_the_open_M(self, monkeypatch):
         # a screened block that the screen cannot rule out at every M is
@@ -951,20 +1022,21 @@ class TestScreenedScan:
         every = tuple(range(len(M_grid)))
         skipped = 0
         for seed in range(3):
-            Y = X @ frame_rows(N, X.shape[1], M_grid[-1], seed).T
+            rows = frame_rows(N, X.shape[1], M_grid[-1], seed)
+            Y = X @ rows.T
             for log in (opened, extremes, segments):
                 log.clear()
-            got = scan.nested(Y, N, M_grid)
+            got = scan.worst(rows, N, M_grid)
             assert opened and got[0].recomputed == len(opened)
             assert all(o and list(o) == sorted(set(o)) and set(o) <= set(every) for o in opened)
             assert len(extremes) == n_band * len(M_grid) + sum(len(o) for o in opened)
             assert len(segments) == n_band * len(M_grid) + sum(o[-1] + 1 for o in opened)
             skipped += sum(len(M_grid) - len(o) for o in opened)
-            assert got == projections._scan(Y, N, M_grid, projections._chord_blocks(X, 128))
+            assert got == projections._scan(Y, N, M_grid, chord_blocks(X))
             with monkeypatch.context() as m:
                 m.setattr(projections._Screen, "unresolved",
                           lambda screen, *args: (b[:3] + (every,) for b in unresolved(screen, *args)))
-                assert scan.nested(Y, N, M_grid) == got
+                assert scan.worst(rows, N, M_grid) == got
         assert skipped > 0
 
     def test_screen_skips_most_far_blocks(self, monkeypatch):
@@ -979,7 +1051,7 @@ class TestScreenedScan:
         for M_grid in ((63, 100), experiments._FIG_DEFAULTS["fig6a"]["M_grid"]):
             for seed in range(4):
                 recomputed.clear()
-                scan.nested(X @ frame_rows(N, X.shape[1], M_grid[-1], seed).T, N, M_grid)
+                scan.worst(frame_rows(N, X.shape[1], M_grid[-1], seed), N, M_grid)
                 assert len(recomputed) < n_screened / 4, (M_grid, seed)
 
 
