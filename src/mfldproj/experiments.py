@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import RankDeficient, Unachievable
-from .manifold import ManifoldSpec, integer, real
+from .manifold import ManifoldSpec, integer, listed, real
 from .projections import ChordScan, DistortionSummary, _check_cache_size, _haar_frame_rows, sample_projector
 from .sampling import isometric_coordinates, sample_manifold, tangent_frames
 from .seeding import derive_seed, pooled_map
@@ -66,8 +66,10 @@ class MStarResult:
     (log M, eps) space; ``isotonic_adjusted`` records whether smoothing
     changed the raw quantiles.  ``diagnostics`` is the work of the chord
     scan, under the names the run manifest gives it: ``chord_cache_bytes``
-    and ``screened_blocks`` of the manifold's :class:`ChordScan`,
-    ``float64_recomputes``, the screened blocks that took the float64 pass
+    and ``screened_blocks`` of the manifold's :class:`ChordScan` (a
+    screened block keeps two reciprocal lengths, the others one per pair),
+    ``float64_recomputes``, the screened blocks whose float64 reciprocal
+    lengths were recomputed because those two could not rule them out,
     summed over projectors, and ``pairs_scanned``, the chords scanned per
     projector.
     """
@@ -180,7 +182,7 @@ def _check_m_star_inputs(
     every input that does not need a sample, the size of the chord scan
     included."""
     N = spec.N
-    M_grid = tuple(integer(m, "parameter 'M_grid' entry") for m in M_grid)
+    M_grid = tuple(integer(m, "parameter 'M_grid' entry") for m in listed(M_grid, "parameter 'M_grid'"))
     outside = [m for m in M_grid if not 1 <= m <= N]
     if outside:
         raise ValueError(f"M_grid entries must satisfy 1 <= M <= N = {N}, got {outside}")
@@ -466,13 +468,13 @@ _FIG6_COLUMNS = ("K", "lnV", "N", "eps_target", "delta", "m_star_emp", "m_star_n
 
 def _fig6(kind: str, p: dict, seed: int, threads: int) -> FigureTable:
     def entries(key: str) -> list[int]:
-        return [integer(v, f"{kind} parameter {key!r} entry") for v in p[key]]
+        return [integer(v, f"{kind} parameter {key!r} entry") for v in listed(p[key], f"{kind} parameter {key!r}")]
 
     K_values, M_grid = entries("K_values"), entries("M_grid")
     if kind == "fig6a":
         N = integer(p["N"], f"{kind} parameter 'N'")
         points = [(K, real(r, f"{kind} parameter 'lnV_over_K' entry") * K, N)
-                  for K in K_values for r in p["lnV_over_K"]]
+                  for K in K_values for r in listed(p["lnV_over_K"], f"{kind} parameter 'lnV_over_K'")]
     else:
         points = [(K, LNV_PER_K_DEFAULT * K, N) for K in K_values for N in entries("N_values")]
     checked = []

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bounds, cones, experiments, sampling
-from .manifold import ManifoldSpec, integer, real
+from .manifold import ManifoldSpec, integer, listed, real
 from .seeding import derive_seed, pooled_map
 
 __all__ = ["RunConfig", "run", "derive_seed", "main"]
@@ -86,9 +86,7 @@ def _object(value, key: str):
 
 def _listed(p: dict, key: str):
     """The list parameter ``key``, or a ValueError naming it."""
-    if not isinstance(p[key], (list, tuple)):
-        raise ValueError(f"parameter {key!r} must be a list, got {p[key]!r}")
-    return p[key]
+    return listed(p[key], f"parameter {key!r}")
 
 
 def _int(p: dict, key: str) -> int:

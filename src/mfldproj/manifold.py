@@ -47,6 +47,14 @@ def integer(value, key: str) -> int:
     return int(value)
 
 
+def listed(value, key: str):
+    """``value``, or a ValueError naming ``key`` if it is not a list, a
+    tuple or a 1-d array: a scalar where a list belongs is refused."""
+    if not (isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim == 1):
+        raise ValueError(f"{key} must be a list, got {value!r}")
+    return value
+
+
 def real(value, key: str) -> float:
     """``value`` as a float, or a ValueError naming ``key`` if it is not a
     finite real number: 16 is 16.0, but "0.2", True, None, [0.2], NaN and

@@ -18,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalBreakdown
+from .manifold import integer
 
 __all__ = [
     "Projector",
@@ -242,16 +243,13 @@ _TINY32 = 2.0**-126
 # squared norms is below this fraction of its shortest half squared chord.
 _SCREEN_COND = 1e-4
 
-# Largest 16-bit code of a screened block's reciprocal lengths (see _cached).
-_CODES = 65535
-
 # Relative margin of the screen's comparisons for float64 rounding of the
 # thresholds, of the widened extremes and of the distortions themselves.
 _F64_MARGIN = 1e-9
 
 # Columns at which a screened run is closed, so each float32 product of
-# the screen takes one run: its three float32 buffers (running sum, ratios
-# and decoded reciprocals) of this many columns by 128 rows take 1.5 MiB.
+# the screen takes one run: its float32 sums, one buffer of this many
+# columns by 128 rows per M, take 512 KiB per M.
 # 512 to 2048 columns scanned `curve-4096` equally fast on a 2-core host
 # with 2 MiB of L2 per core.
 _SCREEN_COLS = 1024
@@ -280,7 +278,8 @@ class _Workspace:
     """Scratch arrays of the chord scans of one thread, each grown on demand
     and then reused, so a scan allocates none that an earlier scan of the
     same shapes has made.  A view stays valid until the next request of its
-    name, so each name serves one purpose at a time."""
+    name, so each name serves one purpose at a time; a request of the same
+    name and shape returns the same memory, so it may hand data over."""
 
     def __init__(self):
         self._bufs: dict[str, np.ndarray] = {}
@@ -365,15 +364,16 @@ def _chord_blocks(ambient: tuple[np.ndarray, np.ndarray, np.ndarray], block: int
     twins (i, j) and (j, i) alike, so their ratios need not be symmetric.
 
     This order is the order of every chord scan.  The diagonal band comes
-    first: the pairs with j0 - i0 <= block, the diagonal blocks and their
-    first neighbours, which hold the short chords and so, in practice, the
-    worst ones.  The far blocks follow in row-major order.
+    first: the pairs with j0 - i0 <= 2 block, the diagonal blocks and their
+    first two neighbours, which hold the short chords and so, in practice,
+    the worst ones.  The far blocks (see :func:`_far`) follow in row-major
+    order.
     """
     X, lead, trail = ambient
     P, work = X.shape[0], _Workspace()
     group = _duplicate_groups(X)
     starts = range(0, P, block)
-    pairs = sorted(((i0, j0) for i0 in starts for j0 in starts if j0 >= i0), key=lambda p: (p[1] - p[0] > block, p))
+    pairs = sorted(((i0, j0) for i0 in starts for j0 in starts if j0 >= i0), key=lambda p: (_far(*p, block), p))
     for i0, j0 in pairs:
         rows, cols = slice(i0, min(i0 + block, P)), slice(j0, min(j0 + block, P))
         shape = (rows.stop - i0, cols.stop - j0)
@@ -392,6 +392,12 @@ def _chord_blocks(ambient: tuple[np.ndarray, np.ndarray, np.ndarray], block: int
             rec[drop] = 1.0
         if _n_pairs(i0, j0, rec, drop):
             yield i0, j0, rec, drop
+
+
+def _far(i0: int, j0: int, block: int) -> bool:
+    """Whether the block pair (i0, j0) lies outside the diagonal band of
+    :func:`_chord_blocks`: only such a block may take the float32 screen."""
+    return j0 - i0 > 2 * block
 
 
 def _diagonal(a: np.ndarray) -> np.ndarray:
@@ -424,29 +430,24 @@ _NO_CHORDS = "no chord of positive length to scan"
 
 
 class _Screened(NamedTuple):
-    """Consecutive all-pairs blocks of one block row, kept for the float32
-    screen of :func:`_scan`: the rows from i0 and the columns from j0,
-    closed once they reach ``_SCREEN_COLS`` columns (see :func:`_cached`),
-    so the screen takes a run in one product per segment.
+    """Consecutive far blocks of one block row, kept for the float32 screen
+    of :func:`_scan`: ``rows`` rows from i0 and the columns from j0, closed
+    once they reach ``_SCREEN_COLS`` columns (see :func:`_cached`), so the
+    screen takes a run in one product per segment.
 
-    ``rec`` holds the reciprocal lengths 1 / da of :func:`_chord_blocks`
-    transposed, one row per column of the points, as 16-bit codes
-    q = rint(rec / step) scaled per block, 2 bytes per pair.  Block t spans
-    its rows ``bounds[t]:bounds[t + 1]`` and has ``max_rec[t]``, its
-    largest float64 reciprocal, ``step[t]`` = max_rec[t] / 65535, so its
-    codes run up to 65535, and ``qerr[t]`` = (max rec / min rec) /
-    (2 * 65535), which bounds |q step - rec| relative to rec.  A block's
-    float64 reciprocals are recomputed from the points only when the
-    screen cannot rule the block out, and then once per block.
+    Block t spans the columns ``j0 + bounds[t]`` to ``j0 + bounds[t + 1]``
+    and keeps two numbers of its float64 reciprocal lengths 1 / da of
+    :func:`_chord_blocks`: the largest, ``max_rec[t]``, and the smallest,
+    ``min_rec[t]``.  A block's reciprocals are recomputed from the points,
+    once per projector, only when these bounds cannot rule the block out.
     """
 
     i0: int
     j0: int
-    rec: np.ndarray
+    rows: int
     bounds: np.ndarray
     max_rec: np.ndarray
-    step: np.ndarray
-    qerr: np.ndarray
+    min_rec: np.ndarray
 
 
 def _thresholds(best: list[float], N: int, M_grid) -> tuple[np.ndarray, np.ndarray]:
@@ -462,79 +463,88 @@ def _thresholds(best: list[float], N: int, M_grid) -> tuple[np.ndarray, np.ndarr
 
 class _Screen:
     """Float32 pass of one projector's nested images over :class:`_Screened`
-    runs (see :func:`_scan`).  Its operands and buffers are views of the
-    :class:`_Workspace` ``work``, so they belong to one thread.
+    runs (see :func:`_scan`); ``ambient`` holds the arrays that built the
+    cache.  Its operands and buffers are views of the :class:`_Workspace`
+    ``work``, so they belong to one thread.
 
     Segment m of the images, of width w with h = |y|^2 / 2, has the float32
     operand [y, h, 1] (P x (w + 2)).  Rows j of it times the rows i of
     [-y, 1, h] of a run's block row are the segment's half squared
-    lengths, laid out like ``rec``.
+    lengths.
     """
 
-    def __init__(self, segs: list[np.ndarray], ops: list[tuple[np.ndarray, np.ndarray]], M_grid,
+    def __init__(self, segs: list[np.ndarray], ops: list[tuple[np.ndarray, np.ndarray]], M_grid, ambient: tuple,
                  work: _Workspace | None = None):
-        self.work = _Workspace() if work is None else work
+        self.work, self.ambient = _Workspace() if work is None else work, ambient
         P, widths = len(segs[0]), [seg.shape[1] + 2 for seg in segs]
         flat = self.work.get("screen_operands", (P * sum(widths),), np.float32)
         self.operands, self.H = [], self.work.get("screen_H", (len(segs), P))
-        for m, (seg, (_, trail), w) in enumerate(zip(segs, ops, widths)):
-            op = flat[: P * w].reshape(P, w)
-            flat = flat[P * w :]
-            with np.errstate(over="ignore"):  # a float32 overflow only keeps blocks in the float64 pass
+        with np.errstate(over="ignore"):  # a float32 overflow only keeps blocks in the float64 pass
+            for m, (seg, (_, trail), w) in enumerate(zip(segs, ops, widths)):
+                op = flat[: P * w].reshape(P, w)
+                flat = flat[P * w :]
                 op[:, : w - 2], op[:, w - 2], op[:, w - 1] = seg, trail[1], 1.0
-            self.operands.append(op)
-            if m:
-                np.add(self.H[m - 1], trail[1], out=self.H[m])
-            else:
-                self.H[0] = trail[1]
+                self.operands.append(op)
+                if m:
+                    np.add(self.H[m - 1], trail[1], out=self.H[m])
+                else:
+                    self.H[0] = trail[1]
         self.kappa = np.array([4.0 * (M + 7 * (m + 1)) for m, M in enumerate(M_grid)])
+        self.recomputed = 0
 
-    def ratios(self, run: _Screened):
-        """Per M, the float32 ratios of ``run`` in units of each block's
-        step (the running sum times the codes), laid out like ``run.rec``
-        in a reused buffer.  The codes are decoded once per run, exactly."""
-        shape = run.rec.shape
-        rows, cols = slice(run.i0, run.i0 + shape[1]), slice(run.j0, run.j0 + shape[0])
-        total, ratio, codes = self.work.get("screen_run", (3, *shape), np.float32)
-        np.copyto(codes, run.rec)
-        for m, op in enumerate(self.operands):
-            row_op = np.negative(op[rows], out=self.work.get("screen_rows", (shape[1], op.shape[1]), np.float32))
-            row_op[:, -2], row_op[:, -1] = 1.0, op[rows, -2]
-            np.matmul(op[cols], row_op.T, out=ratio if m else total)
-            if m:
-                total += ratio
-            np.multiply(total, codes, out=ratio)
-            yield ratio
+    def sums(self, run: _Screened) -> np.ndarray:
+        """The float32 half squared lengths of ``run`` added up over the
+        segments, one (columns, rows) layer per M, in a reused buffer."""
+        n = int(run.bounds[-1])
+        rows, cols = slice(run.i0, run.i0 + run.rows), slice(run.j0, run.j0 + n)
+        sums = self.work.get("screen_run", (len(self.operands), n, run.rows), np.float32)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for m, op in enumerate(self.operands):
+                row_op = np.negative(op[rows], out=self.work.get("screen_rows", (run.rows, op.shape[1]), np.float32))
+                row_op[:, -2], row_op[:, -1] = 1.0, op[rows, -2]
+                np.matmul(op[cols], row_op.T, out=sums[m])
+                if m:
+                    sums[m] += sums[m - 1]
+        return sums
 
     def slack(self, run: _Screened) -> np.ndarray:
-        """M by block, the part of the slack of :func:`_scan` that does not
-        depend on the ratios: kappa_M (u (H_i + H_j) + 2^-126) max rec."""
-        rows, cols = slice(run.i0, run.i0 + run.rec.shape[1]), slice(run.j0, run.j0 + run.rec.shape[0])
-        H = self.H[:, rows].max(axis=1)[:, None] + np.maximum.reduceat(self.H[:, cols], run.bounds[:-1], axis=1)
+        """M by block, the slack of :func:`_scan` of the blocks of ``run``:
+        kappa_M (u (H_i + H_j) + 2^-126) max rec."""
+        cols = slice(run.j0, run.j0 + int(run.bounds[-1]))
+        H = self.H[:, run.i0 : run.i0 + run.rows].max(axis=1)[:, None] + \
+            np.maximum.reduceat(self.H[:, cols], run.bounds[:-1], axis=1)
         return self.kappa[:, None] * (_U32 * H + _TINY32) * run.max_rec
 
-    def widened(self, run: _Screened) -> tuple[np.ndarray, np.ndarray]:
+    @staticmethod
+    def widened(run: _Screened, sums: np.ndarray, slack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Upper and lower bounds, M by block, on the float64 ratios of
-        ``run``: the float32 extremes, scaled by each block's step, widened
-        by the slack of :func:`_scan`."""
-        offs = run.bounds[:-1] * run.rec.shape[1]
-        hi, lo = np.empty((2, len(self.operands), len(run.max_rec)), np.float32)
+        ``run``: each block's extremes of its float32 ``sums`` times its
+        reciprocal extremes, chosen by sign, widened by ``slack``."""
+        flat, offs = sums.reshape(len(sums), -1), run.bounds[:-1] * run.rows
+        hi, lo = np.maximum.reduceat(flat, offs, axis=1), np.minimum.reduceat(flat, offs, axis=1)
         with np.errstate(over="ignore", invalid="ignore"):
-            for m, ratio in enumerate(self.ratios(run)):
-                flat = ratio.reshape(-1)
-                np.maximum.reduceat(flat, offs, out=hi[m])
-                np.minimum.reduceat(flat, offs, out=lo[m])
-            hi, lo = hi * run.step, lo * run.step
-            size = np.maximum(np.abs(hi), np.abs(lo))
-            slack = self.slack(run) + (8.0 * _U32 + 2.0 * run.qerr) * size + _TINY32 * run.step
-        return hi + slack, lo - slack
+            up = np.where(hi >= 0.0, hi * run.max_rec, hi * run.min_rec)
+            down = np.where(lo >= 0.0, lo * run.min_rec, lo * run.max_rec)
+        return up + slack, down - slack
 
     def unresolved(self, run: _Screened, N: int, M_grid, best: list[float]):
-        """The blocks of ``run`` that the screen cannot rule out at some M,
-        in order, as ``(i0, j0, shape, open)``, ``open`` the ascending
-        indices into ``M_grid`` of the M at which it cannot.  ``best`` is
-        read again after each block, once the caller has scanned it."""
-        up, down = self.widened(run)
+        """The blocks of ``run`` that the float64 pass must scan, in order,
+        as ``(i0, j0, rec, None, open)`` like the other blocks of
+        :func:`_scan` (a screened block drops no pair): ``rec`` the block's
+        recomputed float64 reciprocal lengths, in the fourth ``block``
+        buffer of the workspace, and ``open`` the ascending indices into
+        ``M_grid`` of the M at which the screen cannot rule the block out.  ``best`` is
+        read again after each block, once the caller has scanned it.
+
+        A block the block bounds cannot rule out at every M has its
+        reciprocals recomputed, by the call that cached their extremes, and
+        is then bounded pair by pair, its float32 sums times those
+        reciprocals widened by the same slack, from the largest M still
+        open down to the first M these bounds cannot rule out: the float64
+        pass adds up the segments of the smaller M anyway."""
+        sums = self.sums(run)
+        slack = self.slack(run)
+        up, down = self.widened(run, sums, slack)
         t = 0
         while t < len(run.max_rec):
             above, below = _thresholds(best, N, M_grid)
@@ -544,8 +554,21 @@ class _Screen:
                 break
             k = int(np.argmax(pending))
             t += k
-            shape = (run.rec.shape[1], int(run.bounds[t + 1] - run.bounds[t]))
-            yield run.i0, run.j0 + int(run.bounds[t]), shape, tuple(np.flatnonzero(~ruled_out[:, k]).tolist())
+            c0, c1 = int(run.bounds[t]), int(run.bounds[t + 1])
+            rows, cols = slice(run.i0, run.i0 + run.rows), slice(run.j0 + c0, run.j0 + c1)
+            _, _, ratio, lengths = self.work.get("block", (4, run.rows, c1 - c0))
+            rec = np.divide(1.0, _block_half_sq(*self.ambient, rows, cols, lengths, ratio), out=lengths)
+            self.recomputed += 1
+            open_ms = np.flatnonzero(~ruled_out[:, k]).tolist()
+            with np.errstate(over="ignore", invalid="ignore"):
+                while open_ms:  # from the largest M: once one stays open, the pass pays for the rest
+                    m = open_ms[-1]
+                    np.multiply(sums[m, c0:c1].T, rec, out=ratio)
+                    if not (ratio.max() + slack[m, t] <= above[m] and ratio.min() - slack[m, t] >= below[m]):
+                        break
+                    open_ms.pop()
+            if open_ms:
+                yield run.i0, run.j0 + c0, rec, None, tuple(open_ms)
             t += 1
 
 
@@ -611,83 +634,78 @@ def _scan(
     all at most the running worst b at some M leaves the scan at that M as
     it was (ties do not replace the worst pair), and it needs none of its
     ratios above (1 + b)^2 / s or, when b < 1, below (1 - b)^2 / s.  The
-    screen rules a block out at an M when its float32 extremes, widened by
-    the slack below, stay within both limits there, and skips the block
-    when it rules it out at every M.  Otherwise ``ambient`` =
+    screen rules a block out at an M when its bounds, widened by the slack
+    below, stay within both limits there, and skips the block when it
+    rules it out at every M.  It bounds a block twice.  First from the two
+    reciprocals the block keeps: every rec lies in [min rec, max rec], so
+    the ratio t rec of a float32 sum t lies below t_max max rec
+    (t_max min rec if t_max < 0) and above t_min min rec (t_min max rec
+    if t_min < 0), t_max and t_min the block's extremes of t.  A block
+    these bounds leave open gets its float64 reciprocals recomputed with
+    the call that cached their extremes, by ``ambient`` =
     (points, *_sq_operands(points)), the very arrays that built the cache,
-    recomputes the block's float64 reciprocals with the call that cached
-    them, so it reads the bits the cache read, and the float64 pass below
-    runs on it: it adds up segments only to the largest M still open and
-    takes extremes only at the open M.  A block ruled out at M cannot
-    change the worst at M then or later, as b only grows and the limits
-    only widen.  Blocks keep their order, so every max and argmax is the
-    unscreened scan's bit for bit.  The band blocks are rarely screenable
-    (their shortest chords are too short for float32), but they set the
-    running worst before the screen reaches the far blocks, so a far block
-    is screened against the worst chord of the band and is usually ruled
-    out.
+    so it reads the bits the cache read.  Then pair by pair: the block's
+    float32 sums times those reciprocals (a float64 product), from the
+    largest M still open down to the first M this cannot rule out, as
+    the float64 pass adds up the segments of the smaller M anyway.  At
+    the M left open the float64 pass below runs on the same reciprocals:
+    it adds up segments only to the largest M still open and takes
+    extremes only at the open M.  A block ruled out at M cannot change
+    the worst at M then or later, as b only grows and the limits only
+    widen.  Blocks keep their order, so every max and argmax
+    is the unscreened scan's bit for bit.  The band blocks are never
+    screened (their shortest chords are too short for float32), but they
+    set the running worst before the screen reaches the far blocks, so a
+    far block is screened against the worst chord of the band and is
+    usually ruled out.
 
     The float32 pass forms each segment's half squared lengths with one
-    GEMM of [y, h, 1] by [-y; 1; h] (h = |y|^2 / 2 over the segment), adds
-    them up over segments into t, multiplies t by the block's 16-bit codes
-    q of rec (see :class:`_Screened`) and takes each block's largest and
-    smallest product, scaled to a ratio by the block's step.  With
-    u = 2^-24 and H = |y|^2 / 2 over the first M columns, its error against
-    the float64 ratio of a pair (i, j) is at most
+    GEMM of [y, h, 1] by [-y; 1; h] (h = |y|^2 / 2 over the segment) and
+    adds them up over segments into t.  With u = 2^-24 and H = |y|^2 / 2
+    over the first M columns, t rec is within
 
-        kappa_M (u (H_i + H_j) + 2^-126) rec + (8 u + 2 qerr) |r| + 2^-126 step,
-        kappa_M = 4 (M + 7 S) over S segments,
+        kappa_M (u (H_i + H_j) + 2^-126) rec,   kappa_M = 4 (M + 7 S) over S segments,
 
-    with r the scaled float32 extreme of larger size in the block and step
-    and qerr those of the block.  Derivation, in exact arithmetic on the
-    float64 images: rounding the operands to float32 moves each segment's
-    dot product by at most 3 u (h_i + h_j).  A dot product of n terms,
-    summed in any order and with or without fused multiply-adds, is off by
-    at most gamma_n sum |x_k y_k| (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., 2002, section 3.1),
-    gamma_n = n u / (1 - n u): every term meets at most n roundings
+    of the float64 ratio of a pair (i, j).  Derivation, in exact
+    arithmetic on the float64 images: rounding the operands to float32
+    moves each segment's dot product by at most 3 u (h_i + h_j).  A dot
+    product of n terms, summed in any order and with or without fused
+    multiply-adds, is off by at most gamma_n sum |x_k y_k| (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, section
+    3.1), gamma_n = n u / (1 - n u): every term meets at most n roundings
     whatever the order, and a fused multiply-add only drops one.  Here
     n = w + 2 for a segment of width w, and sum |x_k y_k| <= 2 (h_i + h_j)
     because |y_ik y_jk| <= (y_ik^2 + y_jk^2) / 2.  A segment is thus within
     (2 w + 7) u (h_i + h_j), and adding up S segments costs at most
     2 (S - 1) u (H_i + H_j) more: t is within e = (2 M + 2 S + 5) u (H_i + H_j)
-    of the float64 projected length p, to first order.  The codes:
-    |q step - rec| <= step / 2, and q >= 65535 min rec / max rec - 1/2, so
-    rec = q step (1 + delta) with |delta| <= 1 / (2 q) <= qerr / (1 - qerr)
-    <= 2 qerr while qerr <= 1/2, which :func:`_screenable` ensures (it also
-    makes every q >= 1).  As q step <= max rec, t q step is within
-    e max rec of p q step, and p rec = p q step (1 + delta) is within
-    2 qerr (|r| + e max rec) of p q step: in all (1 + 2 qerr) e max rec
-    + 2 qerr |r|.  kappa_M = 4 (M + 7 S) exceeds 2 (2 M + 2 S + 5) >=
-    (1 + 2 qerr) (2 M + 2 S + 5) by 24 S - 10 >= 14, which covers
-    second-order terms and the float64 pass's own rounding of p (2^-29
-    times smaller).  The float32 product t q, its float64 product by step,
-    and the float64 rounding of the codes and of step add a relative
-    u + 3 2^-53, covered with their cross terms by 8 u |r|.  The 2^-126
-    terms bound underflow: a float32 operation with a subnormal result, or
-    one flushed to zero, is off by at most 2^-126; the product t q by an
-    integer code is exact when its result is subnormal, and off by 2^-126
-    code units (2^-126 step) when flushed to zero.  Per block, H_i + H_j
-    and rec are replaced by their largest values.  The limits are narrowed
-    by a relative 1e-9 for the float64 rounding of the limits, of the
-    widened extremes and of the distortions themselves, and that margin
-    also covers the rounding of the float64 product p rec (a relative
-    2^-53): the screen bounds exactly the ratios the float64 pass computes.
-    An extreme that overflows to inf or NaN never skips a block.
+    of the float64 projected length p, to first order, and t rec within
+    e rec of p rec.  kappa_M = 4 (M + 7 S) is more than twice
+    2 M + 2 S + 5, which covers second-order terms and the float64 pass's
+    own rounding of p (2^-29 times smaller).  The 2^-126 terms bound
+    underflow: a float32 operation with a subnormal result, or one flushed
+    to zero, is off by at most 2^-126.  Per block, H_i + H_j and rec are
+    replaced by their largest values.  The extremes of t are exact, and
+    the products by reciprocals are rounded in float64.  The limits are
+    narrowed by a relative 1e-9 for the float64 rounding of the limits, of
+    these products, of the widened bounds and of the distortions
+    themselves, and that margin also covers the rounding of the float64
+    product p rec (a relative 2^-53): the screen bounds exactly the ratios
+    the float64 pass computes.  A bound that overflows to inf or NaN never
+    skips a block.
 
     A block takes three buffers of its size (the running sum, the
     segment's lengths, and the Gram product, then the ratios), and a fourth
-    for recomputed reciprocals; the screen decodes a run's codes once per
-    call and takes the whole run at every M, in three float32 buffers of a
-    run's size.  The segments of the images are column views of ``Y``, not
-    copies, and their operands of both passes are filled in place.  Every
-    buffer is a view of ``work``, the :class:`_Workspace` of the calling
-    thread (a new one when None), in which :meth:`ChordScan.worst` also
-    forms ``Y``, so a scan on a thread that has scanned blocks of the same
-    sizes allocates no array of a block's size.  The
-    buffers belong to the thread, not the call: one :class:`ChordScan`
-    serves concurrent scans from several threads, each in its own
-    workspace.
+    for recomputed reciprocals; the screen takes a whole run at every M,
+    one float32 buffer of a run's size per M, which the pair-by-pair
+    bounds read again.  The segments of the images are
+    column views of ``Y``, not copies, and their operands of both passes
+    are filled in place.  Every buffer is a view of ``work``, the
+    :class:`_Workspace` of the calling thread (a new one when None), in
+    which :meth:`ChordScan.worst` also forms ``Y``, so a scan on a thread
+    that has scanned blocks of the same sizes allocates no array of a
+    block's size.  The buffers belong to the thread, not the call: one
+    :class:`ChordScan` serves concurrent scans from several threads, each
+    in its own workspace.
     """
     work = _Workspace() if work is None else work
     edges = (0, *M_grid)
@@ -696,24 +714,20 @@ def _scan(
     ops = [_sq_operands(*args) for args in zip(segs, leads, trails)]
     every = tuple(range(len(segs)))
     screen = None
-    best, best_pair, n_eval, recomputed = [-1.0] * len(segs), [(-1, -1)] * len(segs), 0, 0
+    best, best_pair, n_eval = [-1.0] * len(segs), [(-1, -1)] * len(segs), 0
     for item in blocks:
-        screened = isinstance(item, _Screened)
-        if screened:
+        if isinstance(item, _Screened):
             if screen is None:
-                screen = _Screen(segs, ops, M_grid, work)
+                screen = _Screen(segs, ops, M_grid, ambient, work)
             todo = screen.unresolved(item, N, M_grid, best)
-            n_eval += item.rec.size
+            n_eval += item.rows * int(item.bounds[-1])
         else:
-            i0, j0, rec, drop = item
-            todo = ((i0, j0, rec.shape, every),)
+            todo = (item + (every,),)
             n_eval += _n_pairs(*item)
-        for i0, j0, shape, open_ms in todo:
+        for i0, j0, rec, drop, open_ms in todo:
+            shape = rec.shape
             rows, cols = slice(i0, i0 + shape[0]), slice(j0, j0 + shape[1])
-            proj, part, ratio, lengths = work.get("block", (4, *shape))
-            if screened:  # the float64 reciprocals, by the call that cached them
-                rec, drop = np.divide(1.0, _block_half_sq(*ambient, rows, cols, lengths, ratio), out=lengths), None
-                recomputed += 1
+            proj, part, ratio, _ = work.get("block", (4, *shape))  # a screened block's rec is in the fourth
             diagonal, right = i0 == j0, None
             for m in range(open_ms[-1] + 1):
                 lead, trail = ops[m]
@@ -737,56 +751,42 @@ def _scan(
                         best[m], best_pair[m] = d, (i0 + i, j0 + j)
     if n_eval == 0:
         raise ValueError(_NO_CHORDS)
+    recomputed = 0 if screen is None else screen.recomputed
     return [DistortionSummary(max=d, argmax=pair, n_evaluated=n_eval, recomputed=recomputed)
             for d, pair in zip(best, best_pair)]
 
 
-def _screenable(i0: int, j0: int, rec: np.ndarray, drop, h: np.ndarray) -> bool:
-    """Whether :class:`ChordScan` keeps an all-pairs block of reciprocal
-    lengths ``rec`` for the float32 screen: it is off the diagonal, it has
-    no dropped entry (no identical points and no chord of computed length
-    <= 0), it is well conditioned for float32,
+def _screenable(i0: int, j0: int, rec: np.ndarray, drop, h: np.ndarray, block: int) -> bool:
+    """Whether :class:`ChordScan` keeps a block of reciprocal lengths
+    ``rec`` for the float32 screen: it is a far block (see :func:`_far`),
+    it has no dropped entry (no identical points and no chord of computed
+    length <= 0), and it is well conditioned for float32,
     u (max h_i + max h_j) max rec < 1e-4 with u = 2^-24 and h the half
-    squared norms of its rows i and columns j, every rec is a normal
-    float32 number below 2^126, and max rec <= 65535 min rec, which the
-    error bound of its 16-bit codes needs (see :func:`_scan`).  The
-    conditioning test already keeps max rec below 3356 min rec, as
-    1 / rec = da <= 2 (h_i + h_j)."""
-    if i0 == j0 or drop is not None:
+    squared norms of its rows i and columns j."""
+    if not _far(i0, j0, block) or drop is not None:
         return False
-    lo, hi = float(rec.min()), float(rec.max())
     cond = _U32 * (h[i0 : i0 + rec.shape[0]].max() + h[j0 : j0 + rec.shape[1]].max())
-    return bool(cond * hi < _SCREEN_COND) and _TINY32 < lo and hi < 1.0 / _TINY32 and hi <= _CODES * lo
+    return bool(cond * rec.max() < _SCREEN_COND)
 
 
-def _encoded(rec: np.ndarray) -> tuple[np.ndarray, float, float, float]:
-    """The 16-bit codes of the reciprocal lengths ``rec``, transposed, with
-    the block's max_rec, step and qerr (see :class:`_Screened`)."""
-    max_rec, min_rec = float(rec.max()), float(rec.min())
-    step = max_rec / _CODES
-    codes = np.ascontiguousarray(np.rint(rec.T / step), dtype=np.uint16)
-    return codes, max_rec, step, 0.5 * (max_rec / min_rec) / _CODES
-
-
-def _cached(blocks, h: np.ndarray):
-    """The all-pairs blocks of ``_chord_blocks`` as :class:`ChordScan`
-    keeps them, in the same order: each run of consecutive screenable
-    blocks in one block row as one :class:`_Screened`, closed once it
-    reaches ``_SCREEN_COLS`` columns, and every other block as it is."""
-    run = []  # (i0, j0, *_encoded(rec)) of the screenable blocks not yet yielded
+def _cached(blocks, h: np.ndarray, block: int):
+    """The blocks of ``_chord_blocks`` as :class:`ChordScan` keeps them, in
+    the same order: each run of consecutive screenable blocks in one block
+    row as one :class:`_Screened`, closed once it reaches ``_SCREEN_COLS``
+    columns, and every other block as it is."""
+    run = []  # (i0, j0, rows, columns, max rec, min rec) of the screenable blocks not yet yielded
 
     def merged():
-        i0, j0, recs, *per_block = zip(*run)
-        bounds = np.cumsum([0] + [len(rec) for rec in recs])
-        return _Screened(i0[0], j0[0], np.concatenate(recs), bounds, *map(np.array, per_block))
+        i0, j0, rows, widths, *extremes = zip(*run)
+        return _Screened(i0[0], j0[0], rows[0], np.cumsum((0, *widths)), *map(np.array, extremes))
 
     for i0, j0, rec, drop in blocks:
-        screenable = _screenable(i0, j0, rec, drop, h)
-        if run and not (screenable and i0 == run[-1][0] and j0 == run[-1][1] + len(run[-1][2])):
+        screenable = _screenable(i0, j0, rec, drop, h, block)
+        if run and not (screenable and i0 == run[-1][0] and j0 == run[-1][1] + run[-1][3]):
             yield merged()
             run = []
         if screenable:
-            run.append((i0, j0, *_encoded(rec)))
+            run.append((i0, j0, *rec.shape, float(rec.max()), float(rec.min())))
             if j0 + rec.shape[1] - run[0][1] >= _SCREEN_COLS:
                 yield merged()
                 run = []
@@ -823,18 +823,20 @@ class ChordScan:
     build the cache and recompute a screened block, so both read the same
     bits.  Squared chord lengths in the ambient space depend only on the
     points, so their reciprocals are computed once here, in the order of
-    ``_chord_blocks``: the diagonal band, then the far blocks.  A block
+    ``_chord_blocks``: the diagonal band, then the far blocks.  A far block
     that the float32 screen of :func:`_scan` takes (see
-    :func:`_screenable`) keeps only 16-bit codes of its reciprocal lengths,
-    2 bytes per pair, and three floats; the others, in practice the
-    diagonal blocks and their neighbours, keep their float64 reciprocals,
-    8 bytes per pair, plus a one-byte mask only where pairs are dropped
-    (a diagonal block is kept whole and needs none for its diagonal and
-    lower triangle).  :attr:`cache_bytes` and :attr:`screened_blocks`
-    report the result.  Each :meth:`worst` then pays only for its
-    projector's Gram blocks, scans every M of a nested grid in one pass,
-    and at a single M agrees bit for bit with :func:`pointset_distortion`
-    at the same block size, worst pair and exact ties included.  The
+    :func:`_screenable`) keeps only the largest and the smallest of its
+    float64 reciprocal lengths, and its column offset: 24 bytes, whatever
+    its size.  The others, the band's blocks (the diagonal blocks and their
+    first two neighbours) and far blocks the screen cannot take, keep their
+    float64 reciprocals, 8 bytes per pair, plus a one-byte mask only where
+    pairs are dropped (a diagonal block is kept whole and needs none for
+    its diagonal and lower triangle).  :attr:`cache_bytes` and
+    :attr:`screened_blocks` report the result.  Each :meth:`worst` then
+    pays only for its projector's Gram blocks, scans every M of a nested
+    grid in one pass, and at a single M agrees bit for bit with
+    :func:`pointset_distortion` at the same block size, worst pair and
+    exact ties included.  The
     cached blocks are only read, so one scan serves concurrent calls from
     several threads.
 
@@ -856,7 +858,7 @@ class ChordScan:
         self.points = np.array(points)  # a copy, in the memory order of the caller's
         self.points.flags.writeable = False
         self._ambient = (self.points, *_sq_operands(self.points))
-        self._blocks = list(_cached(_chord_blocks(self._ambient, block), self._ambient[2][1]))
+        self._blocks = list(_cached(_chord_blocks(self._ambient, block), self._ambient[2][1], block))
         if not self._blocks:
             raise ValueError(_NO_CHORDS)
         self._local = threading.local()
@@ -887,11 +889,13 @@ class ChordScan:
         projection of R^N do: the rows of a :class:`Projector`, or any rows
         with the same inner products with the points.  The images
         ``points @ rows[:M_max].T`` are formed in the calling thread's
-        workspace and must be finite; rows past M_max are not read.  Every
-        input is checked before the scan.  Entry k equals the scan of the
-        first M_k rows alone up to rounding of the per-segment sums.
+        workspace and must be finite; rows past M_max are not read.  The
+        entries of ``M_grid`` must be whole numbers (2.0 is 2, 2.7 is
+        refused).  Every input is checked before the scan.  Entry k equals
+        the scan of the first M_k rows alone up to rounding of the
+        per-segment sums.
         """
-        M_grid = tuple(int(m) for m in M_grid)
+        M_grid = tuple(integer(m, "M_grid entry") for m in M_grid)
         rows = np.asarray(rows, dtype=float)
         P, dim = self.points.shape
         if rows.ndim != 2 or rows.shape[1] != dim:

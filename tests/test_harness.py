@@ -176,7 +176,7 @@ class TestManifest:
         (scan,) = scans
         screened = [b for b in scan._blocks if isinstance(b, _Screened)]
         others = [b for b in scan._blocks if not isinstance(b, _Screened)]
-        cached = [a for r in screened for a in (r.rec, r.bounds, r.max_rec, r.step, r.qerr)]
+        cached = [a for r in screened for a in (r.bounds, r.max_rec, r.min_rec)]
         cached += [a for _, _, rec, drop in others for a in (rec, drop) if a is not None]
         assert diagnostics == {"chord_cache_bytes": sum(a.nbytes for a in cached),
                                "screened_blocks": 8 * 9 // 2 - len(others),
@@ -672,6 +672,22 @@ class TestCLI:
     def test_non_integral_parameters_exit_1(self, tmp_path, capsys, monkeypatch, argv, message):
         # refused with a record that names the key, before anything is
         # sampled, drawn or computed
+        assert_refused_before_work(tmp_path, capsys, monkeypatch, argv, message)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["mstar", "--param", "M_grid=5"], "parameter 'M_grid' must be a list, got 5"),
+        (["figure", "--param", "kind=fig6a", "--param", 'params={"K_values": 1}'],
+         "fig6a parameter 'K_values' must be a list, got 1"),
+        (["figure", "--param", "kind=fig6b", "--param", 'params={"N_values": 200}'],
+         "fig6b parameter 'N_values' must be a list, got 200"),
+        (["figure", "--param", "kind=fig6a", "--param", 'params={"M_grid": 100}'],
+         "fig6a parameter 'M_grid' must be a list, got 100"),
+        (["figure", "--param", "kind=fig6a", "--param", 'params={"lnV_over_K": 1.0}'],
+         "fig6a parameter 'lnV_over_K' must be a list, got 1.0"),
+    ])
+    def test_scalar_where_a_list_belongs_exit_1(self, tmp_path, capsys, monkeypatch, argv, message):
+        # a scalar given for a list parameter is refused with a record that
+        # names the key, before anything is sampled, drawn or computed
         assert_refused_before_work(tmp_path, capsys, monkeypatch, argv, message)
 
     @pytest.mark.parametrize("argv, message", [

@@ -682,6 +682,15 @@ class TestChordScan:
         with pytest.raises(ValueError, match=message):
             scan.worst(rows, N, M_grid)
 
+    def test_worst_takes_whole_M_only(self):
+        # a non-integral M is refused with the entry named, not truncated;
+        # a whole float is that integer
+        scan = ChordScan(np.cumsum(np.random.default_rng(27).standard_normal((50, 10)), axis=0))
+        A = sample_projector(10, 3, 1)
+        with pytest.raises(ValueError, match="M_grid entry must be int, got 2.7"):
+            scan.worst(A.rows, 10, (2.7,))
+        assert scan.worst(A.rows, 10, (1, 2.0)) == scan.worst(A.rows, 10, (1, 2))
+
     def test_points_are_copied(self):
         # the scan keeps its own read-only copy of the points: doubling the
         # caller's array afterwards changes no result, and a fresh scan of
@@ -710,21 +719,27 @@ class TestChordScan:
             assert g == projections._scan(X @ r.T, N, M_grid, scan._blocks, scan._ambient)
 
 
-def screen_of(Y, M_grid):
-    """The nested segments of the images ``Y``, their operands and the
-    float32 screen over them, as :func:`projections._scan` builds them."""
+def screen_of(scan, Y, M_grid):
+    """The nested segments of the images ``Y`` of the points of ``scan``,
+    their operands and the float32 screen over them, as
+    :func:`projections._scan` builds them."""
     edges = (0, *M_grid)
     segs = [Y[:, a:b] for a, b in zip(edges, edges[1:])]
     ops = [projections._sq_operands(seg) for seg in segs]
-    return segs, ops, projections._Screen(segs, ops, M_grid)
+    return segs, ops, projections._Screen(segs, ops, M_grid, scan._ambient)
+
+
+def block_slices(run, t):
+    """The rows and the columns of the points of block t of the screened
+    ``run``."""
+    return slice(run.i0, run.i0 + run.rows), slice(run.j0 + run.bounds[t], run.j0 + run.bounds[t + 1])
 
 
 def screened_lengths(scan, run, t):
     """The float64 half squared lengths da of block t of the screened
     ``run`` of ``scan``, rows by columns."""
-    nr, c0, c1 = run.rec.shape[1], run.bounds[t], run.bounds[t + 1]
-    rows, cols = slice(run.i0, run.i0 + nr), slice(run.j0 + c0, run.j0 + c1)
-    shape = (nr, c1 - c0)
+    rows, cols = block_slices(run, t)
+    shape = (run.rows, cols.stop - cols.start)
     return projections._block_half_sq(*scan._ambient, rows, cols, np.empty(shape), np.empty(shape))
 
 
@@ -733,11 +748,9 @@ def float64_ratios(scan, segs, ops, run):
     index m of the nested grid: r (rows by columns) the float64 ratios of
     projected half squared length to ambient one, as the scan computes
     them: the projected length times the reciprocal of the ambient one."""
-    nr = run.rec.shape[1]
     for t in range(len(run.max_rec)):
-        c0, c1 = run.bounds[t], run.bounds[t + 1]
-        rows, cols = slice(run.i0, run.i0 + nr), slice(run.j0 + c0, run.j0 + c1)
-        shape = (nr, c1 - c0)
+        rows, cols = block_slices(run, t)
+        shape = (run.rows, cols.stop - cols.start)
         rec = 1.0 / screened_lengths(scan, run, t)
         proj = 0.0
         for m, (seg, (lead, trail)) in enumerate(zip(segs, ops)):
@@ -750,22 +763,24 @@ def screened_runs(scan):
 
 
 def screen_error_ratio(scan, Y, N, M_grid):
-    """Largest |r32 - r64| / slack over every entry of every screened block
-    of ``scan`` at every M of the nested grid: r32 from the float32 pass,
-    scaled by the block's step, r64 the float64 ratio the scan computes for
-    the pair, and the slack the screen widens the block's scaled float32
-    extremes by, which is checked to be exactly the screen's."""
-    segs, ops, screen = screen_of(Y, M_grid)
+    """Largest |t rec - r64| / slack over every entry of every screened
+    block of ``scan`` at every M of the nested grid: t the float32 sum of
+    the screen, rec the float64 reciprocal length, r64 the float64 ratio
+    the scan computes for the pair, and the slack the screen's.  The
+    screen's block bounds are checked to be the block's extremes of t
+    times its reciprocal extremes, chosen by sign, widened by that slack."""
+    segs, ops, screen = screen_of(scan, Y, M_grid)
     worst = 0.0
     for run in screened_runs(scan):
-        r32 = [r.copy() for r in screen.ratios(run)]
-        slack = screen.slack(run)
-        up, down = screen.widened(run)
+        sums, slack = screen.sums(run).copy(), screen.slack(run)
+        up, down = screen.widened(run, sums, slack)
         for t, m, r64 in float64_ratios(scan, segs, ops, run):
-            r = r32[m][run.bounds[t] : run.bounds[t + 1]].T * run.step[t]
-            bound = slack[m, t] + (8 * 2.0**-24 + 2 * run.qerr[t]) * np.abs(r).max() + 2.0**-126 * run.step[t]
-            assert (up[m, t], down[m, t]) == (r.max() + bound, r.min() - bound)
-            worst = max(worst, float((np.abs(r - r64) / bound).max()))
+            s = sums[m][run.bounds[t] : run.bounds[t + 1]].T.astype(float)
+            hi, lo, rec = s.max(), s.min(), 1.0 / screened_lengths(scan, run, t)
+            assert (run.max_rec[t], run.min_rec[t]) == (rec.max(), rec.min())
+            assert up[m, t] == hi * (run.max_rec[t] if hi >= 0 else run.min_rec[t]) + slack[m, t]
+            assert down[m, t] == lo * (run.min_rec[t] if lo >= 0 else run.max_rec[t]) - slack[m, t]
+            worst = max(worst, float((np.abs(s * rec - r64) / slack[m, t]).max()))
     return worst
 
 
@@ -784,6 +799,21 @@ def count_recomputed(monkeypatch, scan):
     return calls
 
 
+def count_float64_passes(monkeypatch):
+    """A list that gains the open M of each screened block that reaches
+    the float64 pass, the M its pair-by-pair bounds leave open."""
+    passes = []
+    unresolved = projections._Screen.unresolved
+
+    def spy(*args):
+        for block in unresolved(*args):
+            passes.append(block[4])
+            yield block
+
+    monkeypatch.setattr(projections._Screen, "unresolved", spy)
+    return passes
+
+
 class TestScreenedScan:
     @pytest.mark.parametrize("case", ["curve", "shifted", "duplicates", "ragged"])
     def test_screened_scan_equals_oracles(self, case, monkeypatch):
@@ -793,11 +823,11 @@ class TestScreenedScan:
         X = screened_cases()[case]
         N, M_grid, k = 1000, (25, 63, 100), X.shape[1]
         scan = ChordScan(X)
-        n_blocks = 8 * 9 // 2
+        n_far = 8 * 9 // 2 - (8 + 7 + 6)  # the band: the diagonal blocks and their first two neighbours
         if case == "shifted":  # |x|^2 / 2 ~ 7e7 against chords of order 1
             assert scan.screened_blocks == 0
-        else:
-            assert scan.screened_blocks >= n_blocks // 2
+        else:  # every far block but the one with identical points
+            assert scan.screened_blocks == n_far - (case == "duplicates")
         if case == "duplicates":
             dropped = [(b[0], b[1]) for b in scan._blocks if not isinstance(b, _Screened) and b[3] is not None]
             assert {(0, 256), (0, 640)} <= set(dropped)
@@ -807,14 +837,14 @@ class TestScreenedScan:
         for b in scan._blocks:
             order += [(b.i0, b.j0 + int(c)) for c in b.bounds[:-1]] if isinstance(b, _Screened) else [b[:2]]
         assert order == [(i0, j0) for i0, j0, _, _ in chord_blocks(X)]
-        recomputed = count_recomputed(monkeypatch, scan)
+        passes = count_float64_passes(monkeypatch)
         for seed in range(2):
             rows = frame_rows(N, k, M_grid[-1], seed)
             Y = X @ rows.T
-            recomputed.clear()
+            passes.clear()
             got = scan.worst(rows, N, M_grid)
             if case != "shifted":  # most screened blocks are skipped
-                assert len(recomputed) < scan.screened_blocks / 2
+                assert len(passes) < scan.screened_blocks / 2
             assert got == projections._scan(Y, N, M_grid, chord_blocks(X))
             assert [g.max for g in got] == nested_elementwise_worst(X, Y, N, M_grid, 128)
             A = sample_projector(k, 50, seed)
@@ -822,41 +852,40 @@ class TestScreenedScan:
             assert summary(scan, A).max == elementwise_worst(A, X, 128)
 
     def test_ties_keep_the_unscreened_order(self):
-        # integer coordinates make every length exact: the chords (3, 40)
+        # integer coordinates make every length exact: the chords (3, 56)
         # and (5, 100) lie beyond the first 30 coordinates, so both have
         # distortion 1 at every M, and no other chord reaches it while
         # N / M < 4.  The first, in a screened run, comes before the second,
         # in a block with identical points, so it is the worst pair.
         rng = np.random.default_rng(19)
         X = rng.integers(-8, 9, size=(150, 40)).astype(float)
-        X[40], X[100], X[101] = X[3], X[5], X[6]
-        X[40, 35] += 8.0
+        X[56], X[100], X[101] = X[3], X[5], X[6]
+        X[56, 35] += 8.0
         X[100, 36] += 8.0
         scan = ChordScan(X, block=16)
         runs = [b for b in scan._blocks if isinstance(b, _Screened)]
-        assert any(b.i0 == 0 and b.j0 <= 32 < b.j0 + b.bounds[-1] for b in runs)
+        assert any(b.i0 == 0 and b.j0 <= 48 < b.j0 + b.bounds[-1] for b in runs)
         assert not any(b.i0 == 0 and b.j0 <= 96 < b.j0 + b.bounds[-1] for b in runs)
         M_grid, rows = (12, 20, 30), np.eye(30, 40)
         Y = X @ rows.T
         got = scan.worst(rows, 40, M_grid)
         assert got == projections._scan(Y, 40, M_grid, chord_blocks(X, 16))
-        assert [(g.max, g.argmax) for g in got] == [(1.0, (3, 40))] * 3
+        assert [(g.max, g.argmax) for g in got] == [(1.0, (3, 56))] * 3
 
     def test_ties_prefer_the_diagonal_band(self):
-        # integer coordinates make every length exact: the chords (3, 40),
-        # in the far block (0, 32), and (20, 41), in the band block
+        # integer coordinates make every length exact: the chords (3, 56),
+        # in the far block (0, 48), and (20, 41), in the band block
         # (16, 32), lie beyond the first 30 coordinates, so both have
         # distortion 1 at every M, and no other chord reaches it while
         # N / M < 4.  The band is scanned first, so every path reports the
         # band pair, through the screen and without it.
         rng = np.random.default_rng(19)
         X = rng.integers(-8, 9, size=(150, 40)).astype(float)
-        X[40], X[41] = X[3], X[20]
-        X[40, 35] += 8.0
+        X[56], X[41] = X[3], X[20]
+        X[56, 35] += 8.0
         X[41, 36] += 8.0
         scan = ChordScan(X, block=16)
-        runs = {(b.i0, b.j0) for b in scan._blocks if isinstance(b, _Screened)}
-        assert {(0, 32), (16, 32)} <= runs
+        assert (0, 48) in {(b.i0, b.j0) for b in scan._blocks if isinstance(b, _Screened)}
         M_grid, rows = (12, 20, 30), np.eye(30, 40)
         Y = X @ rows.T
         want = [(1.0, (20, 41))] * 3
@@ -868,16 +897,17 @@ class TestScreenedScan:
 
     @pytest.mark.parametrize("block", [16, 128])
     def test_band_blocks_come_first(self, block):
-        # the diagonal blocks and their first neighbours (j0 - i0 <= block)
-        # precede every far block, in the stream and in the cache, and a
-        # cached run is closed once it reaches one screen product's columns
+        # the diagonal blocks and their first two neighbours
+        # (j0 - i0 <= 2 block) precede every far block, in the stream and in
+        # the cache, none of them is screened, and a cached run is closed
+        # once it reaches one screen product's columns
         rng = np.random.default_rng(20)
         X = gp_curve(2048)[:2000] if block == 128 else np.cumsum(rng.standard_normal((150, 40)), axis=0)
         streamed = [(i0, j0) for i0, j0, _, _ in chord_blocks(X, block)]
         starts = range(0, len(X), block)
         assert sorted(streamed) == [(i0, j0) for i0 in starts for j0 in starts if j0 >= i0]
-        band = [j0 - i0 <= block for i0, j0 in streamed]
-        assert band == sorted(band, reverse=True) and sum(band) == 2 * len(starts) - 1
+        band = [j0 - i0 <= 2 * block for i0, j0 in streamed]
+        assert band == sorted(band, reverse=True) and sum(band) == 3 * len(starts) - 3
         scan = ChordScan(X, block=block)
         cached = []
         for b in scan._blocks:
@@ -885,8 +915,9 @@ class TestScreenedScan:
         assert cached == streamed
         runs = [b for b in scan._blocks if isinstance(b, _Screened)]
         assert runs and all(b.bounds[-1] <= projections._SCREEN_COLS for b in runs)
-        if block == 128:  # the far blocks of row 0 span 1744 columns
-            assert (runs[0].i0, runs[0].j0, runs[0].bounds[-1]) == (0, 256, projections._SCREEN_COLS)
+        assert all(b.j0 - b.i0 > 2 * block for b in runs)
+        if block == 128:  # the far blocks of row 0 span 1616 columns
+            assert (runs[0].i0, runs[0].j0, runs[0].bounds[-1]) == (0, 384, projections._SCREEN_COLS)
         assert any(b.bounds[-1] - b.bounds[-2] < block for b in runs)
 
     def test_slack_bounds_float32_error(self):
@@ -916,96 +947,120 @@ class TestScreenedScan:
                 assert screen_error_ratio(scan, Y, N, M_grid) <= 1.0
 
     def test_widened_extremes_hold_the_float64_ratios(self):
-        # the screen skips a block on its widened float32 extremes alone,
-        # so they must bound every float64 ratio of the block at every M
+        # the screen skips a block on its widened block bounds alone, or on
+        # its widened pair-by-pair bounds, so each must hold every float64
+        # ratio of the block at every M; and a block with a distortion above
+        # the running worst at every M, by less than float32 rounding,
+        # reaches the float64 pass at every M, with the reciprocal lengths
+        # the scan would recompute
         X, N, M_grid = gp_curve(2048), 1000, (63, 100)
         scan = ChordScan(X)
         checked = 0
         for seed in range(2):
-            segs, ops, screen = screen_of(X @ frame_rows(N, X.shape[1], M_grid[-1], seed).T, M_grid)
+            Y = X @ frame_rows(N, X.shape[1], M_grid[-1], seed).T
+            segs, ops, screen = screen_of(scan, Y, M_grid)
             for run in screened_runs(scan):
-                up, down = screen.widened(run)
+                sums, slack = screen.sums(run), screen.slack(run)
+                up, down = screen.widened(run, sums, slack)
+                worst = np.zeros((len(run.max_rec), len(M_grid)))
                 for t, m, r in float64_ratios(scan, segs, ops, run):
                     assert down[m, t] <= r.min() and r.max() <= up[m, t], (seed, run.i0, run.j0, t, m)
+                    worst[t, m] = np.abs(np.sqrt(N / M_grid[m] * np.maximum(r, 0.0)) - 1.0).max()
                     checked += 1
+                for t in range(len(run.max_rec)):
+                    target = run.j0 + run.bounds[t]
+                    for i0, j0, rec, _, open_ms in screen.unresolved(run, N, M_grid, list(worst[t] * (1 - 1e-8))):
+                        if j0 == target:
+                            break
+                    assert (j0, open_ms) == (target, (0, 1))
+                    assert np.array_equal(rec, 1.0 / screened_lengths(scan, run, t))
+            assert screen_error_ratio(scan, Y, N, M_grid) <= 1.0
         assert checked == 2 * len(M_grid) * scan.screened_blocks
 
-    def test_screened_reciprocals_take_two_bytes_per_pair(self):
-        # a screened pair keeps one 16-bit code q of its reciprocal length
-        # rec = 1 / da, scaled per block so that its largest code is 65535,
-        # and q step is within a relative qerr of rec
+    @pytest.mark.parametrize("sums", [[[-1.0, -2.0], [-3.0, -0.5]], [[-1.0, 2.0], [3.0, -0.5]], [[1.0, 2.0], [3.0, 0.5]]])
+    def test_block_bounds_choose_the_reciprocal_by_sign(self, sums):
+        # every ratio t rec of a block with t between its extremes and rec
+        # between min rec and max rec lies between the block bounds, which
+        # are the extreme corners of that box
+        run = _Screened(0, 0, 2, np.array([0, 2]), np.array([4.0]), np.array([1.0]))
+        sums = np.array([sums], np.float32)
+        up, down = projections._Screen.widened(run, sums, np.zeros((1, 1)))
+        corners = [t * r for t in (sums.min(), sums.max()) for r in (1.0, 4.0)]
+        assert (up[0, 0], down[0, 0]) == (max(corners), min(corners))
+
+    def test_screened_blocks_keep_two_reciprocal_bounds(self):
+        # a screened block keeps no per-pair array: only the largest and the
+        # smallest of its float64 reciprocal lengths, which equal those of
+        # the reciprocals the scan recomputes, and its column offset
         scan = ChordScan(gp_curve(2048))
         runs = screened_runs(scan)
-        assert scan.screened_blocks >= 100  # of 136 blocks
+        assert scan.screened_blocks == 136 - (16 + 15 + 14)  # every far block
         for run in runs:
-            assert run.rec.dtype == np.uint16 and run.rec.flags.c_contiguous
-            assert run.rec.nbytes == 2 * run.rec.shape[1] * run.bounds[-1]
+            arrays = [a for a in run if isinstance(a, np.ndarray)]
+            assert [a.shape for a in arrays] == [(len(run.max_rec) + 1,), (len(run.max_rec),), (len(run.max_rec),)]
             for t in range(len(run.max_rec)):
-                q, rec = run.rec[run.bounds[t] : run.bounds[t + 1]].T, 1.0 / screened_lengths(scan, run, t)
-                assert q.max() == 65535 and q.min() >= 1
-                assert run.max_rec[t] == rec.max() and run.step[t] == run.max_rec[t] / 65535
-                assert run.qerr[t] == 0.5 * (run.max_rec[t] / rec.min()) / 65535
-                assert np.abs(q * run.step[t] / rec - 1.0).max() <= run.qerr[t] * (1.0 + 1e-9)
-        assert sum(r.rec.nbytes for r in runs) == 2 * 128 * 128 * scan.screened_blocks
+                rec = 1.0 / screened_lengths(scan, run, t)
+                assert (run.max_rec[t], run.min_rec[t]) == (rec.max(), rec.min())
+        band = [b for b in scan._blocks if not isinstance(b, _Screened)]
+        assert all(drop is None for _, _, _, drop in band)
+        assert scan.cache_bytes == 8 * sum(rec.size for _, _, rec, _ in band) + 24 * scan.screened_blocks + 8 * len(runs)
 
-    @pytest.mark.parametrize("shifted", [False, True])
-    def test_quantization_edge(self, shifted, monkeypatch):
-        # the smooth curve with a linear trend along a new axis, centred:
-        # its farthest blocks have 1 / da spanning 1.7 to 2 times, the
-        # nearer ones more.  At small M the quantization term 2 qerr |r| is
-        # then most of the widening; moved from the origin until its blocks
-        # are just inside the conditioning limit, the float32 term is.
-        # Either way the widened extremes hold the float64 ratios, the
-        # float32 error stays within the slack, and the scan is the
-        # elementwise one bit for bit
+    @pytest.mark.parametrize("shifted", [False, True], ids=["spread", "conditioning"])
+    def test_block_bounds_edge(self, shifted, monkeypatch):
+        # the smooth curve around a circle of radius 20, centred: a far
+        # block's 1 / da spans 1.2 to over 400 times (the last blocks of
+        # the first row hold chords across the circle's start), so block
+        # bounds are loose and the pair-by-pair bounds rule out most blocks
+        # they leave open; moved from the origin until its blocks are just
+        # inside the conditioning limit, the float32 term of the slack is
+        # most of the widening.  Either way the block bounds hold the
+        # float64 ratios, the float32 error stays within the slack, and the
+        # scan is the elementwise one bit for bit
         curve = gp_curve(1024)
-        X = np.hstack([np.linspace(0.0, 10.0, len(curve), endpoint=False)[:, None], curve])
+        angle = 2.0 * np.pi * np.arange(len(curve)) / len(curve)
+        X = np.hstack([20.0 * np.cos(angle)[:, None], 20.0 * np.sin(angle)[:, None], curve])
         X -= X.mean(axis=0)
-        N, M_grid, k = 1000, (1, 2, 3), X.shape[1]
+        N, M_grid, k = 1000, (2, 10, 50), X.shape[1]
         if shifted:
-            shortest = [1.0 / float(rec.max()) for i0, j0, rec, _ in chord_blocks(X)
-                        if j0 - i0 > 128]
+            shortest = [1.0 / float(rec.max()) for i0, j0, rec, _ in chord_blocks(X) if j0 - i0 > 256]
             X += math.sqrt(0.8e-4 * float(np.median(shortest)) / 2.0**-24 / k)
         scan = ChordScan(X)
         runs = screened_runs(scan)
-        spans = [2 * 65535 * q for r in runs for q in r.qerr]
-        assert min(spans) < 2.0 and sum(span < 2.5 for span in spans) >= 3
+        spreads = [hi / lo for r in runs for hi, lo in zip(r.max_rec, r.min_rec)]
         h = scan._ambient[2][1]
         cond = max(2.0**-24 * (h[r.i0 : r.i0 + 128].max() + h[r.j0 + r.bounds[t] : r.j0 + r.bounds[t + 1]].max())
                    * r.max_rec[t] for r in runs for t in range(len(r.max_rec)))
-        assert 0.5e-4 < cond < 1e-4 if shifted else cond < 1e-6
-        recomputed = count_recomputed(monkeypatch, scan)
+        assert 0.5e-4 < cond < 1e-4 if shifted else max(spreads) > 400.0
+        recomputed, passes = count_recomputed(monkeypatch, scan), count_float64_passes(monkeypatch)
         for seed in range(2):
             rows = frame_rows(N, k, M_grid[-1], seed)
             Y = X @ rows.T
-            segs, ops, screen = screen_of(Y, M_grid)
+            segs, ops, screen = screen_of(scan, Y, M_grid)
             for run in runs:
-                up, down = screen.widened(run)
+                up, down = screen.widened(run, screen.sums(run), screen.slack(run))
                 for t, m, r in float64_ratios(scan, segs, ops, run):
                     assert down[m, t] <= r.min() and r.max() <= up[m, t], (seed, run.i0, run.j0, t, m)
             assert screen_error_ratio(scan, Y, N, M_grid) <= 1.0
             recomputed.clear()
+            passes.clear()
             got = scan.worst(rows, N, M_grid)
-            assert len(recomputed) < scan.screened_blocks
+            assert len(passes) < len(recomputed) / 2
             assert [g.max for g in got] == nested_elementwise_worst(X, Y, N, M_grid, 128)
             assert got == projections._scan(Y, N, M_grid, chord_blocks(X))
 
     def test_recomputed_blocks_scan_only_the_open_M(self, monkeypatch):
-        # a screened block that the screen cannot rule out at every M is
-        # recomputed once, its segments added up only to the largest M still
-        # open and its extremes taken only at the open M; the results equal
-        # the unscreened pass and a pass that scans those blocks at every M
+        # a screened block that the block bounds cannot rule out at every M
+        # is recomputed once, then bounded pair by pair at the M still open;
+        # the float64 pass adds up its segments only to the largest M its
+        # pairs leave open and takes extremes only at those M.  The results
+        # equal the unscreened pass and a pass that scans those blocks at
+        # every M
         X, N, M_grid = gp_curve(2048), 1000, experiments._FIG_DEFAULTS["fig6a"]["M_grid"]
         scan = ChordScan(X)
         n_band = sum(not isinstance(b, _Screened) for b in scan._blocks)
-        opened, extremes, segments = [], [], []
+        extremes, segments = [], []
         unresolved, extremes_of, block_half_sq = projections._Screen.unresolved, projections._extremes, \
             projections._block_half_sq
-
-        def spy_unresolved(screen, *args):
-            for block in unresolved(screen, *args):
-                opened.append(block[3])
-                yield block
 
         def spy_extremes(*args):
             extremes.append(1)
@@ -1016,28 +1071,29 @@ class TestScreenedScan:
                 segments.append(1)
             return block_half_sq(Z, *args)
 
-        monkeypatch.setattr(projections._Screen, "unresolved", spy_unresolved)
         monkeypatch.setattr(projections, "_extremes", spy_extremes)
         monkeypatch.setattr(projections, "_block_half_sq", spy_block_half_sq)
+        recomputed, passes = count_recomputed(monkeypatch, scan), count_float64_passes(monkeypatch)
         every = tuple(range(len(M_grid)))
-        skipped = 0
+        skipped, paired = 0, 0
         for seed in range(3):
             rows = frame_rows(N, X.shape[1], M_grid[-1], seed)
             Y = X @ rows.T
-            for log in (opened, extremes, segments):
+            for log in (extremes, segments, recomputed, passes):
                 log.clear()
             got = scan.worst(rows, N, M_grid)
-            assert opened and got[0].recomputed == len(opened)
-            assert all(o and list(o) == sorted(set(o)) and set(o) <= set(every) for o in opened)
-            assert len(extremes) == n_band * len(M_grid) + sum(len(o) for o in opened)
-            assert len(segments) == n_band * len(M_grid) + sum(o[-1] + 1 for o in opened)
-            skipped += sum(len(M_grid) - len(o) for o in opened)
+            assert recomputed and got[0].recomputed == len(recomputed)
+            assert all(o and list(o) == sorted(set(o)) and set(o) <= set(every) for o in passes)
+            assert len(extremes) == n_band * len(M_grid) + sum(len(o) for o in passes)
+            assert len(segments) == n_band * len(M_grid) + sum(o[-1] + 1 for o in passes)
+            skipped += sum(len(M_grid) - len(o) for o in passes)
+            paired += len(recomputed) - len(passes)
             assert got == projections._scan(Y, N, M_grid, chord_blocks(X))
             with monkeypatch.context() as m:
                 m.setattr(projections._Screen, "unresolved",
-                          lambda screen, *args: (b[:3] + (every,) for b in unresolved(screen, *args)))
+                          lambda screen, *args: (b[:4] + (every,) for b in unresolved(screen, *args)))
                 assert scan.worst(rows, N, M_grid) == got
-        assert skipped > 0
+        assert skipped > 0 and paired > 0
 
     def test_screen_skips_most_far_blocks(self, monkeypatch):
         # on a smooth curve the float64 pass runs on fewer than a quarter of
@@ -1046,13 +1102,13 @@ class TestScreenedScan:
         X, N = gp_curve(2048), 1000
         scan = ChordScan(X)
         n_screened = scan.screened_blocks
-        assert n_screened >= 100  # of 136 blocks
-        recomputed = count_recomputed(monkeypatch, scan)
+        assert n_screened == 136 - (16 + 15 + 14)  # every far block
+        passes = count_float64_passes(monkeypatch)
         for M_grid in ((63, 100), experiments._FIG_DEFAULTS["fig6a"]["M_grid"]):
             for seed in range(4):
-                recomputed.clear()
+                passes.clear()
                 scan.worst(frame_rows(N, X.shape[1], M_grid[-1], seed), N, M_grid)
-                assert len(recomputed) < n_screened / 4, (M_grid, seed)
+                assert len(passes) < n_screened / 4, (M_grid, seed)
 
 
 class TestSubspaceDistortion:
