@@ -10,6 +10,7 @@ distortions, and computes principal angles between subspaces.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -230,8 +231,8 @@ def vector_distortion(A: Projector, u: np.ndarray) -> float:
 # and its ratios stay in cache while every nested projection is scanned.
 _BLOCK = 128
 
-# Most bytes the cache of a ChordScan may hold (see _check_cache_size):
-# about 21 800 points.  Larger point sets are refused before they are sampled.
+# Most bytes the cache of a ChordScan may hold: its plan is checked before
+# the points are sampled (see _check_cache_size), what it keeps as it is built.
 _CACHE_LIMIT = 2 << 30
 
 # Unit roundoff of float32, and the smallest normal float32: no float32
@@ -756,14 +757,65 @@ def _scan(
             for d, pair in zip(best, best_pair)]
 
 
+def _planned(i0: int, j0: int, n_points: int, block: int) -> bool:
+    """Whether the plan of a :class:`ChordScan` of ``n_points`` points
+    screens the block pair (i0, j0): a far block (see :func:`_far`) whose
+    block row holds at least two far blocks, (i0, i0 + 3 block) and
+    (i0, i0 + 4 block).  A far block alone in its row would make a run of
+    one block, whose float32 products are as many and as small as those of
+    the float64 pass they would spare, so it keeps its float64 reciprocals
+    and takes the float64 pass like a band block.  The plan needs only the
+    point count, so it is made before any point is sampled."""
+    return _far(i0, j0, block) and i0 + 4 * block < n_points
+
+
+def _planned_rows(n_points: int, block: int):
+    """Bytes of the cache of a :class:`ChordScan` of ``n_points`` points, block
+    row by block row, as its plan (see :func:`_planned`) keeps them when
+    every planned block takes the screen and no pair is dropped: 8 per
+    entry of a float64 block (a diagonal block whole), 24 per screened
+    block and 8 per run of them (the fields of :class:`_Screened`).  A
+    row's screened blocks are consecutive and every one but the last is
+    ``block`` wide, so a run closes after ceil(_SCREEN_COLS / block) of them."""
+    per_run = -(-_SCREEN_COLS // block)
+    for i0 in range(0, n_points, block):
+        rows, cols = min(block, n_points - i0), n_points - i0
+        if not _planned(i0, i0 + 3 * block, n_points, block):  # the row's first far block, if any
+            yield 8 * rows * cols
+            continue
+        far = -(-(cols - 3 * block) // block)
+        yield 8 * rows * 3 * block + 24 * far + 8 * -(-far // per_run)
+
+
+def _too_large(n_points: int) -> ValueError:
+    return ValueError(
+        f"a chord scan of {n_points} points would cache more than {_CACHE_LIMIT} bytes "
+        f"({_CACHE_LIMIT / 2**30:g} GiB)"
+    )
+
+
+def _check_cache_size(n_points: int, block: int = _BLOCK) -> None:
+    """Raise ValueError if the plan of a :class:`ChordScan` of ``n_points``
+    points keeps more than ``_CACHE_LIMIT`` bytes (see :func:`_planned_rows`).
+
+    It needs only the point count, so callers check before they sample the
+    points, and it stops counting at the first block row past the limit.
+    The build counts what it keeps, masks of dropped pairs and the float64
+    reciprocals of planned blocks the screen cannot take included, and
+    raises the same error once that passes the limit.
+    """
+    if any(need > _CACHE_LIMIT for need in itertools.accumulate(_planned_rows(n_points, block))):
+        raise _too_large(n_points)
+
+
 def _screenable(i0: int, j0: int, rec: np.ndarray, drop, h: np.ndarray, block: int) -> bool:
     """Whether :class:`ChordScan` keeps a block of reciprocal lengths
-    ``rec`` for the float32 screen: it is a far block (see :func:`_far`),
-    it has no dropped entry (no identical points and no chord of computed
-    length <= 0), and it is well conditioned for float32,
-    u (max h_i + max h_j) max rec < 1e-4 with u = 2^-24 and h the half
-    squared norms of its rows i and columns j."""
-    if not _far(i0, j0, block) or drop is not None:
+    ``rec`` for the float32 screen: its plan screens the block (see
+    :func:`_planned`; ``h`` holds one entry per point), it has no dropped
+    entry (no identical points and no chord of computed length <= 0), and
+    it is well conditioned for float32, u (max h_i + max h_j) max rec < 1e-4
+    with u = 2^-24 and h the half squared norms of its rows i and columns j."""
+    if not _planned(i0, j0, len(h), block) or drop is not None:
         return False
     cond = _U32 * (h[i0 : i0 + rec.shape[0]].max() + h[j0 : j0 + rec.shape[1]].max())
     return bool(cond * rec.max() < _SCREEN_COND)
@@ -772,8 +824,9 @@ def _screenable(i0: int, j0: int, rec: np.ndarray, drop, h: np.ndarray, block: i
 def _cached(blocks, h: np.ndarray, block: int):
     """The blocks of ``_chord_blocks`` as :class:`ChordScan` keeps them, in
     the same order: each run of consecutive screenable blocks in one block
-    row as one :class:`_Screened`, closed once it reaches ``_SCREEN_COLS``
-    columns, and every other block as it is."""
+    row (see :func:`_screenable`) as one :class:`_Screened`, closed once it
+    reaches ``_SCREEN_COLS`` columns, and every other block as it is.  A
+    planned block the screen cannot take splits its row's run."""
     run = []  # (i0, j0, rows, columns, max rec, min rec) of the screenable blocks not yet yielded
 
     def merged():
@@ -796,22 +849,9 @@ def _cached(blocks, h: np.ndarray, block: int):
         yield merged()
 
 
-def _check_cache_size(n_points: int, block: int = _BLOCK) -> None:
-    """Raise ValueError if the cache of a :class:`ChordScan` of ``n_points``
-    points could hold more than ``_CACHE_LIMIT`` bytes.
-
-    Counts the worst case: every block pair with j0 >= i0 kept as float64
-    reciprocal lengths with a one-byte drop mask, 9 bytes per entry,
-    diagonal blocks whole.  It needs only the point count, so callers check before they
-    sample the points.
-    """
-    full, rest = divmod(n_points, block)
-    need = 9 * ((n_points * n_points + full * block * block + rest * rest) // 2)
-    if need > _CACHE_LIMIT:
-        raise ValueError(
-            f"a chord scan of {n_points} points could cache {need} bytes, "
-            f"above the limit of {_CACHE_LIMIT} bytes ({_CACHE_LIMIT / 2**30:g} GiB)"
-        )
+def _nbytes(cached) -> int:
+    """Bytes of the arrays of one block or run of :func:`_cached`."""
+    return sum(a.nbytes for a in cached if isinstance(a, np.ndarray))
 
 
 class ChordScan:
@@ -823,16 +863,24 @@ class ChordScan:
     build the cache and recompute a screened block, so both read the same
     bits.  Squared chord lengths in the ambient space depend only on the
     points, so their reciprocals are computed once here, in the order of
-    ``_chord_blocks``: the diagonal band, then the far blocks.  A far block
-    that the float32 screen of :func:`_scan` takes (see
-    :func:`_screenable`) keeps only the largest and the smallest of its
-    float64 reciprocal lengths, and its column offset: 24 bytes, whatever
-    its size.  The others, the band's blocks (the diagonal blocks and their
-    first two neighbours) and far blocks the screen cannot take, keep their
-    float64 reciprocals, 8 bytes per pair, plus a one-byte mask only where
-    pairs are dropped (a diagonal block is kept whole and needs none for
-    its diagonal and lower triangle).  :attr:`cache_bytes` and
-    :attr:`screened_blocks` report the result.  Each :meth:`worst` then
+    ``_chord_blocks``: the diagonal band, then the far blocks.
+
+    The cache follows a plan made from the point count and the block size
+    alone (see :func:`_planned`): a far block is screened when its block
+    row holds at least two far blocks.  A planned block that the float32
+    screen of :func:`_scan` takes (see :func:`_screenable`) keeps only the
+    largest and the smallest of its float64 reciprocal lengths, and its
+    column offset: 24 bytes, whatever its size.  The others, the band's
+    blocks (the diagonal blocks and their first two neighbours), far
+    blocks alone in their row and planned blocks the screen cannot take,
+    keep their float64 reciprocals, 8 bytes per pair, plus a one-byte mask
+    only where pairs are dropped (a diagonal block is kept whole and needs
+    none for its diagonal and lower triangle).  :attr:`cache_bytes` and
+    :attr:`screened_blocks` report the result; with no dropped pair and
+    every planned block screened, :attr:`cache_bytes` is the sum of the
+    plan's :func:`_planned_rows`.
+
+    Each :meth:`worst` then
     pays only for its projector's Gram blocks, scans every M of a nested
     grid in one pass, and at a single M agrees bit for bit with
     :func:`pointset_distortion` at the same block size, worst pair and
@@ -847,8 +895,9 @@ class ChordScan:
     every later projector on the thread reuses them; :meth:`worst` returns
     no view of them.
 
-    Raises ValueError if the cache could exceed 2 GiB (see
-    :func:`_check_cache_size`), or if the points have no chord of positive
+    Raises ValueError if the plan's cache exceeds 2 GiB (see
+    :func:`_check_cache_size`), checked before the build, if what the
+    build keeps passes 2 GiB, or if the points have no chord of positive
     length.
     """
 
@@ -858,15 +907,15 @@ class ChordScan:
         self.points = np.array(points)  # a copy, in the memory order of the caller's
         self.points.flags.writeable = False
         self._ambient = (self.points, *_sq_operands(self.points))
-        self._blocks = list(_cached(_chord_blocks(self._ambient, block), self._ambient[2][1], block))
+        self._blocks, self.cache_bytes = [], 0
+        for cached in _cached(_chord_blocks(self._ambient, block), self._ambient[2][1], block):
+            self.cache_bytes += _nbytes(cached)
+            if self.cache_bytes > _CACHE_LIMIT:
+                raise _too_large(len(points))
+            self._blocks.append(cached)
         if not self._blocks:
             raise ValueError(_NO_CHORDS)
         self._local = threading.local()
-
-    @property
-    def cache_bytes(self) -> int:
-        """Bytes of the arrays of the cached blocks."""
-        return sum(a.nbytes for b in self._blocks for a in b if isinstance(a, np.ndarray))
 
     @property
     def screened_blocks(self) -> int:

@@ -88,9 +88,11 @@ def grid_axes(spec: ManifoldSpec) -> tuple[np.ndarray, ...]:
     return tuple(np.arange(n) * (L / n) for n, L in zip(spec.grid, spec.L))
 
 
-def _spectral_factor(ax: np.ndarray, lam: float, L: float) -> tuple[np.ndarray, np.ndarray]:
+def _spectral_factor(
+    ax: np.ndarray, lam: float, L: float, deriv: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Per-axis factor F with ``F F^T = exp(-(d/lam)^2 / 2)`` on the grid ``ax``,
-    and its exact derivative ``dF = dF/dsigma``.
+    and its exact derivative ``dF = dF/dsigma`` if ``deriv`` (else None).
 
     The kernel periodized on a circle of length ``T = L + 9 lam`` equals
     the kernel at every grid separation up to the wrap term
@@ -112,7 +114,12 @@ def _spectral_factor(ax: np.ndarray, lam: float, L: float) -> tuple[np.ndarray, 
     omega, amp = omega[keep], np.sqrt(2.0 * s0 * weight[keep])
     theta = np.outer(ax, omega)
     cos, sin = np.cos(theta), np.sin(theta)
-    F = np.hstack([np.full((ax.size, 1), math.sqrt(s0)), amp * cos, amp * sin])
+    F = np.empty((ax.size, 2 * omega.size + 1))
+    F[:, 0] = math.sqrt(s0)
+    np.multiply(amp, cos, out=F[:, 1 : omega.size + 1])
+    np.multiply(amp, sin, out=F[:, omega.size + 1 :])
+    if not deriv:
+        return F, None
     dF = np.hstack([np.zeros((ax.size, 1)), -(amp * omega) * sin, (amp * omega) * cos])
     return F, dF
 
@@ -126,10 +133,11 @@ def _apply_along_axis(mat: np.ndarray, z: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def _latent(spec: ManifoldSpec, seed: int):
-    """The spectral factors (F, dF) of every axis of ``spec`` and the
-    standard normal array of shape ``(r_1, ..., r_K, N)`` drawn from ``seed``."""
-    factors = [_spectral_factor(ax, lam, L) for ax, lam, L in zip(grid_axes(spec), spec.lam, spec.L)]
+def _latent(spec: ManifoldSpec, seed: int, derivs: bool = False):
+    """The spectral factors (F, dF) of every axis of ``spec``, dF None
+    unless ``derivs``, and the standard normal array of shape
+    ``(r_1, ..., r_K, N)`` drawn from ``seed``."""
+    factors = [_spectral_factor(ax, lam, L, derivs) for ax, lam, L in zip(grid_axes(spec), spec.lam, spec.L)]
     rng = np.random.default_rng(int(seed))
     return factors, rng.standard_normal(tuple(F.shape[1] for F, _ in factors) + (spec.N,))
 
@@ -144,7 +152,7 @@ def _realize(spec: ManifoldSpec, seed: int, with_derivs: bool = False):
     a; it shares the product over the axes before a with the points and is
     carried through the axes after it.
     """
-    factors, z = _latent(spec, seed)
+    factors, z = _latent(spec, seed, with_derivs)
     partial = []
     for a, (F, dF) in enumerate(factors):
         if with_derivs:

@@ -146,8 +146,8 @@ class TestDistortionDistribution:
             raise AssertionError("a manifold was sampled before the scan size was checked")
 
         monkeypatch.setattr(mp.experiments, "sample_manifold", no_sample)
-        with pytest.raises(ValueError, match="32768 points"):
-            distortion_distribution(spec_for_volume(1, 100, 1.0, 32768), 10, 20, seed=0)
+        with pytest.raises(ValueError, match="1048576 points"):
+            distortion_distribution(spec_for_volume(1, 100, 1.0, 1 << 20), 10, 20, seed=0)
 
     def test_inputs_checked_before_sampling(self, monkeypatch):
         def no_sample(*args, **kwargs):
@@ -475,14 +475,14 @@ class TestFigureData:
         assert 200 < t.columns["m_star_emp"][0] <= 316
 
     def test_fig6a_oversized_grid_refused_before_any_point(self, monkeypatch):
-        # the K = 1 points come first, but the 181^2 surface is refused
+        # the K = 1 points come first, but the 780^2 surface is refused
         # before any of them is sampled
         def no_sample(*args, **kwargs):
             raise AssertionError("a point was computed before every scan size was checked")
 
         monkeypatch.setattr(mp.experiments, "isometric_coordinates", no_sample)
-        with pytest.raises(ValueError, match=r"^fig6a point K=2, .*32761 points"):
-            figure_data("fig6a", {"grid_per_axis": {1: 512, 2: 181}}, seed=1)
+        with pytest.raises(ValueError, match=r"^fig6a point K=2, .*608400 points"):
+            figure_data("fig6a", {"grid_per_axis": {1: 512, 2: 780}}, seed=1)
 
     def test_fig6b_default_volume_convention(self):
         t = figure_data(

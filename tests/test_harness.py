@@ -360,16 +360,29 @@ class TestRunSampleAndMstar:
             raise AssertionError("a manifold was sampled before the scan size was checked")
 
         monkeypatch.setattr(mp.experiments, "isometric_coordinates", no_sample)
-        cfg = RunConfig(command="mstar", params={"grid_per_axis": 32768}, out_dir=str(tmp_path))
+        cfg = RunConfig(command="mstar", params={"grid_per_axis": 1 << 20}, out_dir=str(tmp_path))
         assert run(cfg) == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["code"] == "ValueError"
-        assert "32768 points" in err["message"] and "2147483648 bytes" in err["message"]
+        assert "1048576 points" in err["message"] and "2147483648 bytes" in err["message"]
         assert not (tmp_path / "run_manifest.json").exists()
 
+    def test_cache_over_the_limit_refused_during_the_build(self, tmp_path, capsys, monkeypatch):
+        # with no far block conditioned for float32, the 1024-point curve's
+        # cache (4.7 MB) passes a limit its plan (2.9 MB) is within: the
+        # build refuses it, with the JSON error record and no manifest
+        monkeypatch.setattr(mp.projections, "_CACHE_LIMIT", 3_000_000)
+        monkeypatch.setattr(mp.projections, "_SCREEN_COND", 0.0)
+        out = tmp_path / "out"
+        assert main(["mstar", "--param", "grid_per_axis=1024", "--param", "n_proj=20", "--out-dir", str(out)]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert (record["code"], record["message"]) == \
+            ("ValueError", "a chord scan of 1024 points would cache more than 3000000 bytes (0.00279397 GiB)")
+        assert not (out / "run_manifest.json").exists()
+
     def test_mstar_k2_defaults_use_a_32_by_32_surface(self, tmp_path, monkeypatch):
-        # the K = 2 grid default is the fig6 one; 512^2 points would be
-        # refused by the chord-cache limit
+        # the K = 2 grid default is the fig6 one, not the K = 1 count per
+        # axis: 512^2 points would make a 262144-point surface
         specs = []
         m_star = mp.experiments.m_star_empirical
 

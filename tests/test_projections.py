@@ -334,6 +334,19 @@ def chord_blocks(X, block=128):
     return projections._chord_blocks((X, *projections._sq_operands(X)), block)
 
 
+def planned_far(P, block=128):
+    """Far blocks (j0 - i0 > 2 block) of the block rows that hold at least
+    two of them: the blocks the plan of a ChordScan of P points screens."""
+    starts = range(0, P, block)
+    per_row = [sum(j0 - i0 > 2 * block for j0 in starts) for i0 in starts]
+    return sum(n for n in per_row if n >= 2)
+
+
+def planned_bytes(P):
+    """Bytes of the cache the plan of a ChordScan of P points keeps."""
+    return sum(projections._planned_rows(P, 128))
+
+
 def screened_cases():
     """Point sets for the screened scan: the smooth curve, the same curve
     far from the origin, duplicated points and exact-zero chords in
@@ -616,14 +629,46 @@ class TestChordScan:
         assert got.n_evaluated == 4097 * 4096 // 2
         assert got == pointset_distortion(A, X)
 
-    def test_cache_size_checked_from_the_point_count(self):
-        # 9 bytes per entry of the blocks on and above the diagonal: 16384
-        # points could take 1.2 GB, 21782 points just over 2 GiB
-        projections._check_cache_size(16384)
-        with pytest.raises(ValueError, match=r"21782 points could cache 2147585796 bytes.* 2147483648 bytes"):
-            projections._check_cache_size(21782)
-        with pytest.raises(ValueError, match="32768 points"):
-            ChordScan(np.broadcast_to(np.arange(32768.0)[:, None], (32768, 2)))
+    @pytest.mark.parametrize("P", [512, 1000, 1024, 2048, 4096])
+    def test_planned_bytes_are_the_cache_bytes(self, P):
+        # with no dropped pair and every planned block screened, the build
+        # keeps what the plan made from the point count alone counts
+        X = gp_curve(1024)[:1000] if P == 1000 else gp_curve(P)
+        scan = ChordScan(X)
+        assert scan.screened_blocks == planned_far(P)
+        assert scan.cache_bytes == planned_bytes(P) == sum(
+            a.nbytes for b in scan._blocks for a in b if isinstance(a, np.ndarray))
+
+    def test_build_counts_what_the_plan_could_not_screen(self):
+        # the duplicates case keeps two masks of 128 x 128 bytes, (0, 256) and
+        # (0, 640), and its planned block (0, 640) in float64 instead of 24
+        # bytes, which splits the run of row 0 in two (8 more bytes)
+        scan = ChordScan(screened_cases()["duplicates"])
+        assert scan.screened_blocks == planned_far(1024) - 1
+        extra = 2 * 128 * 128 + (8 * 128 * 128 - 24) + 8
+        assert scan.cache_bytes == planned_bytes(1024) + extra
+
+    def test_cache_size_checked_from_the_plan(self):
+        # 8 bytes per pair of the band, 24 per screened far block and 8 per
+        # run: a 32768-point curve plans 101 MB, and 607564 points are the
+        # first that plan more than 2 GiB
+        assert planned_bytes(32768) == 101_205_288
+        projections._check_cache_size(32768)
+        projections._check_cache_size(607563)
+        with pytest.raises(ValueError, match=r"^a chord scan of 607564 points would cache more than 2147483648 bytes"):
+            projections._check_cache_size(607564)
+
+    def test_cache_over_the_limit_refused_during_the_build(self, monkeypatch):
+        # with no block conditioned for float32 the 1024-point curve keeps
+        # 8 bytes per entry (4.7 MB), more than its plan (2.9 MB): under a
+        # limit between the two the plan passes and the build is refused
+        X = gp_curve(1024)
+        monkeypatch.setattr(projections, "_CACHE_LIMIT", 3_000_000)
+        assert ChordScan(X).cache_bytes == planned_bytes(1024) < 3_000_000
+        monkeypatch.setattr(projections, "_SCREEN_COND", 0.0)
+        projections._check_cache_size(1024)
+        with pytest.raises(ValueError, match=r"^a chord scan of 1024 points would cache more than 3000000 bytes"):
+            ChordScan(X)
 
     def test_rejects_non_finite(self):
         rng = np.random.default_rng(18)
@@ -823,11 +868,10 @@ class TestScreenedScan:
         X = screened_cases()[case]
         N, M_grid, k = 1000, (25, 63, 100), X.shape[1]
         scan = ChordScan(X)
-        n_far = 8 * 9 // 2 - (8 + 7 + 6)  # the band: the diagonal blocks and their first two neighbours
         if case == "shifted":  # |x|^2 / 2 ~ 7e7 against chords of order 1
             assert scan.screened_blocks == 0
-        else:  # every far block but the one with identical points
-            assert scan.screened_blocks == n_far - (case == "duplicates")
+        else:  # every far block of a row with at least two, but the one with identical points
+            assert scan.screened_blocks == planned_far(len(X)) - (case == "duplicates") == 14 - (case == "duplicates")
         if case == "duplicates":
             dropped = [(b[0], b[1]) for b in scan._blocks if not isinstance(b, _Screened) and b[3] is not None]
             assert {(0, 256), (0, 640)} <= set(dropped)
@@ -925,7 +969,7 @@ class TestScreenedScan:
         # one, at every M: on random points, and on points moved far from
         # the origin until their blocks are just inside the conditioning limit
         rng = np.random.default_rng(21)
-        base = rng.standard_normal((512, 30))
+        base = rng.standard_normal((1024, 30))
         N, M_grid = 200, (1, 3, 8, 20, 50)
         shortest = [1.0 / float(rec.max()) for i0, j0, rec, _ in chord_blocks(base)
                     if i0 != j0]
@@ -994,16 +1038,42 @@ class TestScreenedScan:
         # the reciprocals the scan recomputes, and its column offset
         scan = ChordScan(gp_curve(2048))
         runs = screened_runs(scan)
-        assert scan.screened_blocks == 136 - (16 + 15 + 14)  # every far block
+        assert scan.screened_blocks == planned_far(2048) == 90  # every far block of a row with at least two
         for run in runs:
             arrays = [a for a in run if isinstance(a, np.ndarray)]
             assert [a.shape for a in arrays] == [(len(run.max_rec) + 1,), (len(run.max_rec),), (len(run.max_rec),)]
             for t in range(len(run.max_rec)):
                 rec = 1.0 / screened_lengths(scan, run, t)
                 assert (run.max_rec[t], run.min_rec[t]) == (rec.max(), rec.min())
-        band = [b for b in scan._blocks if not isinstance(b, _Screened)]
-        assert all(drop is None for _, _, _, drop in band)
-        assert scan.cache_bytes == 8 * sum(rec.size for _, _, rec, _ in band) + 24 * scan.screened_blocks + 8 * len(runs)
+        unscreened = [b for b in scan._blocks if not isinstance(b, _Screened)]
+        assert all(drop is None for _, _, _, drop in unscreened)
+        assert scan.cache_bytes == \
+            8 * sum(rec.size for _, _, rec, _ in unscreened) + 24 * scan.screened_blocks + 8 * len(runs)
+
+    def test_far_blocks_alone_in_their_row_stay_in_float64(self, monkeypatch):
+        # 512 points make four block rows, and only row 0 holds a far
+        # block, (0, 384): nothing is screened, the cache keeps 8 bytes per
+        # entry, and the scan is bit for bit the one that screens nothing
+        X, N, M_grid = gp_curve(512), 1000, (4, 6, 10, 16, 25, 40, 63, 100, 158, 200)
+        scan = ChordScan(X)
+        assert scan.screened_blocks == 0 and planned_far(512) == 0
+        assert scan.cache_bytes == 8 * sum(rec.size for _, _, rec, _ in scan._blocks) == 8 * 128 * 128 * 10
+        assert [b[:2] for b in scan._blocks if b[1] - b[0] > 256] == [(0, 384)]
+        with monkeypatch.context() as m:
+            m.setattr(projections, "_screenable", lambda *args: False)
+            unscreened = ChordScan(X)
+        for seed in range(2):
+            rows = frame_rows(N, X.shape[1], M_grid[-1], seed)
+            got = scan.worst(rows, N, M_grid)
+            assert got == unscreened.worst(rows, N, M_grid) and {g.recomputed for g in got} == {0}
+
+    def test_lone_far_block_of_a_row_keeps_float64(self):
+        # of the 1024-point curve's 15 far blocks, (512, 896) is the only
+        # one in its block row: it alone keeps its reciprocal lengths
+        scan = ChordScan(gp_curve(1024))
+        kept = [b[:2] for b in scan._blocks if not isinstance(b, _Screened) and b[1] - b[0] > 256]
+        assert kept == [(512, 896)]
+        assert scan.screened_blocks == 14
 
     @pytest.mark.parametrize("shifted", [False, True], ids=["spread", "conditioning"])
     def test_block_bounds_edge(self, shifted, monkeypatch):
@@ -1102,7 +1172,7 @@ class TestScreenedScan:
         X, N = gp_curve(2048), 1000
         scan = ChordScan(X)
         n_screened = scan.screened_blocks
-        assert n_screened == 136 - (16 + 15 + 14)  # every far block
+        assert n_screened == planned_far(2048) == 90  # every far block of a row with at least two
         passes = count_float64_passes(monkeypatch)
         for M_grid in ((63, 100), experiments._FIG_DEFAULTS["fig6a"]["M_grid"]):
             for seed in range(4):
