@@ -231,8 +231,8 @@ def vector_distortion(A: Projector, u: np.ndarray) -> float:
 # and its ratios stay in cache while every nested projection is scanned.
 _BLOCK = 128
 
-# Most bytes the cache of a ChordScan may hold: its plan is checked before
-# the points are sampled (see _check_cache_size), what it keeps as it is built.
+# Most bytes the cache of a ChordScan may hold, checked on its plan before the
+# points are sampled (see _check_cache_size) and on what it keeps as it is built.
 _CACHE_LIMIT = 2 << 30
 
 # Unit roundoff of float32, and the smallest normal float32: no float32
@@ -849,11 +849,6 @@ def _cached(blocks, h: np.ndarray, block: int):
         yield merged()
 
 
-def _nbytes(cached) -> int:
-    """Bytes of the arrays of one block or run of :func:`_cached`."""
-    return sum(a.nbytes for a in cached if isinstance(a, np.ndarray))
-
-
 class ChordScan:
     """Chord scan of every pair of a fixed point set, reused across projectors.
 
@@ -909,7 +904,7 @@ class ChordScan:
         self._ambient = (self.points, *_sq_operands(self.points))
         self._blocks, self.cache_bytes = [], 0
         for cached in _cached(_chord_blocks(self._ambient, block), self._ambient[2][1], block):
-            self.cache_bytes += _nbytes(cached)
+            self.cache_bytes += sum(a.nbytes for a in cached if isinstance(a, np.ndarray))
             if self.cache_bytes > _CACHE_LIMIT:
                 raise _too_large(len(points))
             self._blocks.append(cached)
