@@ -28,7 +28,7 @@ import numpy as np
 from .errors import RankDeficient, Unachievable
 from .manifold import ManifoldSpec, integer, listed, real
 from .projections import ChordScan, DistortionSummary, _check_cache_size, _haar_frame_rows, sample_projector
-from .sampling import isometric_coordinates, sample_manifold, tangent_frames
+from .sampling import coordinate_count, isometric_coordinates, sample_manifold, tangent_frames
 from .seeding import derive_seed, pooled_map
 from . import bounds
 
@@ -67,7 +67,9 @@ class MStarResult:
     changed the raw quantiles.  ``diagnostics`` is the work of the chord
     scan, under the names the run manifest gives it: ``chord_cache_bytes``
     and ``screened_blocks`` of the manifold's :class:`ChordScan` (a
-    screened block keeps two reciprocal lengths, the others one per pair),
+    screened block keeps two reciprocal lengths and its column offset, the
+    others one per pair, 0 for a dropped pair, so both follow from the
+    point count alone),
     ``float64_recomputes``, the screened blocks whose float64 reciprocal
     lengths were recomputed because those two could not rule them out,
     summed over projectors, and ``pairs_scanned``, the chords scanned per
@@ -80,6 +82,20 @@ class MStarResult:
     m_star_emp: float
     isotonic_adjusted: bool
     diagnostics: dict
+
+
+def _check_scan_size(n_points: int, columns: int) -> None:
+    """Refuse, before sampling, a chord scan of ``n_points`` points of
+    ``columns`` float64 coordinates whose cache (see
+    :func:`~mfldproj.projections._check_cache_size`) and three arrays of
+    the points would pass the cache limit.  Drawing the points peaks at
+    three such arrays, before the cache is built, and the scan then keeps a
+    copy beside the points it was given.  Traced with ``tracemalloc`` at
+    N = 1000 (k = 1000), the peak of :func:`isometric_coordinates` is 3.02
+    arrays on a 64 x 64 surface and 3.00 on a 128 x 128 one; that of a
+    whole :func:`m_star_empirical` is 3.00 on both, and that of
+    :func:`distortion_distribution` 3.00 on the first."""
+    _check_cache_size(n_points, held=3 * 8 * n_points * columns)
 
 
 def distortion_distribution(
@@ -99,7 +115,7 @@ def distortion_distribution(
     """
     if not (1 <= M <= spec.N and n_proj >= 1):
         raise ValueError(f"need 1 <= M <= N and n_proj >= 1, got M={M}, N={spec.N}, n_proj={n_proj}")
-    _check_cache_size(spec.n_points)
+    _check_scan_size(spec.n_points, spec.N)
     scan = ChordScan(sample_manifold(spec, derive_seed(seed, ["manifold"])).points)
     projectors = (sample_projector(spec.N, M, derive_seed(seed, ["proj", i])) for i in range(n_proj))
     return np.array([scan.worst(A.rows, A.N, (A.M,))[0].max for A in projectors])
@@ -195,7 +211,7 @@ def _check_m_star_inputs(
     need = max(20, math.ceil(1.0 / delta))
     if n_proj < need:
         raise ValueError(f"n_proj must be >= max(20, ceil(1/delta)) = {need}, got {n_proj}")
-    _check_cache_size(spec.n_points)
+    _check_scan_size(spec.n_points, coordinate_count(spec))
     return M_grid
 
 

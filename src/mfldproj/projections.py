@@ -231,18 +231,15 @@ def vector_distortion(A: Projector, u: np.ndarray) -> float:
 # and its ratios stay in cache while every nested projection is scanned.
 _BLOCK = 128
 
-# Most bytes the cache of a ChordScan may hold, checked on its plan before the
-# points are sampled (see _check_cache_size) and on what it keeps as it is built.
+# Most bytes the cache of a ChordScan, with any arrays a caller counts beside
+# it, may hold, checked on its plan before the points are sampled (see
+# _check_cache_size).
 _CACHE_LIMIT = 2 << 30
 
 # Unit roundoff of float32, and the smallest normal float32: no float32
 # operation whose result underflows is off by more than it.
 _U32 = 2.0**-24
 _TINY32 = 2.0**-126
-
-# A block is screened in float32 when float32 rounding of its longest half
-# squared norms is below this fraction of its shortest half squared chord.
-_SCREEN_COND = 1e-4
 
 # Relative margin of the screen's comparisons for float64 rounding of the
 # thresholds, of the widened extremes and of the distortions themselves.
@@ -335,10 +332,46 @@ def _duplicate_groups(X: np.ndarray) -> np.ndarray | None:
     return ids
 
 
-def _chord_blocks(ambient: tuple[np.ndarray, np.ndarray, np.ndarray], block: int):
+def _ambient(X: np.ndarray) -> tuple:
+    """The arrays the reciprocal lengths of the points X are computed from:
+    ``(X, *_sq_operands(X), ids)``, with ``ids`` those of
+    :func:`_duplicate_groups`."""
+    return (X, *_sq_operands(X), _duplicate_groups(X))
+
+
+def _reciprocals(ambient: tuple, rows: slice, cols: slice, out: np.ndarray, gram: np.ndarray,
+                 every: bool = False) -> int:
+    """Reciprocal ambient lengths 1 / da of the pairs of the points ``rows``
+    by the points ``cols``, written into ``out`` (``gram`` is a work buffer
+    of its shape), and the number of those pairs a chord scan takes.
+    ``ambient`` is :func:`_ambient` of the points.
+
+    A pair that is not scanned has the reciprocal 0: a pair of identical
+    points, a chord whose computed length is not positive or whose
+    reciprocal overflows, and the diagonal of a diagonal block
+    (``rows == cols``), whose count is that of the pairs above its
+    diagonal.  ``every`` says that the block is known to drop no pair, as
+    when it is recomputed from the same arrays, and skips that step.
+    """
+    X, lead, trail, ids = ambient
+    rec = _block_half_sq(X, lead, trail, rows, cols, out, gram)
+    diagonal = rows == cols
+    if diagonal:
+        _diagonal(rec).fill(0.0)
+    with np.errstate(divide="ignore"):  # a zero length is dropped below
+        np.divide(1.0, rec, out=rec)
+    if every:
+        return rec.size
+    rec[~((rec > 0.0) & (rec < math.inf))] = 0.0
+    if ids is not None:
+        rec[ids[rows, None] == ids[None, cols]] = 0.0
+    return int(np.count_nonzero(rec)) // (2 if diagonal else 1)
+
+
+def _chord_blocks(ambient: tuple, block: int):
     """Reciprocal ambient squared chord lengths of all pairs of the points X,
     by block, at half scale: 1 / da with da / 2 = (h_i + h_j) - x_i.x_j and
-    h = |x|^2 / 2.  ``ambient`` is (X, *_sq_operands(X)); each block's
+    h = |x|^2 / 2.  ``ambient`` is :func:`_ambient` of X; each block's
     Gram product goes to one buffer of a :class:`_Workspace`.
 
     Halving commutes with rounding (for squared norms that are not
@@ -347,22 +380,20 @@ def _chord_blocks(ambient: tuple[np.ndarray, np.ndarray, np.ndarray], block: int
     full-scale one times 2, and the product of a projected length and a
     reciprocal, both at half scale, is the full-scale product bit for bit.
 
-    Yields ``(i0, j0, rec, drop)`` for each block pair with j0 >= i0 that
-    holds a scanned pair, where ``rec`` is 1 / da over the full block and
-    ``drop`` marks the pairs that are not scanned (pairs of identical
-    points, and chords whose computed length is not positive or whose
-    reciprocal overflows), or is None if there are none.  Dropped entries
-    of ``rec`` are set to 1.
+    Yields ``(i0, j0, rec, n)`` for each block pair with j0 >= i0, where
+    ``rec`` is 1 / da over the full block and ``n`` the number of pairs
+    it scans, both from :func:`_reciprocals`: the pairs that are not
+    scanned have the reciprocal 0.
 
     A diagonal block (i0 == j0) is kept whole.  Here numpy forms
     ``X[rows] @ X[rows].T`` with syrk and mirrors the triangle it computed,
     and each entry of the rank-2 product of :func:`_sq_operands` is
-    fl(h_i + h_j) = fl(h_j + h_i), so da, rec and ``drop`` of a diagonal
-    block are symmetric bit for bit.  Its scanned pairs are those above the
-    diagonal; the diagonal of ``rec`` is set to 1 and never dropped, and
-    :func:`_scan` blanks it before it takes extremes.  The projected blocks
-    of :func:`_scan` are formed by gemm instead, which need not round the
-    twins (i, j) and (j, i) alike, so their ratios need not be symmetric.
+    fl(h_i + h_j) = fl(h_j + h_i), so da and rec of a diagonal block are
+    symmetric bit for bit, its zeros included.  Its scanned pairs are
+    those above the diagonal; :func:`_scan` blanks the diagonal before it
+    takes extremes.  The projected blocks of :func:`_scan` are formed by
+    gemm instead, which need not round the twins (i, j) and (j, i) alike,
+    so their ratios need not be symmetric.
 
     This order is the order of every chord scan.  The diagonal band comes
     first: the pairs with j0 - i0 <= 2 block, the diagonal blocks and their
@@ -370,29 +401,14 @@ def _chord_blocks(ambient: tuple[np.ndarray, np.ndarray, np.ndarray], block: int
     the worst ones.  The far blocks (see :func:`_far`) follow in row-major
     order.
     """
-    X, lead, trail = ambient
-    P, work = X.shape[0], _Workspace()
-    group = _duplicate_groups(X)
+    P, work = len(ambient[0]), _Workspace()
     starts = range(0, P, block)
     pairs = sorted(((i0, j0) for i0 in starts for j0 in starts if j0 >= i0), key=lambda p: (_far(*p, block), p))
     for i0, j0 in pairs:
         rows, cols = slice(i0, min(i0 + block, P)), slice(j0, min(j0 + block, P))
         shape = (rows.stop - i0, cols.stop - j0)
-        rec = _block_half_sq(X, lead, trail, rows, cols, np.empty(shape), work.get("gram", shape))
-        if i0 == j0:
-            _diagonal(rec).fill(1.0)
-        with np.errstate(divide="ignore"):  # a zero length is dropped below
-            np.divide(1.0, rec, out=rec)
-        drop = ~((rec > 0.0) & (rec < math.inf))
-        if group is not None:
-            drop |= group[rows, None] == group[None, cols]
-            if i0 == j0:
-                _diagonal(drop).fill(False)
-        drop = drop if drop.any() else None
-        if drop is not None:
-            rec[drop] = 1.0
-        if _n_pairs(i0, j0, rec, drop):
-            yield i0, j0, rec, drop
+        rec = np.empty(shape)
+        yield i0, j0, rec, _reciprocals(ambient, rows, cols, rec, work.get("gram", shape))
 
 
 def _far(i0: int, j0: int, block: int) -> bool:
@@ -404,16 +420,6 @@ def _far(i0: int, j0: int, block: int) -> bool:
 def _diagonal(a: np.ndarray) -> np.ndarray:
     """Writable view of the diagonal of a contiguous square block."""
     return a.reshape(-1)[:: a.shape[1] + 1]
-
-
-def _n_pairs(i0: int, j0: int, rec: np.ndarray, drop) -> int:
-    """Pairs a block of :func:`_chord_blocks` scans: those above the
-    diagonal of a diagonal block, every entry of the others, less the
-    dropped ones (half the symmetric mask of a diagonal block)."""
-    if i0 != j0:
-        return rec.size - (0 if drop is None else int(np.count_nonzero(drop)))
-    s = rec.shape[0]
-    return s * (s - 1) // 2 - (0 if drop is None else int(np.count_nonzero(drop)) // 2)
 
 
 def _as_points(points) -> np.ndarray:
@@ -439,8 +445,11 @@ class _Screened(NamedTuple):
     Block t spans the columns ``j0 + bounds[t]`` to ``j0 + bounds[t + 1]``
     and keeps two numbers of its float64 reciprocal lengths 1 / da of
     :func:`_chord_blocks`: the largest, ``max_rec[t]``, and the smallest,
-    ``min_rec[t]``.  A block's reciprocals are recomputed from the points,
-    once per projector, only when these bounds cannot rule the block out.
+    ``min_rec[t]`` (0 in a block that drops a pair).  A block's
+    reciprocals are recomputed from the points, once per projector, only
+    when these bounds cannot rule the block out.  ``pairs`` is the number
+    of pairs the run scans; it falls short of all of them only when a
+    block drops a pair.
     """
 
     i0: int
@@ -449,6 +458,7 @@ class _Screened(NamedTuple):
     bounds: np.ndarray
     max_rec: np.ndarray
     min_rec: np.ndarray
+    pairs: int
 
 
 def _thresholds(best: list[float], N: int, M_grid) -> tuple[np.ndarray, np.ndarray]:
@@ -530,19 +540,22 @@ class _Screen:
 
     def unresolved(self, run: _Screened, N: int, M_grid, best: list[float]):
         """The blocks of ``run`` that the float64 pass must scan, in order,
-        as ``(i0, j0, rec, None, open)`` like the other blocks of
-        :func:`_scan` (a screened block drops no pair): ``rec`` the block's
-        recomputed float64 reciprocal lengths, in the fourth ``block``
-        buffer of the workspace, and ``open`` the ascending indices into
-        ``M_grid`` of the M at which the screen cannot rule the block out.  ``best`` is
-        read again after each block, once the caller has scanned it.
+        as ``(i0, j0, rec, n, open)`` like the other blocks of
+        :func:`_scan`: ``rec`` the block's recomputed float64 reciprocal
+        lengths, in the fourth ``block`` buffer of the workspace, ``n`` the
+        pairs it scans, and ``open`` the ascending indices into ``M_grid``
+        of the M at which the screen cannot rule the block out.  ``best``
+        is read again after each block, once the caller has scanned it.
 
         A block the block bounds cannot rule out at every M has its
-        reciprocals recomputed, by the call that cached their extremes, and
-        is then bounded pair by pair, its float32 sums times those
-        reciprocals widened by the same slack, from the largest M still
-        open down to the first M these bounds cannot rule out: the float64
-        pass adds up the segments of the smaller M anyway."""
+        reciprocals recomputed by :func:`_reciprocals`, the call that
+        cached their extremes (which skips finding dropped pairs when the
+        run drops none), and is then bounded pair by pair, its float32 sums
+        times those reciprocals widened by the same slack, from the largest
+        M still open down to the first M these bounds cannot rule out: the
+        float64 pass adds up the segments of the smaller M anyway.  A
+        dropped pair's ratio is 0 there, which can only keep an M open."""
+        every = run.pairs == run.rows * int(run.bounds[-1])
         sums = self.sums(run)
         slack = self.slack(run)
         up, down = self.widened(run, sums, slack)
@@ -557,10 +570,10 @@ class _Screen:
             t += k
             c0, c1 = int(run.bounds[t]), int(run.bounds[t + 1])
             rows, cols = slice(run.i0, run.i0 + run.rows), slice(run.j0 + c0, run.j0 + c1)
-            _, _, ratio, lengths = self.work.get("block", (4, run.rows, c1 - c0))
-            rec = np.divide(1.0, _block_half_sq(*self.ambient, rows, cols, lengths, ratio), out=lengths)
+            _, _, ratio, rec = self.work.get("block", (4, run.rows, c1 - c0))
+            n = _reciprocals(self.ambient, rows, cols, rec, ratio, every)
             self.recomputed += 1
-            open_ms = np.flatnonzero(~ruled_out[:, k]).tolist()
+            open_ms = np.flatnonzero(~ruled_out[:, k]).tolist() if n else []
             with np.errstate(over="ignore", invalid="ignore"):
                 while open_ms:  # from the largest M: once one stays open, the pass pays for the rest
                     m = open_ms[-1]
@@ -569,14 +582,15 @@ class _Screen:
                         break
                     open_ms.pop()
             if open_ms:
-                yield run.i0, run.j0 + c0, rec, None, tuple(open_ms)
+                yield run.i0, run.j0 + c0, rec, n, tuple(open_ms)
             t += 1
 
 
 def _extremes(ratio: np.ndarray, drop, diagonal: bool) -> list[int]:
     """Flat indices of the first largest and the first smallest scanned
-    ratio of a block: the dropped entries and the diagonal of a diagonal
-    block are blanked, to -inf before the argmax and to +inf before the
+    ratio of a block: the diagonal of a diagonal block and the entries of
+    ``drop`` (the zero reciprocals of a block that drops pairs, None in the
+    others) are blanked, to -inf before the argmax and to +inf before the
     argmin, so they can be neither extreme."""
     ends = []
     for fill, arg in ((-math.inf, ratio.argmax), (math.inf, ratio.argmin)):
@@ -611,13 +625,18 @@ def _scan(
     of clipping every entry (among tied entries clipped to 0 the pair
     reported may differ).  With one segment this is the plain scan of one projector.
 
+    A dropped pair has the reciprocal 0 (see :func:`_reciprocals`), and
+    each block carries its count of scanned pairs.  A block of fewer
+    pairs than it holds blanks its zero reciprocals like the diagonal
+    below, from one mask per visit; a block of none is skipped.
+
     A diagonal block is scanned whole: its diagonal is blanked with a
-    strided write, to +inf before the argmin and -inf before the argmax,
-    and so are its dropped entries.  Its projected Gram is a gemm of the
+    strided write, to +inf before the argmin and -inf before the argmax.
+    Its projected Gram is a gemm of the
     block's rows by a copy of them (numpy would form it with syrk and a
     mirror, which costs up to 2.3 times as much), and gemm need not
-    round the twins (i, j) and (j, i) of a pair alike: rec and ``drop`` are
-    symmetric (see ``_chord_blocks``), the products are not always.  Both
+    round the twins (i, j) and (j, i) of a pair alike: rec and its zeros
+    are symmetric (see ``_chord_blocks``), the products are not always.  Both
     twins are scanned, so the extremes are those of the twin of larger
     distortion, the pair is reported as (i, j) with i < j, and the count
     of pairs is that of the upper triangle.  Where the twins are equal the
@@ -643,9 +662,9 @@ def _scan(
     (t_max min rec if t_max < 0) and above t_min min rec (t_min max rec
     if t_min < 0), t_max and t_min the block's extremes of t.  A block
     these bounds leave open gets its float64 reciprocals recomputed with
-    the call that cached their extremes, by ``ambient`` =
-    (points, *_sq_operands(points)), the very arrays that built the cache,
-    so it reads the bits the cache read.  Then pair by pair: the block's
+    the call that cached their extremes, from ``ambient``, the
+    :func:`_ambient` arrays that built the cache, so it reads the bits the
+    cache read.  Then pair by pair: the block's
     float32 sums times those reciprocals (a float64 product), from the
     largest M still open down to the first M this cannot rule out, as
     the float64 pass adds up the segments of the smaller M anyway.  At
@@ -692,11 +711,14 @@ def _scan(
     themselves, and that margin also covers the rounding of the float64
     product p rec (a relative 2^-53): the screen bounds exactly the ratios
     the float64 pass computes.  A bound that overflows to inf or NaN never
-    skips a block.
+    skips a block.  The slack holds at any conditioning of a block: one
+    whose points lie far from the origin against its chords gets a wide
+    slack, which rules it out less often, never wrongly.
 
     A block takes three buffers of its size (the running sum, the
-    segment's lengths, and the Gram product, then the ratios), and a fourth
-    for recomputed reciprocals; the screen takes a whole run at every M,
+    segment's lengths, and the Gram product, then the ratios), a fourth
+    for recomputed reciprocals, and a mask of its size where it drops
+    pairs; the screen takes a whole run at every M,
     one float32 buffer of a run's size per M, which the pair-by-pair
     bounds read again.  The segments of the images are
     column views of ``Y``, not copies, and their operands of both passes
@@ -721,15 +743,19 @@ def _scan(
             if screen is None:
                 screen = _Screen(segs, ops, M_grid, ambient, work)
             todo = screen.unresolved(item, N, M_grid, best)
-            n_eval += item.rows * int(item.bounds[-1])
+            n_eval += item.pairs
         else:
             todo = (item + (every,),)
-            n_eval += _n_pairs(*item)
-        for i0, j0, rec, drop, open_ms in todo:
+            n_eval += item[3]
+        for i0, j0, rec, n, open_ms in todo:
+            if not n:
+                continue
             shape = rec.shape
             rows, cols = slice(i0, i0 + shape[0]), slice(j0, j0 + shape[1])
             proj, part, ratio, _ = work.get("block", (4, *shape))  # a screened block's rec is in the fourth
-            diagonal, right = i0 == j0, None
+            diagonal, right, drop = i0 == j0, None, None
+            if n < (shape[0] * (shape[0] - 1) // 2 if diagonal else rec.size):
+                drop = np.equal(rec, 0.0, out=work.get("drop", shape, bool))
             for m in range(open_ms[-1] + 1):
                 lead, trail = ops[m]
                 if diagonal:  # a copy of the block's rows makes its Gram a gemm
@@ -770,13 +796,14 @@ def _planned(i0: int, j0: int, n_points: int, block: int) -> bool:
 
 
 def _planned_rows(n_points: int, block: int):
-    """Bytes of the cache of a :class:`ChordScan` of ``n_points`` points, block
-    row by block row, as its plan (see :func:`_planned`) keeps them when
-    every planned block takes the screen and no pair is dropped: 8 per
-    entry of a float64 block (a diagonal block whole), 24 per screened
-    block and 8 per run of them (the fields of :class:`_Screened`).  A
-    row's screened blocks are consecutive and every one but the last is
-    ``block`` wide, so a run closes after ceil(_SCREEN_COLS / block) of them."""
+    """Bytes of the cache of a :class:`ChordScan` of ``n_points`` points,
+    block row by block row, as its plan (see :func:`_planned`) lays it out:
+    8 per entry of a float64 block (a diagonal block whole), 24 per
+    screened block and 8 per run of them (the arrays of
+    :class:`_Screened`).  The cache holds nothing else, so this is its size
+    for every point set.  A row's screened blocks are consecutive and every
+    one but the last is ``block`` wide, so a run closes after
+    ceil(_SCREEN_COLS / block) of them."""
     per_run = -(-_SCREEN_COLS // block)
     for i0 in range(0, n_points, block):
         rows, cols = min(block, n_points - i0), n_points - i0
@@ -787,64 +814,47 @@ def _planned_rows(n_points: int, block: int):
         yield 8 * rows * 3 * block + 24 * far + 8 * -(-far // per_run)
 
 
-def _too_large(n_points: int) -> ValueError:
-    return ValueError(
-        f"a chord scan of {n_points} points would cache more than {_CACHE_LIMIT} bytes "
-        f"({_CACHE_LIMIT / 2**30:g} GiB)"
-    )
-
-
-def _check_cache_size(n_points: int, block: int = _BLOCK) -> None:
-    """Raise ValueError if the plan of a :class:`ChordScan` of ``n_points``
-    points keeps more than ``_CACHE_LIMIT`` bytes (see :func:`_planned_rows`).
+def _check_cache_size(n_points: int, block: int = _BLOCK, held: int = 0) -> None:
+    """Raise ValueError if the cache of a :class:`ChordScan` of ``n_points``
+    points (see :func:`_planned_rows`), with ``held`` more bytes that the
+    caller holds beside it, takes more than ``_CACHE_LIMIT`` bytes.
 
     It needs only the point count, so callers check before they sample the
     points, and it stops counting at the first block row past the limit.
-    The build counts what it keeps, masks of dropped pairs and the float64
-    reciprocals of planned blocks the screen cannot take included, and
-    raises the same error once that passes the limit.
+    It is the only size check: the build keeps what the plan counts.
     """
-    if any(need > _CACHE_LIMIT for need in itertools.accumulate(_planned_rows(n_points, block))):
-        raise _too_large(n_points)
+    if any(need > _CACHE_LIMIT for need in itertools.accumulate(_planned_rows(n_points, block), initial=held)):
+        raise ValueError(
+            f"a chord scan of {n_points} points would cache more than {_CACHE_LIMIT} bytes "
+            f"({_CACHE_LIMIT / 2**30:g} GiB)" + (f", counting {held} bytes of their coordinates" if held else "")
+        )
 
 
-def _screenable(i0: int, j0: int, rec: np.ndarray, drop, h: np.ndarray, block: int) -> bool:
-    """Whether :class:`ChordScan` keeps a block of reciprocal lengths
-    ``rec`` for the float32 screen: its plan screens the block (see
-    :func:`_planned`; ``h`` holds one entry per point), it has no dropped
-    entry (no identical points and no chord of computed length <= 0), and
-    it is well conditioned for float32, u (max h_i + max h_j) max rec < 1e-4
-    with u = 2^-24 and h the half squared norms of its rows i and columns j."""
-    if not _planned(i0, j0, len(h), block) or drop is not None:
-        return False
-    cond = _U32 * (h[i0 : i0 + rec.shape[0]].max() + h[j0 : j0 + rec.shape[1]].max())
-    return bool(cond * rec.max() < _SCREEN_COND)
-
-
-def _cached(blocks, h: np.ndarray, block: int):
-    """The blocks of ``_chord_blocks`` as :class:`ChordScan` keeps them, in
-    the same order: each run of consecutive screenable blocks in one block
-    row (see :func:`_screenable`) as one :class:`_Screened`, closed once it
-    reaches ``_SCREEN_COLS`` columns, and every other block as it is.  A
-    planned block the screen cannot take splits its row's run."""
-    run = []  # (i0, j0, rows, columns, max rec, min rec) of the screenable blocks not yet yielded
+def _cached(blocks, n_points: int, block: int):
+    """The blocks of ``_chord_blocks`` of ``n_points`` points as
+    :class:`ChordScan` keeps them, in the same order: each run of
+    consecutive blocks of one block row that the plan screens (see
+    :func:`_planned`) as one :class:`_Screened`, closed once it reaches
+    ``_SCREEN_COLS`` columns, and every other block as it is."""
+    run = []  # (i0, j0, rows, columns, max rec, min rec, pairs) of the planned blocks not yet yielded
 
     def merged():
-        i0, j0, rows, widths, *extremes = zip(*run)
-        return _Screened(i0[0], j0[0], rows[0], np.cumsum((0, *widths)), *map(np.array, extremes))
+        i0, j0, rows, widths, max_rec, min_rec, pairs = zip(*run)
+        return _Screened(i0[0], j0[0], rows[0], np.cumsum((0, *widths)), np.array(max_rec), np.array(min_rec),
+                         sum(pairs))
 
-    for i0, j0, rec, drop in blocks:
-        screenable = _screenable(i0, j0, rec, drop, h, block)
-        if run and not (screenable and i0 == run[-1][0] and j0 == run[-1][1] + run[-1][3]):
+    for i0, j0, rec, n in blocks:
+        planned = _planned(i0, j0, n_points, block)
+        if run and not (planned and i0 == run[0][0]):
             yield merged()
             run = []
-        if screenable:
-            run.append((i0, j0, *rec.shape, float(rec.max()), float(rec.min())))
+        if planned:
+            run.append((i0, j0, *rec.shape, float(rec.max()), float(rec.min()), n))
             if j0 + rec.shape[1] - run[0][1] >= _SCREEN_COLS:
                 yield merged()
                 run = []
         else:
-            yield i0, j0, rec, drop
+            yield i0, j0, rec, n
     if run:
         yield merged()
 
@@ -853,27 +863,26 @@ class ChordScan:
     """Chord scan of every pair of a fixed point set, reused across projectors.
 
     The scan keeps its own read-only copy of the points, :attr:`points`, so
-    a later write to the caller's array changes no result, and their
-    operands of :func:`_sq_operands`, computed once: the same three arrays
-    build the cache and recompute a screened block, so both read the same
-    bits.  Squared chord lengths in the ambient space depend only on the
-    points, so their reciprocals are computed once here, in the order of
+    a later write to the caller's array changes no result, and the other
+    arrays of :func:`_ambient`, computed once: the same arrays build the
+    cache and recompute a screened block, so both read the same bits.
+    Squared chord lengths in the ambient space depend only on the points,
+    so their reciprocals are computed once here, in the order of
     ``_chord_blocks``: the diagonal band, then the far blocks.
 
-    The cache follows a plan made from the point count and the block size
-    alone (see :func:`_planned`): a far block is screened when its block
-    row holds at least two far blocks.  A planned block that the float32
-    screen of :func:`_scan` takes (see :func:`_screenable`) keeps only the
-    largest and the smallest of its float64 reciprocal lengths, and its
-    column offset: 24 bytes, whatever its size.  The others, the band's
-    blocks (the diagonal blocks and their first two neighbours), far
-    blocks alone in their row and planned blocks the screen cannot take,
-    keep their float64 reciprocals, 8 bytes per pair, plus a one-byte mask
-    only where pairs are dropped (a diagonal block is kept whole and needs
-    none for its diagonal and lower triangle).  :attr:`cache_bytes` and
-    :attr:`screened_blocks` report the result; with no dropped pair and
-    every planned block screened, :attr:`cache_bytes` is the sum of the
-    plan's :func:`_planned_rows`.
+    The cache is the plan, made from the point count and the block size
+    alone (see :func:`_planned`): every far block of a block row that
+    holds at least two far blocks goes through the float32 screen of
+    :func:`_scan` and keeps only the largest and the smallest of its
+    float64 reciprocal lengths, and its column offset: 24 bytes, whatever
+    its size.  The others, the band's blocks (the diagonal blocks and
+    their first two neighbours) and far blocks alone in their row, keep
+    their float64 reciprocals, 8 bytes per pair, a dropped pair's
+    reciprocal 0.  Each block, and each run of screened blocks, keeps its
+    count of scanned pairs.  Nothing in the cache depends on the values of
+    the points, so :attr:`cache_bytes` is the sum of the plan's
+    :func:`_planned_rows` for every point set; :attr:`screened_blocks`
+    counts the screened blocks.
 
     Each :meth:`worst` then
     pays only for its projector's Gram blocks, scans every M of a nested
@@ -890,10 +899,9 @@ class ChordScan:
     every later projector on the thread reuses them; :meth:`worst` returns
     no view of them.
 
-    Raises ValueError if the plan's cache exceeds 2 GiB (see
-    :func:`_check_cache_size`), checked before the build, if what the
-    build keeps passes 2 GiB, or if the points have no chord of positive
-    length.
+    Raises ValueError, before the build, if the cache would exceed 2 GiB
+    (see :func:`_check_cache_size`), and after it if the points have no
+    chord of positive length.
     """
 
     def __init__(self, points: np.ndarray, block: int = _BLOCK):
@@ -901,14 +909,10 @@ class ChordScan:
         _check_cache_size(len(points), block)
         self.points = np.array(points)  # a copy, in the memory order of the caller's
         self.points.flags.writeable = False
-        self._ambient = (self.points, *_sq_operands(self.points))
-        self._blocks, self.cache_bytes = [], 0
-        for cached in _cached(_chord_blocks(self._ambient, block), self._ambient[2][1], block):
-            self.cache_bytes += sum(a.nbytes for a in cached if isinstance(a, np.ndarray))
-            if self.cache_bytes > _CACHE_LIMIT:
-                raise _too_large(len(points))
-            self._blocks.append(cached)
-        if not self._blocks:
+        self._ambient = _ambient(self.points)
+        self._blocks = list(_cached(_chord_blocks(self._ambient, block), len(points), block))
+        self.cache_bytes = sum(a.nbytes for b in self._blocks for a in b if isinstance(a, np.ndarray))
+        if not any(b.pairs if isinstance(b, _Screened) else b[3] for b in self._blocks):
             raise ValueError(_NO_CHORDS)
         self._local = threading.local()
 
@@ -967,7 +971,7 @@ def pointset_distortion(A: Projector, points: np.ndarray, block: int = _BLOCK) -
     X = _as_points(points)
     if X.shape[1] != A.N:
         raise ValueError(f"points must be (P, {A.N}), got {X.shape}")
-    return _scan(X @ A.rows.T, A.N, (A.M,), _chord_blocks((X, *_sq_operands(X)), block))[0]
+    return _scan(X @ A.rows.T, A.N, (A.M,), _chord_blocks(_ambient(X), block))[0]
 
 
 def subspace_distortion(A: Projector, U: SubspaceBasis) -> float:

@@ -88,6 +88,27 @@ def grid_axes(spec: ManifoldSpec) -> tuple[np.ndarray, ...]:
     return tuple(np.arange(n) * (L / n) for n, L in zip(spec.grid, spec.L))
 
 
+def _modes(lam: float, L: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """The period ``T = L + 9 lam`` of the periodized kernel of
+    :func:`_spectral_factor`, and the frequencies ``omega_k`` and weights
+    ``exp(-(omega_k lam)^2 / 2)`` of the modes it keeps: its factor has
+    ``2 len(omega) + 1`` columns, whatever the grid."""
+    T = L + _WRAP_CELLS * lam
+    k_max = T * math.sqrt(-2.0 * math.log(_MODE_FLOOR)) / (2.0 * math.pi * lam)
+    omega = 2.0 * math.pi * np.arange(1, int(k_max) + 2) / T
+    weight = np.exp(-0.5 * (omega * lam) ** 2)
+    keep = weight >= _MODE_FLOOR
+    return T, omega[keep], weight[keep]
+
+
+def coordinate_count(spec: ManifoldSpec) -> int:
+    """Columns k of :func:`isometric_coordinates` of ``spec``, for every
+    seed and before any sample: the latent rank r, the product of the
+    axis factors' columns (see :func:`_modes`), or N when r >= N."""
+    r = math.prod(2 * len(_modes(lam, L)[1]) + 1 for lam, L in zip(spec.lam, spec.L))
+    return min(r, spec.N)
+
+
 def _spectral_factor(
     ax: np.ndarray, lam: float, L: float, deriv: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -105,13 +126,9 @@ def _spectral_factor(
     ``amp_k omega_k {-sin, cos}(omega_k sigma)``, so ``dF dF^T`` and
     ``F dF^T`` are the kernel's mixed and first derivatives.
     """
-    T = L + _WRAP_CELLS * lam
+    T, omega, weight = _modes(lam, L)
     s0 = math.sqrt(2.0 * math.pi) * lam / T
-    k_max = T * math.sqrt(-2.0 * math.log(_MODE_FLOOR)) / (2.0 * math.pi * lam)
-    omega = 2.0 * math.pi * np.arange(1, int(k_max) + 2) / T
-    weight = np.exp(-0.5 * (omega * lam) ** 2)
-    keep = weight >= _MODE_FLOOR
-    omega, amp = omega[keep], np.sqrt(2.0 * s0 * weight[keep])
+    amp = np.sqrt(2.0 * s0 * weight)
     theta = np.outer(ax, omega)
     cos, sin = np.cos(theta), np.sin(theta)
     F = np.empty((ax.size, 2 * omega.size + 1))

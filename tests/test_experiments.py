@@ -149,6 +149,26 @@ class TestDistortionDistribution:
         with pytest.raises(ValueError, match="1048576 points"):
             distortion_distribution(spec_for_volume(1, 100, 1.0, 1 << 20), 10, 20, seed=0)
 
+    def test_surface_too_large_to_sample_refused_before_sampling(self, monkeypatch):
+        # a 700 x 700 surface plans a cache within 2 GiB, but its points in
+        # R^1000 take 3.9 GB per array
+        def no_sample(*args, **kwargs):
+            raise AssertionError("a manifold was sampled before the scan size was checked")
+
+        monkeypatch.setattr(mp.experiments, "sample_manifold", no_sample)
+        with pytest.raises(ValueError, match=r"^a chord scan of 490000 points .*, counting 11760000000 bytes"):
+            distortion_distribution(spec_for_volume(2, 1000, 2 * LNV1, 700), 10, 20, seed=0)
+
+    def test_full_scale_runs_are_admitted(self):
+        # the full-scale sweeps of the README (16384-point curves, 128 x 128
+        # surfaces, N up to 20000) and 32768-point curves pass the size check
+        for K, lnV_over_K, N, grid in [(1, 2.2, 1000, 16384), (2, 2.2, 1000, 128), (2, 1.0, 1000, 128),
+                                       (1, LNV1, 20000, 512), (1, 2.2, 1000, 32768)]:
+            spec = spec_for_volume(K, N, K * lnV_over_K, grid)
+            mp.experiments._check_m_star_inputs(spec, 0.2, 0.05, (4, 200), 100)
+            if K == 2:
+                mp.experiments._check_scan_size(spec.n_points, spec.N)
+
     def test_inputs_checked_before_sampling(self, monkeypatch):
         def no_sample(*args, **kwargs):
             raise AssertionError("a manifold was sampled before the inputs were checked")

@@ -177,7 +177,8 @@ class TestManifest:
         screened = [b for b in scan._blocks if isinstance(b, _Screened)]
         others = [b for b in scan._blocks if not isinstance(b, _Screened)]
         cached = [a for r in screened for a in (r.bounds, r.max_rec, r.min_rec)]
-        cached += [a for _, _, rec, drop in others for a in (rec, drop) if a is not None]
+        cached += [rec for _, _, rec, _ in others]
+        assert sum(a.nbytes for a in cached) == sum(mp.projections._planned_rows(1024, 128))
         assert diagnostics == {"chord_cache_bytes": sum(a.nbytes for a in cached),
                                "screened_blocks": 8 * 9 // 2 - len(others),
                                "float64_recomputes": len(recomputed),
@@ -367,18 +368,29 @@ class TestRunSampleAndMstar:
         assert "1048576 points" in err["message"] and "2147483648 bytes" in err["message"]
         assert not (tmp_path / "run_manifest.json").exists()
 
-    def test_cache_over_the_limit_refused_during_the_build(self, tmp_path, capsys, monkeypatch):
-        # with no far block conditioned for float32, the 1024-point curve's
-        # cache (4.7 MB) passes a limit its plan (2.9 MB) is within: the
-        # build refuses it, with the JSON error record and no manifest
-        monkeypatch.setattr(mp.projections, "_CACHE_LIMIT", 3_000_000)
-        monkeypatch.setattr(mp.projections, "_SCREEN_COND", 0.0)
-        out = tmp_path / "out"
-        assert main(["mstar", "--param", "grid_per_axis=1024", "--param", "n_proj=20", "--out-dir", str(out)]) == 1
-        record = json.loads(capsys.readouterr().err)
-        assert (record["code"], record["message"]) == \
-            ("ValueError", "a chord scan of 1024 points would cache more than 3000000 bytes (0.00279397 GiB)")
-        assert not (out / "run_manifest.json").exists()
+    def test_cache_over_the_limit_refused_before_sampling(self, tmp_path, capsys, monkeypatch):
+        # the limit counts the plan of the 1024-point curve's cache and three
+        # arrays of its coordinates: one byte less is refused before any
+        # point is sampled, with the JSON error record and no manifest
+        spec = mp.spec_for_volume(1, 1000, mp.experiments.LNV_PER_K_DEFAULT, 1024)
+        held = 3 * 8 * 1024 * mp.sampling.coordinate_count(spec)
+        limit = sum(mp.projections._planned_rows(1024, 128)) + held - 1
+        monkeypatch.setattr(mp.projections, "_CACHE_LIMIT", limit)
+        assert_refused_before_work(
+            tmp_path, capsys, monkeypatch, ["mstar", "--param", "grid_per_axis=1024", "--param", "n_proj=20"],
+            f"a chord scan of 1024 points would cache more than {limit} bytes ({limit / 2**30:g} GiB), "
+            f"counting {held} bytes of their coordinates")
+
+    def test_surface_too_large_to_sample_refused_before_sampling(self, tmp_path, capsys, monkeypatch):
+        # a 700 x 700 surface plans a cache within 2 GiB, but its 1000
+        # coordinates per point take 3.9 GB per array
+        assert mp.sampling.coordinate_count(mp.spec_for_volume(2, 1000, 2 * mp.experiments.LNV_PER_K_DEFAULT, 700)) \
+            == 1000
+        mp.projections._check_cache_size(700 * 700)
+        assert_refused_before_work(
+            tmp_path, capsys, monkeypatch, ["mstar", "--param", "K=2", "--param", "grid_per_axis=700"],
+            "a chord scan of 490000 points would cache more than 2147483648 bytes (2 GiB), "
+            "counting 11760000000 bytes of their coordinates")
 
     def test_mstar_k2_defaults_use_a_32_by_32_surface(self, tmp_path, monkeypatch):
         # the K = 2 grid default is the fig6 one, not the K = 1 count per

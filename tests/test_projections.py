@@ -331,7 +331,7 @@ def summary(scan, A):
 
 def chord_blocks(X, block=128):
     """The blocks of ``_chord_blocks`` of the points X, streamed."""
-    return projections._chord_blocks((X, *projections._sq_operands(X)), block)
+    return projections._chord_blocks(projections._ambient(X), block)
 
 
 def planned_far(P, block=128):
@@ -342,9 +342,9 @@ def planned_far(P, block=128):
     return sum(n for n in per_row if n >= 2)
 
 
-def planned_bytes(P):
+def planned_bytes(P, block=128):
     """Bytes of the cache the plan of a ChordScan of P points keeps."""
-    return sum(projections._planned_rows(P, 128))
+    return sum(projections._planned_rows(P, block))
 
 
 def screened_cases():
@@ -363,6 +363,18 @@ def screened_cases():
     }
 
 
+def tie_points():
+    """150 integer points, in blocks of 16, whose chords (3, 56) and
+    (5, 100) lie beyond the first 30 coordinates, and the identical points
+    6 and 101."""
+    rng = np.random.default_rng(19)
+    X = rng.integers(-8, 9, size=(150, 40)).astype(float)
+    X[56], X[100], X[101] = X[3], X[5], X[6]
+    X[56, 35] += 8.0
+    X[100, 36] += 8.0
+    return X
+
+
 # the ambient blocks of the diagonal blocks of a smooth curve (300 points:
 # two full blocks and a ragged one), and the syrk products of projected
 # segments of widths 1, 6 and 53, as column views
@@ -372,9 +384,11 @@ from mfldproj import projections
 X = mp.sampling.isometric_coordinates(mp.spec_for_volume(1, 1000, math.log(40.0), 300), 5)
 Y = X @ np.random.default_rng(3).standard_normal((X.shape[1], 60))
 checked = []
-for i0, j0, rec, drop in projections._chord_blocks((X, *projections._sq_operands(X)), 128):
+for i0, j0, rec, n in projections._chord_blocks(projections._ambient(X), 128):
     if i0 == j0:
-        checked.append(np.array_equal(rec, rec.T) and drop is None)
+        zeros = np.argwhere(rec == 0.0)
+        checked.append(np.array_equal(rec, rec.T) and np.array_equal(zeros[:, 0], zeros[:, 1])
+                       and len(zeros) == len(rec) and n == len(rec) * (len(rec) - 1) // 2)
         rows = slice(i0, i0 + len(rec))
         for a, b in ((0, 1), (1, 7), (7, 60)):
             lead, trail = projections._sq_operands(Y[:, a:b])
@@ -389,8 +403,9 @@ class TestChordScan:
     def test_diagonal_blocks_are_symmetric(self):
         # numpy forms a block times its own transpose with syrk and mirrors
         # it, which the cached ambient diagonal blocks rely on: their
-        # reciprocal lengths and masks are symmetric, and a mask's count is
-        # halved (a numpy that stops doing so fails here).  The projected
+        # reciprocal lengths are symmetric, their zeros (the dropped pairs,
+        # here only the diagonal) too, and the count of their nonzero
+        # entries is halved (a numpy that stops doing so fails here).  The projected
         # blocks of the scan go through gemm instead and need not be
         # symmetric; the syrk path is checked on column segments as well.
         # Checked at one and two BLAS threads, each in a child process
@@ -404,7 +419,7 @@ class TestChordScan:
 
     def test_diagonal_is_blanked(self):
         # integer coordinates make every length exact, so the diagonal of a
-        # diagonal block has projected length 0 against reciprocal 1: left
+        # diagonal block has projected length 0 against reciprocal 0: left
         # in, it would be the smallest ratio, a distortion of exactly 1.
         # No chord lies beyond the first 30 coordinates, so the worst is
         # below 1, found above the diagonal
@@ -418,16 +433,19 @@ class TestChordScan:
             assert all(g.max < 0.9 and g.argmax[0] < g.argmax[1] for g in got)
 
     def test_identical_points_in_a_diagonal_block(self):
-        # a diagonal block keeps a mask only for its dropped pairs, the pair
-        # of identical points and its mirror image, and still scans every
-        # other pair above its diagonal
+        # a diagonal block keeps the reciprocal 0 for its diagonal and its
+        # dropped pairs, the pair of identical points and its mirror image,
+        # and still scans every other pair above its diagonal
         rng = np.random.default_rng(23)
         X = np.cumsum(rng.standard_normal((150, 40)), axis=0)
         X[9] = X[5]
         scan = ChordScan(X, block=16)
-        i0, j0, _, drop = scan._blocks[0]
-        assert (i0, j0) == (0, 0) and sorted(zip(*np.nonzero(drop))) == [(5, 9), (9, 5)]
-        assert all(b[3] is None for b in scan._blocks[1:] if not isinstance(b, _Screened))
+        i0, j0, rec, n = scan._blocks[0]
+        zeros = sorted((int(i), int(j)) for i, j in zip(*np.nonzero(rec == 0.0)) if i != j)
+        assert (i0, j0) == (0, 0) and zeros == [(5, 9), (9, 5)] and not projections._diagonal(rec).any()
+        assert n == 16 * 15 // 2 - 1
+        assert all(b[3] == (b[2].size if b[0] != b[1] else len(b[2]) * (len(b[2]) - 1) // 2)
+                   for b in scan._blocks[1:] if not isinstance(b, _Screened))
         for seed in range(3):
             A = sample_projector(40, 5 + seed, seed)
             got = summary(scan, A)
@@ -629,24 +647,20 @@ class TestChordScan:
         assert got.n_evaluated == 4097 * 4096 // 2
         assert got == pointset_distortion(A, X)
 
-    @pytest.mark.parametrize("P", [512, 1000, 1024, 2048, 4096])
+    @pytest.mark.parametrize("P", [512, 1000, 1024, 2048, 4096, "shifted", "duplicates", "ties"])
     def test_planned_bytes_are_the_cache_bytes(self, P):
-        # with no dropped pair and every planned block screened, the build
-        # keeps what the plan made from the point count alone counts
-        X = gp_curve(1024)[:1000] if P == 1000 else gp_curve(P)
-        scan = ChordScan(X)
-        assert scan.screened_blocks == planned_far(P)
-        assert scan.cache_bytes == planned_bytes(P) == sum(
+        # the build keeps what the plan made from the point count alone
+        # counts, whatever the points: smooth curves, one far from the
+        # origin, identical points and exact-zero chords (in band and
+        # screened blocks), and integer points in blocks of 16
+        if isinstance(P, int):
+            X, block = gp_curve(1024)[:1000] if P == 1000 else gp_curve(P), 128
+        else:
+            X, block = (tie_points(), 16) if P == "ties" else (screened_cases()[P], 128)
+        scan = ChordScan(X, block=block)
+        assert scan.screened_blocks == planned_far(len(X), block)
+        assert scan.cache_bytes == planned_bytes(len(X), block) == sum(
             a.nbytes for b in scan._blocks for a in b if isinstance(a, np.ndarray))
-
-    def test_build_counts_what_the_plan_could_not_screen(self):
-        # the duplicates case keeps two masks of 128 x 128 bytes, (0, 256) and
-        # (0, 640), and its planned block (0, 640) in float64 instead of 24
-        # bytes, which splits the run of row 0 in two (8 more bytes)
-        scan = ChordScan(screened_cases()["duplicates"])
-        assert scan.screened_blocks == planned_far(1024) - 1
-        extra = 2 * 128 * 128 + (8 * 128 * 128 - 24) + 8
-        assert scan.cache_bytes == planned_bytes(1024) + extra
 
     def test_cache_size_checked_from_the_plan(self):
         # 8 bytes per pair of the band, 24 per screened far block and 8 per
@@ -658,17 +672,22 @@ class TestChordScan:
         with pytest.raises(ValueError, match=r"^a chord scan of 607564 points would cache more than 2147483648 bytes"):
             projections._check_cache_size(607564)
 
-    def test_cache_over_the_limit_refused_during_the_build(self, monkeypatch):
-        # with no block conditioned for float32 the 1024-point curve keeps
-        # 8 bytes per entry (4.7 MB), more than its plan (2.9 MB): under a
-        # limit between the two the plan passes and the build is refused
-        X = gp_curve(1024)
-        monkeypatch.setattr(projections, "_CACHE_LIMIT", 3_000_000)
-        assert ChordScan(X).cache_bytes == planned_bytes(1024) < 3_000_000
-        monkeypatch.setattr(projections, "_SCREEN_COND", 0.0)
-        projections._check_cache_size(1024)
-        with pytest.raises(ValueError, match=r"^a chord scan of 1024 points would cache more than 3000000 bytes"):
-            ChordScan(X)
+    def test_cache_over_the_limit_refused_before_the_build(self, monkeypatch):
+        # the plan is the only size check: under a limit one byte below it
+        # a scan is refused before a reciprocal length is computed, and at
+        # the plan it is built, whatever the points
+        def no_build(*args):
+            raise AssertionError("the cache was built before its size was checked")
+
+        for X in screened_cases().values():
+            limit = planned_bytes(len(X)) - 1
+            monkeypatch.setattr(projections, "_CACHE_LIMIT", limit)
+            with monkeypatch.context() as m:
+                m.setattr(projections, "_ambient", no_build)
+                with pytest.raises(ValueError, match=rf"^a chord scan of {len(X)} points would cache more than {limit} bytes"):
+                    ChordScan(X)
+            monkeypatch.setattr(projections, "_CACHE_LIMIT", limit + 1)
+            assert ChordScan(X).cache_bytes == limit + 1
 
     def test_rejects_non_finite(self):
         rng = np.random.default_rng(18)
@@ -785,7 +804,7 @@ def screened_lengths(scan, run, t):
     ``run`` of ``scan``, rows by columns."""
     rows, cols = block_slices(run, t)
     shape = (run.rows, cols.stop - cols.start)
-    return projections._block_half_sq(*scan._ambient, rows, cols, np.empty(shape), np.empty(shape))
+    return projections._block_half_sq(*scan._ambient[:3], rows, cols, np.empty(shape), np.empty(shape))
 
 
 def float64_ratios(scan, segs, ops, run):
@@ -868,13 +887,16 @@ class TestScreenedScan:
         X = screened_cases()[case]
         N, M_grid, k = 1000, (25, 63, 100), X.shape[1]
         scan = ChordScan(X)
-        if case == "shifted":  # |x|^2 / 2 ~ 7e7 against chords of order 1
-            assert scan.screened_blocks == 0
-        else:  # every far block of a row with at least two, but the one with identical points
-            assert scan.screened_blocks == planned_far(len(X)) - (case == "duplicates") == 14 - (case == "duplicates")
-        if case == "duplicates":
-            dropped = [(b[0], b[1]) for b in scan._blocks if not isinstance(b, _Screened) and b[3] is not None]
-            assert {(0, 256), (0, 640)} <= set(dropped)
+        # every far block of a row with at least two, also far from the
+        # origin (|x|^2 / 2 ~ 7e7 against chords of order 1) and with
+        # identical points
+        assert scan.screened_blocks == planned_far(len(X)) == 14
+        if case == "duplicates":  # the zero chord in the band block (0, 256), the identical points in (0, 640)
+            dropped = [b[:2] for b in scan._blocks if not isinstance(b, _Screened) and b[0] != b[1] and b[3] < b[2].size]
+            rec = next(b[2] for b in scan._blocks if b[:2] == (0, 256))
+            assert dropped == [(0, 256)] and np.flatnonzero(rec == 0.0).tolist() == [5 * 128 + 44]
+            (run,) = [b for b in scan._blocks if isinstance(b, _Screened) and b.pairs < b.rows * b.bounds[-1]]
+            assert (run.i0, run.j0, run.pairs) == (0, 384, 128 * 640 - 1)
         if case == "ragged":
             assert any(b.bounds[-1] - b.bounds[-2] == 104 for b in scan._blocks if isinstance(b, _Screened))
         order = []
@@ -900,21 +922,17 @@ class TestScreenedScan:
         # and (5, 100) lie beyond the first 30 coordinates, so both have
         # distortion 1 at every M, and no other chord reaches it while
         # N / M < 4.  The first, in a screened run, comes before the second,
-        # in a block with identical points, so it is the worst pair.
-        rng = np.random.default_rng(19)
-        X = rng.integers(-8, 9, size=(150, 40)).astype(float)
-        X[56], X[100], X[101] = X[3], X[5], X[6]
-        X[56, 35] += 8.0
-        X[100, 36] += 8.0
+        # in a later block of the same screened run, (0, 96), which holds
+        # the identical points 6 and 101, so it is the worst pair.
+        X = tie_points()
         scan = ChordScan(X, block=16)
         runs = [b for b in scan._blocks if isinstance(b, _Screened)]
-        assert any(b.i0 == 0 and b.j0 <= 48 < b.j0 + b.bounds[-1] for b in runs)
-        assert not any(b.i0 == 0 and b.j0 <= 96 < b.j0 + b.bounds[-1] for b in runs)
+        assert any(b.i0 == 0 and b.j0 <= 48 and 96 < b.j0 + b.bounds[-1] for b in runs)
         M_grid, rows = (12, 20, 30), np.eye(30, 40)
         Y = X @ rows.T
         got = scan.worst(rows, 40, M_grid)
         assert got == projections._scan(Y, 40, M_grid, chord_blocks(X, 16))
-        assert [(g.max, g.argmax) for g in got] == [(1.0, (3, 56))] * 3
+        assert [(g.max, g.argmax, g.n_evaluated) for g in got] == [(1.0, (3, 56), 11174)] * 3
 
     def test_ties_prefer_the_diagonal_band(self):
         # integer coordinates make every length exact: the chords (3, 56),
@@ -966,26 +984,24 @@ class TestScreenedScan:
 
     def test_slack_bounds_float32_error(self):
         # every float32 ratio is within the screen's slack of the float64
-        # one, at every M: on random points, and on points moved far from
-        # the origin until their blocks are just inside the conditioning limit
+        # one, at every M: on random points, and on the same points moved
+        # far from the origin, where float32 rounding of their norms is
+        # more than 1e-3 of the shortest chord of a block (at +1e5, over a
+        # thousand times the chord itself): the slack grows with the norms
         rng = np.random.default_rng(21)
         base = rng.standard_normal((1024, 30))
         N, M_grid = 200, (1, 3, 8, 20, 50)
-        shortest = [1.0 / float(rec.max()) for i0, j0, rec, _ in chord_blocks(base)
-                    if i0 != j0]
-        shift = math.sqrt(0.8e-4 * float(np.median(shortest)) / 2.0**-24 / 30)
-        for X in (base, base + shift):
+        for shift in (0.0, 100.0, 1e5):
+            X = base + shift
             scan = ChordScan(X)
-            assert scan.screened_blocks > 0
+            assert scan.screened_blocks == planned_far(1024)
             h = scan._ambient[2][1]
             cond = max(
                 2.0**-24 * (h[b.i0 : b.i0 + 128].max() + h[b.j0 + b.bounds[t] : b.j0 + b.bounds[t + 1]].max())
                 * b.max_rec[t]
                 for b in scan._blocks if isinstance(b, _Screened) for t in range(len(b.max_rec))
             )
-            assert cond < 1e-4
-            if X is not base:
-                assert cond > 0.5e-4
+            assert cond < 1e-4 if shift == 0.0 else cond > (1e-3 if shift == 100.0 else 1e3)
             for seed in range(3):
                 Y = X @ frame_rows(N, 30, M_grid[-1], seed).T
                 assert screen_error_ratio(scan, Y, N, M_grid) <= 1.0
@@ -1026,7 +1042,7 @@ class TestScreenedScan:
         # every ratio t rec of a block with t between its extremes and rec
         # between min rec and max rec lies between the block bounds, which
         # are the extreme corners of that box
-        run = _Screened(0, 0, 2, np.array([0, 2]), np.array([4.0]), np.array([1.0]))
+        run = _Screened(0, 0, 2, np.array([0, 2]), np.array([4.0]), np.array([1.0]), 4)
         sums = np.array([sums], np.float32)
         up, down = projections._Screen.widened(run, sums, np.zeros((1, 1)))
         corners = [t * r for t in (sums.min(), sums.max()) for r in (1.0, 4.0)]
@@ -1045,8 +1061,8 @@ class TestScreenedScan:
             for t in range(len(run.max_rec)):
                 rec = 1.0 / screened_lengths(scan, run, t)
                 assert (run.max_rec[t], run.min_rec[t]) == (rec.max(), rec.min())
+        assert sum(run.pairs for run in runs) == 128 * 128 * scan.screened_blocks  # no dropped pair
         unscreened = [b for b in scan._blocks if not isinstance(b, _Screened)]
-        assert all(drop is None for _, _, _, drop in unscreened)
         assert scan.cache_bytes == \
             8 * sum(rec.size for _, _, rec, _ in unscreened) + 24 * scan.screened_blocks + 8 * len(runs)
 
@@ -1060,7 +1076,7 @@ class TestScreenedScan:
         assert scan.cache_bytes == 8 * sum(rec.size for _, _, rec, _ in scan._blocks) == 8 * 128 * 128 * 10
         assert [b[:2] for b in scan._blocks if b[1] - b[0] > 256] == [(0, 384)]
         with monkeypatch.context() as m:
-            m.setattr(projections, "_screenable", lambda *args: False)
+            m.setattr(projections, "_planned", lambda *args: False)
             unscreened = ChordScan(X)
         for seed in range(2):
             rows = frame_rows(N, X.shape[1], M_grid[-1], seed)
@@ -1081,9 +1097,10 @@ class TestScreenedScan:
         # block's 1 / da spans 1.2 to over 400 times (the last blocks of
         # the first row hold chords across the circle's start), so block
         # bounds are loose and the pair-by-pair bounds rule out most blocks
-        # they leave open; moved from the origin until its blocks are just
-        # inside the conditioning limit, the float32 term of the slack is
-        # most of the widening.  Either way the block bounds hold the
+        # they leave open; moved from the origin by 10 in every coordinate,
+        # float32 rounding of its norms is far above 1e-4 of a block's
+        # shortest chord, and the float32 term of the slack is most of the
+        # widening.  Either way the block bounds hold the
         # float64 ratios, the float32 error stays within the slack, and the
         # scan is the elementwise one bit for bit
         curve = gp_curve(1024)
@@ -1092,15 +1109,14 @@ class TestScreenedScan:
         X -= X.mean(axis=0)
         N, M_grid, k = 1000, (2, 10, 50), X.shape[1]
         if shifted:
-            shortest = [1.0 / float(rec.max()) for i0, j0, rec, _ in chord_blocks(X) if j0 - i0 > 256]
-            X += math.sqrt(0.8e-4 * float(np.median(shortest)) / 2.0**-24 / k)
+            X += 10.0
         scan = ChordScan(X)
         runs = screened_runs(scan)
         spreads = [hi / lo for r in runs for hi, lo in zip(r.max_rec, r.min_rec)]
         h = scan._ambient[2][1]
         cond = max(2.0**-24 * (h[r.i0 : r.i0 + 128].max() + h[r.j0 + r.bounds[t] : r.j0 + r.bounds[t + 1]].max())
                    * r.max_rec[t] for r in runs for t in range(len(r.max_rec)))
-        assert 0.5e-4 < cond < 1e-4 if shifted else max(spreads) > 400.0
+        assert cond > 1e-4 if shifted else max(spreads) > 400.0
         recomputed, passes = count_recomputed(monkeypatch, scan), count_float64_passes(monkeypatch)
         for seed in range(2):
             rows = frame_rows(N, k, M_grid[-1], seed)

@@ -22,7 +22,7 @@ from mfldproj import (
     spec_for_volume,
     tangent_frames,
 )
-from mfldproj.sampling import _spectral_factor, grid_axes, isometric_coordinates
+from mfldproj.sampling import _spectral_factor, coordinate_count, grid_axes, isometric_coordinates
 
 
 def spec1d(N=200, n=48, L=6.0, lam=1.0, ell=1.0):
@@ -162,7 +162,7 @@ class TestIsometricCoordinates:
         spec = spec_for_volume(K, N, lnV, grid, ell=1.7)
         X = sample_manifold(spec, 8).points
         C = isometric_coordinates(spec, 8)
-        assert C.shape == (spec.n_points, rank)
+        assert C.shape == (spec.n_points, rank) and coordinate_count(spec) == rank  # known before sampling
         assert np.abs(C @ C.T - X @ X.T).max() <= 1e-14 * spec.ell**2
         if rank == N:  # no latent rank to gain: the points themselves
             assert np.array_equal(C, X)
