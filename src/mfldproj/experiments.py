@@ -27,7 +27,8 @@ import numpy as np
 
 from .errors import RankDeficient, Unachievable
 from .manifold import ManifoldSpec, integer, listed, real
-from .projections import ChordScan, DistortionSummary, _check_cache_size, _haar_frame_rows, sample_projector
+from .projections import (ChordScan, DistortionSummary, _check_cache_size, _haar_frame_rows, _workspace_bytes,
+                          sample_projector)
 from .sampling import coordinate_count, isometric_coordinates, sample_manifold, tangent_frames
 from .seeding import derive_seed, pooled_map
 from . import bounds
@@ -84,18 +85,23 @@ class MStarResult:
     diagnostics: dict
 
 
-def _check_scan_size(n_points: int, columns: int) -> None:
+def _check_scan_size(n_points: int, columns: int, M_grid, workers: int) -> None:
     """Refuse, before sampling, a chord scan of ``n_points`` points of
     ``columns`` float64 coordinates whose cache (see
-    :func:`~mfldproj.projections._check_cache_size`) and three arrays of
-    the points would pass the cache limit.  Drawing the points peaks at
-    three such arrays, before the cache is built, and the scan then keeps a
-    copy beside the points it was given.  Traced with ``tracemalloc`` at
-    N = 1000 (k = 1000), the peak of :func:`isometric_coordinates` is 3.02
-    arrays on a 64 x 64 surface and 3.00 on a 128 x 128 one; that of a
-    whole :func:`m_star_empirical` is 3.00 on both, and that of
-    :func:`distortion_distribution` 3.00 on the first."""
-    _check_cache_size(n_points, held=3 * 8 * n_points * columns)
+    :func:`~mfldproj.projections._check_cache_size`), three arrays of the
+    points and the workspaces of ``workers`` threads scanning the ascending
+    ``M_grid`` (see :func:`~mfldproj.projections._workspace_bytes`) would
+    pass the cache limit.  Drawing the points peaks at three such arrays,
+    before the cache is built, and the scan then keeps a copy beside the
+    points it was given.  Traced with ``tracemalloc`` at N = 1000
+    (k = 1000), the peak of :func:`isometric_coordinates` is 3.02 arrays on
+    a 64 x 64 surface and 3.00 on a 128 x 128 one; that of a whole
+    :func:`m_star_empirical` is 3.00 on both, and that of
+    :func:`distortion_distribution` 3.00 on the first.  On a curve
+    (k = 39, default grid, 20 projectors) the workspaces dominate: a whole
+    :func:`m_star_empirical` peaks at 0.95 of this count at 4096 points
+    and 0.93 at 16384 on one thread, 0.996 and 0.96 on two."""
+    _check_cache_size(n_points, held=3 * 8 * n_points * columns + workers * _workspace_bytes(n_points, M_grid))
 
 
 def distortion_distribution(
@@ -115,7 +121,7 @@ def distortion_distribution(
     """
     if not (1 <= M <= spec.N and n_proj >= 1):
         raise ValueError(f"need 1 <= M <= N and n_proj >= 1, got M={M}, N={spec.N}, n_proj={n_proj}")
-    _check_scan_size(spec.n_points, spec.N)
+    _check_scan_size(spec.n_points, spec.N, (M,), 1)
     scan = ChordScan(sample_manifold(spec, derive_seed(seed, ["manifold"])).points)
     projectors = (sample_projector(spec.N, M, derive_seed(seed, ["proj", i])) for i in range(n_proj))
     return np.array([scan.worst(A.rows, A.N, (A.M,))[0].max for A in projectors])
@@ -192,11 +198,11 @@ def invert_quantile_curve(M_grid, eps_q, eps_target: float) -> tuple[float, np.n
 
 
 def _check_m_star_inputs(
-    spec: ManifoldSpec, eps_target: float, delta: float, M_grid, n_proj: int
+    spec: ManifoldSpec, eps_target: float, delta: float, M_grid, n_proj: int, threads: int
 ) -> tuple[int, ...]:
     """The M grid of :func:`m_star_empirical` as a tuple, after checking
     every input that does not need a sample, the size of the chord scan
-    included."""
+    on min(threads, n_proj) threads included."""
     N = spec.N
     M_grid = tuple(integer(m, "parameter 'M_grid' entry") for m in listed(M_grid, "parameter 'M_grid'"))
     outside = [m for m in M_grid if not 1 <= m <= N]
@@ -211,7 +217,7 @@ def _check_m_star_inputs(
     need = max(20, math.ceil(1.0 / delta))
     if n_proj < need:
         raise ValueError(f"n_proj must be >= max(20, ceil(1/delta)) = {need}, got {n_proj}")
-    _check_scan_size(spec.n_points, coordinate_count(spec))
+    _check_scan_size(spec.n_points, coordinate_count(spec), M_grid, max(1, min(threads, n_proj)))
     return M_grid
 
 
@@ -268,7 +274,7 @@ def m_star_empirical(
     independent jobs; with ``threads > 1`` they run on a thread pool, with
     identical results for any thread count.
     """
-    M_grid = _check_m_star_inputs(spec, eps_target, delta, M_grid, n_proj)
+    M_grid = _check_m_star_inputs(spec, eps_target, delta, M_grid, n_proj, threads)
     scan = _latent_scan(spec, seed)
     worst, recomputes, pairs = _nested_worst(scan, spec.N, M_grid, n_proj, seed, threads)
     quantiles = epsilon_at_delta(worst, delta)
@@ -351,7 +357,7 @@ def merge_params(defaults: dict, params: dict | None, what: str) -> dict:
 @dataclass(frozen=True)
 class MStarPoint:
     """One checked M* point: the surface of (K, lnV, N) and the settings
-    :func:`m_star_empirical` runs it at."""
+    :func:`m_star_empirical` runs it at, on ``threads`` threads."""
 
     K: int
     lnV: float
@@ -361,12 +367,13 @@ class MStarPoint:
     delta: float
     M_grid: tuple[int, ...]
     n_proj: int
+    threads: int
 
-    def row(self, seed: int, threads: int = 1) -> tuple[dict, MStarResult]:
+    def row(self, seed: int) -> tuple[dict, MStarResult]:
         """The point's M* row, the empirical count beside every bound
         column, and the :class:`MStarResult` it came from."""
         res = m_star_empirical(self.spec, self.eps_target, self.delta, self.M_grid, self.n_proj, seed,
-                               threads=threads)
+                               threads=self.threads)
         eps, delta, K, N, lnV = self.eps_target, self.delta, self.K, self.N, self.lnV
         row = {
             "K": K, "lnV": lnV, "N": N, "eps_target": eps, "delta": delta,
@@ -387,12 +394,12 @@ def _axis_key(key) -> int:
         raise ValueError(f"parameter 'grid_per_axis' key {key!r} is not an integer K") from None
 
 
-def m_star_point(K: int, lnV: float, N: int, M_grid, settings: dict) -> MStarPoint:
+def m_star_point(K: int, lnV: float, N: int, M_grid, settings: dict, threads: int = 1) -> MStarPoint:
     """The point (K, lnV, N) with the eps_target, delta, n_proj and
-    grid_per_axis of ``settings``.
+    grid_per_axis of ``settings``, run on ``threads`` threads.
 
-    Every input, the size of the chord scan included, is checked here, so
-    a table can check all its points before it runs one.  eps_target must
+    Every input, the size of the chord scan on those threads included, is
+    checked here, so a table can check all its points before it runs one.  eps_target must
     lie in (0, 1), where the bound columns of :meth:`MStarPoint.row` are
     defined; :func:`m_star_empirical` takes any positive target.
     """
@@ -407,7 +414,8 @@ def m_star_point(K: int, lnV: float, N: int, M_grid, settings: dict) -> MStarPoi
     if not 0.0 < eps < 1.0:
         raise ValueError(f"parameter 'eps_target' must be in (0, 1), got {eps}")
     n_proj = integer(settings["n_proj"], "parameter 'n_proj'")
-    return MStarPoint(K, lnV, N, spec, eps, delta, _check_m_star_inputs(spec, eps, delta, M_grid, n_proj), n_proj)
+    M_grid = _check_m_star_inputs(spec, eps, delta, M_grid, n_proj, threads)
+    return MStarPoint(K, lnV, N, spec, eps, delta, M_grid, n_proj, threads)
 
 
 def figure_data(kind: str, params: dict | None = None, seed: int = 0, threads: int = 1) -> FigureTable:
@@ -497,13 +505,13 @@ def _fig6(kind: str, p: dict, seed: int, threads: int) -> FigureTable:
     for K, lnV, N in points:
         where = f"{kind} point K={K}, lnV={lnV:.6g}, N={N}: "
         try:
-            checked.append((where, m_star_point(K, lnV, N, [m for m in M_grid if m <= N], p)))
+            checked.append((where, m_star_point(K, lnV, N, [m for m in M_grid if m <= N], p, threads)))
         except ValueError as exc:
             raise ValueError(where + str(exc)) from None
     rows = []
     for where, point in checked:
         try:
-            rows.append(point.row(derive_seed(seed, ["fig6", point.K, f"{point.lnV:.6f}", point.N]), threads)[0])
+            rows.append(point.row(derive_seed(seed, ["fig6", point.K, f"{point.lnV:.6f}", point.N]))[0])
         except Unachievable as exc:
             raise Unachievable(where + str(exc)) from None
     return FigureTable(

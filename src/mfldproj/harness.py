@@ -226,7 +226,7 @@ def _run_figure(cfg: RunConfig, p: dict, out: Path) -> tuple[list[str], dict]:
 def _run_mstar(cfg: RunConfig, p: dict, out: Path) -> tuple[list[str], dict]:
     K, N = _int(p, "K"), _int(p, "N")
     lnV = experiments.LNV_PER_K_DEFAULT * K if p["lnV"] is None else _real(p, "lnV")
-    row, res = experiments.m_star_point(K, lnV, N, p["M_grid"], p).row(cfg.master_seed, cfg.threads)
+    row, res = experiments.m_star_point(K, lnV, N, p["M_grid"], p, cfg.threads).row(cfg.master_seed)
     curve = {"M": res.M_grid, "eps_quantile": res.eps_quantiles, "eps_isotonic": res.eps_isotonic}
     point = {k: [row[k]] for k in
              ("K", "N", "lnV", "eps_target", "delta", "m_star_emp", "isotonic_adjusted", "m_star_new")}

@@ -183,7 +183,7 @@ class DistortionSummary:
 
     ``argmax`` is the pair of point indices the worst chord joins.  Among
     exact ties a chord scan reports the pair that comes first in its block
-    order, the diagonal band before the far blocks (see ``_chord_blocks``).
+    order, the diagonal band before the far blocks (see ``_plan``).
     ``recomputed`` is the number of screened blocks whose float64
     reciprocals the chord scan recomputed (the same in every summary of
     one scan); it counts work, not a result, so summaries that
@@ -395,31 +395,60 @@ def _chord_blocks(ambient: tuple, block: int):
     gemm instead, which need not round the twins (i, j) and (j, i) alike,
     so their ratios need not be symmetric.
 
-    This order is the order of every chord scan.  The diagonal band comes
-    first: the pairs with j0 - i0 <= 2 block, the diagonal blocks and their
-    first two neighbours, which hold the short chords and so, in practice,
-    the worst ones.  The far blocks (see :func:`_far`) follow in row-major
-    order.
+    The blocks come in the order of every chord scan, that of
+    :func:`_plan`: each column range of the plan cut into blocks.
     """
     P, work = len(ambient[0]), _Workspace()
-    starts = range(0, P, block)
-    pairs = sorted(((i0, j0) for i0 in starts for j0 in starts if j0 >= i0), key=lambda p: (_far(*p, block), p))
-    for i0, j0 in pairs:
-        rows, cols = slice(i0, min(i0 + block, P)), slice(j0, min(j0 + block, P))
-        shape = (rows.stop - i0, cols.stop - j0)
-        rec = np.empty(shape)
-        yield i0, j0, rec, _reciprocals(ambient, rows, cols, rec, work.get("gram", shape))
+    for i0, c0, c1, _ in _plan(P, block):
+        rows = slice(i0, min(i0 + block, P))
+        for j0 in range(c0, c1, block):
+            cols = slice(j0, min(j0 + block, c1))
+            shape = (rows.stop - i0, cols.stop - j0)
+            rec = np.empty(shape)
+            yield i0, j0, rec, _reciprocals(ambient, rows, cols, rec, work.get("gram", shape))
 
 
-def _far(i0: int, j0: int, block: int) -> bool:
-    """Whether the block pair (i0, j0) lies outside the diagonal band of
-    :func:`_chord_blocks`: only such a block may take the float32 screen."""
-    return j0 - i0 > 2 * block
+def _plan(n_points: int, block: int):
+    """The column ranges of a chord scan of ``n_points`` points in blocks of
+    ``block`` rows, in the order the scan visits them, as
+    ``(i0, j0, j1, screened)``: the pairs of the block row from i0 with
+    the columns [j0, j1), with j1 - j0 cut into blocks of ``block`` columns
+    (the last one ragged).
+
+    The diagonal band comes first: for every block row, the columns
+    [i0, i0 + 3 block), its diagonal block and its first two neighbours,
+    which hold the short chords and so, in practice, the worst ones.  The
+    far columns [i0 + 3 block, n_points) of every block row follow, row
+    by row.  They are ``screened``, taken by the float32 screen of
+    :func:`_scan`, when they hold at least two blocks.  A far block alone
+    in its row would make a run of one block, whose float32 products are
+    as many and as small as those of the float64 pass they would spare,
+    so it keeps its float64 reciprocals and takes the float64 pass like a
+    band block.
+
+    The plan needs only the point count, so it is made, and its cache
+    counted (see :func:`_plan_bytes`), before any point is sampled.
+    """
+    starts = range(0, n_points, block)
+    for i0 in starts:
+        yield i0, i0, min(i0 + 3 * block, n_points), False
+    for i0 in starts:
+        if i0 + 3 * block < n_points:
+            yield i0, i0 + 3 * block, n_points, i0 + 4 * block < n_points
 
 
 def _diagonal(a: np.ndarray) -> np.ndarray:
     """Writable view of the diagonal of a contiguous square block."""
     return a.reshape(-1)[:: a.shape[1] + 1]
+
+
+def _block_size(block) -> int:
+    """``block`` as an int, or a ValueError naming it if it is not a whole
+    number >= 1."""
+    block = integer(block, "block")
+    if block < 1:
+        raise ValueError(f"block must be >= 1, got {block}")
+    return block
 
 
 def _as_points(points) -> np.ndarray:
@@ -437,10 +466,10 @@ _NO_CHORDS = "no chord of positive length to scan"
 
 
 class _Screened(NamedTuple):
-    """Consecutive far blocks of one block row, kept for the float32 screen
-    of :func:`_scan`: ``rows`` rows from i0 and the columns from j0, closed
-    once they reach ``_SCREEN_COLS`` columns (see :func:`_cached`), so the
-    screen takes a run in one product per segment.
+    """Consecutive blocks of a screened range of the :func:`_plan`, kept for
+    the float32 screen of :func:`_scan`: ``rows`` rows from i0 and the
+    columns from j0, closed once they reach ``_SCREEN_COLS`` columns, so
+    the screen takes a run in one product per segment.
 
     Block t spans the columns ``j0 + bounds[t]`` to ``j0 + bounds[t + 1]``
     and keeps two numbers of its float64 reciprocal lengths 1 / da of
@@ -485,8 +514,8 @@ class _Screen:
     """
 
     def __init__(self, segs: list[np.ndarray], ops: list[tuple[np.ndarray, np.ndarray]], M_grid, ambient: tuple,
-                 work: _Workspace | None = None):
-        self.work, self.ambient = _Workspace() if work is None else work, ambient
+                 work: _Workspace):
+        self.work, self.ambient = work, ambient
         P, widths = len(segs[0]), [seg.shape[1] + 2 for seg in segs]
         flat = self.work.get("screen_operands", (P * sum(widths),), np.float32)
         self.operands, self.H = [], self.work.get("screen_H", (len(segs), P))
@@ -602,9 +631,7 @@ def _extremes(ratio: np.ndarray, drop, diagonal: bool) -> list[int]:
     return ends
 
 
-def _scan(
-    Y: np.ndarray, N: int, M_grid, blocks, ambient: tuple | None = None, work: _Workspace | None = None
-) -> list[DistortionSummary]:
+def _scan(Y: np.ndarray, N: int, M_grid, blocks, ambient: tuple, work: _Workspace) -> list[DistortionSummary]:
     """Worst chord distortion under each nested projection over the blocks
     of ``_chord_blocks``: ``Y[:, :M]`` are the images of the points under
     the first M rows of one row-orthonormal projection of R^N, for every M
@@ -644,7 +671,7 @@ def _scan(
     block of s rows), so max, min and reported pair are those of a scan of
     the upper triangle alone.
 
-    Blocks are visited in the order of ``_chord_blocks``, the diagonal
+    Blocks are visited in the order of :func:`_plan`, the diagonal
     band first, and only a strictly larger distortion replaces the worst
     pair: among exact ties in different blocks the pair reported is the
     one in the first block of that order.
@@ -723,14 +750,13 @@ def _scan(
     bounds read again.  The segments of the images are
     column views of ``Y``, not copies, and their operands of both passes
     are filled in place.  Every buffer is a view of ``work``, the
-    :class:`_Workspace` of the calling thread (a new one when None), in
+    :class:`_Workspace` of the calling thread, in
     which :meth:`ChordScan.worst` also forms ``Y``, so a scan on a thread
     that has scanned blocks of the same sizes allocates no array of a
     block's size.  The buffers belong to the thread, not the call: one
     :class:`ChordScan` serves concurrent scans from several threads, each
     in its own workspace.
     """
-    work = _Workspace() if work is None else work
     edges = (0, *M_grid)
     segs = [Y[:, m0:m1] for m0, m1 in zip(edges, edges[1:])]
     leads, trails = work.get("lead", (len(segs), len(Y), 2)), work.get("trail", (len(segs), 2, len(Y)))
@@ -783,80 +809,68 @@ def _scan(
             for d, pair in zip(best, best_pair)]
 
 
-def _planned(i0: int, j0: int, n_points: int, block: int) -> bool:
-    """Whether the plan of a :class:`ChordScan` of ``n_points`` points
-    screens the block pair (i0, j0): a far block (see :func:`_far`) whose
-    block row holds at least two far blocks, (i0, i0 + 3 block) and
-    (i0, i0 + 4 block).  A far block alone in its row would make a run of
-    one block, whose float32 products are as many and as small as those of
-    the float64 pass they would spare, so it keeps its float64 reciprocals
-    and takes the float64 pass like a band block.  The plan needs only the
-    point count, so it is made before any point is sampled."""
-    return _far(i0, j0, block) and i0 + 4 * block < n_points
+def _workspace_bytes(n_points: int, M_grid) -> int:
+    """Bytes that one thread's workspace of a :class:`ChordScan` of
+    ``n_points`` points holds in arrays that grow with the point count,
+    once :meth:`ChordScan.worst` has scanned the ascending ``M_grid`` of S
+    entries at the default block size: the P x M_max float64 images, the
+    [h, 1] and [1, h] operands of every segment (32 S P), the float32
+    operands of the screen (P x (M_max + 2 S)), its float64 ``screen_H``
+    (S x P), and its float32 sums of one run (S x ``_SCREEN_COLS`` x 128).
+    The buffers of one block's size, under 1 MiB, are left out."""
+    P, M, S = n_points, M_grid[-1], len(M_grid)
+    return 8 * P * M + 32 * S * P + 4 * P * (M + 2 * S) + 8 * S * P + 4 * S * _SCREEN_COLS * _BLOCK
 
 
-def _planned_rows(n_points: int, block: int):
+def _plan_bytes(n_points: int, block: int):
     """Bytes of the cache of a :class:`ChordScan` of ``n_points`` points,
-    block row by block row, as its plan (see :func:`_planned`) lays it out:
-    8 per entry of a float64 block (a diagonal block whole), 24 per
-    screened block and 8 per run of them (the arrays of
-    :class:`_Screened`).  The cache holds nothing else, so this is its size
-    for every point set.  A row's screened blocks are consecutive and every
-    one but the last is ``block`` wide, so a run closes after
-    ceil(_SCREEN_COLS / block) of them."""
+    item by item of its :func:`_plan`: 8 per pair of a float64 range (a
+    diagonal block whole), and of a screened range of n blocks 24 per
+    block and 8 per run (the arrays of :class:`_Screened`), with a run
+    closed every ceil(_SCREEN_COLS / block) blocks as in :func:`_cached`.
+    The cache holds nothing else, so this is its size for every point
+    set."""
     per_run = -(-_SCREEN_COLS // block)
-    for i0 in range(0, n_points, block):
-        rows, cols = min(block, n_points - i0), n_points - i0
-        if not _planned(i0, i0 + 3 * block, n_points, block):  # the row's first far block, if any
-            yield 8 * rows * cols
-            continue
-        far = -(-(cols - 3 * block) // block)
-        yield 8 * rows * 3 * block + 24 * far + 8 * -(-far // per_run)
+    for i0, j0, j1, screened in _plan(n_points, block):
+        n = -(-(j1 - j0) // block)
+        yield 24 * n + 8 * -(-n // per_run) if screened else 8 * min(block, n_points - i0) * (j1 - j0)
 
 
 def _check_cache_size(n_points: int, block: int = _BLOCK, held: int = 0) -> None:
     """Raise ValueError if the cache of a :class:`ChordScan` of ``n_points``
-    points (see :func:`_planned_rows`), with ``held`` more bytes that the
+    points (see :func:`_plan_bytes`), with ``held`` more bytes that the
     caller holds beside it, takes more than ``_CACHE_LIMIT`` bytes.
 
     It needs only the point count, so callers check before they sample the
-    points, and it stops counting at the first block row past the limit.
-    It is the only size check: the build keeps what the plan counts.
+    points, and it stops counting at the first item of the plan past the
+    limit.  It is the only size check: the build keeps what the plan
+    counts.
     """
-    if any(need > _CACHE_LIMIT for need in itertools.accumulate(_planned_rows(n_points, block), initial=held)):
+    if any(need > _CACHE_LIMIT for need in itertools.accumulate(_plan_bytes(n_points, block), initial=held)):
         raise ValueError(
             f"a chord scan of {n_points} points would cache more than {_CACHE_LIMIT} bytes "
-            f"({_CACHE_LIMIT / 2**30:g} GiB)" + (f", counting {held} bytes of their coordinates" if held else "")
+            f"({_CACHE_LIMIT / 2**30:g} GiB)"
+            + (f", counting {held} bytes of their coordinates and scan workspaces" if held else "")
         )
 
 
 def _cached(blocks, n_points: int, block: int):
     """The blocks of ``_chord_blocks`` of ``n_points`` points as
-    :class:`ChordScan` keeps them, in the same order: each run of
-    consecutive blocks of one block row that the plan screens (see
-    :func:`_planned`) as one :class:`_Screened`, closed once it reaches
+    :class:`ChordScan` keeps them, in the same order: the blocks of each
+    screened range of the :func:`_plan` in runs of ceil(_SCREEN_COLS /
+    block), each run one :class:`_Screened`, closed once it reaches
     ``_SCREEN_COLS`` columns, and every other block as it is."""
-    run = []  # (i0, j0, rows, columns, max rec, min rec, pairs) of the planned blocks not yet yielded
-
-    def merged():
-        i0, j0, rows, widths, max_rec, min_rec, pairs = zip(*run)
-        return _Screened(i0[0], j0[0], rows[0], np.cumsum((0, *widths)), np.array(max_rec), np.array(min_rec),
-                         sum(pairs))
-
-    for i0, j0, rec, n in blocks:
-        planned = _planned(i0, j0, n_points, block)
-        if run and not (planned and i0 == run[0][0]):
-            yield merged()
-            run = []
-        if planned:
-            run.append((i0, j0, *rec.shape, float(rec.max()), float(rec.min()), n))
-            if j0 + rec.shape[1] - run[0][1] >= _SCREEN_COLS:
-                yield merged()
-                run = []
-        else:
-            yield i0, j0, rec, n
-    if run:
-        yield merged()
+    blocks, per_run = iter(blocks), -(-_SCREEN_COLS // block)
+    for _, c0, c1, screened in _plan(n_points, block):
+        row = itertools.islice(blocks, -(-(c1 - c0) // block))
+        if not screened:
+            yield from row
+            continue
+        while run := [(i0, j0, *rec.shape, rec.max(), rec.min(), n)
+                      for i0, j0, rec, n in itertools.islice(row, per_run)]:
+            i0, j0, rows, widths, max_rec, min_rec, pairs = zip(*run)
+            yield _Screened(i0[0], j0[0], rows[0], np.cumsum((0, *widths)), np.array(max_rec), np.array(min_rec),
+                            sum(pairs))
 
 
 class ChordScan:
@@ -867,22 +881,21 @@ class ChordScan:
     arrays of :func:`_ambient`, computed once: the same arrays build the
     cache and recompute a screened block, so both read the same bits.
     Squared chord lengths in the ambient space depend only on the points,
-    so their reciprocals are computed once here, in the order of
-    ``_chord_blocks``: the diagonal band, then the far blocks.
+    so their reciprocals are computed once here, in the order of the
+    :func:`_plan`: the diagonal band, then the far blocks.
 
     The cache is the plan, made from the point count and the block size
-    alone (see :func:`_planned`): every far block of a block row that
-    holds at least two far blocks goes through the float32 screen of
-    :func:`_scan` and keeps only the largest and the smallest of its
-    float64 reciprocal lengths, and its column offset: 24 bytes, whatever
-    its size.  The others, the band's blocks (the diagonal blocks and
-    their first two neighbours) and far blocks alone in their row, keep
-    their float64 reciprocals, 8 bytes per pair, a dropped pair's
-    reciprocal 0.  Each block, and each run of screened blocks, keeps its
-    count of scanned pairs.  Nothing in the cache depends on the values of
-    the points, so :attr:`cache_bytes` is the sum of the plan's
-    :func:`_planned_rows` for every point set; :attr:`screened_blocks`
-    counts the screened blocks.
+    ``block`` (a whole number >= 1) alone: every block of a screened range
+    of :func:`_plan` goes through the float32 screen of :func:`_scan` and
+    keeps only the largest and the smallest of its float64 reciprocal
+    lengths, and its column offset: 24 bytes, whatever its size.  The
+    others, the band's blocks (the diagonal blocks and their first two
+    neighbours) and far blocks alone in their row, keep their float64
+    reciprocals, 8 bytes per pair, a dropped pair's reciprocal 0.  Each
+    block, and each run of screened blocks, keeps its count of scanned
+    pairs.  Nothing in the cache depends on the values of the points, so
+    :attr:`cache_bytes` is the sum of :func:`_plan_bytes` for every point
+    set; :attr:`screened_blocks` counts the screened blocks.
 
     Each :meth:`worst` then
     pays only for its projector's Gram blocks, scans every M of a nested
@@ -899,13 +912,14 @@ class ChordScan:
     every later projector on the thread reuses them; :meth:`worst` returns
     no view of them.
 
-    Raises ValueError, before the build, if the cache would exceed 2 GiB
-    (see :func:`_check_cache_size`), and after it if the points have no
-    chord of positive length.
+    Raises ValueError, before the build, if ``block`` is not a whole
+    number >= 1 or the cache would exceed 2 GiB (see
+    :func:`_check_cache_size`), and after it if the points have no chord
+    of positive length.
     """
 
     def __init__(self, points: np.ndarray, block: int = _BLOCK):
-        points = _as_points(points)
+        points, block = _as_points(points), _block_size(block)
         _check_cache_size(len(points), block)
         self.points = np.array(points)  # a copy, in the memory order of the caller's
         self.points.flags.writeable = False
@@ -937,13 +951,15 @@ class ChordScan:
         projection of R^N do: the rows of a :class:`Projector`, or any rows
         with the same inner products with the points.  The images
         ``points @ rows[:M_max].T`` are formed in the calling thread's
-        workspace and must be finite; rows past M_max are not read.  The
-        entries of ``M_grid`` must be whole numbers (2.0 is 2, 2.7 is
-        refused).  Every input is checked before the scan.  Entry k equals
-        the scan of the first M_k rows alone up to rounding of the
+        workspace and must be finite; rows past M_max are not read.  N and
+        the entries of ``M_grid`` must be whole numbers (2.0 is 2, 2.7 is
+        refused), N >= 1.  Every input is checked before the scan.  Entry
+        k equals the scan of the first M_k rows alone up to rounding of the
         per-segment sums.
         """
-        M_grid = tuple(integer(m, "M_grid entry") for m in M_grid)
+        N, M_grid = integer(N, "N"), tuple(integer(m, "M_grid entry") for m in M_grid)
+        if N < 1:
+            raise ValueError(f"N must be >= 1, got {N}")
         rows = np.asarray(rows, dtype=float)
         P, dim = self.points.shape
         if rows.ndim != 2 or rows.shape[1] != dim:
@@ -966,12 +982,14 @@ def pointset_distortion(A: Projector, points: np.ndarray, block: int = _BLOCK) -
     instead of cached.  Squared chord lengths come from block Gram products,
     so the cost is O(P^2 (N + M)) time and O(block^2 + block (N + M))
     memory.  Zero-length chords (coincident points) are skipped; ValueError
-    if no chord of positive length is left.
+    if no chord of positive length is left, or if ``block`` is not a whole
+    number >= 1.
     """
-    X = _as_points(points)
+    X, block = _as_points(points), _block_size(block)
     if X.shape[1] != A.N:
         raise ValueError(f"points must be (P, {A.N}), got {X.shape}")
-    return _scan(X @ A.rows.T, A.N, (A.M,), _chord_blocks(_ambient(X), block))[0]
+    ambient = _ambient(X)
+    return _scan(X @ A.rows.T, A.N, (A.M,), _chord_blocks(ambient, block), ambient, _Workspace())[0]
 
 
 def subspace_distortion(A: Projector, U: SubspaceBasis) -> float:

@@ -151,23 +151,49 @@ class TestDistortionDistribution:
 
     def test_surface_too_large_to_sample_refused_before_sampling(self, monkeypatch):
         # a 700 x 700 surface plans a cache within 2 GiB, but its points in
-        # R^1000 take 3.9 GB per array
+        # R^1000 take 3.9 GB per array (11.76 GB for three), and one
+        # thread's workspace at M = 10 takes 168 bytes per point and 5 MiB
+        # of float32 sums
         def no_sample(*args, **kwargs):
             raise AssertionError("a manifold was sampled before the scan size was checked")
 
         monkeypatch.setattr(mp.experiments, "sample_manifold", no_sample)
-        with pytest.raises(ValueError, match=r"^a chord scan of 490000 points .*, counting 11760000000 bytes"):
+        assert mp.projections._workspace_bytes(490000, (10,)) == 168 * 490000 + 4 * 1024 * 128
+        with pytest.raises(ValueError, match=r"^a chord scan of 490000 points .*, counting 11842844288 bytes"):
             distortion_distribution(spec_for_volume(2, 1000, 2 * LNV1, 700), 10, 20, seed=0)
 
     def test_full_scale_runs_are_admitted(self):
         # the full-scale sweeps of the README (16384-point curves, 128 x 128
         # surfaces, N up to 20000) and 32768-point curves pass the size check
+        # on two threads at the fig6a grid, up to M = 316
+        M_grid = mp.experiments._FIG_DEFAULTS["fig6a"]["M_grid"]
         for K, lnV_over_K, N, grid in [(1, 2.2, 1000, 16384), (2, 2.2, 1000, 128), (2, 1.0, 1000, 128),
                                        (1, LNV1, 20000, 512), (1, 2.2, 1000, 32768)]:
             spec = spec_for_volume(K, N, K * lnV_over_K, grid)
-            mp.experiments._check_m_star_inputs(spec, 0.2, 0.05, (4, 200), 100)
+            mp.experiments._check_m_star_inputs(spec, 0.2, 0.05, M_grid, 100, 2)
             if K == 2:
-                mp.experiments._check_scan_size(spec.n_points, spec.N)
+                mp.experiments._check_scan_size(spec.n_points, spec.N, (M_grid[-1],), 1)
+
+    def test_scan_workspaces_counted_per_thread(self, monkeypatch):
+        # a 200000-point curve is admitted on one and two threads, but four
+        # workspaces (2880 bytes per point each at the default grid) pass
+        # the limit: refused before a point is sampled or a thread started
+        def no_work(*args, **kwargs):
+            raise AssertionError("a manifold was sampled or a thread started before the scan size was checked")
+
+        spec = spec_for_volume(1, 1000, LNV1, 200000)
+        M_grid = mp.experiments._M_GRID
+        assert mp.projections._workspace_bytes(200000, M_grid) == 2880 * 200000 + 10 * 4 * 1024 * 128
+        for threads in (1, 2):
+            mp.experiments._check_m_star_inputs(spec, 0.2, 0.05, M_grid, 100, threads)
+        monkeypatch.setattr(mp.experiments, "isometric_coordinates", no_work)
+        monkeypatch.setattr(mp.experiments, "pooled_map", no_work)
+        with pytest.raises(ValueError, match=r"^a chord scan of 200000 points would cache more than 2147483648 bytes"):
+            mp.experiments.m_star_empirical(spec, 0.2, 0.05, M_grid, 100, 1, threads=4)
+        settings = dict(mp.experiments.MSTAR_DEFAULTS, grid_per_axis=200000)
+        with pytest.raises(ValueError, match=r"^a chord scan of 200000 points"):
+            mp.experiments.m_star_point(1, LNV1, 1000, M_grid, settings, threads=4)
+        assert mp.experiments.m_star_point(1, LNV1, 1000, M_grid, settings, threads=2).threads == 2
 
     def test_inputs_checked_before_sampling(self, monkeypatch):
         def no_sample(*args, **kwargs):

@@ -178,7 +178,7 @@ class TestManifest:
         others = [b for b in scan._blocks if not isinstance(b, _Screened)]
         cached = [a for r in screened for a in (r.bounds, r.max_rec, r.min_rec)]
         cached += [rec for _, _, rec, _ in others]
-        assert sum(a.nbytes for a in cached) == sum(mp.projections._planned_rows(1024, 128))
+        assert sum(a.nbytes for a in cached) == sum(mp.projections._plan_bytes(1024, 128))
         assert diagnostics == {"chord_cache_bytes": sum(a.nbytes for a in cached),
                                "screened_blocks": 8 * 9 // 2 - len(others),
                                "float64_recomputes": len(recomputed),
@@ -369,28 +369,32 @@ class TestRunSampleAndMstar:
         assert not (tmp_path / "run_manifest.json").exists()
 
     def test_cache_over_the_limit_refused_before_sampling(self, tmp_path, capsys, monkeypatch):
-        # the limit counts the plan of the 1024-point curve's cache and three
-        # arrays of its coordinates: one byte less is refused before any
-        # point is sampled, with the JSON error record and no manifest
+        # the limit counts the plan of the 1024-point curve's cache, three
+        # arrays of its coordinates and the scan workspaces of the two
+        # threads of --threads 2: one byte less is refused before any point
+        # is sampled, with the JSON error record and no manifest
         spec = mp.spec_for_volume(1, 1000, mp.experiments.LNV_PER_K_DEFAULT, 1024)
-        held = 3 * 8 * 1024 * mp.sampling.coordinate_count(spec)
-        limit = sum(mp.projections._planned_rows(1024, 128)) + held - 1
+        held = 3 * 8 * 1024 * mp.sampling.coordinate_count(spec) + \
+            2 * mp.projections._workspace_bytes(1024, mp.experiments.MSTAR_DEFAULTS["M_grid"])
+        limit = sum(mp.projections._plan_bytes(1024, 128)) + held - 1
         monkeypatch.setattr(mp.projections, "_CACHE_LIMIT", limit)
         assert_refused_before_work(
-            tmp_path, capsys, monkeypatch, ["mstar", "--param", "grid_per_axis=1024", "--param", "n_proj=20"],
+            tmp_path, capsys, monkeypatch,
+            ["mstar", "--param", "grid_per_axis=1024", "--param", "n_proj=20", "--threads", "2"],
             f"a chord scan of 1024 points would cache more than {limit} bytes ({limit / 2**30:g} GiB), "
-            f"counting {held} bytes of their coordinates")
+            f"counting {held} bytes of their coordinates and scan workspaces")
 
     def test_surface_too_large_to_sample_refused_before_sampling(self, tmp_path, capsys, monkeypatch):
         # a 700 x 700 surface plans a cache within 2 GiB, but its 1000
-        # coordinates per point take 3.9 GB per array
+        # coordinates per point take 3.9 GB per array, and one thread's
+        # scan workspace at the default grid 1.4 GB
         assert mp.sampling.coordinate_count(mp.spec_for_volume(2, 1000, 2 * mp.experiments.LNV_PER_K_DEFAULT, 700)) \
             == 1000
         mp.projections._check_cache_size(700 * 700)
         assert_refused_before_work(
             tmp_path, capsys, monkeypatch, ["mstar", "--param", "K=2", "--param", "grid_per_axis=700"],
             "a chord scan of 490000 points would cache more than 2147483648 bytes (2 GiB), "
-            "counting 11760000000 bytes of their coordinates")
+            "counting 13176442880 bytes of their coordinates and scan workspaces")
 
     def test_mstar_k2_defaults_use_a_32_by_32_surface(self, tmp_path, monkeypatch):
         # the K = 2 grid default is the fig6 one, not the K = 1 count per

@@ -334,6 +334,20 @@ def chord_blocks(X, block=128):
     return projections._chord_blocks(projections._ambient(X), block)
 
 
+def streamed_scan(X, Y, N, M_grid, block=128):
+    """``_scan`` of the images Y of the points X over their blocks of
+    ``_chord_blocks``, streamed as ``pointset_distortion`` streams them."""
+    ambient = projections._ambient(X)
+    return projections._scan(Y, N, M_grid, projections._chord_blocks(ambient, block), ambient,
+                             projections._Workspace())
+
+
+def cached_scan(scan, Y, N, M_grid):
+    """``_scan`` of the images Y of the points of ``scan`` over its cached
+    blocks, in a workspace of its own."""
+    return projections._scan(Y, N, M_grid, scan._blocks, scan._ambient, projections._Workspace())
+
+
 def planned_far(P, block=128):
     """Far blocks (j0 - i0 > 2 block) of the block rows that hold at least
     two of them: the blocks the plan of a ChordScan of P points screens."""
@@ -342,9 +356,21 @@ def planned_far(P, block=128):
     return sum(n for n in per_row if n >= 2)
 
 
+def planned_runs(P, block=128):
+    """``(i0, j0, columns)`` of each screened run the plan of a ChordScan of
+    P points makes: the far blocks of each block row that holds at least
+    two of them, consecutive, in runs of ceil(1024 / block) blocks."""
+    starts, per_run, runs = range(0, P, block), -(-1024 // block), []
+    for i0 in starts:
+        far = [j0 for j0 in starts if j0 - i0 > 2 * block]
+        if len(far) >= 2:
+            runs += [(i0, far[k], min(far[k] + per_run * block, P) - far[k]) for k in range(0, len(far), per_run)]
+    return runs
+
+
 def planned_bytes(P, block=128):
     """Bytes of the cache the plan of a ChordScan of P points keeps."""
-    return sum(projections._planned_rows(P, block))
+    return sum(projections._plan_bytes(P, block))
 
 
 def screened_cases():
@@ -428,7 +454,7 @@ class TestChordScan:
         M_grid, rows = (12, 20, 30), np.eye(30, 40)
         Y = X @ rows.T
         scan = ChordScan(X, block=16)
-        for got in (scan.worst(rows, 40, M_grid), projections._scan(Y, 40, M_grid, chord_blocks(X, 16))):
+        for got in (scan.worst(rows, 40, M_grid), streamed_scan(X, Y, 40, M_grid, block=16)):
             assert [g.max for g in got] == nested_elementwise_worst(X, Y, 40, M_grid, 16)
             assert all(g.max < 0.9 and g.argmax[0] < g.argmax[1] for g in got)
 
@@ -492,7 +518,7 @@ class TestChordScan:
                 ref = scan.worst(rows[:M], 40, (M,))[0]
                 assert g.max == pytest.approx(ref.max, rel=0, abs=1e-12)
                 assert g.n_evaluated == ref.n_evaluated
-            assert got[0] == projections._scan((X @ rows.T)[:, :3], 40, (3,), scan._blocks, scan._ambient)[0]
+            assert got[0] == cached_scan(scan, (X @ rows.T)[:, :3], 40, (3,))[0]
 
     def test_nested_equals_elementwise_max_at_every_M(self):
         # 150 points in blocks of 16 (the last is ragged), a duplicated
@@ -575,7 +601,7 @@ class TestChordScan:
         scan = ChordScan(X)
         assert scan.screened_blocks > 0
         rows = [frame_rows(N, X.shape[1], M_grid[-1], seed) for seed in range(2)]
-        want = [projections._scan(X @ r.T, N, M_grid, scan._blocks, scan._ambient) for r in rows]
+        want = [cached_scan(scan, X @ r.T, N, M_grid) for r in rows]
         assert scan.worst(rows[0], N, M_grid) == want[0]
         tracemalloc.start()
         try:
@@ -586,6 +612,20 @@ class TestChordScan:
             tracemalloc.stop()
         assert got == want[1]
         assert peak < 128 * 128 * 8
+
+    def test_workspace_bytes_are_the_thread_workspace(self):
+        # the size check's count of one thread's workspace is the arrays a
+        # scan takes that grow with the point count (the 2048-point curve's
+        # row 0 fills a run of 1024 columns); the rest of the workspace,
+        # buffers of one block's size, stays under 1 MiB
+        X, N, M_grid = gp_curve(2048), 1000, (16, 63, 100)
+        scan = ChordScan(X)
+        scan.worst(frame_rows(N, X.shape[1], M_grid[-1], 0), N, M_grid)
+        bufs = scan._local.work._bufs
+        names = ("images", "lead", "trail", "screen_operands", "screen_H", "screen_run")
+        grown = sum(bufs[name].nbytes for name in names)
+        assert grown == projections._workspace_bytes(2048, M_grid)
+        assert sum(b.nbytes for b in bufs.values()) - grown < 2**20
 
     def test_nested_worst_is_the_same_on_one_and_two_threads(self):
         # pool threads scan in workspaces of their own; the calling thread
@@ -647,20 +687,27 @@ class TestChordScan:
         assert got.n_evaluated == 4097 * 4096 // 2
         assert got == pointset_distortion(A, X)
 
-    @pytest.mark.parametrize("P", [512, 1000, 1024, 2048, 4096, "shifted", "duplicates", "ties"])
+    @pytest.mark.parametrize("P", [512, 1000, 1024, 2048, 4096, "shifted", "duplicates", "ties", "block48"])
     def test_planned_bytes_are_the_cache_bytes(self, P):
         # the build keeps what the plan made from the point count alone
         # counts, whatever the points: smooth curves, one far from the
         # origin, identical points and exact-zero chords (in band and
-        # screened blocks), and integer points in blocks of 16
+        # screened blocks), integer points in blocks of 16, and 2000 points
+        # in blocks of 48, which does not divide a run's 1024 columns
         if isinstance(P, int):
             X, block = gp_curve(1024)[:1000] if P == 1000 else gp_curve(P), 128
+        elif P == "block48":
+            X, block = gp_curve(2048)[:2000], 48
         else:
             X, block = (tie_points(), 16) if P == "ties" else (screened_cases()[P], 128)
         scan = ChordScan(X, block=block)
         assert scan.screened_blocks == planned_far(len(X), block)
         assert scan.cache_bytes == planned_bytes(len(X), block) == sum(
             a.nbytes for b in scan._blocks for a in b if isinstance(a, np.ndarray))
+        runs = [(b.i0, b.j0, int(b.bounds[-1])) for b in scan._blocks if isinstance(b, _Screened)]
+        assert runs == planned_runs(len(X), block)
+        if P == "block48":  # row 0's 39 far blocks: 22 of 48 columns, then 16 and one of 32
+            assert runs[:2] == [(0, 144, 22 * 48), (0, 144 + 22 * 48, 16 * 48 + 32)]
 
     def test_cache_size_checked_from_the_plan(self):
         # 8 bytes per pair of the band, 24 per screened far block and 8 per
@@ -734,10 +781,13 @@ class TestChordScan:
         ((4, 40), None, 40, (3, 2), "strictly ascending"),
         ((4, 40), None, 40, (0, 2), "strictly ascending and positive"),
         ((4, 40), None, 40, (), "strictly ascending"),
+        ((4, 40), None, 20.7, (1, 2), "N must be int, got 20.7"),
+        ((4, 40), None, 0, (1, 2), "N must be >= 1, got 0"),
     ])
     def test_worst_checks_its_inputs_before_scanning(self, monkeypatch, shape, bad, N, M_grid, message):
-        # rows of the wrong width, too few rows, non-finite rows and a bad
-        # grid are refused before any block is scanned
+        # rows of the wrong width, too few rows, non-finite rows, a bad grid
+        # and an N that is not a whole number >= 1 are refused before any
+        # block is scanned
         scan = ChordScan(np.cumsum(np.random.default_rng(26).standard_normal((50, 40)), axis=0))
         rows = np.full(shape, 0.1)
         if bad is not None:
@@ -745,6 +795,21 @@ class TestChordScan:
         monkeypatch.setattr(projections, "_scan", lambda *args: pytest.fail("scanned before the inputs were checked"))
         with pytest.raises(ValueError, match=message):
             scan.worst(rows, N, M_grid)
+
+    @pytest.mark.parametrize("block, message", [
+        (0, "block must be >= 1, got 0"),
+        (-5, "block must be >= 1, got -5"),
+        (2.5, "block must be int, got 2.5"),
+        (True, "block must be int, got True"),
+    ])
+    def test_block_must_be_a_whole_number_at_least_1(self, block, message):
+        # the cached and the streamed scan take only a whole block size of
+        # at least 1, and name the parameter they refuse
+        X = np.random.default_rng(28).standard_normal((300, 10))
+        with pytest.raises(ValueError, match=message):
+            ChordScan(X, block=block)
+        with pytest.raises(ValueError, match=message):
+            pointset_distortion(sample_projector(10, 3, 1), X, block=block)
 
     def test_worst_takes_whole_M_only(self):
         # a non-integral M is refused with the entry named, not truncated;
@@ -780,7 +845,7 @@ class TestChordScan:
         got = [scan.worst(r, N, M_grid) for r in rows]
         assert got[0] != got[1]
         for r, g in zip(rows, got):
-            assert g == projections._scan(X @ r.T, N, M_grid, scan._blocks, scan._ambient)
+            assert g == cached_scan(scan, X @ r.T, N, M_grid)
 
 
 def screen_of(scan, Y, M_grid):
@@ -790,7 +855,7 @@ def screen_of(scan, Y, M_grid):
     edges = (0, *M_grid)
     segs = [Y[:, a:b] for a, b in zip(edges, edges[1:])]
     ops = [projections._sq_operands(seg) for seg in segs]
-    return segs, ops, projections._Screen(segs, ops, M_grid, scan._ambient)
+    return segs, ops, projections._Screen(segs, ops, M_grid, scan._ambient, projections._Workspace())
 
 
 def block_slices(run, t):
@@ -879,18 +944,20 @@ def count_float64_passes(monkeypatch):
 
 
 class TestScreenedScan:
-    @pytest.mark.parametrize("case", ["curve", "shifted", "duplicates", "ragged"])
+    @pytest.mark.parametrize("case", ["curve", "shifted", "duplicates", "ragged", "block48"])
     def test_screened_scan_equals_oracles(self, case, monkeypatch):
         # the scan at every M of a grid and at one M equals the unscreened
         # streaming kernel (max, argmax and count), the pair-by-pair maximum
-        # and pointset_distortion
-        X = screened_cases()[case]
+        # and pointset_distortion, at the same block size; in blocks of 48,
+        # which do not divide a run's 1024 columns, the rows of 2000 points
+        # hold up to two runs
+        X, block = (gp_curve(2048)[:2000], 48) if case == "block48" else (screened_cases()[case], 128)
         N, M_grid, k = 1000, (25, 63, 100), X.shape[1]
-        scan = ChordScan(X)
+        scan = ChordScan(X, block=block)
         # every far block of a row with at least two, also far from the
         # origin (|x|^2 / 2 ~ 7e7 against chords of order 1) and with
         # identical points
-        assert scan.screened_blocks == planned_far(len(X)) == 14
+        assert scan.screened_blocks == planned_far(len(X), block) == (779 if case == "block48" else 14)
         if case == "duplicates":  # the zero chord in the band block (0, 256), the identical points in (0, 640)
             dropped = [b[:2] for b in scan._blocks if not isinstance(b, _Screened) and b[0] != b[1] and b[3] < b[2].size]
             rec = next(b[2] for b in scan._blocks if b[:2] == (0, 256))
@@ -902,7 +969,7 @@ class TestScreenedScan:
         order = []
         for b in scan._blocks:
             order += [(b.i0, b.j0 + int(c)) for c in b.bounds[:-1]] if isinstance(b, _Screened) else [b[:2]]
-        assert order == [(i0, j0) for i0, j0, _, _ in chord_blocks(X)]
+        assert order == [(i0, j0) for i0, j0, _, _ in chord_blocks(X, block)]
         passes = count_float64_passes(monkeypatch)
         for seed in range(2):
             rows = frame_rows(N, k, M_grid[-1], seed)
@@ -911,11 +978,11 @@ class TestScreenedScan:
             got = scan.worst(rows, N, M_grid)
             if case != "shifted":  # most screened blocks are skipped
                 assert len(passes) < scan.screened_blocks / 2
-            assert got == projections._scan(Y, N, M_grid, chord_blocks(X))
-            assert [g.max for g in got] == nested_elementwise_worst(X, Y, N, M_grid, 128)
+            assert got == streamed_scan(X, Y, N, M_grid, block=block)
+            assert [g.max for g in got] == nested_elementwise_worst(X, Y, N, M_grid, block)
             A = sample_projector(k, 50, seed)
-            assert summary(scan, A) == pointset_distortion(A, X)
-            assert summary(scan, A).max == elementwise_worst(A, X, 128)
+            assert summary(scan, A) == pointset_distortion(A, X, block=block)
+            assert summary(scan, A).max == elementwise_worst(A, X, block)
 
     def test_ties_keep_the_unscreened_order(self):
         # integer coordinates make every length exact: the chords (3, 56)
@@ -931,7 +998,7 @@ class TestScreenedScan:
         M_grid, rows = (12, 20, 30), np.eye(30, 40)
         Y = X @ rows.T
         got = scan.worst(rows, 40, M_grid)
-        assert got == projections._scan(Y, 40, M_grid, chord_blocks(X, 16))
+        assert got == streamed_scan(X, Y, 40, M_grid, block=16)
         assert [(g.max, g.argmax, g.n_evaluated) for g in got] == [(1.0, (3, 56), 11174)] * 3
 
     def test_ties_prefer_the_diagonal_band(self):
@@ -952,7 +1019,7 @@ class TestScreenedScan:
         Y = X @ rows.T
         want = [(1.0, (20, 41))] * 3
         assert [(g.max, g.argmax) for g in scan.worst(rows, 40, M_grid)] == want
-        got = projections._scan(Y, 40, M_grid, chord_blocks(X, 16))
+        got = streamed_scan(X, Y, 40, M_grid, block=16)
         assert [(g.max, g.argmax) for g in got] == want
         A = Projector(rows=np.eye(30, 40), M=30, N=40)
         assert (pointset_distortion(A, X, block=16).argmax, summary(scan, A).argmax) == ((20, 41), (20, 41))
@@ -1075,8 +1142,9 @@ class TestScreenedScan:
         assert scan.screened_blocks == 0 and planned_far(512) == 0
         assert scan.cache_bytes == 8 * sum(rec.size for _, _, rec, _ in scan._blocks) == 8 * 128 * 128 * 10
         assert [b[:2] for b in scan._blocks if b[1] - b[0] > 256] == [(0, 384)]
+        plan = projections._plan
         with monkeypatch.context() as m:
-            m.setattr(projections, "_planned", lambda *args: False)
+            m.setattr(projections, "_plan", lambda *args: ((i0, j0, j1, False) for i0, j0, j1, _ in plan(*args)))
             unscreened = ChordScan(X)
         for seed in range(2):
             rows = frame_rows(N, X.shape[1], M_grid[-1], seed)
@@ -1132,7 +1200,7 @@ class TestScreenedScan:
             got = scan.worst(rows, N, M_grid)
             assert len(passes) < len(recomputed) / 2
             assert [g.max for g in got] == nested_elementwise_worst(X, Y, N, M_grid, 128)
-            assert got == projections._scan(Y, N, M_grid, chord_blocks(X))
+            assert got == streamed_scan(X, Y, N, M_grid)
 
     def test_recomputed_blocks_scan_only_the_open_M(self, monkeypatch):
         # a screened block that the block bounds cannot rule out at every M
@@ -1174,7 +1242,7 @@ class TestScreenedScan:
             assert len(segments) == n_band * len(M_grid) + sum(o[-1] + 1 for o in passes)
             skipped += sum(len(M_grid) - len(o) for o in passes)
             paired += len(recomputed) - len(passes)
-            assert got == projections._scan(Y, N, M_grid, chord_blocks(X))
+            assert got == streamed_scan(X, Y, N, M_grid)
             with monkeypatch.context() as m:
                 m.setattr(projections._Screen, "unresolved",
                           lambda screen, *args: (b[:4] + (every,) for b in unresolved(screen, *args)))
