@@ -68,9 +68,8 @@ class MStarResult:
     changed the raw quantiles.  ``diagnostics`` is the work of the chord
     scan, under the names the run manifest gives it: ``chord_cache_bytes``
     and ``screened_blocks`` of the manifold's :class:`ChordScan` (a
-    screened block keeps two reciprocal lengths and its column offset, the
-    others one per pair, 0 for a dropped pair, so both follow from the
-    point count alone),
+    screened block keeps two reciprocal lengths, the others one per pair,
+    0 for a dropped pair, so both follow from the point count alone),
     ``float64_recomputes``, the screened blocks whose float64 reciprocal
     lengths were recomputed because those two could not rule them out,
     summed over projectors, and ``pairs_scanned``, the chords scanned per

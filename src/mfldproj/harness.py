@@ -71,7 +71,10 @@ class RunConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "command" not in raw:
             raise ValueError("config must declare a command")
-        common = {key: str(raw[key]) for key in ("out_dir", "format") if key in raw}
+        common = {key: raw[key] for key in ("out_dir", "format") if key in raw}
+        for key, value in common.items():
+            if not isinstance(value, str):
+                raise ValueError(f"config key {key!r} must be a string, got {value!r}")
         common.update({key: integer(raw[key], f"config key {key!r}")
                        for key in ("master_seed", "threads") if key in raw})
         return cls(command=raw["command"], params=raw.get("params", {}), **common)
@@ -204,11 +207,14 @@ def _run_bounds(cfg: RunConfig, p: dict, out: Path) -> tuple[list[str], dict]:
         points = [{"K": K, "N": 1000, "lnV": experiments.LNV_PER_K_DEFAULT * K} for K in (1, 2, 4, 8)]
     else:
         points = _listed(p, "points")
-    queries = []
+    queries, allowed = [], {"K", "N", "lnV", "M", "eps", "delta"}
     for i, pt in enumerate(points):
         missing = sorted({"K", "N", "lnV"} - set(pt)) if isinstance(pt, dict) else ["K", "N", "lnV"]
         if missing:
             raise ValueError(f"bounds points[{i}] = {pt!r} is missing keys {missing}")
+        unknown = sorted(set(pt) - allowed, key=str)
+        if unknown:
+            raise ValueError(f"bounds points[{i}] = {pt!r} has unknown keys {unknown}; allowed: {sorted(allowed)}")
         K, N, M = (integer(pt[key], f"bounds points[{i}] {key!r}") if key in pt else None for key in ("K", "N", "M"))
         given = {"eps": eps, "delta": delta, **pt}
         reals = {key: real(given[key], f"bounds points[{i}] {key!r}") for key in ("eps", "delta", "lnV")}

@@ -227,8 +227,9 @@ def vector_distortion(A: Projector, u: np.ndarray) -> float:
     return abs(math.sqrt(A.N / A.M) * np.linalg.norm(A.rows @ u) / nu - 1.0)
 
 
-# Rows per side of a scanned block: one block of squared lengths (128 KiB)
-# and its ratios stay in cache while every nested projection is scanned.
+# Rows per side of a scanned block, the chord scan's only block size
+# (read at each call): one block of squared lengths (128 KiB) and its
+# ratios stay in cache while every nested projection is scanned.
 _BLOCK = 128
 
 # Most bytes the cache of a ChordScan, with any arrays a caller counts beside
@@ -368,7 +369,7 @@ def _reciprocals(ambient: tuple, rows: slice, cols: slice, out: np.ndarray, gram
     return int(np.count_nonzero(rec)) // (2 if diagonal else 1)
 
 
-def _chord_blocks(ambient: tuple, block: int):
+def _chord_blocks(ambient: tuple):
     """Reciprocal ambient squared chord lengths of all pairs of the points X,
     by block, at half scale: 1 / da with da / 2 = (h_i + h_j) - x_i.x_j and
     h = |x|^2 / 2.  ``ambient`` is :func:`_ambient` of X; each block's
@@ -399,56 +400,47 @@ def _chord_blocks(ambient: tuple, block: int):
     :func:`_plan`: each column range of the plan cut into blocks.
     """
     P, work = len(ambient[0]), _Workspace()
-    for i0, c0, c1, _ in _plan(P, block):
-        rows = slice(i0, min(i0 + block, P))
-        for j0 in range(c0, c1, block):
-            cols = slice(j0, min(j0 + block, c1))
+    for i0, c0, c1, _ in _plan(P):
+        rows = slice(i0, min(i0 + _BLOCK, P))
+        for j0 in range(c0, c1, _BLOCK):
+            cols = slice(j0, min(j0 + _BLOCK, c1))
             shape = (rows.stop - i0, cols.stop - j0)
             rec = np.empty(shape)
             yield i0, j0, rec, _reciprocals(ambient, rows, cols, rec, work.get("gram", shape))
 
 
-def _plan(n_points: int, block: int):
+def _plan(n_points: int):
     """The column ranges of a chord scan of ``n_points`` points in blocks of
-    ``block`` rows, in the order the scan visits them, as
+    ``_BLOCK`` rows, in the order the scan visits them, as
     ``(i0, j0, j1, screened)``: the pairs of the block row from i0 with
-    the columns [j0, j1), with j1 - j0 cut into blocks of ``block`` columns
-    (the last one ragged).
+    the columns [j0, j1), with j1 - j0 cut into blocks of ``_BLOCK``
+    columns (the last one ragged).
 
     The diagonal band comes first: for every block row, the columns
-    [i0, i0 + 3 block), its diagonal block and its first two neighbours,
+    [i0, i0 + 3 _BLOCK), its diagonal block and its first two neighbours,
     which hold the short chords and so, in practice, the worst ones.  The
-    far columns [i0 + 3 block, n_points) of every block row follow, row
+    far columns [i0 + 3 _BLOCK, n_points) of every block row follow, row
     by row.  They are ``screened``, taken by the float32 screen of
-    :func:`_scan`, when they hold at least two blocks.  A far block alone
-    in its row would make a run of one block, whose float32 products are
-    as many and as small as those of the float64 pass they would spare,
-    so it keeps its float64 reciprocals and takes the float64 pass like a
-    band block.
+    :func:`_scan`, when they hold at least two blocks, so a screened
+    block row is always full.  A far block alone in its row would make a
+    run of one block, whose float32 products are as many and as small as
+    those of the float64 pass they would spare, so it keeps its float64
+    reciprocals and takes the float64 pass like a band block.
 
     The plan needs only the point count, so it is made, and its cache
     counted (see :func:`_plan_bytes`), before any point is sampled.
     """
-    starts = range(0, n_points, block)
+    starts = range(0, n_points, _BLOCK)
     for i0 in starts:
-        yield i0, i0, min(i0 + 3 * block, n_points), False
+        yield i0, i0, min(i0 + 3 * _BLOCK, n_points), False
     for i0 in starts:
-        if i0 + 3 * block < n_points:
-            yield i0, i0 + 3 * block, n_points, i0 + 4 * block < n_points
+        if i0 + 3 * _BLOCK < n_points:
+            yield i0, i0 + 3 * _BLOCK, n_points, i0 + 4 * _BLOCK < n_points
 
 
 def _diagonal(a: np.ndarray) -> np.ndarray:
     """Writable view of the diagonal of a contiguous square block."""
     return a.reshape(-1)[:: a.shape[1] + 1]
-
-
-def _block_size(block) -> int:
-    """``block`` as an int, or a ValueError naming it if it is not a whole
-    number >= 1."""
-    block = integer(block, "block")
-    if block < 1:
-        raise ValueError(f"block must be >= 1, got {block}")
-    return block
 
 
 def _as_points(points) -> np.ndarray:
@@ -467,24 +459,23 @@ _NO_CHORDS = "no chord of positive length to scan"
 
 class _Screened(NamedTuple):
     """Consecutive blocks of a screened range of the :func:`_plan`, kept for
-    the float32 screen of :func:`_scan`: ``rows`` rows from i0 and the
-    columns from j0, closed once they reach ``_SCREEN_COLS`` columns, so
-    the screen takes a run in one product per segment.
+    the float32 screen of :func:`_scan`: the ``_BLOCK`` rows from i0 and
+    the ``width`` columns from j0, closed once they reach ``_SCREEN_COLS``,
+    so the screen takes a run in one product per segment.
 
-    Block t spans the columns ``j0 + bounds[t]`` to ``j0 + bounds[t + 1]``
-    and keeps two numbers of its float64 reciprocal lengths 1 / da of
-    :func:`_chord_blocks`: the largest, ``max_rec[t]``, and the smallest,
-    ``min_rec[t]`` (0 in a block that drops a pair).  A block's
-    reciprocals are recomputed from the points, once per projector, only
-    when these bounds cannot rule the block out.  ``pairs`` is the number
-    of pairs the run scans; it falls short of all of them only when a
-    block drops a pair.
+    Block t spans the ``_BLOCK`` columns from ``j0 + t _BLOCK`` (the last
+    block of a row may be narrower) and keeps two numbers of its float64
+    reciprocal lengths 1 / da of :func:`_chord_blocks`: the largest,
+    ``max_rec[t]``, and the smallest, ``min_rec[t]`` (0 in a block that
+    drops a pair).  A block's reciprocals are recomputed from the points,
+    once per projector, only when these bounds cannot rule the block out.
+    ``pairs`` is the number of pairs the run scans; it falls short of all
+    of them only when a block drops a pair.
     """
 
     i0: int
     j0: int
-    rows: int
-    bounds: np.ndarray
+    width: int
     max_rec: np.ndarray
     min_rec: np.ndarray
     pairs: int
@@ -535,12 +526,11 @@ class _Screen:
     def sums(self, run: _Screened) -> np.ndarray:
         """The float32 half squared lengths of ``run`` added up over the
         segments, one (columns, rows) layer per M, in a reused buffer."""
-        n = int(run.bounds[-1])
-        rows, cols = slice(run.i0, run.i0 + run.rows), slice(run.j0, run.j0 + n)
-        sums = self.work.get("screen_run", (len(self.operands), n, run.rows), np.float32)
+        rows, cols = slice(run.i0, run.i0 + _BLOCK), slice(run.j0, run.j0 + run.width)
+        sums = self.work.get("screen_run", (len(self.operands), run.width, _BLOCK), np.float32)
         with np.errstate(over="ignore", invalid="ignore"):
             for m, op in enumerate(self.operands):
-                row_op = np.negative(op[rows], out=self.work.get("screen_rows", (run.rows, op.shape[1]), np.float32))
+                row_op = np.negative(op[rows], out=self.work.get("screen_rows", (_BLOCK, op.shape[1]), np.float32))
                 row_op[:, -2], row_op[:, -1] = 1.0, op[rows, -2]
                 np.matmul(op[cols], row_op.T, out=sums[m])
                 if m:
@@ -550,9 +540,9 @@ class _Screen:
     def slack(self, run: _Screened) -> np.ndarray:
         """M by block, the slack of :func:`_scan` of the blocks of ``run``:
         kappa_M (u (H_i + H_j) + 2^-126) max rec."""
-        cols = slice(run.j0, run.j0 + int(run.bounds[-1]))
-        H = self.H[:, run.i0 : run.i0 + run.rows].max(axis=1)[:, None] + \
-            np.maximum.reduceat(self.H[:, cols], run.bounds[:-1], axis=1)
+        cols = slice(run.j0, run.j0 + run.width)
+        H = self.H[:, run.i0 : run.i0 + _BLOCK].max(axis=1)[:, None] + \
+            np.maximum.reduceat(self.H[:, cols], range(0, run.width, _BLOCK), axis=1)
         return self.kappa[:, None] * (_U32 * H + _TINY32) * run.max_rec
 
     @staticmethod
@@ -560,7 +550,7 @@ class _Screen:
         """Upper and lower bounds, M by block, on the float64 ratios of
         ``run``: each block's extremes of its float32 ``sums`` times its
         reciprocal extremes, chosen by sign, widened by ``slack``."""
-        flat, offs = sums.reshape(len(sums), -1), run.bounds[:-1] * run.rows
+        flat, offs = sums.reshape(len(sums), -1), range(0, run.width * _BLOCK, _BLOCK**2)
         hi, lo = np.maximum.reduceat(flat, offs, axis=1), np.minimum.reduceat(flat, offs, axis=1)
         with np.errstate(over="ignore", invalid="ignore"):
             up = np.where(hi >= 0.0, hi * run.max_rec, hi * run.min_rec)
@@ -584,7 +574,7 @@ class _Screen:
         M still open down to the first M these bounds cannot rule out: the
         float64 pass adds up the segments of the smaller M anyway.  A
         dropped pair's ratio is 0 there, which can only keep an M open."""
-        every = run.pairs == run.rows * int(run.bounds[-1])
+        every = run.pairs == _BLOCK * run.width
         sums = self.sums(run)
         slack = self.slack(run)
         up, down = self.widened(run, sums, slack)
@@ -597,9 +587,9 @@ class _Screen:
                 break
             k = int(np.argmax(pending))
             t += k
-            c0, c1 = int(run.bounds[t]), int(run.bounds[t + 1])
-            rows, cols = slice(run.i0, run.i0 + run.rows), slice(run.j0 + c0, run.j0 + c1)
-            _, _, ratio, rec = self.work.get("block", (4, run.rows, c1 - c0))
+            c0, c1 = t * _BLOCK, min((t + 1) * _BLOCK, run.width)
+            rows, cols = slice(run.i0, run.i0 + _BLOCK), slice(run.j0 + c0, run.j0 + c1)
+            _, _, ratio, rec = self.work.get("block", (4, _BLOCK, c1 - c0))
             n = _reciprocals(self.ambient, rows, cols, rec, ratio, every)
             self.recomputed += 1
             open_ms = np.flatnonzero(~ruled_out[:, k]).tolist() if n else []
@@ -813,30 +803,26 @@ def _workspace_bytes(n_points: int, M_grid) -> int:
     """Bytes that one thread's workspace of a :class:`ChordScan` of
     ``n_points`` points holds in arrays that grow with the point count,
     once :meth:`ChordScan.worst` has scanned the ascending ``M_grid`` of S
-    entries at the default block size: the P x M_max float64 images, the
-    [h, 1] and [1, h] operands of every segment (32 S P), the float32
-    operands of the screen (P x (M_max + 2 S)), its float64 ``screen_H``
-    (S x P), and its float32 sums of one run (S x ``_SCREEN_COLS`` x 128).
+    entries: the P x M_max float64 images, the [h, 1] and [1, h] operands
+    of every segment (32 S P), the float32 operands of the screen
+    (P x (M_max + 2 S)), its float64 ``screen_H`` (S x P), and its float32
+    sums of one run (S x ``_SCREEN_COLS`` x ``_BLOCK``).
     The buffers of one block's size, under 1 MiB, are left out."""
     P, M, S = n_points, M_grid[-1], len(M_grid)
     return 8 * P * M + 32 * S * P + 4 * P * (M + 2 * S) + 8 * S * P + 4 * S * _SCREEN_COLS * _BLOCK
 
 
-def _plan_bytes(n_points: int, block: int):
+def _plan_bytes(n_points: int):
     """Bytes of the cache of a :class:`ChordScan` of ``n_points`` points,
     item by item of its :func:`_plan`: 8 per pair of a float64 range (a
-    diagonal block whole), and of a screened range of n blocks 24 per
-    block and 8 per run (the arrays of :class:`_Screened`), with a run
-    closed every ceil(_SCREEN_COLS / block) blocks as in :func:`_cached`.
-    The cache holds nothing else, so this is its size for every point
-    set."""
-    per_run = -(-_SCREEN_COLS // block)
-    for i0, j0, j1, screened in _plan(n_points, block):
-        n = -(-(j1 - j0) // block)
-        yield 24 * n + 8 * -(-n // per_run) if screened else 8 * min(block, n_points - i0) * (j1 - j0)
+    diagonal block whole), and 16 per block of a screened range (the
+    arrays of :class:`_Screened`).  The cache holds nothing else, so this
+    is its size for every point set."""
+    for i0, j0, j1, screened in _plan(n_points):
+        yield 16 * -(-(j1 - j0) // _BLOCK) if screened else 8 * min(_BLOCK, n_points - i0) * (j1 - j0)
 
 
-def _check_cache_size(n_points: int, block: int = _BLOCK, held: int = 0) -> None:
+def _check_cache_size(n_points: int, held: int = 0) -> None:
     """Raise ValueError if the cache of a :class:`ChordScan` of ``n_points``
     points (see :func:`_plan_bytes`), with ``held`` more bytes that the
     caller holds beside it, takes more than ``_CACHE_LIMIT`` bytes.
@@ -846,7 +832,7 @@ def _check_cache_size(n_points: int, block: int = _BLOCK, held: int = 0) -> None
     limit.  It is the only size check: the build keeps what the plan
     counts.
     """
-    if any(need > _CACHE_LIMIT for need in itertools.accumulate(_plan_bytes(n_points, block), initial=held)):
+    if any(need > _CACHE_LIMIT for need in itertools.accumulate(_plan_bytes(n_points), initial=held)):
         raise ValueError(
             f"a chord scan of {n_points} points would cache more than {_CACHE_LIMIT} bytes "
             f"({_CACHE_LIMIT / 2**30:g} GiB)"
@@ -854,23 +840,22 @@ def _check_cache_size(n_points: int, block: int = _BLOCK, held: int = 0) -> None
         )
 
 
-def _cached(blocks, n_points: int, block: int):
+def _cached(blocks, n_points: int):
     """The blocks of ``_chord_blocks`` of ``n_points`` points as
     :class:`ChordScan` keeps them, in the same order: the blocks of each
     screened range of the :func:`_plan` in runs of ceil(_SCREEN_COLS /
-    block), each run one :class:`_Screened`, closed once it reaches
+    _BLOCK), each run one :class:`_Screened`, closed once it reaches
     ``_SCREEN_COLS`` columns, and every other block as it is."""
-    blocks, per_run = iter(blocks), -(-_SCREEN_COLS // block)
-    for _, c0, c1, screened in _plan(n_points, block):
-        row = itertools.islice(blocks, -(-(c1 - c0) // block))
+    blocks, per_run = iter(blocks), -(-_SCREEN_COLS // _BLOCK)
+    for _, c0, c1, screened in _plan(n_points):
+        row = itertools.islice(blocks, -(-(c1 - c0) // _BLOCK))
         if not screened:
             yield from row
             continue
-        while run := [(i0, j0, *rec.shape, rec.max(), rec.min(), n)
+        while run := [(i0, j0, rec.shape[1], rec.max(), rec.min(), n)
                       for i0, j0, rec, n in itertools.islice(row, per_run)]:
-            i0, j0, rows, widths, max_rec, min_rec, pairs = zip(*run)
-            yield _Screened(i0[0], j0[0], rows[0], np.cumsum((0, *widths)), np.array(max_rec), np.array(min_rec),
-                            sum(pairs))
+            i0, j0, widths, max_rec, min_rec, pairs = zip(*run)
+            yield _Screened(i0[0], j0[0], sum(widths), np.array(max_rec), np.array(min_rec), sum(pairs))
 
 
 class ChordScan:
@@ -884,11 +869,10 @@ class ChordScan:
     so their reciprocals are computed once here, in the order of the
     :func:`_plan`: the diagonal band, then the far blocks.
 
-    The cache is the plan, made from the point count and the block size
-    ``block`` (a whole number >= 1) alone: every block of a screened range
-    of :func:`_plan` goes through the float32 screen of :func:`_scan` and
-    keeps only the largest and the smallest of its float64 reciprocal
-    lengths, and its column offset: 24 bytes, whatever its size.  The
+    The cache is the plan, made from the point count alone: every block
+    of a screened range of :func:`_plan` goes through the float32 screen
+    of :func:`_scan` and keeps only the largest and the smallest of its
+    float64 reciprocal lengths: 16 bytes, whatever its size.  The
     others, the band's blocks (the diagonal blocks and their first two
     neighbours) and far blocks alone in their row, keep their float64
     reciprocals, 8 bytes per pair, a dropped pair's reciprocal 0.  Each
@@ -900,8 +884,7 @@ class ChordScan:
     Each :meth:`worst` then
     pays only for its projector's Gram blocks, scans every M of a nested
     grid in one pass, and at a single M agrees bit for bit with
-    :func:`pointset_distortion` at the same block size, worst pair and
-    exact ties included.  The
+    :func:`pointset_distortion`, worst pair and exact ties included.  The
     cached blocks are only read, so one scan serves concurrent calls from
     several threads.
 
@@ -912,19 +895,18 @@ class ChordScan:
     every later projector on the thread reuses them; :meth:`worst` returns
     no view of them.
 
-    Raises ValueError, before the build, if ``block`` is not a whole
-    number >= 1 or the cache would exceed 2 GiB (see
-    :func:`_check_cache_size`), and after it if the points have no chord
-    of positive length.
+    Raises ValueError, before the build, if the cache would exceed 2 GiB
+    (see :func:`_check_cache_size`), and after it if the points have no
+    chord of positive length.
     """
 
-    def __init__(self, points: np.ndarray, block: int = _BLOCK):
-        points, block = _as_points(points), _block_size(block)
-        _check_cache_size(len(points), block)
+    def __init__(self, points: np.ndarray):
+        points = _as_points(points)
+        _check_cache_size(len(points))
         self.points = np.array(points)  # a copy, in the memory order of the caller's
         self.points.flags.writeable = False
         self._ambient = _ambient(self.points)
-        self._blocks = list(_cached(_chord_blocks(self._ambient, block), len(points), block))
+        self._blocks = list(_cached(_chord_blocks(self._ambient), len(points)))
         self.cache_bytes = sum(a.nbytes for b in self._blocks for a in b if isinstance(a, np.ndarray))
         if not any(b.pairs if isinstance(b, _Screened) else b[3] for b in self._blocks):
             raise ValueError(_NO_CHORDS)
@@ -975,21 +957,20 @@ class ChordScan:
         return _scan(images, N, M_grid, self._blocks, self._ambient, work)
 
 
-def pointset_distortion(A: Projector, points: np.ndarray, block: int = _BLOCK) -> DistortionSummary:
+def pointset_distortion(A: Projector, points: np.ndarray) -> DistortionSummary:
     """Worst distortion over chords (displacement vectors) of a point set.
 
     The one-projector form of :class:`ChordScan`: the same blocks, streamed
     instead of cached.  Squared chord lengths come from block Gram products,
-    so the cost is O(P^2 (N + M)) time and O(block^2 + block (N + M))
+    so the cost is O(P^2 (N + M)) time and O(_BLOCK^2 + _BLOCK (N + M))
     memory.  Zero-length chords (coincident points) are skipped; ValueError
-    if no chord of positive length is left, or if ``block`` is not a whole
-    number >= 1.
+    if no chord of positive length is left.
     """
-    X, block = _as_points(points), _block_size(block)
+    X = _as_points(points)
     if X.shape[1] != A.N:
         raise ValueError(f"points must be (P, {A.N}), got {X.shape}")
     ambient = _ambient(X)
-    return _scan(X @ A.rows.T, A.N, (A.M,), _chord_blocks(ambient, block), ambient, _Workspace())[0]
+    return _scan(X @ A.rows.T, A.N, (A.M,), _chord_blocks(ambient), ambient, _Workspace())[0]
 
 
 def subspace_distortion(A: Projector, U: SubspaceBasis) -> float:

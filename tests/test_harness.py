@@ -176,9 +176,9 @@ class TestManifest:
         (scan,) = scans
         screened = [b for b in scan._blocks if isinstance(b, _Screened)]
         others = [b for b in scan._blocks if not isinstance(b, _Screened)]
-        cached = [a for r in screened for a in (r.bounds, r.max_rec, r.min_rec)]
+        cached = [a for r in screened for a in (r.max_rec, r.min_rec)]
         cached += [rec for _, _, rec, _ in others]
-        assert sum(a.nbytes for a in cached) == sum(mp.projections._plan_bytes(1024, 128))
+        assert sum(a.nbytes for a in cached) == sum(mp.projections._plan_bytes(1024))
         assert diagnostics == {"chord_cache_bytes": sum(a.nbytes for a in cached),
                                "screened_blocks": 8 * 9 // 2 - len(others),
                                "float64_recomputes": len(recomputed),
@@ -251,6 +251,21 @@ class TestRunBounds:
         record = json.loads(capsys.readouterr().err)
         assert (record["code"], record["message"]) == ("ValueError", message)
         assert not (tmp_path / "bounds.csv").exists()
+
+    @pytest.mark.parametrize("points, message", [
+        ([{"K": 1, "N": 1000, "lnV": 1.0, "epsilon": 0.1}],
+         "bounds points[0] = {'K': 1, 'N': 1000, 'lnV': 1.0, 'epsilon': 0.1} has unknown keys ['epsilon']; "
+         "allowed: ['K', 'M', 'N', 'delta', 'eps', 'lnV']"),
+        ([{"K": 1, "N": 10, "lnV": 1.0}, {"K": 1, "N": 10, "lnV": 1.0, "m": 5, "Delta": 0.1}],
+         "bounds points[1] = {'K': 1, 'N': 10, 'lnV': 1.0, 'm': 5, 'Delta': 0.1} has unknown keys ['Delta', 'm']; "
+         "allowed: ['K', 'M', 'N', 'delta', 'eps', 'lnV']"),
+    ], ids=["misspelled", "second-point"])
+    def test_points_unknown_keys_named(self, tmp_path, capsys, monkeypatch, points, message):
+        # a key other than K, N, lnV, M, eps and delta, such as epsilon for
+        # eps, is refused, not ignored; every entry is checked before any
+        # bound is computed
+        assert_refused_before_work(tmp_path, capsys, monkeypatch, ["bounds", "--param", f"points={json.dumps(points)}"],
+                                   message)
 
     def test_empty_points_write_the_header(self, tmp_path):
         cfg = RunConfig(command="bounds", params={"points": []}, out_dir=str(tmp_path))
@@ -376,7 +391,7 @@ class TestRunSampleAndMstar:
         spec = mp.spec_for_volume(1, 1000, mp.experiments.LNV_PER_K_DEFAULT, 1024)
         held = 3 * 8 * 1024 * mp.sampling.coordinate_count(spec) + \
             2 * mp.projections._workspace_bytes(1024, mp.experiments.MSTAR_DEFAULTS["M_grid"])
-        limit = sum(mp.projections._plan_bytes(1024, 128)) + held - 1
+        limit = sum(mp.projections._plan_bytes(1024)) + held - 1
         monkeypatch.setattr(mp.projections, "_CACHE_LIMIT", limit)
         assert_refused_before_work(
             tmp_path, capsys, monkeypatch,
@@ -667,6 +682,20 @@ class TestCLI:
         assert main(["bounds", "--config", str(cfg_path), "--param", "eps=0.3", "--out-dir", str(out)]) == 2
         assert json.loads(capsys.readouterr().err) == {"code": "ValueError", "message": message}
         assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["out_dir", "format"])
+    @pytest.mark.parametrize("value", [None, 5, True, ["out"]], ids=["null", "5", "true", "list"])
+    def test_non_string_out_dir_or_format_exit_code(self, tmp_path, capsys, monkeypatch, key, value):
+        # a config file's out_dir and format must be strings (str() of a
+        # null out_dir would name the directory ./None): they are refused
+        # like the other config keys, with nothing written
+        monkeypatch.chdir(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"command": "bounds", key: value}))
+        assert main(["bounds", "--config", str(cfg_path)]) == 2
+        message = f"config key {key!r} must be a string, got {value!r}"
+        assert json.loads(capsys.readouterr().err) == {"code": "ValueError", "message": message}
+        assert list(tmp_path.iterdir()) == [cfg_path]
 
     @pytest.mark.parametrize("argv, message", [
         (["sample", *SAMPLE_ARGS, "--param", "K=1.7"], "parameter 'K' must be int, got 1.7"),

@@ -222,12 +222,14 @@ class TestPointsetDistortion:
         m65 = pointset_distortion(A, X).max
         assert m65 >= m64
 
-    def test_block_size_independent(self):
+    def test_block_size_independent(self, block_size):
         rng = np.random.default_rng(7)
         X = rng.standard_normal((100, 40))
         A = sample_projector(40, 10, 4)
-        a = pointset_distortion(A, X, block=7).max
-        b = pointset_distortion(A, X, block=1024).max
+        block_size(7)
+        a = pointset_distortion(A, X).max
+        block_size(1024)
+        b = pointset_distortion(A, X).max
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_coincident_points_skipped(self):
@@ -329,17 +331,27 @@ def summary(scan, A):
     return scan.worst(A.rows, A.N, (A.M,))[0]
 
 
-def chord_blocks(X, block=128):
+@pytest.fixture
+def block_size(monkeypatch):
+    """A function that sets the chord scan's block size, ``_BLOCK``, for the
+    rest of the test.  A scan reads it when it is built and when it scans,
+    so a test builds and scans each ChordScan at one block size."""
+    def set_block(block):
+        monkeypatch.setattr(projections, "_BLOCK", block)
+
+    return set_block
+
+
+def chord_blocks(X):
     """The blocks of ``_chord_blocks`` of the points X, streamed."""
-    return projections._chord_blocks(projections._ambient(X), block)
+    return projections._chord_blocks(projections._ambient(X))
 
 
-def streamed_scan(X, Y, N, M_grid, block=128):
+def streamed_scan(X, Y, N, M_grid):
     """``_scan`` of the images Y of the points X over their blocks of
     ``_chord_blocks``, streamed as ``pointset_distortion`` streams them."""
     ambient = projections._ambient(X)
-    return projections._scan(Y, N, M_grid, projections._chord_blocks(ambient, block), ambient,
-                             projections._Workspace())
+    return projections._scan(Y, N, M_grid, projections._chord_blocks(ambient), ambient, projections._Workspace())
 
 
 def cached_scan(scan, Y, N, M_grid):
@@ -348,18 +360,20 @@ def cached_scan(scan, Y, N, M_grid):
     return projections._scan(Y, N, M_grid, scan._blocks, scan._ambient, projections._Workspace())
 
 
-def planned_far(P, block=128):
+def planned_far(P):
     """Far blocks (j0 - i0 > 2 block) of the block rows that hold at least
     two of them: the blocks the plan of a ChordScan of P points screens."""
+    block = projections._BLOCK
     starts = range(0, P, block)
     per_row = [sum(j0 - i0 > 2 * block for j0 in starts) for i0 in starts]
     return sum(n for n in per_row if n >= 2)
 
 
-def planned_runs(P, block=128):
+def planned_runs(P):
     """``(i0, j0, columns)`` of each screened run the plan of a ChordScan of
     P points makes: the far blocks of each block row that holds at least
     two of them, consecutive, in runs of ceil(1024 / block) blocks."""
+    block = projections._BLOCK
     starts, per_run, runs = range(0, P, block), -(-1024 // block), []
     for i0 in starts:
         far = [j0 for j0 in starts if j0 - i0 > 2 * block]
@@ -368,9 +382,21 @@ def planned_runs(P, block=128):
     return runs
 
 
-def planned_bytes(P, block=128):
+def planned_bytes(P):
     """Bytes of the cache the plan of a ChordScan of P points keeps."""
-    return sum(projections._plan_bytes(P, block))
+    return sum(projections._plan_bytes(P))
+
+
+def cached_order(scan):
+    """``(i0, j0)`` of every block of the cache of ``scan``, in its order,
+    those of each screened run one by one."""
+    order = []
+    for b in scan._blocks:
+        if isinstance(b, _Screened):
+            order += [(b.i0, b.j0 + c) for c in range(0, b.width, projections._BLOCK)]
+        else:
+            order.append(b[:2])
+    return order
 
 
 def screened_cases():
@@ -410,7 +436,7 @@ from mfldproj import projections
 X = mp.sampling.isometric_coordinates(mp.spec_for_volume(1, 1000, math.log(40.0), 300), 5)
 Y = X @ np.random.default_rng(3).standard_normal((X.shape[1], 60))
 checked = []
-for i0, j0, rec, n in projections._chord_blocks(projections._ambient(X), 128):
+for i0, j0, rec, n in projections._chord_blocks(projections._ambient(X)):
     if i0 == j0:
         zeros = np.argwhere(rec == 0.0)
         checked.append(np.array_equal(rec, rec.T) and np.array_equal(zeros[:, 0], zeros[:, 1])
@@ -443,7 +469,7 @@ class TestChordScan:
                                  check=True, timeout=300)
             assert out.stdout.split() == ["12", "True"], threads
 
-    def test_diagonal_is_blanked(self):
+    def test_diagonal_is_blanked(self, block_size):
         # integer coordinates make every length exact, so the diagonal of a
         # diagonal block has projected length 0 against reciprocal 0: left
         # in, it would be the smallest ratio, a distortion of exactly 1.
@@ -453,19 +479,21 @@ class TestChordScan:
         X = rng.integers(-8, 9, size=(60, 40)).astype(float)
         M_grid, rows = (12, 20, 30), np.eye(30, 40)
         Y = X @ rows.T
-        scan = ChordScan(X, block=16)
-        for got in (scan.worst(rows, 40, M_grid), streamed_scan(X, Y, 40, M_grid, block=16)):
+        block_size(16)
+        scan = ChordScan(X)
+        for got in (scan.worst(rows, 40, M_grid), streamed_scan(X, Y, 40, M_grid)):
             assert [g.max for g in got] == nested_elementwise_worst(X, Y, 40, M_grid, 16)
             assert all(g.max < 0.9 and g.argmax[0] < g.argmax[1] for g in got)
 
-    def test_identical_points_in_a_diagonal_block(self):
+    def test_identical_points_in_a_diagonal_block(self, block_size):
         # a diagonal block keeps the reciprocal 0 for its diagonal and its
         # dropped pairs, the pair of identical points and its mirror image,
         # and still scans every other pair above its diagonal
         rng = np.random.default_rng(23)
         X = np.cumsum(rng.standard_normal((150, 40)), axis=0)
         X[9] = X[5]
-        scan = ChordScan(X, block=16)
+        block_size(16)
+        scan = ChordScan(X)
         i0, j0, rec, n = scan._blocks[0]
         zeros = sorted((int(i), int(j)) for i, j in zip(*np.nonzero(rec == 0.0)) if i != j)
         assert (i0, j0) == (0, 0) and zeros == [(5, 9), (9, 5)] and not projections._diagonal(rec).any()
@@ -475,17 +503,18 @@ class TestChordScan:
         for seed in range(3):
             A = sample_projector(40, 5 + seed, seed)
             got = summary(scan, A)
-            assert got == pointset_distortion(A, X, block=16)
+            assert got == pointset_distortion(A, X)
             assert got.max == elementwise_worst(A, X, 16)
             assert got.n_evaluated == 150 * 149 // 2 - 1
             assert got.argmax not in ((5, 9), (9, 5))
 
-    def test_extremes_equal_elementwise_max(self):
+    def test_extremes_equal_elementwise_max(self, block_size):
         # min/max of the ratio per block gives the per-pair maximum bit for bit
         rng = np.random.default_rng(12)
         X = np.cumsum(rng.standard_normal((150, 40)), axis=0)
         X[[5, 6, 20]] = 0.0  # exactly zero chords in a diagonal and an off-diagonal block
-        scan = ChordScan(X, block=16)
+        block_size(16)
+        scan = ChordScan(X)
         for seed in range(6):
             A = sample_projector(40, 4 + seed, seed)
             got = summary(scan, A)
@@ -495,22 +524,24 @@ class TestChordScan:
             assert i < j
             assert vector_distortion(A, X[i] - X[j]) == pytest.approx(got.max, rel=1e-9)
 
-    def test_reuse_matches_pointset_distortion(self):
+    def test_reuse_matches_pointset_distortion(self, block_size):
         rng = np.random.default_rng(13)
         X = rng.standard_normal((90, 30))
-        scan = ChordScan(X, block=8)
+        block_size(8)
+        scan = ChordScan(X)
         for seed in range(4):
             A = sample_projector(30, 5, seed)
-            assert summary(scan, A) == pointset_distortion(A, X, block=8)
+            assert summary(scan, A) == pointset_distortion(A, X)
 
-    def test_nested_equals_prefix_scans(self):
+    def test_nested_equals_prefix_scans(self, block_size):
         # at every M the nested pass equals a one-segment scan of the first
         # M rows; the first M is the scan of its image columns bit for bit
         rng = np.random.default_rng(14)
         X = np.cumsum(rng.standard_normal((150, 40)), axis=0)
         X[[5, 6]] = X[4]
         M_grid = (3, 7, 8, 19, 30)
-        scan = ChordScan(X, block=16)
+        block_size(16)
+        scan = ChordScan(X)
         for seed in range(3):
             rows = sample_projector(40, 30, seed).rows
             got = scan.worst(rows, 40, M_grid)
@@ -520,7 +551,7 @@ class TestChordScan:
                 assert g.n_evaluated == ref.n_evaluated
             assert got[0] == cached_scan(scan, (X @ rows.T)[:, :3], 40, (3,))[0]
 
-    def test_nested_equals_elementwise_max_at_every_M(self):
+    def test_nested_equals_elementwise_max_at_every_M(self, block_size):
         # 150 points in blocks of 16 (the last is ragged), a duplicated
         # point, exactly zero chords, and width-1 column segments; points
         # 60-62 differ from point 59 only in coordinates that the rows zero,
@@ -533,7 +564,8 @@ class TestChordScan:
         X[40] = X[30]
         X[60:63] = X[59]
         X[60:63, 36:39] += np.eye(3)
-        scan = ChordScan(X, block=16)
+        block_size(16)
+        scan = ChordScan(X)
         for M_grid in ((1, 2, 7, 30), (3, 8, 19), (40,)):
             for seed in range(3):
                 rows = sample_projector(40, M_grid[-1], seed).rows.copy()
@@ -543,7 +575,7 @@ class TestChordScan:
                 assert [g.max for g in got] == nested_elementwise_worst(X, Y, 40, M_grid, 16)
                 assert all(g.n_evaluated == 150 * 149 // 2 - 4 for g in got)
 
-    def test_chord_orthogonal_to_rows_has_distortion_one(self):
+    def test_chord_orthogonal_to_rows_has_distortion_one(self, block_size):
         # integer coordinates make every length exact: the chord (0, 1) lies
         # beyond the first 30 coordinates, so its projected length is 0 at
         # every M, and no other chord reaches distortion 1 while N / M < 4
@@ -553,11 +585,12 @@ class TestChordScan:
         X[1, 35] += 1.0
         M_grid, rows = (12, 20, 30), np.eye(30, 40)
         Y = X @ rows.T
-        got = ChordScan(X, block=16).worst(rows, 40, M_grid)
+        block_size(16)
+        got = ChordScan(X).worst(rows, 40, M_grid)
         assert [g.max for g in got] == [1.0] * 3 == nested_elementwise_worst(X, Y, 40, M_grid, 16)
         assert all(g.argmax == (0, 1) for g in got)
 
-    def test_concurrent_nested_calls_match_serial(self):
+    def test_concurrent_nested_calls_match_serial(self, block_size):
         # every thread scans in a workspace of its own, so two threads on one
         # scan get the serial results; the smooth curve goes through the
         # float32 screen, whose operands and buffers belong to the thread too
@@ -565,11 +598,14 @@ class TestChordScan:
         X = np.cumsum(rng.standard_normal((300, 30)), axis=0)
         curve = gp_curve(1024)
         inputs = [
-            (ChordScan(X, block=32), 30, (4, 9, 20), [sample_projector(30, 20, seed).rows for seed in range(2)]),
-            (ChordScan(curve), 1000, (16, 63, 100), [frame_rows(1000, curve.shape[1], 100, seed) for seed in range(2)]),
+            (32, X, 30, (4, 9, 20), [sample_projector(30, 20, seed).rows for seed in range(2)]),
+            (128, curve, 1000, (16, 63, 100), [frame_rows(1000, curve.shape[1], 100, seed) for seed in range(2)]),
         ]
-        assert any(isinstance(b, _Screened) for b in inputs[1][0]._blocks)
-        for scan, N, M_grid, rows in inputs:
+        for block, points, N, M_grid, rows in inputs:
+            block_size(block)
+            scan = ChordScan(points)
+            if points is curve:
+                assert any(isinstance(b, _Screened) for b in scan._blocks)
             serial = [scan.worst(r, N, M_grid) for r in rows]
             results = [None, None]
             barrier = threading.Barrier(2, timeout=60)
@@ -637,7 +673,7 @@ class TestChordScan:
             assert np.array_equal(worst, runs[0][0]) and (recomputed, pairs) == runs[0][1:]
 
     @pytest.mark.parametrize("twin", ["lower", "upper"])
-    def test_unequal_twins_report_the_larger(self, twin, monkeypatch):
+    def test_unequal_twins_report_the_larger(self, twin, monkeypatch, block_size):
         # integer coordinates make every length exact: the chord (3, 9) lies
         # along the first axis, so its ratio is exactly 1 at every M, and the
         # other chords, mostly in the first 12 coordinates, stay below it.
@@ -664,13 +700,14 @@ class TestChordScan:
             assert raised > abs(math.sqrt(40 / M) - 1.0)
             return raised, (3, 9)
 
-        scan = ChordScan(X, block=16)
+        block_size(16)
+        scan = ChordScan(X)
         monkeypatch.setattr(projections, "_block_half_sq", spy)
         M_grid = (12, 25, 30)
         assert [(g.max, g.argmax) for g in scan.worst(np.eye(30, 40), 40, M_grid)] == [want(M) for M in M_grid]
         for M in M_grid:
             A = Projector(rows=np.eye(M, 40), M=M, N=40)
-            for got in (summary(scan, A), pointset_distortion(A, X, block=16)):
+            for got in (summary(scan, A), pointset_distortion(A, X)):
                 assert (got.max, got.argmax) == want(M)
 
     def test_empty_scan_raises(self):
@@ -688,7 +725,7 @@ class TestChordScan:
         assert got == pointset_distortion(A, X)
 
     @pytest.mark.parametrize("P", [512, 1000, 1024, 2048, 4096, "shifted", "duplicates", "ties", "block48"])
-    def test_planned_bytes_are_the_cache_bytes(self, P):
+    def test_planned_bytes_are_the_cache_bytes(self, P, block_size):
         # the build keeps what the plan made from the point count alone
         # counts, whatever the points: smooth curves, one far from the
         # origin, identical points and exact-zero chords (in band and
@@ -700,24 +737,25 @@ class TestChordScan:
             X, block = gp_curve(2048)[:2000], 48
         else:
             X, block = (tie_points(), 16) if P == "ties" else (screened_cases()[P], 128)
-        scan = ChordScan(X, block=block)
-        assert scan.screened_blocks == planned_far(len(X), block)
-        assert scan.cache_bytes == planned_bytes(len(X), block) == sum(
+        block_size(block)
+        scan = ChordScan(X)
+        assert scan.screened_blocks == planned_far(len(X))
+        assert scan.cache_bytes == planned_bytes(len(X)) == sum(
             a.nbytes for b in scan._blocks for a in b if isinstance(a, np.ndarray))
-        runs = [(b.i0, b.j0, int(b.bounds[-1])) for b in scan._blocks if isinstance(b, _Screened)]
-        assert runs == planned_runs(len(X), block)
+        runs = [(b.i0, b.j0, b.width) for b in scan._blocks if isinstance(b, _Screened)]
+        assert runs == planned_runs(len(X))
         if P == "block48":  # row 0's 39 far blocks: 22 of 48 columns, then 16 and one of 32
             assert runs[:2] == [(0, 144, 22 * 48), (0, 144 + 22 * 48, 16 * 48 + 32)]
 
     def test_cache_size_checked_from_the_plan(self):
-        # 8 bytes per pair of the band, 24 per screened far block and 8 per
-        # run: a 32768-point curve plans 101 MB, and 607564 points are the
-        # first that plan more than 2 GiB
-        assert planned_bytes(32768) == 101_205_288
+        # 8 bytes per pair of the band and 16 per screened far block: a
+        # 32768-point curve plans 101 MB, and 635102 points are the first
+        # that plan more than 2 GiB
+        assert planned_bytes(32768) == 100_915_232
         projections._check_cache_size(32768)
-        projections._check_cache_size(607563)
-        with pytest.raises(ValueError, match=r"^a chord scan of 607564 points would cache more than 2147483648 bytes"):
-            projections._check_cache_size(607564)
+        projections._check_cache_size(635101)
+        with pytest.raises(ValueError, match=r"^a chord scan of 635102 points would cache more than 2147483648 bytes"):
+            projections._check_cache_size(635102)
 
     def test_cache_over_the_limit_refused_before_the_build(self, monkeypatch):
         # the plan is the only size check: under a limit one byte below it
@@ -796,21 +834,6 @@ class TestChordScan:
         with pytest.raises(ValueError, match=message):
             scan.worst(rows, N, M_grid)
 
-    @pytest.mark.parametrize("block, message", [
-        (0, "block must be >= 1, got 0"),
-        (-5, "block must be >= 1, got -5"),
-        (2.5, "block must be int, got 2.5"),
-        (True, "block must be int, got True"),
-    ])
-    def test_block_must_be_a_whole_number_at_least_1(self, block, message):
-        # the cached and the streamed scan take only a whole block size of
-        # at least 1, and name the parameter they refuse
-        X = np.random.default_rng(28).standard_normal((300, 10))
-        with pytest.raises(ValueError, match=message):
-            ChordScan(X, block=block)
-        with pytest.raises(ValueError, match=message):
-            pointset_distortion(sample_projector(10, 3, 1), X, block=block)
-
     def test_worst_takes_whole_M_only(self):
         # a non-integral M is refused with the entry named, not truncated;
         # a whole float is that integer
@@ -820,17 +843,18 @@ class TestChordScan:
             scan.worst(A.rows, 10, (2.7,))
         assert scan.worst(A.rows, 10, (1, 2.0)) == scan.worst(A.rows, 10, (1, 2))
 
-    def test_points_are_copied(self):
+    def test_points_are_copied(self, block_size):
         # the scan keeps its own read-only copy of the points: doubling the
         # caller's array afterwards changes no result, and a fresh scan of
         # the doubled points, whose ratios are the same bit for bit, agrees
         rng = np.random.default_rng(25)
         X = np.cumsum(rng.standard_normal((300, 40)), axis=0)
         A = sample_projector(40, 10, 3)
-        scan = ChordScan(X, block=32)
+        block_size(32)
+        scan = ChordScan(X)
         want = summary(scan, A)
         X *= 2.0
-        assert summary(scan, A) == want == summary(ChordScan(X, block=32), A)
+        assert summary(scan, A) == want == summary(ChordScan(X), A)
         assert scan.points is not X and not scan.points.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             scan.points[0, 0] = 1.0
@@ -861,14 +885,15 @@ def screen_of(scan, Y, M_grid):
 def block_slices(run, t):
     """The rows and the columns of the points of block t of the screened
     ``run``."""
-    return slice(run.i0, run.i0 + run.rows), slice(run.j0 + run.bounds[t], run.j0 + run.bounds[t + 1])
+    block = projections._BLOCK
+    return slice(run.i0, run.i0 + block), slice(run.j0 + t * block, run.j0 + min((t + 1) * block, run.width))
 
 
 def screened_lengths(scan, run, t):
     """The float64 half squared lengths da of block t of the screened
     ``run`` of ``scan``, rows by columns."""
     rows, cols = block_slices(run, t)
-    shape = (run.rows, cols.stop - cols.start)
+    shape = (rows.stop - rows.start, cols.stop - cols.start)
     return projections._block_half_sq(*scan._ambient[:3], rows, cols, np.empty(shape), np.empty(shape))
 
 
@@ -879,7 +904,7 @@ def float64_ratios(scan, segs, ops, run):
     them: the projected length times the reciprocal of the ambient one."""
     for t in range(len(run.max_rec)):
         rows, cols = block_slices(run, t)
-        shape = (run.rows, cols.stop - cols.start)
+        shape = (rows.stop - rows.start, cols.stop - cols.start)
         rec = 1.0 / screened_lengths(scan, run, t)
         proj = 0.0
         for m, (seg, (lead, trail)) in enumerate(zip(segs, ops)):
@@ -904,7 +929,8 @@ def screen_error_ratio(scan, Y, N, M_grid):
         sums, slack = screen.sums(run).copy(), screen.slack(run)
         up, down = screen.widened(run, sums, slack)
         for t, m, r64 in float64_ratios(scan, segs, ops, run):
-            s = sums[m][run.bounds[t] : run.bounds[t + 1]].T.astype(float)
+            cols = block_slices(run, t)[1]
+            s = sums[m][cols.start - run.j0 : cols.stop - run.j0].T.astype(float)
             hi, lo, rec = s.max(), s.min(), 1.0 / screened_lengths(scan, run, t)
             assert (run.max_rec[t], run.min_rec[t]) == (rec.max(), rec.min())
             assert up[m, t] == hi * (run.max_rec[t] if hi >= 0 else run.min_rec[t]) + slack[m, t]
@@ -945,7 +971,7 @@ def count_float64_passes(monkeypatch):
 
 class TestScreenedScan:
     @pytest.mark.parametrize("case", ["curve", "shifted", "duplicates", "ragged", "block48"])
-    def test_screened_scan_equals_oracles(self, case, monkeypatch):
+    def test_screened_scan_equals_oracles(self, case, monkeypatch, block_size):
         # the scan at every M of a grid and at one M equals the unscreened
         # streaming kernel (max, argmax and count), the pair-by-pair maximum
         # and pointset_distortion, at the same block size; in blocks of 48,
@@ -953,23 +979,21 @@ class TestScreenedScan:
         # hold up to two runs
         X, block = (gp_curve(2048)[:2000], 48) if case == "block48" else (screened_cases()[case], 128)
         N, M_grid, k = 1000, (25, 63, 100), X.shape[1]
-        scan = ChordScan(X, block=block)
+        block_size(block)
+        scan = ChordScan(X)
         # every far block of a row with at least two, also far from the
         # origin (|x|^2 / 2 ~ 7e7 against chords of order 1) and with
         # identical points
-        assert scan.screened_blocks == planned_far(len(X), block) == (779 if case == "block48" else 14)
+        assert scan.screened_blocks == planned_far(len(X)) == (779 if case == "block48" else 14)
         if case == "duplicates":  # the zero chord in the band block (0, 256), the identical points in (0, 640)
             dropped = [b[:2] for b in scan._blocks if not isinstance(b, _Screened) and b[0] != b[1] and b[3] < b[2].size]
             rec = next(b[2] for b in scan._blocks if b[:2] == (0, 256))
             assert dropped == [(0, 256)] and np.flatnonzero(rec == 0.0).tolist() == [5 * 128 + 44]
-            (run,) = [b for b in scan._blocks if isinstance(b, _Screened) and b.pairs < b.rows * b.bounds[-1]]
+            (run,) = [b for b in scan._blocks if isinstance(b, _Screened) and b.pairs < block * b.width]
             assert (run.i0, run.j0, run.pairs) == (0, 384, 128 * 640 - 1)
         if case == "ragged":
-            assert any(b.bounds[-1] - b.bounds[-2] == 104 for b in scan._blocks if isinstance(b, _Screened))
-        order = []
-        for b in scan._blocks:
-            order += [(b.i0, b.j0 + int(c)) for c in b.bounds[:-1]] if isinstance(b, _Screened) else [b[:2]]
-        assert order == [(i0, j0) for i0, j0, _, _ in chord_blocks(X, block)]
+            assert any(b.width % block == 104 for b in scan._blocks if isinstance(b, _Screened))
+        assert cached_order(scan) == [(i0, j0) for i0, j0, _, _ in chord_blocks(X)]
         passes = count_float64_passes(monkeypatch)
         for seed in range(2):
             rows = frame_rows(N, k, M_grid[-1], seed)
@@ -978,13 +1002,13 @@ class TestScreenedScan:
             got = scan.worst(rows, N, M_grid)
             if case != "shifted":  # most screened blocks are skipped
                 assert len(passes) < scan.screened_blocks / 2
-            assert got == streamed_scan(X, Y, N, M_grid, block=block)
+            assert got == streamed_scan(X, Y, N, M_grid)
             assert [g.max for g in got] == nested_elementwise_worst(X, Y, N, M_grid, block)
             A = sample_projector(k, 50, seed)
-            assert summary(scan, A) == pointset_distortion(A, X, block=block)
+            assert summary(scan, A) == pointset_distortion(A, X)
             assert summary(scan, A).max == elementwise_worst(A, X, block)
 
-    def test_ties_keep_the_unscreened_order(self):
+    def test_ties_keep_the_unscreened_order(self, block_size):
         # integer coordinates make every length exact: the chords (3, 56)
         # and (5, 100) lie beyond the first 30 coordinates, so both have
         # distortion 1 at every M, and no other chord reaches it while
@@ -992,16 +1016,17 @@ class TestScreenedScan:
         # in a later block of the same screened run, (0, 96), which holds
         # the identical points 6 and 101, so it is the worst pair.
         X = tie_points()
-        scan = ChordScan(X, block=16)
+        block_size(16)
+        scan = ChordScan(X)
         runs = [b for b in scan._blocks if isinstance(b, _Screened)]
-        assert any(b.i0 == 0 and b.j0 <= 48 and 96 < b.j0 + b.bounds[-1] for b in runs)
+        assert any(b.i0 == 0 and b.j0 <= 48 and 96 < b.j0 + b.width for b in runs)
         M_grid, rows = (12, 20, 30), np.eye(30, 40)
         Y = X @ rows.T
         got = scan.worst(rows, 40, M_grid)
-        assert got == streamed_scan(X, Y, 40, M_grid, block=16)
+        assert got == streamed_scan(X, Y, 40, M_grid)
         assert [(g.max, g.argmax, g.n_evaluated) for g in got] == [(1.0, (3, 56), 11174)] * 3
 
-    def test_ties_prefer_the_diagonal_band(self):
+    def test_ties_prefer_the_diagonal_band(self, block_size):
         # integer coordinates make every length exact: the chords (3, 56),
         # in the far block (0, 48), and (20, 41), in the band block
         # (16, 32), lie beyond the first 30 coordinates, so both have
@@ -1013,41 +1038,40 @@ class TestScreenedScan:
         X[56], X[41] = X[3], X[20]
         X[56, 35] += 8.0
         X[41, 36] += 8.0
-        scan = ChordScan(X, block=16)
+        block_size(16)
+        scan = ChordScan(X)
         assert (0, 48) in {(b.i0, b.j0) for b in scan._blocks if isinstance(b, _Screened)}
         M_grid, rows = (12, 20, 30), np.eye(30, 40)
         Y = X @ rows.T
         want = [(1.0, (20, 41))] * 3
         assert [(g.max, g.argmax) for g in scan.worst(rows, 40, M_grid)] == want
-        got = streamed_scan(X, Y, 40, M_grid, block=16)
+        got = streamed_scan(X, Y, 40, M_grid)
         assert [(g.max, g.argmax) for g in got] == want
         A = Projector(rows=np.eye(30, 40), M=30, N=40)
-        assert (pointset_distortion(A, X, block=16).argmax, summary(scan, A).argmax) == ((20, 41), (20, 41))
+        assert (pointset_distortion(A, X).argmax, summary(scan, A).argmax) == ((20, 41), (20, 41))
 
     @pytest.mark.parametrize("block", [16, 128])
-    def test_band_blocks_come_first(self, block):
+    def test_band_blocks_come_first(self, block, block_size):
         # the diagonal blocks and their first two neighbours
         # (j0 - i0 <= 2 block) precede every far block, in the stream and in
         # the cache, none of them is screened, and a cached run is closed
         # once it reaches one screen product's columns
         rng = np.random.default_rng(20)
         X = gp_curve(2048)[:2000] if block == 128 else np.cumsum(rng.standard_normal((150, 40)), axis=0)
-        streamed = [(i0, j0) for i0, j0, _, _ in chord_blocks(X, block)]
+        block_size(block)
+        streamed = [(i0, j0) for i0, j0, _, _ in chord_blocks(X)]
         starts = range(0, len(X), block)
         assert sorted(streamed) == [(i0, j0) for i0 in starts for j0 in starts if j0 >= i0]
         band = [j0 - i0 <= 2 * block for i0, j0 in streamed]
         assert band == sorted(band, reverse=True) and sum(band) == 3 * len(starts) - 3
-        scan = ChordScan(X, block=block)
-        cached = []
-        for b in scan._blocks:
-            cached += [(b.i0, b.j0 + int(c)) for c in b.bounds[:-1]] if isinstance(b, _Screened) else [b[:2]]
-        assert cached == streamed
+        scan = ChordScan(X)
+        assert cached_order(scan) == streamed
         runs = [b for b in scan._blocks if isinstance(b, _Screened)]
-        assert runs and all(b.bounds[-1] <= projections._SCREEN_COLS for b in runs)
+        assert runs and all(b.width <= projections._SCREEN_COLS for b in runs)
         assert all(b.j0 - b.i0 > 2 * block for b in runs)
         if block == 128:  # the far blocks of row 0 span 1616 columns
-            assert (runs[0].i0, runs[0].j0, runs[0].bounds[-1]) == (0, 384, projections._SCREEN_COLS)
-        assert any(b.bounds[-1] - b.bounds[-2] < block for b in runs)
+            assert (runs[0].i0, runs[0].j0, runs[0].width) == (0, 384, projections._SCREEN_COLS)
+        assert any(b.width % block for b in runs)  # a last block narrower than the others
 
     def test_slack_bounds_float32_error(self):
         # every float32 ratio is within the screen's slack of the float64
@@ -1064,7 +1088,7 @@ class TestScreenedScan:
             assert scan.screened_blocks == planned_far(1024)
             h = scan._ambient[2][1]
             cond = max(
-                2.0**-24 * (h[b.i0 : b.i0 + 128].max() + h[b.j0 + b.bounds[t] : b.j0 + b.bounds[t + 1]].max())
+                2.0**-24 * (h[b.i0 : b.i0 + 128].max() + h[block_slices(b, t)[1]].max())
                 * b.max_rec[t]
                 for b in scan._blocks if isinstance(b, _Screened) for t in range(len(b.max_rec))
             )
@@ -1095,7 +1119,7 @@ class TestScreenedScan:
                     worst[t, m] = np.abs(np.sqrt(N / M_grid[m] * np.maximum(r, 0.0)) - 1.0).max()
                     checked += 1
                 for t in range(len(run.max_rec)):
-                    target = run.j0 + run.bounds[t]
+                    target = block_slices(run, t)[1].start
                     for i0, j0, rec, _, open_ms in screen.unresolved(run, N, M_grid, list(worst[t] * (1 - 1e-8))):
                         if j0 == target:
                             break
@@ -1105,33 +1129,34 @@ class TestScreenedScan:
         assert checked == 2 * len(M_grid) * scan.screened_blocks
 
     @pytest.mark.parametrize("sums", [[[-1.0, -2.0], [-3.0, -0.5]], [[-1.0, 2.0], [3.0, -0.5]], [[1.0, 2.0], [3.0, 0.5]]])
-    def test_block_bounds_choose_the_reciprocal_by_sign(self, sums):
+    def test_block_bounds_choose_the_reciprocal_by_sign(self, sums, block_size):
         # every ratio t rec of a block with t between its extremes and rec
         # between min rec and max rec lies between the block bounds, which
         # are the extreme corners of that box
-        run = _Screened(0, 0, 2, np.array([0, 2]), np.array([4.0]), np.array([1.0]), 4)
+        block_size(2)
+        run = _Screened(0, 0, 2, np.array([4.0]), np.array([1.0]), 4)
         sums = np.array([sums], np.float32)
         up, down = projections._Screen.widened(run, sums, np.zeros((1, 1)))
         corners = [t * r for t in (sums.min(), sums.max()) for r in (1.0, 4.0)]
         assert (up[0, 0], down[0, 0]) == (max(corners), min(corners))
 
     def test_screened_blocks_keep_two_reciprocal_bounds(self):
-        # a screened block keeps no per-pair array: only the largest and the
-        # smallest of its float64 reciprocal lengths, which equal those of
-        # the reciprocals the scan recomputes, and its column offset
+        # a screened block keeps no per-pair array, and no column offset:
+        # only the largest and the smallest of its float64 reciprocal
+        # lengths, which equal those of the reciprocals the scan recomputes
         scan = ChordScan(gp_curve(2048))
         runs = screened_runs(scan)
         assert scan.screened_blocks == planned_far(2048) == 90  # every far block of a row with at least two
         for run in runs:
             arrays = [a for a in run if isinstance(a, np.ndarray)]
-            assert [a.shape for a in arrays] == [(len(run.max_rec) + 1,), (len(run.max_rec),), (len(run.max_rec),)]
+            assert [a.shape for a in arrays] == [(len(run.max_rec),), (len(run.max_rec),)]
             for t in range(len(run.max_rec)):
                 rec = 1.0 / screened_lengths(scan, run, t)
                 assert (run.max_rec[t], run.min_rec[t]) == (rec.max(), rec.min())
         assert sum(run.pairs for run in runs) == 128 * 128 * scan.screened_blocks  # no dropped pair
         unscreened = [b for b in scan._blocks if not isinstance(b, _Screened)]
         assert scan.cache_bytes == \
-            8 * sum(rec.size for _, _, rec, _ in unscreened) + 24 * scan.screened_blocks + 8 * len(runs)
+            8 * sum(rec.size for _, _, rec, _ in unscreened) + 16 * scan.screened_blocks
 
     def test_far_blocks_alone_in_their_row_stay_in_float64(self, monkeypatch):
         # 512 points make four block rows, and only row 0 holds a far
@@ -1182,7 +1207,7 @@ class TestScreenedScan:
         runs = screened_runs(scan)
         spreads = [hi / lo for r in runs for hi, lo in zip(r.max_rec, r.min_rec)]
         h = scan._ambient[2][1]
-        cond = max(2.0**-24 * (h[r.i0 : r.i0 + 128].max() + h[r.j0 + r.bounds[t] : r.j0 + r.bounds[t + 1]].max())
+        cond = max(2.0**-24 * (h[r.i0 : r.i0 + 128].max() + h[block_slices(r, t)[1]].max())
                    * r.max_rec[t] for r in runs for t in range(len(r.max_rec)))
         assert cond > 1e-4 if shifted else max(spreads) > 400.0
         recomputed, passes = count_recomputed(monkeypatch, scan), count_float64_passes(monkeypatch)
